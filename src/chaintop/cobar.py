@@ -16,9 +16,9 @@ from __future__ import annotations
 
 from .complexes import ChainComplex
 from .freemod import FreeElement, add_into
+from .linalg import eliminate
 from .rings import QQ, Ring, ZZ
 from .simplicial import SimplicialSet, back_face, front_face
-from .smith import field_rank
 
 
 def _check_reduced(space: SimplicialSet) -> None:
@@ -494,19 +494,18 @@ def _h0_within(space: SimplicialSet, cutoff: int, ring: Ring) -> tuple:
     for value in _relator_values(space, ring):
         for g in group_words(space.nondegenerate(1), cutoff):
             for h in group_words(space.nondegenerate(1), cutoff - len(g)):
-                row = [ring.zero] * len(words)
+                row = {}
                 ok = True
                 for w, c in value.items():
                     full = reduce_group_word(g + w + h)
                     if len(full) > cutoff:
                         ok = False
                         break
-                    t = index[full]
-                    row[t] = ring.add(row[t], c)
-                if ok and any(c != ring.zero for c in row):
+                    add_into(row, ring, index[full], c)
+                if ok and row:
                     rows.append(row)
-    rank = field_rank(rows, ring) if rows else 0
-    return len(words), rank
+    # the rank of the relation rows is that of their transpose
+    return len(words), len(eliminate(rows, ring))
 
 
 def h0_group_ring(space: SimplicialSet, cutoff: int, ring: Ring = QQ) -> H0Report:

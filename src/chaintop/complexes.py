@@ -98,15 +98,25 @@ class ChainComplex:
                     return key, dd
         return None
 
+    def diff_columns(self, n: int) -> list:
+        """Sparse columns of d: C_n -> C_{n-1}, one per key of C_n.
+
+        Column j maps the position in C_{n-1} of each term of d(key_j) to
+        its nonzero coefficient (the column format of chaintop.linalg).
+        """
+        index = {key: i for i, key in enumerate(self.basis_in(n - 1))}
+        return [
+            {index[out_key]: coeff for out_key, coeff in self.diff(key).items()}
+            for key in self.basis_in(n)
+        ]
+
     def diff_matrix(self, n: int):
         """Matrix of d: C_n -> C_{n-1}; rows indexed by C_{n-1}, columns by C_n."""
-        rows = self.basis_in(n - 1)
-        cols = self.basis_in(n)
-        index = {key: i for i, key in enumerate(rows)}
-        mat = [[self.ring.zero] * len(cols) for _ in rows]
-        for j, key in enumerate(cols):
-            for out_key, coeff in self.diff(key).items():
-                mat[index[out_key]][j] = coeff
+        cols = self.diff_columns(n)
+        mat = [[self.ring.zero] * len(cols) for _ in self.basis_in(n - 1)]
+        for j, col in enumerate(cols):
+            for i, coeff in col.items():
+                mat[i][j] = coeff
         return mat
 
 

@@ -374,14 +374,6 @@ class CubicalSet:
         n = self.ref_dim(ref)
         return self.resolve(ref.base, ref.morphism.compose(CubeMorphism.face(n, i, eps)))
 
-    def degeneracy_of_ref(self, ref: CubeRef, i: int) -> CubeRef:
-        n = self.ref_dim(ref)
-        return CubeRef(ref.base, ref.morphism.compose(CubeMorphism.degeneracy(n + 1, i)))
-
-    def connection_of_ref(self, ref: CubeRef, i: int) -> CubeRef:
-        n = self.ref_dim(ref)
-        return CubeRef(ref.base, ref.morphism.compose(CubeMorphism.connection(n + 1, i)))
-
     @property
     def is_reduced(self) -> bool:
         return len(self.nondegenerate(0)) == 1

@@ -14,11 +14,11 @@ import math
 from .complexes import ChainComplex, InsufficientTruncationError
 from .cubical import CubeBialgebra, CubicalSet, cell_pushforward, cubical_chains
 from .freemod import FreeElement
+from .linalg import Echelon, nullspace
 from .propm import PropGraph, PsiMachine, evaluate
 from .rings import GF, Ring
 from .simplicial import SimplicialSet, monotone_ref, normalized_chains
 from .simplicial import SimplexBialgebra
-from .smith import field_rank, solve_field
 
 
 class UmCoalgebra:
@@ -210,44 +210,18 @@ class FieldHomology:
         self._basis = basis
         self._index = {key: t for t, key in enumerate(basis)}
 
-        mat = complex_.diff_matrix(n)
-        rows = len(basis)
-        boundary_cols = []
-        for key in complex_.basis_in(n + 1):
-            vec = [ring.zero] * rows
-            for out_key, c in complex_.diff(key).items():
-                vec[self._index[out_key]] = c
-            boundary_cols.append(vec)
-
-        def stack(cols):
-            return [[col[r] for col in cols] for r in range(rows)]
-
-        picked = []
-        b_rank = 0
-        for vec in boundary_cols:
-            if field_rank(stack(picked + [vec]), ring) > len(picked):
-                picked.append(vec)
-        b_rank = len(picked)
-        self._boundary_cols = picked
-
-        reps = []
-        if rows:
-            cycle_cols = _cycle_columns(mat, rows, ring)
-            current = list(picked)
-            for vec in cycle_cols:
-                if field_rank(stack(current + [vec]), ring) > len(current):
-                    current.append(vec)
-                    reps.append(vec)
-        self._rep_cols = reps
-        self._solve_matrix = [
-            [col[r] for col in self._boundary_cols + self._rep_cols]
-            for r in range(rows)
-        ]
-        self.dim = len(reps)
-        self.boundary_rank = b_rank
+        # greedy in basis order: a boundary, then a cycle, is kept when it
+        # lies outside the span of those kept before it
+        span = Echelon(ring)
+        self._boundary_cols = [col for col in complex_.diff_columns(n + 1) if span.add(col)]
+        cycles = nullspace(complex_.diff_columns(n), ring)
+        self._rep_cols = [col for col in cycles if span.add(col)]
+        self._span = span
+        self.dim = len(self._rep_cols)
+        self.boundary_rank = len(self._boundary_cols)
 
     def _vector(self, chain: FreeElement):
-        vec = [self.ring.zero] * len(self._basis)
+        vec = {}
         for key, c in chain.items():
             t = self._index.get(key)
             if t is None:
@@ -256,11 +230,7 @@ class FieldHomology:
         return vec
 
     def _element(self, vec) -> FreeElement:
-        terms = {}
-        for key, c in zip(self._basis, vec):
-            if not self.ring.is_zero(c):
-                terms[key] = c
-        return FreeElement(self.ring, terms)
+        return FreeElement(self.ring, {self._basis[t]: vec[t] for t in sorted(vec)})
 
     def classes(self):
         return [
@@ -275,10 +245,11 @@ class FieldHomology:
             raise ValueError("not a cycle")
         if not self._basis:
             return []
-        sol = solve_field(self._solve_matrix, vec, self.ring)
-        if sol is None:
+        remainder, coeffs = self._span.reduce(vec)
+        if remainder:
             raise ValueError("cycle outside the computed cycle space")
-        return sol[len(self._boundary_cols):]
+        nb = len(self._boundary_cols)
+        return [coeffs.get(nb + t, self.ring.zero) for t in range(self.dim)]
 
     def class_from_pairings(self, values) -> HomologyClass:
         """The class whose dual-basis pairings are the given values."""
@@ -300,51 +271,29 @@ class FieldHomology:
         chain is a dot product against these.
         """
         ring = self.ring
-        rows = len(self._basis)
-        span = self._boundary_cols + self._rep_cols
-        full = list(span)
-        for t in range(rows):
-            unit = [ring.zero] * rows
-            unit[t] = ring.one
-            mat = [[col[r] for col in full + [unit]] for r in range(rows)]
-            if field_rank(mat, ring) > len(full):
-                full.append(unit)
-        # rows of the inverse of [boundaries | reps | complement]
-        mat = [[col[r] for col in full] for r in range(rows)]
-        out = []
+        # complete [boundaries | reps] to a basis with unit vectors, in
+        # order; alpha_t(e_r) is the rep-t coordinate of e_r in that basis
+        full = Echelon(ring)
+        for col in self._boundary_cols + self._rep_cols:
+            full.add(col)
+        coords = []
+        for r in range(len(self._basis)):
+            unit = {r: ring.one}
+            remainder, coeffs = full.reduce(unit)
+            if remainder:
+                full.add(unit)
+                coeffs = {}
+            coords.append(coeffs)
         nb = len(self._boundary_cols)
+        out = []
         for t in range(self.dim):
-            # alpha_t is the row of the inverse matrix picking rep t
-            sol = _solve_transposed(mat, nb + t, ring)
-            out.append(
-                {key: sol[r] for r, key in enumerate(self._basis) if not ring.is_zero(sol[r])}
-            )
+            alpha = {}
+            for r, key in enumerate(self._basis):
+                a = coords[r].get(nb + t)
+                if a is not None:
+                    alpha[key] = a
+            out.append(alpha)
         return out
-
-
-def _cycle_columns(mat, ncols, ring):
-    if not mat:
-        cols = []
-        for t in range(ncols):
-            vec = [ring.zero] * ncols
-            vec[t] = ring.one
-            cols.append(vec)
-        return cols
-    from .smith import nullspace
-
-    return nullspace(mat, ring)
-
-
-def _solve_transposed(mat, unit_index, ring):
-    """Row `unit_index` of the inverse of the square matrix `mat`."""
-    n = len(mat)
-    rhs = [ring.zero] * n
-    rhs[unit_index] = ring.one
-    transposed = [[mat[c][r] for c in range(n)] for r in range(n)]
-    sol = solve_field(transposed, rhs, ring)
-    if sol is None:
-        raise ValueError("matrix not invertible")
-    return sol
 
 
 def evaluate_cochain(alpha: dict, chain: FreeElement, ring: Ring):

@@ -1,18 +1,31 @@
-"""Integer Smith normal form and exact homology of truncated complexes.
+"""Exact homology of truncated complexes, and dense-matrix entry points.
 
-The Smith form is computed by integer elimination, always pivoting on an
-entry of minimal absolute value (keeps intermediate growth down and makes
-the run deterministic); the divisibility chain is restored afterwards by
-gcd/lcm passes. Field-coefficient ranks use exact Gaussian elimination
-with Fraction or modular scalars.
+smith_homology reads the boundary columns of a complex straight from its
+differential and hands them to the sparse elimination kernel in
+chaintop.linalg, which pivots on unit entries first and keeps a dense
+Smith form only for the non-unit remainder. Over Z one elimination of
+d_n gives both its rank and its invariant factors. smith_normal_form and
+field_rank keep their dense list-of-rows interface for callers that
+build small matrices by hand; both convert to sparse columns and run the
+same kernel.
 """
 
 from __future__ import annotations
 
-from math import gcd
-
 from .complexes import ChainComplex, InsufficientTruncationError
-from .rings import QQ, ZZ, Ring
+from .linalg import eliminate
+from .rings import ZZ, Ring
+
+
+def _columns(mat, convert) -> list:
+    """Sparse columns of a dense list-of-rows matrix, entries converted."""
+    cols = [{} for _ in (mat[0] if mat else ())]
+    for i, row in enumerate(mat):
+        for j, x in enumerate(row):
+            x = convert(x)
+            if x:
+                cols[j][i] = x
+    return cols
 
 
 def smith_normal_form(mat) -> list:
@@ -23,137 +36,28 @@ def smith_normal_form(mat) -> list:
     >>> smith_normal_form([[1, 0], [0, 0]])
     [1]
     """
-    m = [[int(x) for x in row] for row in mat]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    diag = []
-    t = 0
-    while t < rows and t < cols:
-        # locate a minimal |entry| pivot in the trailing submatrix
-        pivot = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                v = m[i][j]
-                if v and (pivot is None or abs(v) < abs(m[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        pi, pj = pivot
-        m[t], m[pi] = m[pi], m[t]
-        for row in m:
-            row[t], row[pj] = row[pj], row[t]
-        # clear row and column by remainder steps; a nonzero remainder
-        # becomes the new, strictly smaller pivot next pass
-        while True:
-            dirty = False
-            for i in range(t + 1, rows):
-                if m[i][t]:
-                    q = m[i][t] // m[t][t]
-                    for j in range(t, cols):
-                        m[i][j] -= q * m[t][j]
-                    if m[i][t]:
-                        m[t], m[i] = m[i], m[t]
-                        dirty = True
-            for j in range(t + 1, cols):
-                if m[t][j]:
-                    q = m[t][j] // m[t][t]
-                    for i in range(t, rows):
-                        m[i][j] -= q * m[i][t]
-                    if m[t][j]:
-                        for i in range(t, rows):
-                            m[i][t], m[i][j] = m[i][j], m[i][t]
-                        dirty = True
-            if not dirty:
-                break
-        diag.append(abs(m[t][t]))
-        t += 1
-    # restore the divisibility chain
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(diag)):
-            for j in range(i + 1, len(diag)):
-                if diag[j] % diag[i]:
-                    g = gcd(diag[i], diag[j])
-                    diag[i], diag[j] = g, diag[i] * diag[j] // g
-                    changed = True
-    return diag
-
-
-def field_row_reduce(mat, ring: Ring):
-    """Row-reduce over a field; returns (reduced rows, pivot column list)."""
-    if not ring.is_field:
-        raise ValueError(f"row reduction needs a field, got {ring}")
-    rows = [list(map(ring.coerce, row)) for row in mat]
-    cols = len(rows[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(cols):
-        hit = None
-        for i in range(r, len(rows)):
-            if not ring.is_zero(rows[i][c]):
-                hit = i
-                break
-        if hit is None:
-            continue
-        rows[r], rows[hit] = rows[hit], rows[r]
-        inv = ring.inv(rows[r][c])
-        rows[r] = [ring.mul(inv, x) for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and not ring.is_zero(rows[i][c]):
-                f = rows[i][c]
-                rows[i] = [ring.sub(x, ring.mul(f, y)) for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    return rows[:r], pivots
+    return eliminate(_columns(mat, int), ZZ)
 
 
 def field_rank(mat, ring: Ring) -> int:
+    """Rank of a dense list-of-rows matrix over a field.
+
+    >>> from .rings import GF
+    >>> field_rank([[1, 2], [2, 4]], GF(3))
+    1
+    """
     if not mat or not mat[0]:
         return 0
-    return len(field_row_reduce(mat, ring)[1])
+    if not ring.is_field:
+        raise ValueError(f"field rank needs a field, got {ring}")
+    return len(eliminate(_columns(mat, ring.coerce), ring))
 
 
-def nullspace(mat, ring: Ring):
-    """Basis of the right nullspace over a field, as coefficient vectors."""
-    cols = len(mat[0]) if mat else 0
-    reduced, pivots = field_row_reduce(mat, ring) if mat else ([], [])
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for f in free:
-        vec = [ring.zero] * cols
-        vec[f] = ring.one
-        for r, p in enumerate(pivots):
-            vec[p] = ring.neg(reduced[r][f])
-        basis.append(vec)
-    return basis
-
-
-def solve_field(mat, rhs, ring: Ring):
-    """One solution of mat * x = rhs over a field, or None."""
-    rows = len(mat)
-    cols = len(mat[0]) if rows else 0
-    aug = [list(mat[i]) + [rhs[i]] for i in range(rows)]
-    reduced, pivots = field_row_reduce(aug, ring)
-    if cols in pivots:
-        return None
-    x = [ring.zero] * cols
-    for r, p in enumerate(pivots):
-        x[p] = reduced[r][cols]
-    return x
-
-
-def integer_matrix(mat):
-    out = []
-    for row in mat:
-        new = []
-        for x in row:
-            xi = int(x)
-            if xi != x:
-                raise ValueError(f"non-integer entry {x!r} in integer matrix")
-            new.append(xi)
-        out.append(new)
-    return out
+def _integer(x) -> int:
+    xi = int(x)
+    if xi != x:
+        raise ValueError(f"non-integer entry {x!r} in integer matrix")
+    return xi
 
 
 class HomologySummary:
@@ -197,8 +101,11 @@ class HomologySummary:
         }
 
 
-def _boundary_matrices(complex_: ChainComplex, n: int):
-    """The matrices of d_n and d_{n+1}, guarding against truncation."""
+def _boundary_matrices(complex_: ChainComplex, n: int, convert):
+    """Sparse columns of d_n and d_{n+1}, guarding against truncation.
+
+    Each entry passes through convert; entries it sends to zero are dropped.
+    """
     if n < complex_.min_degree:
         # complexes store their honest bottom degree, so below it H = 0
         return None, None
@@ -214,9 +121,10 @@ def _boundary_matrices(complex_: ChainComplex, n: int):
             f"homology in degree {n} needs the boundary from degree {n + 1}, "
             f"but the complex is truncated at degree {complex_.max_degree}"
         )
-    d_n = complex_.diff_matrix(n)
-    d_np1 = complex_.diff_matrix(n + 1)
-    return d_n, d_np1
+    return tuple(
+        [{i: x for i, c in col.items() if (x := convert(c))} for col in complex_.diff_columns(m)]
+        for m in (n, n + 1)
+    )
 
 
 def smith_homology(complex_: ChainComplex, n: int, ring: Ring | None = None) -> HomologySummary:
@@ -232,23 +140,10 @@ def smith_homology(complex_: ChainComplex, n: int, ring: Ring | None = None) -> 
             f"cannot change coefficients from {complex_.ring} to {ring}; "
             "only integral complexes can be reduced"
         )
-    d_n, d_np1 = _boundary_matrices(complex_, n)
+    d_n, d_np1 = _boundary_matrices(complex_, n, _integer if ring == ZZ else ring.coerce)
     if d_n is None:
         return HomologySummary(n, ring, 0, ())
-    dim = complex_.rank(n)
-    if ring == ZZ:
-        a = integer_matrix(d_n)
-        b = integer_matrix(d_np1)
-        rank_dn = field_rank(a, QQ)
-        factors = smith_normal_form(b) if b and b[0] else []
-        rank_dnp1 = len(factors)
-        free_rank = dim - rank_dn - rank_dnp1
-        torsion = tuple(f for f in factors if f > 1)
-        return HomologySummary(n, ring, free_rank, torsion)
-    rank_dn = field_rank(d_n, ring)
-    rank_dnp1 = field_rank(d_np1, ring)
-    return HomologySummary(n, ring, dim - rank_dn - rank_dnp1, ())
-
-
-def homology_all(complex_: ChainComplex, degrees, ring: Ring | None = None):
-    return {n: smith_homology(complex_, n, ring) for n in degrees}
+    rank_dn = len(eliminate(d_n, ring))
+    factors = eliminate(d_np1, ring)
+    free_rank = complex_.rank(n) - rank_dn - len(factors)
+    return HomologySummary(n, ring, free_rank, (f for f in factors if f > 1))

@@ -1,8 +1,14 @@
 """Command line driver: outputs, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import chaintop
 
 from chaintop.cli import (
     EXIT_INCONCLUSIVE,
@@ -14,7 +20,7 @@ from chaintop.cli import (
     main,
     run_job,
 )
-from chaintop.simplicial import simplicial_to_json, sphere_model
+from chaintop.simplicial import simplicial_to_json, sphere_model, wedge_models
 
 
 def run(capsys, *argv):
@@ -183,3 +189,35 @@ def test_homology_field_labels(capsys):
     assert "H_0: F2" in out
     assert "H_1: F2" in out
     assert "H_2: F2" in out
+
+
+def test_wide_cobar_window_fits_in_one_gib(tmp_path):
+    # every differential of the cobar on S2 v S2 v S3 is zero and C_11 has
+    # 13860 words; a dense d_11 alone would need far more than the cap
+    wedge = wedge_models(wedge_models(sphere_model(2), sphere_model(2)), sphere_model(3))
+    model = tmp_path / "s2s2s3.json"
+    model.write_text(json.dumps(simplicial_to_json(wedge)))
+    child = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from chaintop.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    package_root = str(Path(chaintop.__file__).resolve().parents[1])
+    paths = [package_root, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    argv = ["cobar", str(model), "--max-degree", "10", "--ring", "z", "--format", "json"]
+    proc = subprocess.run(
+        [sys.executable, "-c", child, *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    table = json.loads(proc.stdout)["homology"]
+    # ranks are the coefficients of 1 / (1 - 2t - t^2)
+    expected = [1, 2]
+    while len(expected) < 11:
+        expected.append(2 * expected[-1] + expected[-2])
+    assert [table[str(n)] for n in range(11)] == [{"rank": r, "torsion": []} for r in expected]

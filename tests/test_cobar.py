@@ -22,9 +22,11 @@ from chaintop.cobar import (
 from chaintop.freemod import FreeElement
 from chaintop.rings import GF, QQ, ZZ
 from chaintop.simplicial import (
+    collapse_subcomplex,
     projective_plane_model,
     random_reduced_model,
     sphere_model,
+    standard_simplex,
     two_vertex_projective_plane,
 )
 from chaintop.smith import smith_homology
@@ -277,6 +279,22 @@ def test_embedding_is_injective_on_degree_zero():
     from chaintop.smith import field_rank
 
     assert field_rank(mat, QQ) == len(cols)
+
+
+def test_collapsed_simplex_large_window_over_f2():
+    # Delta^4 / 1-skeleton is a wedge of six 2-spheres, so H_n(Omega) = F2^(6^n);
+    # d_4 here is 1101 x 11545, too large for dense elimination
+    simplex = standard_simplex(4)
+    skeleton = [cell for m in range(2) for cell in simplex.nondegenerate(m)]
+    quotient = collapse_subcomplex(simplex, skeleton).target
+    algebra = CobarComplex(quotient, 4, GF(2))
+    assert algebra.complex.rank(4) == 11545
+    assert [smith_homology(algebra.complex, n).pair for n in range(4)] == [
+        (1, []),
+        (6, []),
+        (36, []),
+        (216, []),
+    ]
 
 
 def test_embedding_rejects_windows_that_are_too_tight():

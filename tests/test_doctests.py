@@ -1,11 +1,12 @@
 import doctest
 
 import chaintop.freemod
+import chaintop.linalg
 import chaintop.rings
 import chaintop.smith
 
 
 def test_doctests():
-    for module in (chaintop.rings, chaintop.freemod, chaintop.smith):
+    for module in (chaintop.rings, chaintop.freemod, chaintop.linalg, chaintop.smith):
         result = doctest.testmod(module)
         assert result.failed == 0, f"doctest failures in {module.__name__}"

@@ -7,14 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from chaintop.complexes import ChainComplex, InsufficientTruncationError
 from chaintop.freemod import FreeElement
+from chaintop.linalg import Echelon, eliminate, nullspace
 from chaintop.rings import GF, QQ, ZZ
-from chaintop.smith import (
-    field_rank,
-    nullspace,
-    smith_homology,
-    smith_normal_form,
-    solve_field,
-)
+from chaintop.smith import field_rank, smith_homology, smith_normal_form
 
 from test_complexes import interval, projective_plane_chains
 
@@ -49,6 +44,136 @@ def oracle_invariant_factors(mat):
             break
         divisors.append(abs(g))
     return [divisors[k] // divisors[k - 1] for k in range(1, len(divisors))]
+
+
+# --- the dense kernels the sparse one replaced, kept as oracles ---
+
+def dense_smith_normal_form(mat):
+    """Invariant factors by dense min-|entry| elimination."""
+    m = [[int(x) for x in row] for row in mat]
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    diag = []
+    t = 0
+    while t < rows and t < cols:
+        # locate a minimal |entry| pivot in the trailing submatrix
+        pivot = None
+        for i in range(t, rows):
+            for j in range(t, cols):
+                v = m[i][j]
+                if v and (pivot is None or abs(v) < abs(m[pivot[0]][pivot[1]])):
+                    pivot = (i, j)
+        if pivot is None:
+            break
+        pi, pj = pivot
+        m[t], m[pi] = m[pi], m[t]
+        for row in m:
+            row[t], row[pj] = row[pj], row[t]
+        # clear row and column by remainder steps; a nonzero remainder
+        # becomes the new, strictly smaller pivot next pass
+        while True:
+            dirty = False
+            for i in range(t + 1, rows):
+                if m[i][t]:
+                    q = m[i][t] // m[t][t]
+                    for j in range(t, cols):
+                        m[i][j] -= q * m[t][j]
+                    if m[i][t]:
+                        m[t], m[i] = m[i], m[t]
+                        dirty = True
+            for j in range(t + 1, cols):
+                if m[t][j]:
+                    q = m[t][j] // m[t][t]
+                    for i in range(t, rows):
+                        m[i][j] -= q * m[i][t]
+                    if m[t][j]:
+                        for i in range(t, rows):
+                            m[i][t], m[i][j] = m[i][j], m[i][t]
+                        dirty = True
+            if not dirty:
+                break
+        diag.append(abs(m[t][t]))
+        t += 1
+    # restore the divisibility chain
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(diag)):
+            for j in range(i + 1, len(diag)):
+                if diag[j] % diag[i]:
+                    g = gcd(diag[i], diag[j])
+                    diag[i], diag[j] = g, diag[i] * diag[j] // g
+                    changed = True
+    return diag
+
+
+def dense_field_row_reduce(mat, ring):
+    """Row-reduce over a field; returns (reduced rows, pivot column list)."""
+    if not ring.is_field:
+        raise ValueError(f"row reduction needs a field, got {ring}")
+    rows = [list(map(ring.coerce, row)) for row in mat]
+    cols = len(rows[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(cols):
+        hit = None
+        for i in range(r, len(rows)):
+            if not ring.is_zero(rows[i][c]):
+                hit = i
+                break
+        if hit is None:
+            continue
+        rows[r], rows[hit] = rows[hit], rows[r]
+        inv = ring.inv(rows[r][c])
+        rows[r] = [ring.mul(inv, x) for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and not ring.is_zero(rows[i][c]):
+                f = rows[i][c]
+                rows[i] = [ring.sub(x, ring.mul(f, y)) for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return rows[:r], pivots
+
+
+def dense_rank(mat, ring):
+    return len(dense_field_row_reduce(mat, ring)[1]) if mat and mat[0] else 0
+
+
+def sparse_columns(mat, ring):
+    return [
+        {i: x for i, row in enumerate(mat) if (x := ring.coerce(row[j]))}
+        for j in range(len(mat[0]))
+    ]
+
+
+# entries in -3..3, half of them +-1, so that unit pivots and non-unit
+# remainders both occur
+ENTRIES = st.sampled_from([-3, -2, -1, -1, -1, 0, 0, 1, 1, 1, 2, 3])
+
+
+@st.composite
+def small_matrices(draw):
+    rows = draw(st.integers(min_value=1, max_value=6))
+    cols = draw(st.integers(min_value=1, max_value=6))
+    return [draw(st.lists(ENTRIES, min_size=cols, max_size=cols)) for _ in range(rows)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_matrices())
+def test_sparse_kernel_matches_dense_smith_and_minor_oracle(mat):
+    expected = dense_smith_normal_form(mat)
+    assert eliminate(sparse_columns(mat, ZZ), ZZ) == expected
+    assert smith_normal_form(mat) == expected
+    assert expected == oracle_invariant_factors(mat)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_matrices())
+def test_sparse_kernel_ranks_match_dense_oracle(mat):
+    for ring in (GF(2), GF(3), QQ):
+        expected = dense_rank(mat, ring)
+        assert len(eliminate(sparse_columns(mat, ring), ring)) == expected, ring
+        assert field_rank(mat, ring) == expected, ring
 
 
 def test_oracle_sanity():
@@ -86,11 +211,18 @@ def test_field_linear_algebra():
     assert field_rank([[1, 2], [2, 4]], QQ) == 1
     assert field_rank([[1, 2], [2, 4]], GF(2)) == 1
     assert field_rank([[2, 0], [0, 1]], GF(2)) == 1
-    ns = nullspace([[1, 2]], QQ)
+    # the sparse columns of [[1, 2]]
+    ns = nullspace([{0: Fraction(1)}, {0: Fraction(2)}], QQ)
     assert len(ns) == 1 and ns[0][0] + 2 * ns[0][1] == 0
-    sol = solve_field([[2, 0], [0, 1]], [Fraction(1), Fraction(3)], QQ)
-    assert sol == [Fraction(1, 2), Fraction(3)]
-    assert solve_field([[1], [1]], [Fraction(0), Fraction(1)], QQ) is None
+    # [[2, 0], [0, 1]] x = (1, 3)
+    span = Echelon(QQ)
+    assert span.add({0: Fraction(2)}) and span.add({1: Fraction(1)})
+    remainder, coeffs = span.reduce({0: Fraction(1), 1: Fraction(3)})
+    assert remainder == {} and coeffs == {0: Fraction(1, 2), 1: Fraction(3)}
+    # [[1], [1]] x = (0, 1) has no solution
+    span = Echelon(QQ)
+    span.add({0: Fraction(1), 1: Fraction(1)})
+    assert span.reduce({1: Fraction(1)})[0]
 
 
 def point_complex():
@@ -178,3 +310,89 @@ def test_summary_repr_and_json():
     assert "2" in repr(s)
     js = s.to_json()
     assert js == {"degree": 1, "ring": "z", "free_rank": 0, "invariant_factors": [2]}
+
+
+# --- smith_homology against the dense path it replaced ---
+
+def _unimodular(draw, size):
+    """(U, U^-1) as a product of elementary integer row operations."""
+    u = [[int(i == j) for j in range(size)] for i in range(size)]
+    u_inv = [row[:] for row in u]
+    if size < 2:
+        return u, u_inv
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        i, j = draw(st.lists(st.integers(0, size - 1), min_size=2, max_size=2, unique=True))
+        c = draw(st.sampled_from([-2, -1, 1, 2]))
+        # U <- (I + c e_ij) U and U^-1 <- U^-1 (I - c e_ij)
+        u[i] = [a + c * b for a, b in zip(u[i], u[j])]
+        for row in u_inv:
+            row[j] -= c * row[i]
+    return u, u_inv
+
+
+def _matmul(a, b, inner):
+    return [[sum(row[k] * b[k][j] for k in range(inner)) for j in range(len(b[0]))] for row in a]
+
+
+@st.composite
+def integral_complexes(draw):
+    """A complete complex over Z in degrees 0..3 with d^2 = 0.
+
+    Degree n is spanned by the targets of d_{n+1}, the sources of d_n and
+    free cycles; d_n sends its k-th source to m_k times the k-th target in
+    degree n - 1. Each degree's basis is then changed by a random
+    unimodular matrix, which keeps d^2 = 0 and scrambles the entries.
+    """
+    top = 3
+    divisors = {
+        n: draw(st.lists(st.sampled_from([1, 1, 2, 3, 4]), max_size=2)) for n in range(1, top + 1)
+    }
+    divisors[0] = divisors[top + 1] = []
+    free = [draw(st.integers(min_value=0, max_value=2)) for _ in range(top + 1)]
+    dims = [len(divisors[n + 1]) + len(divisors[n]) + free[n] for n in range(top + 1)]
+    change = [_unimodular(draw, d) for d in dims]
+    matrices = {}
+    for n in range(1, top + 1):
+        rows, cols = dims[n - 1], dims[n]
+        if not rows or not cols:
+            continue
+        d = [[0] * cols for _ in range(rows)]
+        # targets come first in degree n - 1, sources right after them in n
+        start = len(divisors[n + 1])
+        for k, m in enumerate(divisors[n]):
+            d[k][start + k] = m
+        u, _ = change[n - 1]
+        _, u_inv = change[n]
+        matrices[n] = _matmul(_matmul(u, d, rows), u_inv, cols)
+    basis = {n: [(n, i) for i in range(dims[n])] for n in range(top + 1)}
+
+    def diff(key):
+        n, j = key
+        if n not in matrices:
+            return FreeElement.zero(ZZ)
+        return FreeElement(ZZ, {(n - 1, i): row[j] for i, row in enumerate(matrices[n]) if row[j]})
+
+    return ChainComplex(ZZ, basis, diff, complete=True)
+
+
+def dense_homology(complex_, n, ring):
+    """The pre-sparse smith_homology: dense matrices, Q rank, dense SNF."""
+    if n < complex_.min_degree or n > complex_.max_degree:
+        return 0, []
+    d_n = complex_.diff_matrix(n)
+    d_np1 = complex_.diff_matrix(n + 1)
+    if ring == ZZ:
+        rank_dn = dense_rank(d_n, QQ)
+        factors = dense_smith_normal_form(d_np1) if d_np1 and d_np1[0] else []
+        return complex_.rank(n) - rank_dn - len(factors), [f for f in factors if f > 1]
+    return complex_.rank(n) - dense_rank(d_n, ring) - dense_rank(d_np1, ring), []
+
+
+@settings(max_examples=60, deadline=None)
+@given(integral_complexes())
+def test_smith_homology_matches_dense_path(complex_):
+    assert complex_.d_squared_witness() is None
+    for ring in (ZZ, GF(2), GF(3), QQ):
+        for n in range(-1, 5):
+            expected = dense_homology(complex_, n, ring)
+            assert smith_homology(complex_, n, ring).pair == expected, (ring, n)
