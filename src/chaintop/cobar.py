@@ -3,13 +3,10 @@
 Words are tuples of nondegenerate simplices of dimension >= 1, each
 letter contributing its dimension minus one to the degree. The plain
 construction truncates by degree and, when dimension-1 letters make a
-degree infinite-rank, by word length; long words span a subcomplex, so
-dropping them is a quotient and d^2 = 0 survives exactly.
-
-The localized variant turns dimension-1 letters into invertible group
-letters. There the group-word budget shrinks with the degree, because a
-single boundary term can add group letters; the sliding budget keeps
-the stored basis closed under the honest differential.
+degree infinite-rank, by a fixed word length. The localized variant
+turns dimension-1 letters into invertible group letters under a group
+budget that shrinks with the degree. Both windows are built by
+`chaintop.words`, whose notes say why each is closed under d.
 """
 
 from __future__ import annotations
@@ -19,11 +16,7 @@ from .freemod import FreeElement, add_into
 from .linalg import eliminate
 from .rings import QQ, Ring, ZZ
 from .simplicial import SimplicialSet, back_face, front_face
-
-
-def _check_reduced(space: SimplicialSet) -> None:
-    if not space.is_reduced:
-        raise ValueError(f"{space.name or 'space'} is not reduced")
+from .words import group_words, growth, letters, localized_words, plain_words
 
 
 def letter_degree(space: SimplicialSet, cell) -> int:
@@ -70,29 +63,20 @@ class CobarComplex:
         ring: Ring = ZZ,
         max_length: int | None = None,
     ):
-        _check_reduced(space)
+        edges, heavies = letters(space)
         self.space = space
         self.ring = ring
         self.max_degree = int(max_degree)
         self.max_length = max_length if max_length is None else int(max_length)
-        letters = [
-            cell
-            for m in space.dimensions()
-            if m >= 1
-            for cell in space.nondegenerate(m)
-        ]
-        if self.max_length is None and any(
-            space.dim_of(cell) == 1 for cell in letters
-        ):
+        if self.max_length is None and edges:
             raise ValueError(
                 "dimension-1 letters make degrees infinite-rank; "
                 "pass a word length cutoff"
             )
-        self._letters = letters
-        basis = {n: [] for n in range(self.max_degree + 1)}
-        for word in self._words():
-            basis[word_degree(space, word)].append(word)
-        basis = {n: tuple(sorted(ws, key=repr)) for n, ws in basis.items()}
+        words = plain_words(
+            space, edges + heavies, self.max_degree, lambda d: self.max_length
+        )
+        basis = {n: tuple(sorted(ws, key=repr)) for n, ws in words.items()}
         self._letter_boundaries = {}
         self.complex = ChainComplex(
             ring,
@@ -101,22 +85,6 @@ class CobarComplex:
             complete=False,
             name=f"cobar({space.name})",
         )
-
-    def _words(self):
-        yield ()
-        frontier = [()]
-        while frontier:
-            new = []
-            for word in frontier:
-                if self.max_length is not None and len(word) >= self.max_length:
-                    continue
-                base = word_degree(self.space, word)
-                for cell in self._letters:
-                    if base + letter_degree(self.space, cell) <= self.max_degree:
-                        grown = word + (cell,)
-                        new.append(grown)
-                        yield grown
-            frontier = new
 
     def _letter_boundary(self, cell) -> FreeElement:
         if cell not in self._letter_boundaries:
@@ -184,23 +152,6 @@ def invert_group_word(word) -> tuple:
     return tuple((cell, -exp) for cell, exp in reversed(word))
 
 
-def group_words(cells, max_len: int):
-    """All reduced words of length <= max_len, shortest first."""
-    yield ()
-    frontier = [()]
-    alphabet = [(cell, exp) for cell in cells for exp in (1, -1)]
-    for _ in range(max(0, max_len)):
-        new = []
-        for w in frontier:
-            for cell, exp in alphabet:
-                if w and w[-1] == (cell, -exp):
-                    continue
-                grown = w + ((cell, exp),)
-                new.append(grown)
-                yield grown
-        frontier = new
-
-
 # --- localized words ---
 #
 # A localized word alternates group segments and letters of dimension
@@ -255,11 +206,9 @@ def _expand_value(space: SimplicialSet, value: FreeElement, ring: Ring) -> FreeE
 class ExtendedCobarComplex:
     """Localized construction: 1-cells become invertible group letters.
 
-    The group-letter budget of the degree-n basis is cutoff - g*n where
-    g bounds how many group letters one boundary term can add (2 when
-    2-cells exist, since their splits produce two dimension-1 factors;
-    1 with higher cells only; 0 without 1-cells). Boundaries therefore
-    never leave the stored basis and d^2 = 0 holds exactly.
+    The group-letter budget of the degree-n basis is cutoff - growth*n
+    (`chaintop.words.growth`), so boundaries never leave the stored
+    basis and d^2 = 0 holds exactly.
     """
 
     def __init__(
@@ -269,7 +218,7 @@ class ExtendedCobarComplex:
         cutoff: int | None,
         ring: Ring = ZZ,
     ):
-        _check_reduced(space)
+        self.group_letters, self.heavy_letters = letters(space)
         if cutoff is None:
             raise ValueError(
                 "localized degrees are infinite-rank; pass a group-letter cutoff"
@@ -278,24 +227,12 @@ class ExtendedCobarComplex:
         self.ring = ring
         self.max_degree = int(max_degree)
         self.cutoff = int(cutoff)
-        self.group_letters = space.nondegenerate(1)
-        self.heavy_letters = tuple(
-            cell
-            for m in space.dimensions()
-            if m >= 2
-            for cell in space.nondegenerate(m)
-        )
-        if not self.group_letters:
-            self.growth = 0
-        elif space.nondegenerate(2):
-            self.growth = 2
-        else:
-            self.growth = 1
+        self.growth = growth(space)
         self._letter_values = {}
-        basis = {n: [] for n in range(self.max_degree + 1)}
-        for word in self._enumerate():
-            basis[loc_degree(space, word)].append(word)
-        basis = {n: tuple(sorted(ws, key=repr)) for n, ws in basis.items()}
+        words = localized_words(
+            space, self.group_letters, self.heavy_letters, self.max_degree, self.budget
+        )
+        basis = {n: tuple(sorted(ws, key=repr)) for n, ws in words.items()}
         self.complex = ChainComplex(
             ring,
             basis,
@@ -312,42 +249,6 @@ class ExtendedCobarComplex:
         return degree <= self.max_degree and loc_group_count(word) <= self.budget(
             degree
         )
-
-    def _skeletons(self):
-        yield ()
-        frontier = [()]
-        while frontier:
-            new = []
-            for sk in frontier:
-                base = sum(self.space.dim_of(c) - 1 for c in sk)
-                for cell in self.heavy_letters:
-                    if base + self.space.dim_of(cell) - 1 <= self.max_degree:
-                        grown = sk + (cell,)
-                        new.append(grown)
-                        yield grown
-            frontier = new
-
-    def _segment_tuples(self, k: int, budget: int):
-        if k == 0:
-            for w in group_words(self.group_letters, budget):
-                yield (w,)
-            return
-        for head in group_words(self.group_letters, budget):
-            for tail in self._segment_tuples(k - 1, budget - len(head)):
-                yield (head,) + tail
-
-    def _enumerate(self):
-        for sk in self._skeletons():
-            degree = sum(self.space.dim_of(c) - 1 for c in sk)
-            budget = self.budget(degree)
-            if budget < 0:
-                continue
-            for segs in self._segment_tuples(len(sk), budget):
-                parts = [segs[0]]
-                for i, cell in enumerate(sk):
-                    parts.append(cell)
-                    parts.append(segs[i + 1])
-                yield tuple(parts)
 
     def letter_value(self, cell) -> FreeElement:
         """d of a heavy letter, rewritten into localized words."""
@@ -516,7 +417,7 @@ def h0_group_ring(space: SimplicialSet, cutoff: int, ring: Ring = QQ) -> H0Repor
     exact once the window saturates the relations; when the answer
     still moves between cutoff - 1 and cutoff the report says so.
     """
-    _check_reduced(space)
+    space.basepoint  # raises ValueError unless there is a single vertex
     if not getattr(ring, "is_field", False):
         raise ValueError("rank certification needs field coefficients")
     if cutoff < 1:

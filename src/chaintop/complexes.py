@@ -120,6 +120,22 @@ class ChainComplex:
         return mat
 
 
+def tensor_diff(complex_: ChainComplex, element: FreeElement) -> FreeElement:
+    """Leibniz boundary on tensor words of basis keys, with Koszul signs."""
+    ring = complex_.ring
+    terms = {}
+    for key, c in element.items():
+        sign = ring.one
+        for j, x in enumerate(key):
+            coeff = ring.mul(c, sign)
+            for face, c2 in complex_.diff(x).items():
+                new_key = key[:j] + (face,) + key[j + 1 :]
+                add_into(terms, ring, new_key, ring.mul(coeff, c2))
+            if complex_.degree_of(x) % 2:
+                sign = ring.neg(sign)
+    return FreeElement(ring, terms)
+
+
 class GradedLinearMap:
     """Degree-homogeneous linear map between complexes.
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 
 from .complexes import ChainComplex, InsufficientTruncationError
+from .complexes import tensor_diff  # re-exported: callers import it from here
 from .cubical import CubeBialgebra, CubicalSet, cell_pushforward, cubical_chains
 from .freemod import FreeElement
 from .linalg import Echelon, nullspace
@@ -138,24 +139,6 @@ def cup_i(coalg: UmCoalgebra, i: int, chain) -> FreeElement:
     if coalg.ring.characteristic != 2:
         raise ValueError("cup-i coproducts need characteristic 2")
     return psi_action(coalg, 2, i, chain)
-
-
-def tensor_diff(complex_: ChainComplex, element: FreeElement) -> FreeElement:
-    """Componentwise boundary on tensor words with Koszul signs."""
-    ring = complex_.ring
-    out = FreeElement.zero(ring)
-    for key, c in element.items():
-        sign = ring.one
-        for j, x in enumerate(key):
-            for face, c2 in complex_.diff(x).items():
-                out = out + FreeElement.single(
-                    ring,
-                    key[:j] + (face,) + key[j + 1 :],
-                    ring.mul(ring.mul(c, c2), sign),
-                )
-            if complex_.degree_of(x) % 2:
-                sign = ring.neg(sign)
-    return out
 
 
 # --- homology over a field, with explicit representatives ---

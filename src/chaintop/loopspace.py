@@ -19,7 +19,6 @@ from .cobar import (
     CobarComplex,
     ExtendedCobarComplex,
     cobar,
-    group_words,
     invert_group_word,
     loc_degree,
     loc_group_count,
@@ -49,11 +48,7 @@ from .simplicial import (
     normalized_chains,
 )
 from .smith import smith_homology, smith_normal_form
-
-
-def _check_reduced(space: SimplicialSet) -> None:
-    if not space.is_reduced:
-        raise ValueError(f"{space.name or 'space'} must have a single vertex")
+from .words import growth, letters, localized_words, plain_words
 
 
 # --- the functor from necklace generators to the cube category ---
@@ -110,11 +105,6 @@ def _cell_id(space, items, signed: bool):
     if signed:
         return tuple((ref.base, e) for ref, e in items)
     return tuple(ref.base for ref, _ in items)
-
-
-def bead_word_dim(space: SimplicialSet, cell) -> int:
-    """Cube dimension of a stored plain cell."""
-    return sum(space.dim_of(c) - 1 for c in cell)
 
 
 def signed_word_dim(space: SimplicialSet, cell) -> int:
@@ -213,10 +203,8 @@ class CubicalCobar:
     simplicial face (0-side) or split it front/back at the matching
     vertex (1-side); the raw answer is canonicalized, so faces may be
     degeneracies or connections of stored cells. The product is word
-    concatenation. The stored window is closed under faces: a face
-    lowers the dimension by one and lengthens the word by at most one
-    bead (plain) or two group letters (signed), which the sliding
-    budget absorbs.
+    concatenation. The stored window is closed under faces: its
+    sliding budget is the one `chaintop.words` describes.
     """
 
     def __init__(
@@ -228,31 +216,25 @@ class CubicalCobar:
         cutoff: int | None = None,
         ring: Ring = ZZ,
     ):
-        _check_reduced(space)
+        edges, heavies = letters(space)
         self.source = space
         self.max_degree = int(max_degree)
         self.signed = bool(signed)
         self.ring = ring
-        edges = tuple(space.nondegenerate(1))
-        heavies = tuple(
-            cell
-            for m in space.dimensions()
-            if m >= 2
-            for cell in space.nondegenerate(m)
-        )
         self.edges = edges
         self.heavies = heavies
         if signed:
             if cutoff is None:
                 raise ValueError("the localized monoid needs a group-letter cutoff")
             self.cutoff = int(cutoff)
-            if not edges:
-                self.growth = 0
-            elif space.nondegenerate(2):
-                self.growth = 2
-            else:
-                self.growth = 1
+            self.growth = growth(space)
             self.max_length = None
+            words = localized_words(
+                space, edges, heavies, self.max_degree, self.budget
+            )
+            cells = {
+                n: [word_to_signed_cell(w) for w in ws] for n, ws in words.items()
+            }
         else:
             if edges and max_length is None:
                 raise ValueError(
@@ -261,15 +243,8 @@ class CubicalCobar:
             self.max_length = None if max_length is None else int(max_length)
             self.cutoff = None
             self.growth = None
-        cells = {}
-        for cell in self._enumerate():
-            n = (
-                signed_word_dim(space, cell)
-                if signed
-                else bead_word_dim(space, cell)
-            )
-            cells.setdefault(n, []).append(cell)
-        cells = {n: sorted(ids, key=repr) for n, ids in cells.items()}
+            cells = plain_words(space, edges + heavies, self.max_degree, self.budget)
+        cells = {n: sorted(ids, key=repr) for n, ids in cells.items() if ids}
         faces = {}
         for n, ids in cells.items():
             if n == 0:
@@ -294,55 +269,6 @@ class CubicalCobar:
         if self.max_length is None:
             return None
         return self.max_length + (self.max_degree - degree)
-
-    def _enumerate(self):
-        if self.signed:
-            yield from self._enumerate_signed()
-            return
-        space = self.source
-        letters = self.edges + self.heavies
-        yield ()
-        frontier = [((), 0, 0)]
-        while frontier:
-            new = []
-            for word, deg, length in frontier:
-                for cell in letters:
-                    d = deg + space.dim_of(cell) - 1
-                    if d > self.max_degree:
-                        continue
-                    cap = self.budget(d)
-                    if cap is not None and length + 1 > cap:
-                        continue
-                    grown = word + (cell,)
-                    new.append((grown, d, length + 1))
-                    yield grown
-            frontier = new
-
-    def _enumerate_signed(self):
-        space = self.source
-        skeletons = [()]
-        frontier = [()]
-        while frontier:
-            new = []
-            for sk in frontier:
-                base = sum(space.dim_of(c) - 1 for c in sk)
-                for cell in self.heavies:
-                    if base + space.dim_of(cell) - 1 <= self.max_degree:
-                        grown = sk + (cell,)
-                        new.append(grown)
-                        skeletons.append(grown)
-            frontier = new
-        for sk in skeletons:
-            degree = sum(space.dim_of(c) - 1 for c in sk)
-            cap = self.budget(degree)
-            if cap < 0:
-                continue
-            for segs in _segment_tuples(self.edges, len(sk), cap):
-                parts = list(segs[0])
-                for i, cell in enumerate(sk):
-                    parts.append((cell, 1))
-                    parts.extend(segs[i + 1])
-                yield tuple(parts)
 
     # monoid structure
 
@@ -378,16 +304,6 @@ class CubicalCobar:
 
     def chains(self, ring: Ring | None = None, max_degree: int | None = None):
         return cubical_chains(self.cubes, max_degree, ring or self.ring)
-
-
-def _segment_tuples(edges, k: int, cap: int):
-    if k == 0:
-        for w in group_words(edges, cap):
-            yield (w,)
-        return
-    for head in group_words(edges, cap):
-        for tail in _segment_tuples(edges, k - 1, cap - len(head)):
-            yield (head,) + tail
 
 
 def cubical_cobar(
@@ -628,7 +544,7 @@ class KanLoopGroup:
     """
 
     def __init__(self, space: SimplicialSet, max_degree: int, word_cutoff: int = 8):
-        _check_reduced(space)
+        space.basepoint  # raises ValueError unless there is a single vertex
         self.space = space
         self.max_degree = int(max_degree)
         self.word_cutoff = int(word_cutoff)

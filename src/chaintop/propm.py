@@ -15,6 +15,7 @@ turns into operations on any chain-level coalgebra with a join.
 
 from __future__ import annotations
 
+from .complexes import tensor_diff
 from .cubical import I, serre_coproduct
 from .freemod import FreeElement, add_into, koszul_sign
 from .rings import Ring, ZZ
@@ -621,18 +622,7 @@ class PsiMachine:
 
     def tensor_diff(self, bial, element: FreeElement) -> FreeElement:
         """Leibniz differential on p-tensors of cells of one model."""
-        ring = self.ring
-        terms = {}
-        for key, c in element.items():
-            sign = 1
-            for j, x in enumerate(key):
-                coeff = ring.mul(c, ring.from_int(sign))
-                for face, c2 in bial.complex.diff(x).items():
-                    new_key = key[:j] + (face,) + key[j + 1 :]
-                    add_into(terms, ring, new_key, ring.mul(coeff, c2))
-                if bial.degree(x) % 2:
-                    sign = -sign
-        return FreeElement(ring, terms)
+        return tensor_diff(bial.complex, element)
 
     def h_tensor(self, bial, element: FreeElement) -> FreeElement:
         """Tensor contraction: project the prefix, contract one factor.

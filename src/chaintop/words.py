@@ -1,0 +1,147 @@
+"""Word windows: the stored bases of the word models of the loop space.
+
+Adams' cobar (`cobar.CobarComplex`), the Hess-Tonks extended cobar
+(`cobar.ExtendedCobarComplex`) and the bead-word monoid
+(`loopspace.CubicalCobar`, plain and signed) each store a finite window
+of an infinite word basis, and this module is the only place that
+builds one. Letters are the nondegenerate simplices of dimension >= 1
+of a reduced simplicial set; a letter of dimension m adds m - 1 to the
+degree. Edges (dimension 1) add nothing, so with edges every degree has
+infinite rank and a window needs a second cap besides `max_degree`: a
+function `budget(degree)` that bounds the words of that degree (`None`
+for no bound).
+
+Plain words, letters in a row, are capped by their length:
+
+- fixed cap, `budget(d) = max_length` (the cobar). A boundary term
+  replaces one letter by at most two, so it can leave the window; the
+  cobar drops such terms. Longer words span a subcomplex, so the window
+  is a quotient complex and d^2 = 0 survives exactly.
+- sliding cap, `budget(d) = max_length + (max_degree - d)` (the bead-word
+  monoid). A cube face lowers the degree by one and lengthens the word
+  by at most one bead, which the cap one degree down absorbs, so the
+  window is closed under faces and nothing is dropped.
+
+Localized words (g0, x1, g1, ..., xk, gk) alternate reduced group
+segments over the edges with heavy letters (dimension >= 2); the signed
+bead words are the same words written flat. They are capped by their
+total group length, `budget(d) = cutoff - growth * d`, where `growth`
+bounds how many group letters one boundary term can add: 2 when 2-cells
+exist, since their splits produce two edge factors; 1 with higher cells
+only; 0 without edges. A boundary term lowers the degree by one and so
+raises the budget by `growth`, which keeps the stored basis closed under
+the honest differential, and d^2 = 0 holds exactly.
+"""
+
+from __future__ import annotations
+
+from .simplicial import SimplicialSet
+
+
+def letters(space: SimplicialSet) -> tuple:
+    """(edges, heavies): the letters of dimension 1 and of dimension >= 2.
+
+    Raises ValueError unless the space is reduced.
+    """
+    space.basepoint  # raises ValueError unless there is a single vertex
+    edges = tuple(space.nondegenerate(1))
+    heavies = tuple(
+        cell for m in space.dimensions() if m >= 2 for cell in space.nondegenerate(m)
+    )
+    return edges, heavies
+
+
+def growth(space: SimplicialSet) -> int:
+    """Most group letters one boundary term can add (see the module notes)."""
+    if not space.nondegenerate(1):
+        return 0
+    return 2 if space.nondegenerate(2) else 1
+
+
+def group_words(cells, max_len: int):
+    """All reduced words of length <= max_len, shortest first.
+
+    >>> sum(1 for _ in group_words(("a", "b"), 2))
+    17
+    """
+    yield ()
+    frontier = [()]
+    alphabet = [(cell, exp) for cell in cells for exp in (1, -1)]
+    for _ in range(max(0, max_len)):
+        new = []
+        for w in frontier:
+            for cell, exp in alphabet:
+                if w and w[-1] == (cell, -exp):
+                    continue
+                grown = w + ((cell, exp),)
+                new.append(grown)
+                yield grown
+        frontier = new
+
+
+def plain_words(space: SimplicialSet, letters, max_degree: int, budget) -> dict:
+    """Words in `letters` by degree, {degree: [words]} for 0..max_degree.
+
+    Breadth first, one length at a time; a word of degree d is kept when
+    d <= max_degree and its length is at most budget(d). The degree is
+    carried along with each word, never recomputed.
+    """
+    steps = [(cell, space.dim_of(cell) - 1) for cell in letters]
+    caps = [budget(d) for d in range(max_degree + 1)]
+    words = {d: [] for d in range(max_degree + 1)}
+    if max_degree < 0:
+        return words
+    words[0].append(())
+    frontier = [((), 0)]
+    length = 0
+    while frontier:
+        length += 1
+        new = []
+        for word, degree in frontier:
+            for cell, step in steps:
+                d = degree + step
+                if d > max_degree or (caps[d] is not None and length > caps[d]):
+                    continue
+                grown = word + (cell,)
+                new.append((grown, d))
+                words[d].append(grown)
+        frontier = new
+    return words
+
+
+def localized_words(
+    space: SimplicialSet, edges, heavies, max_degree: int, budget
+) -> dict:
+    """Localized words (g0, x1, g1, ..., xk, gk) by degree.
+
+    The heavy letters x1..xk form a skeleton of degree d; the group
+    segments g0..gk are reduced words in the edges of total length at
+    most budget(d). A degree with a negative budget stays empty.
+    """
+    skeletons = plain_words(space, heavies, max_degree, lambda d: None)
+    words = {}
+    for degree, sks in skeletons.items():
+        cap = budget(degree)
+        words[degree] = []
+        if cap < 0:
+            continue
+        pool = list(group_words(edges, cap))
+        for sk in sks:
+            for segs in _segments(pool, len(sk) + 1, cap):
+                parts = [segs[0]]
+                for cell, seg in zip(sk, segs[1:]):
+                    parts += (cell, seg)
+                words[degree].append(tuple(parts))
+    return words
+
+
+def _segments(pool, count: int, cap: int):
+    """Tuples of `count` words of `pool` (shortest first), total length <= cap."""
+    for head in pool:
+        if len(head) > cap:
+            break
+        if count == 1:
+            yield (head,)
+        else:
+            for tail in _segments(pool, count - 1, cap - len(head)):
+                yield (head,) + tail

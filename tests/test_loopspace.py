@@ -12,7 +12,6 @@ from chaintop.freemod import FreeElement, add_into
 from chaintop.loopspace import (
     CubicalCobar,
     KanLoopGroup,
-    bead_word_dim,
     canonical_cell,
     cartan_serre,
     cartan_serre_cell,

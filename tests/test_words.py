@@ -1,0 +1,321 @@
+"""The shared word-window enumerator against the three enumerators it replaced.
+
+The oracle functions below are the per-class enumerators that the cobar,
+the extended cobar and the bead-word monoid each carried before
+`chaintop.words` existed, kept verbatim as plain functions. The bases
+the constructions store now must equal theirs, degree by degree, after
+the same repr sort. The pinned certificate counts come from the word
+recurrence of the benchmark notes, so they hold whichever enumerator
+builds the windows.
+"""
+
+import random
+
+import pytest
+
+from chaintop.cobar import CobarComplex, ExtendedCobarComplex, group_words
+from chaintop.loopspace import CubicalCobar, phi_certificate
+from chaintop.simplicial import (
+    collapse_subcomplex,
+    random_reduced_model,
+    simplicial_model,
+    sphere_model,
+    standard_simplex,
+    wedge_models,
+)
+from chaintop.words import growth, letters, localized_words, plain_words
+
+
+# --- the old enumerators, as oracles ---
+
+def old_growth(space):
+    if not space.nondegenerate(1):
+        return 0
+    if space.nondegenerate(2):
+        return 2
+    return 1
+
+
+def old_cobar_words(space, max_degree, max_length):
+    """CobarComplex._words: fixed length cap, degree recomputed per word."""
+    letters_ = [
+        cell for m in space.dimensions() if m >= 1 for cell in space.nondegenerate(m)
+    ]
+
+    def word_degree(word):
+        return sum(space.dim_of(cell) - 1 for cell in word)
+
+    yield ()
+    frontier = [()]
+    while frontier:
+        new = []
+        for word in frontier:
+            if max_length is not None and len(word) >= max_length:
+                continue
+            base = word_degree(word)
+            for cell in letters_:
+                if base + space.dim_of(cell) - 1 <= max_degree:
+                    grown = word + (cell,)
+                    new.append(grown)
+                    yield grown
+        frontier = new
+
+
+def old_skeletons(space, heavy_letters, max_degree):
+    """ExtendedCobarComplex._skeletons."""
+    yield ()
+    frontier = [()]
+    while frontier:
+        new = []
+        for sk in frontier:
+            base = sum(space.dim_of(c) - 1 for c in sk)
+            for cell in heavy_letters:
+                if base + space.dim_of(cell) - 1 <= max_degree:
+                    grown = sk + (cell,)
+                    new.append(grown)
+                    yield grown
+        frontier = new
+
+
+def old_segment_tuples(group_letters, k, budget):
+    """ExtendedCobarComplex._segment_tuples."""
+    if k == 0:
+        for w in group_words(group_letters, budget):
+            yield (w,)
+        return
+    for head in group_words(group_letters, budget):
+        for tail in old_segment_tuples(group_letters, k - 1, budget - len(head)):
+            yield (head,) + tail
+
+
+def old_extended_words(space, max_degree, cutoff):
+    """ExtendedCobarComplex._enumerate, budget cutoff - growth * degree."""
+    group_letters = space.nondegenerate(1)
+    heavy_letters = tuple(
+        cell for m in space.dimensions() if m >= 2 for cell in space.nondegenerate(m)
+    )
+    g = old_growth(space)
+    for sk in old_skeletons(space, heavy_letters, max_degree):
+        degree = sum(space.dim_of(c) - 1 for c in sk)
+        budget = cutoff - g * degree
+        if budget < 0:
+            continue
+        for segs in old_segment_tuples(group_letters, len(sk), budget):
+            parts = [segs[0]]
+            for i, cell in enumerate(sk):
+                parts.append(cell)
+                parts.append(segs[i + 1])
+            yield tuple(parts)
+
+
+def old_cube_words(space, max_degree, max_length):
+    """CubicalCobar._enumerate, plain: sliding cap on the grown word."""
+    edges = tuple(space.nondegenerate(1))
+    heavies = tuple(
+        cell for m in space.dimensions() if m >= 2 for cell in space.nondegenerate(m)
+    )
+
+    def budget(degree):
+        if max_length is None:
+            return None
+        return max_length + (max_degree - degree)
+
+    yield ()
+    frontier = [((), 0, 0)]
+    while frontier:
+        new = []
+        for word, deg, length in frontier:
+            for cell in edges + heavies:
+                d = deg + space.dim_of(cell) - 1
+                if d > max_degree:
+                    continue
+                cap = budget(d)
+                if cap is not None and length + 1 > cap:
+                    continue
+                grown = word + (cell,)
+                new.append((grown, d, length + 1))
+                yield grown
+        frontier = new
+
+
+def old_signed_cube_words(space, max_degree, cutoff):
+    """CubicalCobar._enumerate_signed with loopspace._segment_tuples."""
+    edges = tuple(space.nondegenerate(1))
+    heavies = tuple(
+        cell for m in space.dimensions() if m >= 2 for cell in space.nondegenerate(m)
+    )
+    g = old_growth(space)
+    skeletons = [()]
+    frontier = [()]
+    while frontier:
+        new = []
+        for sk in frontier:
+            base = sum(space.dim_of(c) - 1 for c in sk)
+            for cell in heavies:
+                if base + space.dim_of(cell) - 1 <= max_degree:
+                    grown = sk + (cell,)
+                    new.append(grown)
+                    skeletons.append(grown)
+        frontier = new
+    for sk in skeletons:
+        degree = sum(space.dim_of(c) - 1 for c in sk)
+        cap = cutoff - g * degree
+        if cap < 0:
+            continue
+        for segs in old_segment_tuples(edges, len(sk), cap):
+            parts = list(segs[0])
+            for i, cell in enumerate(sk):
+                parts.append((cell, 1))
+                parts.extend(segs[i + 1])
+            yield tuple(parts)
+
+
+def by_degree(words, degree_of, max_degree):
+    out = {n: [] for n in range(max_degree + 1)}
+    for w in words:
+        out[degree_of(w)].append(w)
+    return {n: tuple(sorted(ws, key=repr)) for n, ws in out.items()}
+
+
+# --- models ---
+
+def collapsed_simplex(n, k):
+    simplex = standard_simplex(n)
+    skeleton = [c for m in range(k + 1) for c in simplex.nondegenerate(m)]
+    return collapse_subcomplex(simplex, skeleton).target
+
+
+def benchmark_models():
+    s2s2s3 = wedge_models(
+        wedge_models(sphere_model(2), sphere_model(2)), sphere_model(3)
+    )
+    return [
+        collapsed_simplex(5, 2),
+        collapsed_simplex(4, 1),
+        s2s2s3,
+        simplicial_model("rp2"),
+    ]
+
+
+def random_models():
+    rng = random.Random(20261018)
+    return [random_reduced_model(rng) for _ in range(6)]
+
+
+MODELS = benchmark_models() + random_models()
+
+
+def flat_degree(space, word):
+    return sum(space.dim_of(c) - 1 for c in word)
+
+
+def signed_degree(space, cell):
+    return sum(space.dim_of(c) - 1 for c, _ in cell)
+
+
+def loc_degree(space, word):
+    return sum(space.dim_of(word[j]) - 1 for j in range(1, len(word), 2))
+
+
+@pytest.mark.parametrize("index", range(len(MODELS)))
+def test_plain_windows_match_the_old_enumerators(index):
+    space = MODELS[index]
+    lengths = (1, 2, 3) if space.nondegenerate(1) else (None, 1, 2, 3)
+
+    def deg(word):
+        return flat_degree(space, word)
+
+    for max_degree in range(4):
+        for length in lengths:
+            algebra = CobarComplex(space, max_degree, max_length=length)
+            want = by_degree(
+                old_cobar_words(space, max_degree, length), deg, max_degree
+            )
+            got = {n: algebra.complex.basis_in(n) for n in range(max_degree + 1)}
+            assert got == want, (space.name, max_degree, length)
+            omega = CubicalCobar(space, max_degree, max_length=length)
+            want = by_degree(
+                old_cube_words(space, max_degree, length), deg, max_degree
+            )
+            got = {
+                n: omega.cubes.nondegenerate(n) for n in range(max_degree + 1)
+            }
+            assert got == want, (space.name, max_degree, length)
+
+
+@pytest.mark.parametrize("index", range(len(MODELS)))
+def test_localized_windows_match_the_old_enumerators(index):
+    space = MODELS[index]
+    for max_degree in range(4):
+        for cutoff in range(5):
+            algebra = ExtendedCobarComplex(space, max_degree, cutoff)
+            want = by_degree(
+                old_extended_words(space, max_degree, cutoff),
+                lambda w: loc_degree(space, w),
+                max_degree,
+            )
+            got = {n: algebra.complex.basis_in(n) for n in range(max_degree + 1)}
+            assert got == want, (space.name, max_degree, cutoff)
+            omega = CubicalCobar(space, max_degree, signed=True, cutoff=cutoff)
+            want = by_degree(
+                old_signed_cube_words(space, max_degree, cutoff),
+                lambda c: signed_degree(space, c),
+                max_degree,
+            )
+            got = {
+                n: omega.cubes.nondegenerate(n) for n in range(max_degree + 1)
+            }
+            assert got == want, (space.name, max_degree, cutoff)
+
+
+def test_letters_split_and_growth_rule():
+    rp2 = simplicial_model("rp2")
+    edges, heavies = letters(rp2)
+    assert len(edges) == 2 and len(heavies) == 2
+    assert growth(rp2) == 2
+    # edges but no 2-cells: one boundary term adds at most one group letter
+    s1s3 = wedge_models(sphere_model(1), sphere_model(3))
+    assert growth(s1s3) == 1 == old_growth(s1s3)
+    assert growth(sphere_model(3)) == 0
+    assert letters(sphere_model(3)) == ((), tuple(sphere_model(3).nondegenerate(3)))
+    with pytest.raises(ValueError, match="not reduced"):
+        letters(standard_simplex(2))
+
+
+def test_budget_bounds_each_degree():
+    s2 = sphere_model(2)
+    (x,) = s2.nondegenerate(2)
+    assert plain_words(s2, (x,), 3, lambda d: None) == {
+        0: [()],
+        1: [(x,)],
+        2: [(x, x)],
+        3: [(x, x, x)],
+    }
+    # a cap of one word letter keeps only the degree-1 letter
+    assert plain_words(s2, (x,), 3, lambda d: 1) == {0: [()], 1: [(x,)], 2: [], 3: []}
+    rp2 = simplicial_model("rp2")
+    edges, heavies = letters(rp2)
+    words = localized_words(rp2, edges, heavies, 1, lambda d: 2 - 2 * d)
+    # degree 0: the 17 reduced words in two letters of length <= 2;
+    # degree 1: budget 0, so one bare heavy letter each
+    assert len(words[0]) == 17
+    assert sorted(words[1], key=repr) == sorted(
+        [((), cell, ()) for cell in heavies], key=repr
+    )
+    assert localized_words(rp2, edges, heavies, 1, lambda d: -1) == {0: [], 1: []}
+
+
+@pytest.mark.parametrize(
+    "max_degree, max_length, degrees",
+    [
+        (4, 2, {0: 127, 1: 258, 2: 124, 3: 8}),
+        (2, 3, {0: 63, 1: 98, 2: 28}),
+    ],
+)
+def test_certificate_windows_have_the_recurrence_counts(
+    max_degree, max_length, degrees
+):
+    # counts from N(d, l) = sum over letters x of N(d - |x|, l - 1) with the
+    # sliding cap max_length + max_degree - d, computed independently
+    result = phi_certificate(simplicial_model("rp2"), max_degree, max_length)
+    assert result["degrees"] == degrees
