@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from chaintop.cobar import ExtendedCobarComplex, cobar
+from chaintop import loopspace
+from chaintop.cobar import CobarComplex, ExtendedCobarComplex, cobar
 from chaintop.complexes import InsufficientTruncationError
 from chaintop.cubical import CubeMorphism, CubeRef, cubical_chains
 from chaintop.einfty import cubical_um, simplicial_um, tensor_diff, um_action
@@ -12,6 +13,7 @@ from chaintop.freemod import FreeElement, add_into
 from chaintop.loopspace import (
     CubicalCobar,
     KanLoopGroup,
+    _face_items,
     canonical_cell,
     cartan_serre,
     cartan_serre_cell,
@@ -44,11 +46,13 @@ from chaintop.propm import (
 from chaintop.rings import GF, QQ, ZZ
 from chaintop.simplicial import (
     SimplexRef,
+    collapse_subcomplex,
     projective_plane_model,
     random_reduced_model,
     sphere_model,
     standard_simplex,
     two_vertex_projective_plane,
+    wedge_models,
 )
 
 
@@ -164,6 +168,65 @@ def test_projective_plane_window_is_closed_and_square_zero():
     assert om.chains().d_squared_witness() is None
 
 
+def whole_word_face(space, cid, q, eps, signed):
+    """The face as it was computed before splicing: canonicalize the raw word."""
+    if signed:
+        items = [(space.ref(c), e) for c, e in cid]
+    else:
+        items = [(space.ref(c), 1) for c in cid]
+    return canonical_cell(space, _face_items(space, items, q, eps), signed)
+
+
+def assert_spliced_faces_match_whole_words(om):
+    space = om.source
+    checked = 0
+    for n in om.cubes.dimensions():
+        for cid in om.cubes.nondegenerate(n):
+            for q in range(1, n + 1):
+                for eps in (0, 1):
+                    expected = whole_word_face(space, cid, q, eps, om.signed)
+                    assert om.cubes.face(cid, q, eps) == expected, (cid, q, eps)
+                    checked += 1
+    return checked
+
+
+def collapsed_simplex(n, k):
+    simplex = standard_simplex(n)
+    skeleton = [c for m in range(k + 1) for c in simplex.nondegenerate(m)]
+    return collapse_subcomplex(simplex, skeleton).target
+
+
+def test_spliced_faces_match_whole_word_canonical_forms():
+    s2s2s3 = wedge_models(
+        wedge_models(sphere_model(2), sphere_model(2)), sphere_model(3)
+    )
+    windows = [
+        cubical_cobar(projective_plane_model(), 3, max_length=3),
+        cubical_cobar(projective_plane_model(), 4, max_length=2),
+        cubical_cobar(s2s2s3, 5),
+        cubical_cobar(collapsed_simplex(4, 1), 3),
+        cubical_cobar(collapsed_simplex(5, 2), 3),
+    ]
+    rng = random.Random(20261018)
+    for _ in range(6):
+        windows.append(cubical_cobar(random_reduced_model(rng), 3, max_length=3))
+    assert sum(assert_spliced_faces_match_whole_words(om) for om in windows) > 0
+
+
+def test_spliced_signed_faces_match_whole_word_canonical_forms():
+    rp2 = projective_plane_model()
+    for cutoff in (2, 3, 4):
+        om = extended_cubical_cobar(rp2, 3, cutoff)
+        assert_spliced_faces_match_whole_words(om)
+    s1s2 = wedge_models(sphere_model(1), sphere_model(2))
+    om = extended_cubical_cobar(s1s2, 3, 4)
+    assert assert_spliced_faces_match_whole_words(om) > 0
+    # b's inner face is the basepoint edge, so a^-1 a cancels to nothing
+    a, b = ("a", "s"), ("b", "s")
+    face = om.cubes.face(((a, -1), (b, 1), (a, 1)), 1, 0)
+    assert face == CubeRef((), CubeMorphism.identity(0))
+
+
 def test_length_cutoff_required_exactly_when_edges_exist():
     with pytest.raises(ValueError):
         cubical_cobar(projective_plane_model(), 2)
@@ -232,6 +295,55 @@ def test_phi_certificates_small_windows():
 def test_phi_is_a_chain_map_over_odd_characteristic():
     cert = phi_certificate(projective_plane_model(), 3, max_length=2, ring=GF(3))
     assert cert["cells"] > 0
+
+
+def test_cached_certificate_still_catches_a_wrong_sign(monkeypatch):
+    rp2 = projective_plane_model()
+    real = loopspace.phi_cell
+
+    def flipped(space, cell, ring):
+        value = real(space, cell, ring)
+        return value.scale(ring.neg(ring.one)) if cell == ("U",) else value
+
+    monkeypatch.setattr(loopspace, "phi_cell", flipped)
+    with pytest.raises(AssertionError, match="not a chain map"):
+        phi_certificate(rp2, 3, max_length=2)
+
+
+def test_cached_certificate_still_catches_a_dropped_product_term(monkeypatch):
+    real = CobarComplex.product
+
+    def lossy(self, left, right):
+        value = real(self, left, right)
+        terms = dict(value.items())
+        if terms:
+            del terms[max(terms, key=repr)]
+        return FreeElement(self.ring, terms)
+
+    monkeypatch.setattr(CobarComplex, "product", lossy)
+    with pytest.raises(AssertionError, match="not multiplicative"):
+        phi_certificate(projective_plane_model(), 3, max_length=2)
+
+
+def test_comparison_cap_budget_zero_drops_no_boundary_term():
+    s2s2s3 = wedge_models(
+        wedge_models(sphere_model(2), sphere_model(2)), sphere_model(3)
+    )
+    rp2 = projective_plane_model()
+    windows = [(rp2, 4, 2), (rp2, 2, 3), (s2s2s3, 6, None)]
+    for seed in (0, 5):
+        windows.append((random_reduced_model(random.Random(seed)), 3, 3))
+    for space, max_degree, max_length in windows:
+        om = cubical_cobar(space, max_degree, max_length)
+        cap = om.budget(0)
+        narrow = cobar(space, max_degree, ZZ, cap)
+        wide = cobar(space, max_degree, ZZ, None if cap is None else cap + 1)
+        chains = om.chains()
+        for n in chains.degrees():
+            for cell in chains.basis_in(n):
+                for word in phi_cell(space, cell, ZZ).support():
+                    assert narrow.complex.degree_of(word) == n
+                    assert narrow._word_boundary(word) == wide._word_boundary(word)
 
 
 # --- localized variant ---
