@@ -231,6 +231,8 @@ def cmd_steenrod(job: JobSpec):
     if getattr(ring, "characteristic", 0) != 2:
         raise CliInputError("squares act over fp:2")
     degree = space.dimension if job.degree is None else job.degree
+    if job.square > degree:
+        raise CliInputError(f"--square {job.square} exceeds the degree {degree}")
     coalg = simplicial_um(space, ring)
     try:
         source = FieldHomology(coalg.complex, degree)

@@ -7,6 +7,9 @@ degree infinite-rank, by a fixed word length. The localized variant
 turns dimension-1 letters into invertible group letters under a group
 budget that shrinks with the degree. Both windows are built by
 `chaintop.words`, whose notes say why each is closed under d.
+`edge_expansion` is the one rule that turns a dimension-1 letter t
+into t plus or minus the unit: Adams' relabeling, its inverse and the
+embedding into the localized construction all call it.
 """
 
 from __future__ import annotations
@@ -171,36 +174,62 @@ def loc_product(left, right) -> tuple:
     return left[:-1] + (joined,) + right[1:]
 
 
-def expand_word(space: SimplicialSet, word, ring: Ring) -> FreeElement:
-    """A plain word as a sum of localized words.
-
-    Each dimension-1 letter t goes to the group letter minus the unit,
-    so a word with k of them expands into 2^k signed localized words.
-    """
-    branches = [(ring.one, [()])]
-    for cell in word:
-        if space.dim_of(cell) == 1:
-            grown = []
-            for sign, parts in branches:
-                grown.append((sign, parts[:-1] + [parts[-1] + ((cell, 1),)]))
-                grown.append((ring.neg(sign), parts))
-            branches = grown
+def signed_cell_to_word(space: SimplicialSet, cell) -> tuple:
+    """Localized word of a signed cell: edge runs become group segments."""
+    parts = []
+    seg = []
+    for c, e in cell:
+        if space.dim_of(c) == 1:
+            seg.append((c, e))
         else:
-            branches = [
-                (sign, parts + [cell, ()]) for sign, parts in branches
-            ]
-    terms = {}
-    for sign, parts in branches:
-        add_into(terms, ring, tuple(parts), sign)
+            parts.append(tuple(seg))
+            parts.append(c)
+            seg = []
+    parts.append(tuple(seg))
+    return tuple(parts)
+
+
+def word_to_signed_cell(word) -> tuple:
+    out = []
+    for j, part in enumerate(word):
+        if j % 2 == 0:
+            out.extend(part)
+        else:
+            out.append((part, 1))
+    return tuple(out)
+
+
+def edge_expansion(space: SimplicialSet, word, ring: Ring, lead, edge_sign) -> FreeElement:
+    """lead times the product of the letters, each edge t as t + edge_sign.
+
+    Letters of dimension >= 2 stay, so a word with k edge letters
+    expands into 2^k subwords; equal subwords add up.
+
+    >>> from .rings import ZZ
+    >>> from .simplicial import projective_plane_model
+    >>> rp2 = projective_plane_model()
+    >>> edge_expansion(rp2, ("a", "U", "b"), ZZ, 1, 1)
+    ('U', 'b') + ('U',) + ('a', 'U') + ('a', 'U', 'b')
+    >>> edge_expansion(rp2, ("a", "a"), ZZ, 1, -1)
+    ('a', 'a') + -2*('a',) + ()
+    """
+    terms = {(): lead}
+    for cell in word:
+        edge = space.dim_of(cell) == 1
+        grown = {}
+        for sub, c in terms.items():
+            add_into(grown, ring, sub + (cell,), c)
+            if edge:
+                add_into(grown, ring, sub, ring.mul(c, edge_sign))
+        terms = grown
     return FreeElement(ring, terms)
 
 
-def _expand_value(space: SimplicialSet, value: FreeElement, ring: Ring) -> FreeElement:
-    out = {}
-    for word, c in value.items():
-        for loc, s in expand_word(space, word, ring).items():
-            add_into(out, ring, loc, ring.mul(c, s))
-    return FreeElement(ring, out)
+def expand_word(space: SimplicialSet, word, ring: Ring) -> FreeElement:
+    """A plain word as a sum of localized words: each edge is g - 1."""
+    return edge_expansion(space, word, ring, ring.one, ring.neg(ring.one)).map_keys(
+        lambda sub: signed_cell_to_word(space, tuple((c, 1) for c in sub))
+    )
 
 
 class ExtendedCobarComplex:
@@ -254,7 +283,9 @@ class ExtendedCobarComplex:
         """d of a heavy letter, rewritten into localized words."""
         if cell not in self._letter_values:
             plain = letter_boundary(self.space, cell, self.ring)
-            self._letter_values[cell] = _expand_value(self.space, plain, self.ring)
+            self._letter_values[cell] = plain.map_terms(
+                lambda word: expand_word(self.space, word, self.ring)
+            )
         return self._letter_values[cell]
 
     def _boundary(self, word) -> FreeElement:
@@ -376,7 +407,7 @@ def _relator_values(space: SimplicialSet, ring: Ring):
     values = []
     for cell in space.nondegenerate(2):
         plain = letter_boundary(space, cell, ring)
-        loc = _expand_value(space, plain, ring)
+        loc = plain.map_terms(lambda word: expand_word(space, word, ring))
         values.append({word[0]: c for word, c in loc.items()})
     return values
 

@@ -14,7 +14,7 @@ import math
 from .complexes import ChainComplex, InsufficientTruncationError
 from .complexes import tensor_diff  # re-exported: callers import it from here
 from .cubical import CubeBialgebra, CubicalSet, cell_pushforward, cubical_chains
-from .freemod import FreeElement
+from .freemod import FreeElement, add_into
 from .linalg import Echelon, nullspace
 from .propm import PropGraph, PsiMachine, evaluate
 from .rings import GF, Ring
@@ -79,13 +79,7 @@ class UmCoalgebra:
                     break
                 images.append(image)
             else:
-                k = tuple(images)
-                prev = terms.get(k, ring.zero)
-                total = ring.add(prev, c)
-                if ring.is_zero(total):
-                    terms.pop(k, None)
-                else:
-                    terms[k] = total
+                add_into(terms, ring, tuple(images), c)
         return FreeElement(self.ring, terms)
 
 

@@ -16,15 +16,17 @@ from __future__ import annotations
 import itertools
 
 from .cobar import (
-    CobarComplex,
     ExtendedCobarComplex,
     cobar,
+    edge_expansion,
     invert_group_word,
     loc_degree,
-    loc_group_count,
     reduce_group_word,
+    signed_cell_to_word,
+    word_degree,
+    word_to_signed_cell,
 )
-from .complexes import ChainComplex, GradedLinearMap, InsufficientTruncationError
+from .complexes import GradedLinearMap, InsufficientTruncationError
 from .cubical import (
     CubeMorphism,
     CubeRef,
@@ -99,10 +101,6 @@ def _cell_id(space, items, signed: bool):
     if signed:
         return tuple((ref.base, e) for ref, e in items)
     return tuple(ref.base for ref, _ in items)
-
-
-def signed_word_dim(space: SimplicialSet, cell) -> int:
-    return sum(space.dim_of(c) - 1 for c, _ in cell)
 
 
 def canonical_cell(space: SimplicialSet, items, signed: bool = False) -> CubeRef:
@@ -366,9 +364,11 @@ def extended_cubical_cobar(
 # --- the signed relabeling onto bead-word tensor algebras ---
 #
 # A cell of dimension n maps to (-1)^n times the product of its bead
-# letters, where an edge bead contributes (letter + unit). The sign
-# reconciles the two boundary conventions and is multiplicative, so
-# the relabeling is simultaneously an algebra map and a chain map.
+# letters, where an edge bead contributes (letter + unit); the inverse
+# unshifts each edge letter to (cell - unit). Both are
+# `cobar.edge_expansion`. The sign reconciles the two boundary
+# conventions and is multiplicative, so the relabeling is
+# simultaneously an algebra map and a chain map.
 
 def _dim_sign(ring: Ring, n: int):
     return ring.neg(ring.one) if n % 2 else ring.one
@@ -376,83 +376,27 @@ def _dim_sign(ring: Ring, n: int):
 
 def phi_cell(space: SimplicialSet, cell, ring: Ring) -> FreeElement:
     """Image of a plain cell: a signed sum of subwords keeping heavies."""
-    dims = [space.dim_of(c) for c in cell]
-    sign = _dim_sign(ring, sum(d - 1 for d in dims))
-    edge_slots = [i for i, d in enumerate(dims) if d == 1]
-    terms = {}
-    for r in range(len(edge_slots) + 1):
-        for keep in itertools.combinations(edge_slots, r):
-            kept = set(keep)
-            word = tuple(
-                c for i, c in enumerate(cell) if dims[i] >= 2 or i in kept
-            )
-            add_into(terms, ring, word, sign)
-    return FreeElement(ring, terms)
+    sign = _dim_sign(ring, word_degree(space, cell))
+    return edge_expansion(space, cell, ring, sign, ring.one)
 
 
 def phi_chain(space: SimplicialSet, element: FreeElement, ring: Ring) -> FreeElement:
-    out = {}
-    for cell, c in element.items():
-        for word, s in phi_cell(space, cell, ring).items():
-            add_into(out, ring, word, ring.mul(c, s))
-    return FreeElement(ring, out)
+    return element.map_terms(lambda cell: phi_cell(space, cell, ring))
 
 
 def phi_inverse_word(space: SimplicialSet, word, ring: Ring) -> FreeElement:
     """Preimage of a bead word: edge letters unshift to (cell - unit)."""
-    dims = [space.dim_of(c) for c in word]
-    sign = _dim_sign(ring, sum(d - 1 for d in dims))
-    edge_slots = [i for i, d in enumerate(dims) if d == 1]
-    terms = {}
-    for r in range(len(edge_slots) + 1):
-        for keep in itertools.combinations(edge_slots, r):
-            kept = set(keep)
-            cell = tuple(
-                c for i, c in enumerate(word) if dims[i] >= 2 or i in kept
-            )
-            coeff = sign if (len(edge_slots) - r) % 2 == 0 else ring.neg(sign)
-            add_into(terms, ring, cell, coeff)
-    return FreeElement(ring, terms)
+    sign = _dim_sign(ring, word_degree(space, word))
+    return edge_expansion(space, word, ring, sign, ring.neg(ring.one))
 
 
 def phi_inverse_chain(space, element: FreeElement, ring: Ring) -> FreeElement:
-    out = {}
-    for word, c in element.items():
-        for cell, s in phi_inverse_word(space, word, ring).items():
-            add_into(out, ring, cell, ring.mul(c, s))
-    return FreeElement(ring, out)
-
-
-def signed_cell_to_word(space: SimplicialSet, cell) -> tuple:
-    """Localized word of a signed cell: edge runs become group segments."""
-    parts = []
-    seg = []
-    for c, e in cell:
-        if space.dim_of(c) == 1:
-            seg.append((c, e))
-        else:
-            parts.append(tuple(seg))
-            parts.append(c)
-            seg = []
-    parts.append(tuple(seg))
-    return tuple(parts)
-
-
-def word_to_signed_cell(word) -> tuple:
-    out = []
-    for j, part in enumerate(word):
-        if j % 2 == 0:
-            out.extend(part)
-        else:
-            out.append((part, 1))
-    return tuple(out)
+    return element.map_terms(lambda word: phi_inverse_word(space, word, ring))
 
 
 def phi_signed_cell(space: SimplicialSet, cell, ring: Ring) -> FreeElement:
     word = signed_cell_to_word(space, cell)
-    return FreeElement.single(
-        ring, word, _dim_sign(ring, signed_word_dim(space, cell))
-    )
+    return FreeElement.single(ring, word, _dim_sign(ring, loc_degree(space, word)))
 
 
 def phi_certificate(
@@ -737,15 +681,11 @@ class Pi0Presentation:
         """
         free, torsion = self.abelianization()
         if free == 0 and not torsion:
-            if not self.generators or not any(self.relators):
-                return "trivial"
-            # all generators killed in the abelianization; accept only
-            # the evidently trivial case of no generators
+            # with generators, free rank 0 needs a nonempty relator, and
+            # a group killed only in the abelianization is not certified
             return "trivial" if not self.generators else None
-        if free == 1 and not torsion and not self.relators:
-            return "Z"
         if free == 1 and not torsion:
-            return "Z" if all(not r for r in self.relators) else None
+            return "Z" if not any(self.relators) else None
         if free == 0 and torsion == [2]:
             return "Z/2"
         return None
@@ -996,6 +936,19 @@ def _phi_tensor(space, element: FreeElement, ring: Ring) -> FreeElement:
     return FreeElement(ring, out)
 
 
+def _transport(omega: CubicalCobar, action, chain, ring: Ring) -> FreeElement:
+    """action(coalgebra, cells) on the cube model, read back on words."""
+    from .einfty import cubical_um
+
+    if omega.signed:
+        raise ValueError("transport acts on the plain bead-word model")
+    if not isinstance(chain, FreeElement):
+        chain = FreeElement.single(ring, tuple(chain), ring.one)
+    coalg = cubical_um(omega.cubes, ring)
+    cells = phi_inverse_chain(omega.source, chain, ring)
+    return _phi_tensor(omega.source, action(coalg, cells), ring)
+
+
 def cobar_um_structure(omega: CubicalCobar, op, chain, ring: Ring | None = None):
     """A prop operation on bead words, conjugated through the cube model.
 
@@ -1004,28 +957,17 @@ def cobar_um_structure(omega: CubicalCobar, op, chain, ring: Ring | None = None)
     evaluation on standard cubes and pushforward, exactly as for any
     cubical set, and the relabeling carries it back.
     """
-    from .einfty import cubical_um, um_action
+    from .einfty import um_action
 
-    if omega.signed:
-        raise ValueError("transport acts on the plain bead-word model")
-    ring = ring or omega.ring
-    if not isinstance(chain, FreeElement):
-        chain = FreeElement.single(ring, tuple(chain), ring.one)
-    coalg = cubical_um(omega.cubes, ring)
-    cells = phi_inverse_chain(omega.source, chain, ring)
-    value = um_action(coalg, op, cells)
-    return _phi_tensor(omega.source, value, ring)
+    return _transport(
+        omega, lambda coalg, cells: um_action(coalg, op, cells), chain, ring or omega.ring
+    )
 
 
 def cobar_psi(omega: CubicalCobar, p: int, i: int, chain, ring: Ring):
     """Transported cyclic-resolution operation, for Steenrod words."""
-    from .einfty import cubical_um, psi_action
+    from .einfty import psi_action
 
-    if omega.signed:
-        raise ValueError("transport acts on the plain bead-word model")
-    if not isinstance(chain, FreeElement):
-        chain = FreeElement.single(ring, tuple(chain), ring.one)
-    coalg = cubical_um(omega.cubes, ring)
-    cells = phi_inverse_chain(omega.source, chain, ring)
-    value = psi_action(coalg, p, i, cells)
-    return _phi_tensor(omega.source, value, ring)
+    return _transport(
+        omega, lambda coalg, cells: psi_action(coalg, p, i, cells), chain, ring
+    )

@@ -126,6 +126,14 @@ def test_nonpositive_cutoff_is_an_input_error(capsys):
     assert code == EXIT_INPUT
 
 
+@pytest.mark.parametrize("model", [["sphere", "2"], ["rp2"]])
+def test_square_above_the_degree_is_an_input_error(capsys, model):
+    code, out, err = run(capsys, "steenrod", *model, "--square", "3")
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err.startswith("error:") and "--square 3" in err
+
+
 def test_missing_file_is_an_input_error(capsys):
     code, _, err = run(capsys, "homology", "no/such/file.json")
     assert code == EXIT_INPUT

@@ -1,11 +1,12 @@
 """Loop-space cube models, comparison maps, loop group, collapse, zigzag."""
 
+import itertools
 import random
 
 import pytest
 
 from chaintop import loopspace
-from chaintop.cobar import CobarComplex, ExtendedCobarComplex, cobar
+from chaintop.cobar import CobarComplex, ExtendedCobarComplex, cobar, expand_word
 from chaintop.complexes import InsufficientTruncationError
 from chaintop.cubical import CubeMorphism, CubeRef, cubical_chains
 from chaintop.einfty import cubical_um, simplicial_um, tensor_diff, um_action
@@ -271,17 +272,127 @@ def test_phi_inverse_unshifts_edge_letters():
     assert phi_inverse_word(rp2, ("a", "b"), ZZ) == el(
         ZZ, (("a", "b"), 1), (("a",), -1), (("b",), -1), ((), 1)
     )
+    # equal subwords add up: (a - 1)^2 = aa - 2a + 1, and 2 = 0 over F2
+    assert phi_inverse_word(rp2, ("a", "a"), ZZ) == el(
+        ZZ, (("a", "a"), 1), (("a",), -2), ((), 1)
+    )
+    assert phi_inverse_word(rp2, ("a", "a"), GF(2)) == el(
+        GF(2), (("a", "a"), 1), ((), 1)
+    )
 
 
 def test_phi_roundtrips_on_every_stored_cell():
+    windows = [(projective_plane_model(), 2, 2)]
+    windows += [(random_reduced_model(random.Random(s)), 3, 3) for s in (0, 3, 5, 8)]
+    for space, max_degree, max_length in windows:
+        ch = cubical_cobar(space, max_degree, max_length=max_length).chains()
+        for n in ch.degrees():
+            for cell in ch.basis_in(n):
+                x = FreeElement.single(ZZ, cell, ZZ.one)
+                back = phi_inverse_chain(space, phi_chain(space, x, ZZ), ZZ)
+                assert back == x
+
+
+# --- the edge expansion against the kernels it replaced ---
+
+def _oracle_dim_sign(ring, dims):
+    return ring.neg(ring.one) if sum(d - 1 for d in dims) % 2 else ring.one
+
+
+def oracle_phi_cell(space, cell, ring):
+    dims = [space.dim_of(c) for c in cell]
+    sign = _oracle_dim_sign(ring, dims)
+    edge_slots = [i for i, d in enumerate(dims) if d == 1]
+    terms = {}
+    for r in range(len(edge_slots) + 1):
+        for keep in itertools.combinations(edge_slots, r):
+            kept = set(keep)
+            word = tuple(
+                c for i, c in enumerate(cell) if dims[i] >= 2 or i in kept
+            )
+            add_into(terms, ring, word, sign)
+    return FreeElement(ring, terms)
+
+
+def oracle_phi_inverse_word(space, word, ring):
+    dims = [space.dim_of(c) for c in word]
+    sign = _oracle_dim_sign(ring, dims)
+    edge_slots = [i for i, d in enumerate(dims) if d == 1]
+    terms = {}
+    for r in range(len(edge_slots) + 1):
+        for keep in itertools.combinations(edge_slots, r):
+            kept = set(keep)
+            cell = tuple(
+                c for i, c in enumerate(word) if dims[i] >= 2 or i in kept
+            )
+            coeff = sign if (len(edge_slots) - r) % 2 == 0 else ring.neg(sign)
+            add_into(terms, ring, cell, coeff)
+    return FreeElement(ring, terms)
+
+
+def oracle_expand_word(space, word, ring):
+    branches = [(ring.one, [()])]
+    for cell in word:
+        if space.dim_of(cell) == 1:
+            grown = []
+            for sign, parts in branches:
+                grown.append((sign, parts[:-1] + [parts[-1] + ((cell, 1),)]))
+                grown.append((ring.neg(sign), parts))
+            branches = grown
+        else:
+            branches = [
+                (sign, parts + [cell, ()]) for sign, parts in branches
+            ]
+    terms = {}
+    for sign, parts in branches:
+        add_into(terms, ring, tuple(parts), sign)
+    return FreeElement(ring, terms)
+
+
+def _collapsed_simplex(n, k):
+    space = standard_simplex(n)
+    skeleton = [c for m in range(k + 1) for c in space.nondegenerate(m)]
+    return collapse_subcomplex(space, skeleton).target
+
+
+def _oracle_inputs():
+    """(space, words): the benchmark models' windows and random models."""
     rp2 = projective_plane_model()
-    om = cubical_cobar(rp2, 2, max_length=2)
-    ch = om.chains()
-    for n in ch.degrees():
-        for cell in ch.basis_in(n):
-            x = FreeElement.single(ZZ, cell, ZZ.one)
-            back = phi_inverse_chain(rp2, phi_chain(rp2, x, ZZ), ZZ)
-            assert back == x
+    s2s2s3 = wedge_models(
+        wedge_models(sphere_model(2), sphere_model(2)), sphere_model(3)
+    )
+    inputs = []
+    for space, max_degree in (
+        (_collapsed_simplex(5, 2), 4),
+        (_collapsed_simplex(4, 1), 2),
+        (s2s2s3, 7),
+    ):
+        words = cobar(space, max_degree, ZZ).complex
+        inputs.append((space, [w for n in words.degrees() for w in words.basis_in(n)]))
+    windows = [(rp2, 4, 2), (rp2, 2, 3)]
+    windows += [(random_reduced_model(random.Random(s)), 3, 3) for s in range(6)]
+    for space, max_degree, max_length in windows:
+        chains = cubical_cobar(space, max_degree, max_length).chains()
+        inputs.append(
+            (space, [w for n in chains.degrees() for w in chains.basis_in(n)])
+        )
+    inputs.append(
+        (rp2, [("a", "a"), ("a", "a", "a"), ("a", "U", "a"), ("b", "a", "b", "a")])
+    )
+    return inputs
+
+
+def test_edge_expansion_matches_the_replaced_kernels():
+    for space, words in _oracle_inputs():
+        for ring in (ZZ, GF(2), GF(3)):
+            for w in words:
+                assert phi_cell(space, w, ring) == oracle_phi_cell(space, w, ring)
+                assert phi_inverse_word(space, w, ring) == oracle_phi_inverse_word(
+                    space, w, ring
+                )
+                assert expand_word(space, w, ring) == oracle_expand_word(
+                    space, w, ring
+                )
 
 
 def test_phi_certificates_small_windows():
