@@ -31,7 +31,7 @@ from .simplicial import (
     simplicial_from_json,
     simplicial_model,
 )
-from .smith import smith_homology
+from .smith import homology_table
 
 EXIT_OK = 0
 EXIT_INVARIANT = 2
@@ -106,13 +106,12 @@ def format_group(rank: int, torsion, ring: str = "Z") -> str:
 def _homology_table(chains, degrees):
     table = {}
     inconclusive = []
-    for n in degrees:
-        try:
-            h = smith_homology(chains, n)
-            table[n] = {"rank": h.free_rank, "torsion": list(h.invariant_factors)}
-        except InsufficientTruncationError:
+    for n, h in homology_table(chains, degrees).items():
+        if h is None:
             table[n] = None
             inconclusive.append(n)
+        else:
+            table[n] = {"rank": h.free_rank, "torsion": list(h.invariant_factors)}
     return table, inconclusive
 
 
@@ -202,7 +201,7 @@ def cmd_loop(job: JobSpec):
     cross = "skipped"
     if job.check:
         try:
-            phi_certificate(space, top + 1, max_length=length, ring=ring)
+            phi_certificate(space, top + 1, max_length=length, ring=ring, omega=omega)
             cross = "passed"
         except AssertionError as exc:
             cross = f"failed: {exc}"

@@ -14,6 +14,8 @@ embedding into the localized construction all call it.
 
 from __future__ import annotations
 
+import copy
+
 from .complexes import ChainComplex
 from .freemod import FreeElement, add_into
 from .linalg import eliminate
@@ -80,51 +82,61 @@ class CobarComplex:
             space, edges + heavies, self.max_degree, lambda d: self.max_length
         )
         basis = {n: tuple(sorted(ws, key=repr)) for n, ws in words.items()}
-        self._letter_boundaries = {}
+        self._letters = {}
+        # d is a method of a copy taken before self.complex exists: with
+        # self's own method the complex would refer back to self, a cycle
+        # that keeps a finished complex and its diff cache alive until a
+        # full garbage collection
         self.complex = ChainComplex(
             ring,
             basis,
-            self._word_boundary,
+            copy.copy(self)._word_boundary,
             complete=False,
             name=f"cobar({space.name})",
         )
 
-    def _letter_boundary(self, cell) -> FreeElement:
-        if cell not in self._letter_boundaries:
-            self._letter_boundaries[cell] = letter_boundary(
-                self.space, cell, self.ring
+    def _letter(self, cell) -> tuple:
+        """(terms of the letter's boundary, whether its degree is odd), cached."""
+        entry = self._letters.get(cell)
+        if entry is None:
+            entry = self._letters[cell] = (
+                letter_boundary(self.space, cell, self.ring).terms,
+                letter_degree(self.space, cell) % 2,
             )
-        return self._letter_boundaries[cell]
+        return entry
 
     def _in_basis(self, word) -> bool:
         return self.max_length is None or len(word) <= self.max_length
 
     def _word_boundary(self, word) -> FreeElement:
-        ring = self.ring
-        terms = {}
-        sign = ring.one
+        sums = {}
+        sign = 1
         for j, cell in enumerate(word):
-            for piece, c in self._letter_boundary(cell).items():
+            terms, odd = self._letter(cell)
+            for piece, c in terms.items():
                 new = word[:j] + piece + word[j + 1 :]
                 if self._in_basis(new):
-                    add_into(terms, ring, new, ring.mul(sign, c))
-            if letter_degree(self.space, cell) % 2:
-                sign = ring.neg(sign)
-        return FreeElement(ring, terms)
+                    sums[new] = sums.get(new, 0) + sign * c
+            if odd:
+                sign = -sign
+        return FreeElement._from_sums(self.ring, sums)
 
     def unit(self) -> FreeElement:
         return FreeElement.single(self.ring, (), self.ring.one)
 
     def product(self, left: FreeElement, right: FreeElement) -> FreeElement:
         """Concatenation, dropping words outside the stored truncation."""
-        ring = self.ring
-        terms = {}
+        space = self.space
+        right = [(v, cv, word_degree(space, v)) for v, cv in right.items()]
+        sums = {}
         for u, cu in left.items():
-            for v, cv in right.items():
-                w = u + v
-                if word_degree(self.space, w) <= self.max_degree and self._in_basis(w):
-                    add_into(terms, ring, w, ring.mul(cu, cv))
-        return FreeElement(ring, terms)
+            room = self.max_degree - word_degree(space, u)
+            for v, cv, degree in right:
+                if degree <= room:
+                    w = u + v
+                    if self._in_basis(w):
+                        sums[w] = sums.get(w, 0) + cu * cv
+        return FreeElement._from_sums(self.ring, sums)
 
 
 def cobar(
@@ -213,16 +225,17 @@ def edge_expansion(space: SimplicialSet, word, ring: Ring, lead, edge_sign) -> F
     >>> edge_expansion(rp2, ("a", "a"), ZZ, 1, -1)
     ('a', 'a') + -2*('a',) + ()
     """
-    terms = {(): lead}
+    sums = {(): lead}
     for cell in word:
         edge = space.dim_of(cell) == 1
         grown = {}
-        for sub, c in terms.items():
-            add_into(grown, ring, sub + (cell,), c)
+        for sub, c in sums.items():
+            longer = sub + (cell,)
+            grown[longer] = grown.get(longer, 0) + c
             if edge:
-                add_into(grown, ring, sub, ring.mul(c, edge_sign))
-        terms = grown
-    return FreeElement(ring, terms)
+                grown[sub] = grown.get(sub, 0) + c * edge_sign
+        sums = grown
+    return FreeElement._from_sums(ring, sums)
 
 
 def expand_word(space: SimplicialSet, word, ring: Ring) -> FreeElement:
@@ -262,10 +275,11 @@ class ExtendedCobarComplex:
             space, self.group_letters, self.heavy_letters, self.max_degree, self.budget
         )
         basis = {n: tuple(sorted(ws, key=repr)) for n, ws in words.items()}
+        # a copy's method, as in CobarComplex, so no cycle through self
         self.complex = ChainComplex(
             ring,
             basis,
-            self._boundary,
+            copy.copy(self)._boundary,
             complete=False,
             name=f"extended-cobar({space.name})",
         )

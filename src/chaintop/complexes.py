@@ -10,6 +10,7 @@ a truncation (see InsufficientTruncationError).
 from __future__ import annotations
 
 from .freemod import FreeElement, add_into
+from .linalg import compose
 from .rings import Ring
 
 
@@ -176,17 +177,53 @@ class GradedLinearMap:
 
         Returns (True, None) or (False, (key, f_dx, d_fx_signed)); the
         witness carries both sides so failures are inspectable.
+        Each degree n is checked as F_{n-1} D_n = (-1)^shift D' F_n on
+        sparse columns (chaintop.linalg), whose rows number only the
+        target keys that occur; columns are compared in basis order, so
+        the witness is the first failing key. The images of a whole
+        degree and their target boundaries are built, and so validated,
+        before any column is compared: a map that raises on any key of
+        degree n raises even if an earlier key of degree n fails.
         """
+        source, target = self.source, self.target
+        ring = target.ring
         sign = -1 if self.shift % 2 else 1
         if degrees is None:
-            degrees = [n for n in self.source.degrees() if n > self.source.min_degree]
+            degrees = [n for n in source.degrees() if n > source.min_degree]
         for n in sorted(degrees):
-            for key in self.source.basis_in(n):
-                lhs = self.apply(self.source.diff(key))
-                rhs = self.target.diff_element(self.apply_key(key)).scale(sign)
-                if lhs != rhs:
-                    return False, (key, lhs, rhs)
+            keys = source.basis_in(n)
+            if not keys:
+                continue
+            # each target key that occurs gets the next row index: one
+            # numbering for F_n, one for F_{n-1} and D'
+            upper = {}
+            f_n = [_numbered(self.apply_key(key), upper) for key in keys]
+            d_source = source.diff_columns(n)
+            # F_{n-1} only on the faces that d_source reaches
+            lower = {}
+            lower_keys = source.basis_in(n - 1)
+            f_below = {
+                k: _numbered(self.apply_key(lower_keys[k]), lower)
+                for k in sorted({k for col in d_source for k in col})
+            }
+            d_target = [_numbered(target.diff(key), lower) for key in upper]
+            if sign == -1:
+                d_target = [{i: ring.neg(c) for i, c in col.items()} for col in d_target]
+            lhs = compose(f_below, d_source, ring)
+            rhs = compose(d_target, f_n, ring)
+            for key, left, right in zip(keys, lhs, rhs):
+                if left != right:
+                    return False, (
+                        key,
+                        self.apply(source.diff(key)),
+                        target.diff_element(self.apply_key(key)).scale(sign),
+                    )
         return True, None
+
+
+def _numbered(el: FreeElement, index: dict) -> dict:
+    """el as a sparse column; a key not yet in index gets the next row."""
+    return {index.setdefault(key, len(index)): c for key, c in el.items()}
 
 
 def tensor_complex(a: ChainComplex, b: ChainComplex, max_degree=None, name: str = "") -> ChainComplex:

@@ -33,7 +33,7 @@ class CubeMorphism:
     degeneracies, and connections.
     """
 
-    __slots__ = ("n_in", "n_out", "entries")
+    __slots__ = ("n_in", "n_out", "entries", "is_identity", "is_degeneracy_morphism")
 
     def __init__(self, n_in: int, n_out: int, entries):
         entries = tuple(
@@ -42,8 +42,12 @@ class CubeMorphism:
         if len(entries) != n_out:
             raise ValueError(f"expected {n_out} entries, got {len(entries)}")
         last = 0
-        for e in entries:
+        # the two predicates read off the same pass, once per morphism
+        degeneracy = True
+        identity = n_in == n_out
+        for k, e in enumerate(entries, 1):
             if e in (0, 1):
+                degeneracy = identity = False
                 continue
             if not e or any(a >= b for a, b in zip(e, e[1:])):
                 raise ValueError(f"block not strictly increasing: {e}")
@@ -52,9 +56,14 @@ class CubeMorphism:
             if e[-1] > n_in:
                 raise ValueError(f"block {e} exceeds {n_in} inputs")
             last = e[-1]
+            identity = identity and e == (k,)
         object.__setattr__(self, "n_in", int(n_in))
         object.__setattr__(self, "n_out", int(n_out))
         object.__setattr__(self, "entries", entries)
+        # entries (1,), (2,), ..., (n,) on n inputs
+        object.__setattr__(self, "is_identity", identity)
+        # no constant entry: a composite of degeneracies and connections
+        object.__setattr__(self, "is_degeneracy_morphism", degeneracy)
 
     def __setattr__(self, name, value):
         raise AttributeError("CubeMorphism is immutable")
@@ -147,12 +156,6 @@ class CubeMorphism:
                 out.append(max(point[k - 1] for k in e))
         return tuple(out)
 
-    @property
-    def is_identity(self) -> bool:
-        return self.n_in == self.n_out and self.entries == tuple(
-            (i,) for i in range(1, self.n_in + 1)
-        )
-
     def used_inputs(self):
         used = []
         for e in self.entries:
@@ -165,10 +168,6 @@ class CubeMorphism:
         return all(e in (0, 1) or len(e) == 1 for e in self.entries) and len(
             self.used_inputs()
         ) == self.n_in
-
-    @property
-    def is_degeneracy_morphism(self) -> bool:
-        return all(e not in (0, 1) for e in self.entries)
 
     def remove_output(self, j: int) -> "CubeMorphism":
         """Drop output j (1-based); only valid when entry j is a constant."""
@@ -424,14 +423,14 @@ def cubical_chains(
 
     def diff(key):
         n = space.dim_of(key)
-        terms = {}
+        sums = {}
         for i in range(1, n + 1):
-            sign = ring.from_int(-1 if (i - 1) % 2 else 1)
-            for eps, eps_sign in ((1, sign), (0, ring.neg(sign))):
+            sign = -1 if (i - 1) % 2 else 1
+            for eps, eps_sign in ((1, sign), (0, -sign)):
                 ref = space.face(key, i, eps)
                 if not ref.is_degenerate:
-                    add_into(terms, ring, ref.base, eps_sign)
-        return FreeElement(ring, terms)
+                    sums[ref.base] = sums.get(ref.base, 0) + eps_sign
+        return FreeElement._from_sums(ring, sums)
 
     complete = space.complete and top >= space.dimension
     return ChainComplex(ring, basis, diff, complete=complete, name=space.name)

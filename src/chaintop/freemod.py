@@ -45,8 +45,25 @@ class FreeElement:
         raise AttributeError("FreeElement is immutable; build a new one")
 
     @classmethod
+    def _trusted(cls, ring: Ring, terms: dict) -> "FreeElement":
+        """Wrap terms as they are: canonical coefficients, no zeros, not copied."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "ring", ring)
+        object.__setattr__(out, "terms", terms)
+        return out
+
+    @classmethod
+    def _from_sums(cls, ring: Ring, sums: dict) -> "FreeElement":
+        """Element whose coefficients are plain-number sums, canonicalized once.
+
+        The caller adds ints (and Fractions over Q) with + and *; here they
+        are reduced mod p, made Fractions over Q, and zeros are dropped.
+        """
+        return cls._trusted(ring, ring.canonical_sums(sums) if sums else sums)
+
+    @classmethod
     def zero(cls, ring: Ring) -> "FreeElement":
-        return cls(ring)
+        return cls._trusted(ring, {})
 
     @classmethod
     def single(cls, ring: Ring, key, coeff=None) -> "FreeElement":
@@ -81,9 +98,7 @@ class FreeElement:
         terms = dict(self.terms)
         for key, coeff in other.terms.items():
             add_into(terms, self.ring, key, coeff)
-        out = FreeElement(self.ring)
-        object.__setattr__(out, "terms", terms)
-        return out
+        return FreeElement._trusted(self.ring, terms)
 
     def __sub__(self, other):
         return self + (-other)
@@ -94,13 +109,11 @@ class FreeElement:
     def scale(self, coeff):
         coeff = self.ring.coerce(coeff)
         if self.ring.is_zero(coeff):
-            return FreeElement(self.ring)
-        out = FreeElement(self.ring)
-        object.__setattr__(
-            out, "terms", {k: self.ring.mul(c, coeff) for k, c in self.terms.items()}
-        )
+            return FreeElement.zero(self.ring)
         # field or +-1 scaling never produces zeros; integers cannot either
-        return out
+        return FreeElement._trusted(
+            self.ring, {k: self.ring.mul(c, coeff) for k, c in self.terms.items()}
+        )
 
     def __rmul__(self, coeff):
         return self.scale(coeff)
@@ -128,9 +141,7 @@ class FreeElement:
             new = fn(key)
             if new is not None:
                 add_into(terms, self.ring, new, coeff)
-        out = FreeElement(self.ring)
-        object.__setattr__(out, "terms", terms)
-        return out
+        return FreeElement._trusted(self.ring, terms)
 
     def map_terms(self, fn) -> "FreeElement":
         """Linear extension of a key -> FreeElement map."""
@@ -141,9 +152,7 @@ class FreeElement:
                 continue
             for k2, c2 in image.terms.items():
                 add_into(terms, self.ring, k2, self.ring.mul(coeff, c2))
-        out = FreeElement(self.ring)
-        object.__setattr__(out, "terms", terms)
-        return out
+        return FreeElement._trusted(self.ring, terms)
 
 
 def koszul_sign(perm, degrees) -> int:
@@ -206,6 +215,4 @@ def tensor_elements(a: FreeElement, b: FreeElement, degree_fn=None) -> FreeEleme
     for ka, ca in a.items():
         for kb, cb in b.items():
             add_into(terms, ring, (ka, kb), ring.mul(ca, cb))
-    out = FreeElement(ring)
-    object.__setattr__(out, "terms", terms)
-    return out
+    return FreeElement._trusted(ring, terms)

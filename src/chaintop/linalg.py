@@ -17,6 +17,9 @@ complexes", 1998). Cobar and cube boundaries are mostly +-1, so over Z
 little or nothing is left; that remainder, which has no unit entry, gets
 the dense Smith form by minimal-|entry| pivoting.
 
+compose() multiplies two such matrices column by column. It adds plain
+numbers and brings each output column to canonical form once.
+
 Echelon keeps columns reduced against each other over a field and takes
 them one at a time, so a caller can ask whether a vector lies in the span
 of the columns added so far, and with which coefficients.
@@ -109,6 +112,28 @@ def eliminate(columns, ring: Ring) -> list:
         for i, v in cols[j].items():
             dense[index[i]][t] = v
     return [1] * units + _smith_remainder(dense)
+
+
+def compose(a, b, ring: Ring):
+    """Sparse columns of the product a * b, yielded one at a time.
+
+    Column j is the sum over the entries (k, c) of column j of b of c
+    times column k of a, so a needs a column at every row index of b; a
+    may be any mapping from those indices to columns. A caller that
+    compares columns as they come never holds the whole product.
+
+    >>> from .rings import GF, ZZ
+    >>> list(compose([{0: 1, 1: 1}, {0: 1, 1: -1}], [{0: 1, 1: 1}, {1: 2}], ZZ))
+    [{0: 2}, {0: 2, 1: -2}]
+    >>> list(compose([{0: 1, 1: 1}, {0: 1, 1: -1}], [{0: 1, 1: 1}], GF(2)))
+    [{}]
+    """
+    for col in b:
+        sums = {}
+        for k, c in col.items():
+            for i, x in a[k].items():
+                sums[i] = sums.get(i, 0) + c * x
+        yield ring.canonical_sums(sums)
 
 
 def _smith_remainder(m: list) -> list:

@@ -49,7 +49,7 @@ from .simplicial import (
     front_face,
     normalized_chains,
 )
-from .smith import smith_homology, smith_normal_form
+from .smith import homology_table, smith_normal_form
 from .words import growth, letters, localized_words, plain_words
 
 
@@ -298,6 +298,7 @@ class CubicalCobar:
                             morphism = padded[key] = _padded(*key)
                         faces[(cid, offset + j, eps)] = CubeRef(base, morphism)
                     offset += width
+        self._chains = None
         # no beads above the cutoff dimension means nothing was dropped
         self.cubes = CubicalSet(
             ("loc-loops(" if signed else "loops(") + space.name + ")",
@@ -335,8 +336,11 @@ class CubicalCobar:
             ) from None
         return cid
 
-    def chains(self, ring: Ring | None = None, max_degree: int | None = None):
-        return cubical_chains(self.cubes, max_degree, ring or self.ring)
+    def chains(self):
+        """Normalized chains of the whole window over its ring, built once."""
+        if self._chains is None:
+            self._chains = cubical_chains(self.cubes, None, self.ring)
+        return self._chains
 
 
 def cubical_cobar(
@@ -405,6 +409,7 @@ def phi_certificate(
     max_length: int | None = None,
     ring: Ring = ZZ,
     product_pairs: int = 400,
+    omega: CubicalCobar | None = None,
 ) -> dict:
     """Certify the relabeling against the bead-word tensor algebra.
 
@@ -417,9 +422,16 @@ def phi_certificate(
     budget(n) letters and phi only deletes letters, d adds at most one,
     and budget(n) + 1 = budget(n - 1) <= budget(0) for n >= 1; degree-0
     words are all edges, whose d is 0. Returns a summary dict; any
-    failure raises AssertionError with the witness.
+    failure raises AssertionError with the witness. omega, when given,
+    is the cube model of this very window, built once by the caller.
     """
-    omega = cubical_cobar(space, max_degree, max_length, ring)
+    window = (space, max_degree, max_length, ring)
+    if omega is None:
+        omega = cubical_cobar(*window)
+    elif omega.signed or (
+        omega.source, omega.max_degree, omega.max_length, omega.ring
+    ) != window:
+        raise ValueError("omega is not the cube model of the window to certify")
     word_cap = None if max_length is None else omega.budget(0)
     algebra = cobar(space, max_degree, ring, word_cap)
     chains = omega.chains()
@@ -835,20 +847,20 @@ def zigzag_report(
     tri = triangulate(cubes, depth)
     tri_chains = normalized_chains(tri, depth, ring)
 
-    cub_h = {}
-    tri_h = {}
-    inconclusive = []
-    for n in range(max_range + 1):
-        for tag, chains, out in (
-            ("cubical", cube_chains, cub_h),
-            ("triangulated", tri_chains, tri_h),
-        ):
-            try:
-                h = smith_homology(chains, n)
-                out[n] = (h.free_rank, tuple(h.invariant_factors))
-            except InsufficientTruncationError:
-                out[n] = None
-                inconclusive.append((tag, n))
+    degrees = range(max_range + 1)
+    cub_h, tri_h = (
+        {
+            n: None if h is None else (h.free_rank, h.invariant_factors)
+            for n, h in homology_table(chains, degrees).items()
+        }
+        for chains in (cube_chains, tri_chains)
+    )
+    inconclusive = [
+        (tag, n)
+        for n in degrees
+        for tag, out in (("cubical", cub_h), ("triangulated", tri_h))
+        if out[n] is None
+    ]
     agree = all(
         cub_h[n] == tri_h[n]
         for n in range(max_range + 1)

@@ -106,6 +106,28 @@ class Ring:
             raise TypeError(f"not an integer scalar for {self.name}: {x!r}")
         return x % self.p if self.kind == "Fp" else x
 
+    def canonical_sums(self, sums: dict) -> dict:
+        """A dict of plain-number sums in canonical form: mod p, Q as Fractions.
+
+        Zeros are dropped. Callers that add coefficients with + and * bring
+        them to canonical form once here instead of one ring call per term.
+
+        >>> GF(3).canonical_sums({"a": 4, "b": -3, "c": -1})
+        {'a': 1, 'c': 2}
+        >>> QQ.canonical_sums({"a": 2, "b": 0})
+        {'a': Fraction(2, 1)}
+        """
+        if self.kind == "Fp":
+            p = self.p
+            return {k: r for k, v in sums.items() if (r := v % p)}
+        if self.kind == "Q":
+            return {
+                k: v if type(v) is Fraction else Fraction(v)
+                for k, v in sums.items()
+                if v
+            }
+        return {k: v for k, v in sums.items() if v}
+
     def add(self, a, b):
         return (a + b) % self.p if self.kind == "Fp" else a + b
 

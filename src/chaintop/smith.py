@@ -4,7 +4,8 @@ smith_homology reads the boundary columns of a complex straight from its
 differential and hands them to the sparse elimination kernel in
 chaintop.linalg, which pivots on unit entries first and keeps a dense
 Smith form only for the non-unit remainder. Over Z one elimination of
-d_n gives both its rank and its invariant factors. smith_normal_form and
+d_n gives both its rank and its invariant factors, and homology_table
+eliminates each d_n once for a whole range of degrees. smith_normal_form and
 field_rank keep their dense list-of-rows interface for callers that
 build small matrices by hand; both convert to sparse columns and run the
 same kernel.
@@ -101,17 +102,17 @@ class HomologySummary:
         }
 
 
-def _boundary_matrices(complex_: ChainComplex, n: int, convert):
-    """Sparse columns of d_n and d_{n+1}, guarding against truncation.
+def _stored(complex_: ChainComplex, n: int) -> bool:
+    """Whether H_n needs d_n and d_{n+1}; raises where they are cut off.
 
-    Each entry passes through convert; entries it sends to zero are dropped.
+    False means H_n = 0 without computing: below the honest bottom degree
+    of the complex, or above the top of a complete one.
     """
     if n < complex_.min_degree:
-        # complexes store their honest bottom degree, so below it H = 0
-        return None, None
+        return False
     if n > complex_.max_degree:
         if complex_.complete:
-            return None, None
+            return False
         raise InsufficientTruncationError(
             f"degree {n} is above the stored truncation "
             f"(max degree {complex_.max_degree})"
@@ -121,18 +122,19 @@ def _boundary_matrices(complex_: ChainComplex, n: int, convert):
             f"homology in degree {n} needs the boundary from degree {n + 1}, "
             f"but the complex is truncated at degree {complex_.max_degree}"
         )
-    return tuple(
-        [{i: x for i, c in col.items() if (x := convert(c))} for col in complex_.diff_columns(m)]
-        for m in (n, n + 1)
-    )
+    return True
 
 
-def smith_homology(complex_: ChainComplex, n: int, ring: Ring | None = None) -> HomologySummary:
+def smith_homology(
+    complex_: ChainComplex, n: int, ring: Ring | None = None, *, _factors=None
+) -> HomologySummary:
     """Homology of the complex in degree n with coefficients in ring.
 
     Over Z the answer is (free rank, invariant factors > 1); over a field
     the factor list is empty. The complex must either be complete or
     store degree n + 1, else InsufficientTruncationError is raised.
+    _factors belongs to homology_table: the invariant factors of each d_m
+    of this complex over this ring that its earlier rows eliminated.
     """
     ring = ring or complex_.ring
     if complex_.ring != ring and complex_.ring != ZZ:
@@ -140,10 +142,34 @@ def smith_homology(complex_: ChainComplex, n: int, ring: Ring | None = None) -> 
             f"cannot change coefficients from {complex_.ring} to {ring}; "
             "only integral complexes can be reduced"
         )
-    d_n, d_np1 = _boundary_matrices(complex_, n, _integer if ring == ZZ else ring.coerce)
-    if d_n is None:
+    if not _stored(complex_, n):
         return HomologySummary(n, ring, 0, ())
-    rank_dn = len(eliminate(d_n, ring))
-    factors = eliminate(d_np1, ring)
-    free_rank = complex_.rank(n) - rank_dn - len(factors)
-    return HomologySummary(n, ring, free_rank, (f for f in factors if f > 1))
+    factors = {} if _factors is None else _factors
+    convert = _integer if ring == ZZ else ring.coerce
+    for m in (n, n + 1):
+        if m not in factors:
+            # entries that convert sends to zero are dropped
+            columns = [
+                {i: x for i, c in col.items() if (x := convert(c))}
+                for col in complex_.diff_columns(m)
+            ]
+            factors[m] = eliminate(columns, ring)
+    free_rank = complex_.rank(n) - len(factors[n]) - len(factors[n + 1])
+    return HomologySummary(n, ring, free_rank, (f for f in factors[n + 1] if f > 1))
+
+
+def homology_table(complex_: ChainComplex, degrees) -> dict:
+    """smith_homology of the complex in each degree, None where the
+    truncation cannot settle it.
+
+    The rows share the invariant factors of each d_m, so a table of
+    consecutive degrees eliminates every differential once.
+    """
+    factors = {}
+    table = {}
+    for n in degrees:
+        try:
+            table[n] = smith_homology(complex_, n, _factors=factors)
+        except InsufficientTruncationError:
+            table[n] = None
+    return table

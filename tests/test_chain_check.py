@@ -1,0 +1,243 @@
+"""The column form of GradedLinearMap.is_chain_map against a key-by-key oracle.
+
+The oracle is the earlier body of is_chain_map: one basis key at a time,
+both sides built as FreeElements. On correct maps, on maps with one sign
+flipped and on maps with one term dropped, both must agree on ok and on
+the witness.
+"""
+
+import random
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+from chaintop.cobar import ExtendedCobarComplex, cobar
+from chaintop.complexes import ChainComplex, GradedLinearMap, tensor_complex
+from chaintop.freemod import FreeElement
+from chaintop.linalg import compose
+from chaintop.loopspace import (
+    cartan_serre,
+    cubical_cobar,
+    extended_cubical_cobar,
+    phi_cell,
+    phi_signed_cell,
+)
+from chaintop.rings import GF, QQ, ZZ
+from chaintop.simplicial import (
+    normalized_chains,
+    projective_plane_model,
+    random_reduced_model,
+    sphere_model,
+    wedge_models,
+)
+
+RINGS = (ZZ, GF(2), GF(3), QQ)
+
+
+def oracle_is_chain_map(f, degrees=None):
+    sign = -1 if f.shift % 2 else 1
+    if degrees is None:
+        degrees = [n for n in f.source.degrees() if n > f.source.min_degree]
+    for n in sorted(degrees):
+        for key in f.source.basis_in(n):
+            lhs = f.apply(f.source.diff(key))
+            rhs = f.target.diff_element(f.apply_key(key)).scale(sign)
+            if lhs != rhs:
+                return False, (key, lhs, rhs)
+    return True, None
+
+
+# --- maps to check: (source, target, shift, rule) ---
+
+def phi_map(space, max_degree, max_length, ring=ZZ):
+    omega = cubical_cobar(space, max_degree, max_length, ring)
+    cap = None if max_length is None else omega.budget(0)
+    words = cobar(space, max_degree, ring, cap).complex
+    return omega.chains(), words, 0, lambda cell: phi_cell(space, cell, ring)
+
+
+def signed_phi_map(space, max_degree, cutoff, ring=ZZ):
+    chains = extended_cubical_cobar(space, max_degree, cutoff, ring).chains()
+    words = ExtendedCobarComplex(space, max_degree, cutoff, ring).complex
+    return chains, words, 0, lambda cell: phi_signed_cell(space, cell, ring)
+
+
+def cartan_serre_map(space, max_degree, ring=ZZ):
+    cs = cartan_serre(space, max_degree, ring)
+    return cs.source, cs.target, 0, cs._rule
+
+
+def suspension_map(space, max_degree, ring):
+    """x -> (-1)^|x| x ox s into C ox S, S one cycle s of degree 1: shift 1."""
+    chains = normalized_chains(space, max_degree, ring)
+    line = ChainComplex(ring, {1: ["s"]}, lambda key: None)
+    target = tensor_complex(chains, line)
+
+    def rule(key):
+        sign = -1 if chains.degree_of(key) % 2 else 1
+        return FreeElement.single(ring, (key, "s"), ring.from_int(sign))
+
+    return chains, target, 1, rule
+
+
+def s2s2s3():
+    return wedge_models(wedge_models(sphere_model(2), sphere_model(2)), sphere_model(3))
+
+
+def maps():
+    rp2 = projective_plane_model()
+    yield "phi rp2 4 2", phi_map(rp2, 4, 2)
+    yield "phi rp2 2 3", phi_map(rp2, 2, 3)
+    yield "phi s2s2s3 6", phi_map(s2s2s3(), 6, None)
+    yield "phi rp2 3 2 over F3", phi_map(rp2, 3, 2, GF(3))
+    yield "phi rp2 3 2 over Q", phi_map(rp2, 3, 2, QQ)
+    for seed in (0, 3, 5, 8):
+        yield f"phi random {seed}", phi_map(random_reduced_model(random.Random(seed)), 3, 3)
+    yield "signed phi rp2 2 6", signed_phi_map(rp2, 2, 6)
+    yield "cartan-serre s2 3", cartan_serre_map(sphere_model(2), 3)
+    yield "cartan-serre rp2 2", cartan_serre_map(rp2, 2)
+    for ring in RINGS:
+        yield f"suspension rp2 over {ring}", suspension_map(rp2, 3, ring)
+
+
+def mutated_key(source, target, rule):
+    """(key, seen): a key with a nonzero image, mid-degree first.
+
+    seen is True when the image has a nonzero boundary, so that a
+    flipped sign (outside characteristic 2) or a dropped term with a
+    nonzero boundary must fail at that key; with zero differentials
+    every map is a chain map and nothing can fail.
+    """
+    degrees = [n for n in source.degrees() if n > source.min_degree]
+    middle = degrees[len(degrees) // 2]
+    fallback = None
+    for n in sorted(degrees, key=lambda n: abs(n - middle)):
+        for key in source.basis_in(n):
+            image = rule(key)
+            if image is None or image.is_zero():
+                continue
+            if not target.diff_element(image).is_zero():
+                return key, True
+            fallback = fallback or key
+    assert fallback is not None
+    return fallback, False
+
+
+def flipped(rule, bad, ring):
+    return lambda key: rule(key).scale(ring.neg(ring.one)) if key == bad else rule(key)
+
+
+def dropped(rule, bad, target):
+    """rule with one term of the image of bad dropped, a detectable one if any."""
+
+    def new_rule(key):
+        value = rule(key)
+        if key != bad:
+            return value
+        terms = dict(value.items())
+        cycles = [k for k in terms if target.diff(k).is_zero()]
+        del terms[max(set(terms) - set(cycles) or cycles, key=repr)]
+        return FreeElement(value.ring, terms)
+
+    return new_rule
+
+
+def agree(source, target, shift, rule, degrees=None):
+    new = GradedLinearMap(source, target, shift, rule).is_chain_map(degrees)
+    old = oracle_is_chain_map(GradedLinearMap(source, target, shift, rule), degrees)
+    assert new[0] == old[0]
+    assert new[1] == old[1]
+    return new
+
+
+def test_column_check_agrees_with_oracle_on_correct_maps():
+    for name, (source, target, shift, rule) in maps():
+        ok, witness = agree(source, target, shift, rule)
+        assert ok and witness is None, name
+        # every degree, the bottom one included, and one degree alone
+        # (whose lower columns are then built only for the faces used)
+        agree(source, target, shift, rule, source.degrees())
+        agree(source, target, shift, rule, [source.degrees()[-1]])
+
+
+def test_column_check_agrees_with_oracle_on_a_flipped_sign():
+    for name, (source, target, shift, rule) in maps():
+        ring = source.ring
+        bad, seen = mutated_key(source, target, rule)
+        ok, witness = agree(source, target, shift, flipped(rule, bad, ring))
+        if seen and ring.characteristic != 2:
+            assert not ok and witness[0] == bad, name
+        agree(source, target, shift, flipped(rule, bad, ring), [source.degree_of(bad) + 1])
+
+
+def test_column_check_agrees_with_oracle_on_a_dropped_term():
+    for name, (source, target, shift, rule) in maps():
+        bad, seen = mutated_key(source, target, rule)
+        ok, witness = agree(source, target, shift, dropped(rule, bad, target))
+        if seen:
+            assert not ok and witness[0] == bad, name
+        agree(source, target, shift, dropped(rule, bad, target), [source.degree_of(bad) + 1])
+
+
+# --- the product of sparse columns against a dense product ---
+
+def scalars(ring):
+    if ring == QQ:
+        return st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    return st.integers(-3, 3)
+
+
+@st.composite
+def matrix_pairs(draw):
+    ring = draw(st.sampled_from(RINGS))
+    rows, inner, cols = (draw(st.integers(0, 4)) for _ in range(3))
+    a = [[draw(scalars(ring)) for _ in range(inner)] for _ in range(rows)]
+    b = [[draw(scalars(ring)) for _ in range(cols)] for _ in range(inner)]
+    return ring, a, b
+
+
+def sparse_columns(mat, width, ring):
+    return [
+        {i: x for i, row in enumerate(mat) if (x := ring.coerce(row[j]))}
+        for j in range(width)
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrix_pairs())
+def test_compose_matches_dense_product(case):
+    ring, a, b = case
+    inner = len(b)
+    cols = len(b[0]) if b else 0
+    # exact products of the entries as given; sparse_columns reduces them
+    dense = [
+        [sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(cols)]
+        for i in range(len(a))
+    ]
+    product = list(
+        compose(sparse_columns(a, inner, ring), sparse_columns(b, cols, ring), ring)
+    )
+    assert product == sparse_columns(dense, cols, ring)
+    for col in product:
+        for x in col.values():
+            assert type(x) is (Fraction if ring == QQ else int)
+
+
+# --- the constructor that canonicalizes plain-number sums ---
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(RINGS), st.data())
+def test_sums_constructor_matches_the_checked_one(ring, data):
+    sums = data.draw(
+        st.dictionaries(
+            st.sampled_from("abcdef"),
+            st.lists(scalars(ring) | st.integers(-9, 9), max_size=4).map(sum),
+            max_size=6,
+        )
+    )
+    fast = FreeElement._from_sums(ring, sums)
+    slow = FreeElement(ring, sums)
+    assert fast == slow
+    assert [type(c) for _, c in sorted(fast.items())] == [
+        type(c) for _, c in sorted(slow.items())
+    ]

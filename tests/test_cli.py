@@ -229,3 +229,44 @@ def test_wide_cobar_window_fits_in_one_gib(tmp_path):
     while len(expected) < 11:
         expected.append(2 * expected[-1] + expected[-2])
     assert [table[str(n)] for n in range(11)] == [{"rank": r, "torsion": []} for r in expected]
+
+
+def test_loop_check_builds_the_cube_model_once(capsys, monkeypatch):
+    from chaintop import loopspace
+
+    calls = []
+    real = loopspace.CubicalCobar.__init__
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(loopspace.CubicalCobar, "__init__", counted)
+    code, out, _ = run(capsys, "loop", "rp2", "--word-cutoff", "2", "--check")
+    assert "cross-check: passed" in out
+    assert code == EXIT_INCONCLUSIVE
+    assert len(calls) == 1
+
+
+def test_homology_table_eliminates_each_differential_once(tmp_path, capsys, monkeypatch):
+    # the simplex on 6 vertices with its 2-skeleton collapsed to a point
+    from chaintop import smith
+    from chaintop.simplicial import collapse_subcomplex, standard_simplex
+
+    simplex = standard_simplex(5)
+    skeleton = [c for m in range(3) for c in simplex.nondegenerate(m)]
+    model = tmp_path / "d5c2.json"
+    model.write_text(json.dumps(simplicial_to_json(collapse_subcomplex(simplex, skeleton).target)))
+    calls = []
+    real = smith.eliminate
+
+    def counted(columns, ring):
+        calls.append(len(columns))
+        return real(columns, ring)
+
+    monkeypatch.setattr(smith, "eliminate", counted)
+    code, out, _ = run(capsys, "cobar", str(model), "--max-degree", "4", "--ring", "z")
+    assert code == EXIT_OK
+    # H_0..H_4 read d_0..d_5: six matrices, each eliminated once
+    assert len(calls) == 6
+    assert out.splitlines()[-5:] == ["H_0: Z", "H_1: 0", "H_2: Z^10", "H_3: 0", "H_4: Z^100"]

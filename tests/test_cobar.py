@@ -1,6 +1,8 @@
 """Cobar and localized cobar constructions."""
 
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -382,3 +384,23 @@ def test_fuzz_d_squared_and_derivation():
             if pairs > 40:
                 break
         assert pairs > 0
+
+
+def test_dropped_cobar_complexes_are_freed_without_a_garbage_collection():
+    gc.disable()
+    try:
+        algebra = CobarComplex(projective_plane_model(), 3, ZZ, max_length=2)
+        assert algebra.complex.d_squared_witness() is None
+        refs = [weakref.ref(algebra), weakref.ref(algebra.complex)]
+        del algebra
+        assert [ref() for ref in refs] == [None, None]
+        algebra = extended_cobar(projective_plane_model(), 2, 6)
+        assert algebra.complex.d_squared_witness() is None
+        refs = [weakref.ref(algebra), weakref.ref(algebra.complex)]
+        del algebra
+        assert [ref() for ref in refs] == [None, None]
+        # the complex alone still works after its algebra is gone
+        chains = cobar(sphere_model(2), 4).complex
+        assert chains.d_squared_witness() is None and chains.rank(4) == 1
+    finally:
+        gc.enable()

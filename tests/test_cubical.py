@@ -74,6 +74,23 @@ def test_morphism_validation():
         CubeMorphism(2, 2, ((1,),))  # wrong arity
 
 
+def test_stored_predicates_match_their_definitions():
+    gens = [CubeMorphism.identity(n) for n in range(4)]
+    for n in range(1, 4):
+        for i in range(1, n + 1):
+            gens += [CubeMorphism.degeneracy(n, i), CubeMorphism.face(n, i, 0)]
+            gens += [CubeMorphism.face(n, i, 1)]
+        gens += [CubeMorphism.connection(n, i) for i in range(1, n)]
+    morphisms = gens + [f.compose(g) for f in gens for g in gens if f.n_in == g.n_out]
+    for m in morphisms:
+        constant = [e for e in m.entries if e in (0, 1)]
+        assert m.is_degeneracy_morphism == (not constant)
+        identity = m.n_in == m.n_out and m.entries == tuple((i,) for i in range(1, m.n_in + 1))
+        assert m.is_identity == identity
+    assert any(m.is_identity for m in morphisms)
+    assert any(m.is_degeneracy_morphism and not m.is_identity for m in morphisms)
+
+
 def test_generator_semantics():
     # delta_1^0 on the interval: pick out the left endpoint
     d10 = CubeMorphism.face(1, 1, 0)

@@ -436,6 +436,20 @@ def test_cached_certificate_still_catches_a_dropped_product_term(monkeypatch):
         phi_certificate(projective_plane_model(), 3, max_length=2)
 
 
+def test_certificate_reuses_the_cube_model_of_its_window():
+    rp2 = projective_plane_model()
+    omega = cubical_cobar(rp2, 3, max_length=2)
+    assert omega.chains() is omega.chains()
+    assert phi_certificate(rp2, 3, max_length=2, omega=omega) == phi_certificate(
+        rp2, 3, max_length=2
+    )
+    for window in ((rp2, 2, 2), (rp2, 3, 3)):
+        with pytest.raises(ValueError, match="not the cube model"):
+            phi_certificate(*window, omega=omega)
+    with pytest.raises(ValueError, match="not the cube model"):
+        phi_certificate(rp2, 3, max_length=2, ring=GF(2), omega=omega)
+
+
 def test_comparison_cap_budget_zero_drops_no_boundary_term():
     s2s2s3 = wedge_models(
         wedge_models(sphere_model(2), sphere_model(2)), sphere_model(3)

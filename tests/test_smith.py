@@ -9,7 +9,7 @@ from chaintop.complexes import ChainComplex, InsufficientTruncationError
 from chaintop.freemod import FreeElement
 from chaintop.linalg import Echelon, eliminate, nullspace
 from chaintop.rings import GF, QQ, ZZ
-from chaintop.smith import field_rank, smith_homology, smith_normal_form
+from chaintop.smith import field_rank, homology_table, smith_homology, smith_normal_form
 
 from test_complexes import interval, projective_plane_chains
 
@@ -273,6 +273,34 @@ def test_insufficient_truncation():
         smith_homology(truncated, 3)
     # inner degrees are still fine
     assert smith_homology(truncated, 1).pair == (0, [2])
+
+
+def test_homology_table_eliminates_each_differential_once(monkeypatch):
+    import chaintop.smith as smith
+
+    def diff(key):
+        if key == "t":
+            return FreeElement(ZZ, {"e": 2})
+        return FreeElement.zero(ZZ)
+
+    truncated = ChainComplex(ZZ, {0: ["v"], 1: ["e"], 2: ["t"]}, diff, complete=False)
+    calls = []
+    real = smith.eliminate
+
+    def counted(columns, ring):
+        calls.append(len(columns))
+        return real(columns, ring)
+
+    monkeypatch.setattr(smith, "eliminate", counted)
+    table = homology_table(truncated, range(-1, 4))
+    monkeypatch.undo()
+    assert table[-1].pair == (0, [])
+    assert table[0] == smith_homology(truncated, 0)
+    assert table[1] == smith_homology(truncated, 1)
+    # degrees the truncation cannot settle are None, not errors
+    assert table[2] is None and table[3] is None
+    # H_0 and H_1 read d_0, d_1 and d_2, each eliminated once
+    assert calls == [1, 1, 1]
 
 
 def test_coefficient_change_guard():
