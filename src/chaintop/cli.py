@@ -13,6 +13,7 @@ too small to certify the answer, 4 bad input.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import sys
@@ -436,6 +437,9 @@ class _Parser(argparse.ArgumentParser):
         raise CliInputError(message)
 
 
+# a parse keeps no state in the parser, so one serves every call in a
+# process; building it costs more than most parses
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="chaintop", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -490,9 +494,8 @@ def run_job(job: JobSpec):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         job = job_from_args(args)
         if job.word_cutoff is not None and job.word_cutoff < 1:
             raise CliInputError("--word-cutoff must be positive")

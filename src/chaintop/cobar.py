@@ -426,32 +426,63 @@ def _relator_values(space: SimplicialSet, ring: Ring):
     return values
 
 
+def _h0_rows(space: SimplicialSet, cutoff: int, ring: Ring) -> tuple:
+    """(words, rows) of the cutoff window, in one enumeration.
+
+    words are the reduced group words of length <= cutoff, shortest
+    first, so a smaller window c numbers its words as a prefix of this
+    list. rows holds each distinct relation row {word index: coefficient}
+    once, as (level, row). The row of g * d(x) * h has level
+    max(|g| + |h|, longest reduced term): it is a row of the window c
+    exactly when its level is <= c, and a row met more than once keeps
+    its lowest level. Coefficients are plain ints, mod p over F_p.
+    """
+    edges = space.nondegenerate(1)
+    words = list(group_words(edges, cutoff))
+    index = {w: i for i, w in enumerate(words)}
+    p = ring.p
+    found = {}
+    for value in _relator_values(space, ZZ):
+        value = [(w, r) for w, c in value.items() if (r := c % p if p else c)]
+        if not value:
+            continue
+        for g in group_words(edges, cutoff):
+            for h in group_words(edges, cutoff - len(g)):
+                level = len(g) + len(h)
+                # g w h = g w' h only when w = w', so no two terms meet
+                row = {}
+                for w, c in value:
+                    full = reduce_group_word(g + w + h)
+                    if len(full) > level:
+                        if len(full) > cutoff:
+                            break
+                        level = len(full)
+                    row[index[full]] = c
+                else:
+                    key = frozenset(row.items())
+                    seen = found.get(key)
+                    if seen is None or level < seen[0]:
+                        found[key] = (level, row)
+    return words, list(found.values())
+
+
 def _h0_within(space: SimplicialSet, cutoff: int, ring: Ring) -> tuple:
-    """(basis size, certified relation rank) inside the cutoff window.
+    """(basis size, certified relation rank) at cutoff and at cutoff - 1.
 
     Relations are the boundaries g * d(x) * h over all group words g, h
     with |g| + |h| <= cutoff, kept only when every reduced term stays
     within the window; each kept row is an honest boundary, so the
     quotient rank can only overshoot the true one, never undershoot.
+    One enumeration of the cutoff window (`_h0_rows`) serves both
+    windows: the cutoff - 1 rows are those of level <= cutoff - 1.
     """
-    words = list(group_words(space.nondegenerate(1), cutoff))
-    index = {w: i for i, w in enumerate(words)}
-    rows = []
-    for value in _relator_values(space, ring):
-        for g in group_words(space.nondegenerate(1), cutoff):
-            for h in group_words(space.nondegenerate(1), cutoff - len(g)):
-                row = {}
-                ok = True
-                for w, c in value.items():
-                    full = reduce_group_word(g + w + h)
-                    if len(full) > cutoff:
-                        ok = False
-                        break
-                    add_into(row, ring, index[full], c)
-                if ok and row:
-                    rows.append(row)
+    words, rows = _h0_rows(space, cutoff, ring)
+    prev_size = sum(1 for w in words if len(w) < cutoff)
+    prev = [row for level, row in rows if level < cutoff]
     # the rank of the relation rows is that of their transpose
-    return len(words), len(eliminate(rows, ring))
+    prev_rank = len(eliminate(prev, ring))
+    rank = len(eliminate([row for _, row in rows], ring))
+    return (len(words), rank), (prev_size, prev_rank)
 
 
 def h0_group_ring(space: SimplicialSet, cutoff: int, ring: Ring = QQ) -> H0Report:
@@ -460,16 +491,17 @@ def h0_group_ring(space: SimplicialSet, cutoff: int, ring: Ring = QQ) -> H0Repor
     Quotients the span of reduced group words of length <= cutoff by
     all boundary relations certifiable inside that window. The rank is
     exact once the window saturates the relations; when the answer
-    still moves between cutoff - 1 and cutoff the report says so.
+    still moves between cutoff - 1 and cutoff the report says so. Both
+    windows come from one enumeration of the cutoff window, whose rows
+    carry the level of the smallest window that holds them.
     """
     space.basepoint  # raises ValueError unless there is a single vertex
     if not getattr(ring, "is_field", False):
         raise ValueError("rank certification needs field coefficients")
     if cutoff < 1:
         raise ValueError("cutoff must be positive")
-    size, rank = _h0_within(space, cutoff, ring)
+    (size, rank), (prev_size, prev_rank) = _h0_within(space, cutoff, ring)
     h0 = size - rank
-    prev_size, prev_rank = _h0_within(space, cutoff - 1, ring)
     inconclusive = (prev_size - prev_rank) != h0
     return H0Report(
         generators=space.nondegenerate(1),

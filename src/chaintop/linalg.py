@@ -2,20 +2,24 @@
 
 A matrix is a list of columns; column j is a dict {row index: coefficient}
 that stores only nonzero entries, with coefficients already in canonical
-form for the ring (ints for Z and F_p, Fractions for Q). Row indices are
-ints; the number of rows is never needed.
+form for the ring (ints for Z and F_p; ints or Fractions for Q). Row
+indices are ints; the number of rows is never needed.
 
 eliminate() reduces a whole matrix by column operations. It always pivots
-on a unit entry: any nonzero entry over a field, +-1 over Z. Among the
-rows that hold a unit it takes the one with the fewest entries, so that
-the fewest columns are updated, and in that row the unit whose column has
-the fewest entries, so that the least fill is added; ties go to the
-lower row, then the lower column index, so the cost of a run does not
-depend on hash order. A unit pivot splits off an invariant factor 1
-(Kaczynski-Mrozek-Slusarek, "Homology computation by reduction of chain
-complexes", 1998). Cobar and cube boundaries are mostly +-1, so over Z
-little or nothing is left; that remainder, which has no unit entry, gets
-the dense Smith form by minimal-|entry| pivoting.
+on a unit entry: any nonzero entry over F_p, +-1 over Z, and over Q a
++-1 entry when the row has one, any nonzero entry only when it has none.
+Among the rows that hold a unit it takes the one with the fewest
+entries, so that the fewest columns are updated, and in that row the
+unit whose column has the fewest entries, so that the least fill is
+added; ties go to the lower row, then the lower column index, so the
+cost of a run does not depend on hash order. A unit pivot splits off an
+invariant factor 1 (Kaczynski-Mrozek-Slusarek, "Homology computation by
+reduction of chain complexes", 1998). Cobar and cube boundaries are
+mostly +-1, so over Z little or nothing is left; that remainder, which
+has no unit entry, gets the dense Smith form by minimal-|entry|
+pivoting. Over Q a +-1 pivot keeps int entries ints, so on int columns
+a Fraction is made only after a pivot that is not +-1; the elimination
+is exact either way.
 
 compose() multiplies two such matrices column by column. It adds plain
 numbers and brings each output column to canonical form once.
@@ -45,13 +49,20 @@ def eliminate(columns, ring: Ring) -> list:
     [1, 2]
     >>> eliminate([{0: 1, 1: 1}, {0: 1, 1: 1}], GF(2))
     [1]
+
+    Over Q a row with no +-1 entry is still pivoted, on any nonzero entry:
+
+    >>> from fractions import Fraction
+    >>> from .rings import QQ
+    >>> eliminate([{0: 2, 1: Fraction(4)}, {0: Fraction(2, 3), 1: 3}], QQ)
+    [1, 1]
     """
     # imported on first use so that it adds nothing to the start-up of
     # commands that never eliminate
     from heapq import heapify, heappop, heappush
 
     mod = ring.p
-    field = ring.is_field
+    rational = ring.kind == "Q"
     cols = {}
     rows = {}
     for j, col in enumerate(columns):
@@ -71,16 +82,19 @@ def eliminate(columns, ring: Ring) -> list:
             continue
         best = None
         for j in js:
-            if field or cols[j][i] in (1, -1):
+            if mod or cols[j][i] in (1, -1):
                 key = (len(cols[j]), j)
                 if best is None or key < best:
                     best = key
         if best is None:
-            continue
+            if not rational:
+                continue
+            best = min((len(cols[j]), j) for j in js)
         pivot = cols.pop(best[1])
         for r in pivot:
             rows[r].discard(best[1])
-        inv = ring.inv(pivot[i])
+        a = pivot[i]
+        inv = a if a in (1, -1) else ring.inv(a)
         for j in list(js):
             col = cols[j]
             f = col[i] * inv

@@ -270,3 +270,26 @@ def test_homology_table_eliminates_each_differential_once(tmp_path, capsys, monk
     # H_0..H_4 read d_0..d_5: six matrices, each eliminated once
     assert len(calls) == 6
     assert out.splitlines()[-5:] == ["H_0: Z", "H_1: 0", "H_2: Z^10", "H_3: 0", "H_4: Z^100"]
+
+
+def test_parser_is_built_once_and_survives_a_failed_parse(capsys):
+    from chaintop import cli
+
+    good = ["cobar-ext", "rp2", "--word-cutoff", "2", "--ring", "q"]
+    package_root = str(Path(chaintop.__file__).resolve().parents[1])
+    paths = [package_root, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    fresh = subprocess.run(
+        [sys.executable, "-m", "chaintop.cli", *good],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    cli.build_parser.cache_clear()
+    code, _, err = run(capsys, "cobar-ext", "rp2", "--word-cutoff", "two")
+    assert code == EXIT_INPUT and "invalid int value" in err
+    code, out, _ = run(capsys, *good)
+    assert (code, out) == (fresh.returncode, fresh.stdout)
+    assert code == EXIT_OK
+    assert cli.build_parser.cache_info().misses == 1

@@ -1,6 +1,7 @@
 """Cobar and localized cobar constructions."""
 
 import gc
+import importlib
 import random
 import weakref
 
@@ -21,7 +22,8 @@ from chaintop.cobar import (
     reduce_group_word,
     word_degree,
 )
-from chaintop.freemod import FreeElement
+from chaintop.freemod import FreeElement, add_into
+from chaintop.linalg import eliminate
 from chaintop.rings import GF, QQ, ZZ
 from chaintop.simplicial import (
     collapse_subcomplex,
@@ -30,8 +32,12 @@ from chaintop.simplicial import (
     sphere_model,
     standard_simplex,
     two_vertex_projective_plane,
+    wedge_models,
 )
 from chaintop.smith import smith_homology
+
+# the package re-exports a function named cobar, which shadows the module
+cobar_module = importlib.import_module("chaintop.cobar")
 
 
 def el(ring, *terms):
@@ -346,6 +352,74 @@ def test_h0_input_validation():
         h0_group_ring(projective_plane_model(), 0)
     report = h0_group_ring(projective_plane_model(), 2, GF(5))
     assert report.rank == 2
+
+
+def oracle_h0_within(space, cutoff, ring):
+    """One window as the two-pass H_0 built it: (size, rank, rows).
+
+    Every (relator, g, h) row is summed with ring arithmetic and kept
+    when all its reduced terms lie within the cutoff, duplicates included.
+    """
+    words = list(group_words(space.nondegenerate(1), cutoff))
+    index = {w: i for i, w in enumerate(words)}
+    rows = []
+    for value in cobar_module._relator_values(space, ring):
+        for g in group_words(space.nondegenerate(1), cutoff):
+            for h in group_words(space.nondegenerate(1), cutoff - len(g)):
+                row = {}
+                ok = True
+                for w, c in value.items():
+                    full = reduce_group_word(g + w + h)
+                    if len(full) > cutoff:
+                        ok = False
+                        break
+                    add_into(row, ring, index[full], c)
+                if ok and row:
+                    rows.append(row)
+    return len(words), len(eliminate(rows, ring)), rows
+
+
+def h0_models():
+    s1, s2 = sphere_model(1), sphere_model(2)
+    models = [projective_plane_model(), s1, s2, wedge_models(s1, s2)]
+    # seeds whose models have edges and 2-cells; 4, 6 and 8 stay inconclusive
+    return models + [random_reduced_model(random.Random(s)) for s in (0, 4, 6, 8)]
+
+
+def as_set(rows):
+    return {frozenset(row.items()) for row in rows}
+
+
+def test_one_pass_h0_matches_the_two_pass_oracle():
+    for k, space in enumerate(h0_models()):
+        for ring in (QQ, GF(2), GF(5)):
+            for cutoff in (1, 2, 3, 4):
+                size, rank, rows = oracle_h0_within(space, cutoff, ring)
+                prev_size, prev_rank, prev_rows = oracle_h0_within(space, cutoff - 1, ring)
+                where = (k, space.name, ring, cutoff)
+                assert cobar_module._h0_within(space, cutoff, ring) == (
+                    (size, rank),
+                    (prev_size, prev_rank),
+                ), where
+                words, leveled = cobar_module._h0_rows(space, cutoff, ring)
+                assert len(words) == size, where
+                assert as_set(row for _, row in leveled) == as_set(rows), where
+                below = as_set(row for level, row in leveled if level <= cutoff - 1)
+                assert below == as_set(prev_rows), where
+
+
+def test_h0_group_ring_builds_the_relator_values_once(monkeypatch):
+    calls = []
+    real = cobar_module._relator_values
+
+    def counted(space, ring):
+        calls.append(ring)
+        return real(space, ring)
+
+    monkeypatch.setattr(cobar_module, "_relator_values", counted)
+    report = h0_group_ring(projective_plane_model(), 3, QQ)
+    assert report.rank == 2 and not report.inconclusive
+    assert len(calls) == 1
 
 
 def test_h0_report_serializes():

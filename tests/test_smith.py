@@ -176,6 +176,36 @@ def test_sparse_kernel_ranks_match_dense_oracle(mat):
         assert field_rank(mat, ring) == expected, ring
 
 
+# Q entries as callers pass them: ints, integral Fractions and
+# non-integral Fractions; NO_UNITS has no +-1, so every pivot is a Fraction
+MIXED_Q = st.sampled_from(
+    [-2, -1, 0, 0, 1, 3, Fraction(1), Fraction(-2), Fraction(1, 2), Fraction(-2, 3)]
+)
+NO_UNITS = st.sampled_from([-3, 0, 0, 2, Fraction(4), Fraction(1, 2), Fraction(-2, 3)])
+
+
+@st.composite
+def rational_matrices(draw):
+    entries = draw(st.sampled_from([MIXED_Q, NO_UNITS]))
+    rows = draw(st.integers(min_value=1, max_value=6))
+    cols = draw(st.integers(min_value=1, max_value=6))
+    mat = [draw(st.lists(entries, min_size=cols, max_size=cols)) for _ in range(rows)]
+    if rows >= 2 and draw(st.booleans()):
+        # a dependent row, so that entries cancel to zero
+        a, b = draw(st.sampled_from([(1, 1), (Fraction(1, 2), -3), (2, Fraction(-2, 3))]))
+        mat.append([a * x + b * y for x, y in zip(mat[0], mat[1])])
+    return mat
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_matrices())
+def test_rational_kernel_with_mixed_entries_matches_dense_oracle(mat):
+    columns = [
+        {i: row[j] for i, row in enumerate(mat) if row[j]} for j in range(len(mat[0]))
+    ]
+    assert eliminate(columns, QQ) == [1] * dense_rank(mat, QQ)
+
+
 def test_oracle_sanity():
     assert oracle_invariant_factors([[2, 0], [0, 3]]) == [1, 6]
     assert oracle_invariant_factors([[0]]) == []
