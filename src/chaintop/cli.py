@@ -19,7 +19,7 @@ import json
 import sys
 from dataclasses import dataclass
 
-from .cobar import CobarComplex, h0_group_ring
+from .cobar import cobar, h0_group_ring
 from .complexes import InsufficientTruncationError
 from .cubical import CubeBialgebra, serre_coproduct, serre_counit
 from .einfty import FieldHomology, simplicial_um, steenrod_sq
@@ -149,7 +149,7 @@ def cmd_cobar(job: JobSpec):
     top = 5 if job.max_degree is None else job.max_degree
     length = job.word_cutoff if _needs_cutoff(space) else None
     try:
-        algebra = CobarComplex(space, top + 1, ring, max_length=length)
+        algebra = cobar(space, top + 1, ring, length)
     except ValueError as exc:
         raise CliInputError(str(exc)) from None
     table, inconclusive = _homology_table(algebra.complex, range(top + 1))
@@ -208,7 +208,7 @@ def cmd_loop(job: JobSpec):
             cross = f"failed: {exc}"
             code = EXIT_INVARIANT
         if length is None and cross == "passed":
-            algebra = CobarComplex(space, top + 1, ring)
+            algebra = cobar(space, top + 1, ring)
             other, _ = _homology_table(algebra.complex, range(top + 1))
             if other != table:
                 cross = "failed: homology tables disagree"
@@ -262,10 +262,6 @@ def cmd_steenrod(job: JobSpec):
 
 def _verify_serre_coalgebra():
     ring = ZZ
-
-    def pairs(element):
-        return element
-
     for n in range(4):
         words = list(itertools.product(("0", "1", "I"), repeat=n))
         for w in words:

@@ -3,10 +3,12 @@
 Words are tuples of nondegenerate simplices of dimension >= 1, each
 letter contributing its dimension minus one to the degree. The plain
 construction truncates by degree and, when dimension-1 letters make a
-degree infinite-rank, by a fixed word length. The localized variant
-turns dimension-1 letters into invertible group letters under a group
-budget that shrinks with the degree. Both windows are built by
-`chaintop.words`, whose notes say why each is closed under d.
+degree infinite-rank, by a word length budget(degree): a fixed length
+for `cobar`, the cube model's sliding one when Adams' map is certified.
+The localized variant turns dimension-1 letters into invertible group
+letters under a group budget that shrinks with the degree. Both windows
+are built by `chaintop.words`, whose notes say when each is closed
+under d.
 `edge_expansion` is the one rule that turns a dimension-1 letter t
 into t plus or minus the unit: Adams' relabeling, its inverse and the
 embedding into the localized construction all call it.
@@ -59,30 +61,39 @@ def letter_boundary(space: SimplicialSet, cell, ring: Ring) -> FreeElement:
 
 
 class CobarComplex:
-    """Truncated tensor algebra on shifted chains, with its product."""
+    """Truncated tensor algebra on shifted chains, with its product.
+
+    A word of degree d is stored when d <= max_degree and its length is
+    at most budget(d) (`chaintop.words`; None for no cap).
+    """
 
     def __init__(
         self,
         space: SimplicialSet,
         max_degree: int,
         ring: Ring = ZZ,
-        max_length: int | None = None,
+        budget=lambda degree: None,
     ):
         edges, heavies = letters(space)
         self.space = space
         self.ring = ring
         self.max_degree = int(max_degree)
-        self.max_length = max_length if max_length is None else int(max_length)
-        if self.max_length is None and edges:
+        self.budget = budget
+        if edges and any(budget(d) is None for d in range(self.max_degree + 1)):
             raise ValueError(
                 "dimension-1 letters make degrees infinite-rank; "
                 "pass a word length cutoff"
             )
-        words = plain_words(
-            space, edges + heavies, self.max_degree, lambda d: self.max_length
-        )
+        words = plain_words(space, edges + heavies, self.max_degree, budget)
         basis = {n: tuple(sorted(ws, key=repr)) for n, ws in words.items()}
-        self._letters = {}
+        # each letter's boundary terms and degree
+        self._letters = {
+            cell: (
+                letter_boundary(space, cell, ring).terms,
+                letter_degree(space, cell),
+            )
+            for cell in edges + heavies
+        }
         # d is a method of a copy taken before self.complex exists: with
         # self's own method the complex would refer back to self, a cycle
         # that keeps a finished complex and its diff cache alive until a
@@ -95,30 +106,27 @@ class CobarComplex:
             name=f"cobar({space.name})",
         )
 
-    def _letter(self, cell) -> tuple:
-        """(terms of the letter's boundary, whether its degree is odd), cached."""
-        entry = self._letters.get(cell)
-        if entry is None:
-            entry = self._letters[cell] = (
-                letter_boundary(self.space, cell, self.ring).terms,
-                letter_degree(self.space, cell) % 2,
-            )
-        return entry
-
     def _in_basis(self, word) -> bool:
-        return self.max_length is None or len(word) <= self.max_length
+        cap = self.budget(word_degree(self.space, word))
+        return cap is None or len(word) <= cap
 
     def _word_boundary(self, word) -> FreeElement:
         sums = {}
         sign = 1
+        degree = 0
+        table = self._letters
         for j, cell in enumerate(word):
-            terms, odd = self._letter(cell)
+            terms, step = table[cell]
             for piece, c in terms.items():
                 new = word[:j] + piece + word[j + 1 :]
-                if self._in_basis(new):
-                    sums[new] = sums.get(new, 0) + sign * c
-            if odd:
+                sums[new] = sums.get(new, 0) + sign * c
+            if step % 2:
                 sign = -sign
+            degree += step
+        # a term is at most one letter longer than the word
+        cap = self.budget(degree - 1)
+        if cap is not None and len(word) >= cap:
+            sums = {new: c for new, c in sums.items() if len(new) <= cap}
         return FreeElement._from_sums(self.ring, sums)
 
     def unit(self) -> FreeElement:
@@ -126,15 +134,17 @@ class CobarComplex:
 
     def product(self, left: FreeElement, right: FreeElement) -> FreeElement:
         """Concatenation, dropping words outside the stored truncation."""
-        space = self.space
+        space, budget = self.space, self.budget
         right = [(v, cv, word_degree(space, v)) for v, cv in right.items()]
         sums = {}
         for u, cu in left.items():
-            room = self.max_degree - word_degree(space, u)
-            for v, cv, degree in right:
-                if degree <= room:
+            du = word_degree(space, u)
+            room = self.max_degree - du
+            for v, cv, dv in right:
+                if dv <= room:
                     w = u + v
-                    if self._in_basis(w):
+                    cap = budget(du + dv)
+                    if cap is None or len(w) <= cap:
                         sums[w] = sums.get(w, 0) + cu * cv
         return FreeElement._from_sums(self.ring, sums)
 
@@ -145,7 +155,8 @@ def cobar(
     ring: Ring = ZZ,
     max_length: int | None = None,
 ) -> CobarComplex:
-    return CobarComplex(space, max_degree, ring, max_length)
+    """The cobar window with words of length at most max_length in every degree."""
+    return CobarComplex(space, max_degree, ring, lambda degree: max_length)
 
 
 # --- free group words over the 1-cells ---

@@ -16,8 +16,8 @@ from __future__ import annotations
 import itertools
 
 from .cobar import (
+    CobarComplex,
     ExtendedCobarComplex,
-    cobar,
     edge_expansion,
     invert_group_word,
     loc_degree,
@@ -418,12 +418,11 @@ def phi_certificate(
     the chain-map identity phi(d c) = d phi(c), and multiplicativity
     on pairs whose product stays stored. phi is evaluated once per cell
     and cached, and both identities read that one map. The comparison
-    cobar has length cap budget(0): a cell of degree n has at most
-    budget(n) letters and phi only deletes letters, d adds at most one,
-    and budget(n) + 1 = budget(n - 1) <= budget(0) for n >= 1; degree-0
-    words are all edges, whose d is 0. Returns a summary dict; any
-    failure raises AssertionError with the witness. omega, when given,
-    is the cube model of this very window, built once by the caller.
+    cobar stores the cube model's own window, which the cobar
+    differential never leaves (`chaintop.words`). Returns a summary
+    dict; any failure raises AssertionError with the witness. omega,
+    when given, is the cube model of this very window, built once by
+    the caller.
     """
     window = (space, max_degree, max_length, ring)
     if omega is None:
@@ -432,26 +431,15 @@ def phi_certificate(
         omega.source, omega.max_degree, omega.max_length, omega.ring
     ) != window:
         raise ValueError("omega is not the cube model of the window to certify")
-    word_cap = None if max_length is None else omega.budget(0)
-    algebra = cobar(space, max_degree, ring, word_cap)
-    chains = omega.chains()
-    for n in range(max_degree + 1):
-        cells = set(omega.cubes.nondegenerate(n))
-        cap = omega.budget(n)
-        words = {
-            w
-            for w in algebra.complex.basis_in(n)
-            if cap is None or len(w) <= cap
-        }
-        if cells != words:
-            raise AssertionError(
-                f"degree {n}: cells and words disagree: "
-                f"{sorted(cells ^ words, key=repr)[:4]}"
-            )
-    phi = GradedLinearMap(
-        chains, algebra.complex, 0, lambda cell: phi_cell(space, cell, ring)
+    algebra = CobarComplex(space, max_degree, ring, omega.budget)
+    phi, checked = _certify_relabeling(
+        omega,
+        algebra.complex,
+        lambda cell: cell,
+        lambda cell: phi_cell(space, cell, ring),
     )
-    checked = {"cells": _check_chain_map(phi), "pairs": 0}
+    chains = phi.source
+    pairs = 0
     # small-by-small products, exhaustively up to the requested count
     small = [
         cid
@@ -470,20 +458,38 @@ def phi_certificate(
         rhs = algebra.product(phi.apply_key(a), phi.apply_key(b))
         if lhs != rhs:
             raise AssertionError(f"not multiplicative on {a!r} * {b!r}")
-        checked["pairs"] += 1
-        if checked["pairs"] >= product_pairs:
+        pairs += 1
+        if pairs >= product_pairs:
             break
-    checked["degrees"] = {n: chains.rank(n) for n in chains.degrees()}
+    checked["pairs"] = pairs
     return checked
 
 
-def _check_chain_map(phi: GradedLinearMap) -> int:
-    """Check phi(d c) = d phi(c) on every stored cell; return their count."""
-    chains = phi.source
+def _certify_relabeling(omega: CubicalCobar, words, word_of, image) -> tuple:
+    """Check that image relabels the cells of omega as the words, as a chain map.
+
+    word_of names the word of each stored cell, and the cells of every
+    degree must name the word basis of that degree one to one; image is
+    the relabeling, checked as phi(d c) = d phi(c) on every stored cell
+    and cached in one GradedLinearMap. Returns phi and the summary
+    {"cells": count, "degrees": {degree: count}}; any failure raises
+    AssertionError with the witness.
+    """
+    chains = omega.chains()
+    for n in range(omega.max_degree + 1):
+        cells = set(map(word_of, omega.cubes.nondegenerate(n)))
+        basis = set(words.basis_in(n))
+        if cells != basis:
+            raise AssertionError(
+                f"degree {n}: cells and words disagree: "
+                f"{sorted(cells ^ basis, key=repr)[:4]}"
+            )
+    phi = GradedLinearMap(chains, words, 0, image)
     ok, witness = phi.is_chain_map(chains.degrees())
     if not ok:
         raise AssertionError(f"not a chain map on {witness[0]!r}")
-    return sum(chains.rank(n) for n in chains.degrees())
+    degrees = {n: chains.rank(n) for n in chains.degrees()}
+    return phi, {"cells": sum(degrees.values()), "degrees": degrees}
 
 
 def phi_signed_certificate(
@@ -495,25 +501,12 @@ def phi_signed_certificate(
     """Same certificate for the localized monoid, against localized words."""
     omega = extended_cubical_cobar(space, max_degree, cutoff, ring)
     algebra = ExtendedCobarComplex(space, max_degree, cutoff, ring)
-    chains = omega.chains()
-    for n in range(max_degree + 1):
-        cells = {
-            signed_cell_to_word(space, c)
-            for c in omega.cubes.nondegenerate(n)
-        }
-        words = set(algebra.complex.basis_in(n))
-        if cells != words:
-            raise AssertionError(
-                f"degree {n}: localized windows disagree: "
-                f"{sorted(cells ^ words, key=repr)[:4]}"
-            )
-    phi = GradedLinearMap(
-        chains, algebra.complex, 0, lambda cell: phi_signed_cell(space, cell, ring)
-    )
-    return {
-        "cells": _check_chain_map(phi),
-        "degrees": {n: chains.rank(n) for n in chains.degrees()},
-    }
+    return _certify_relabeling(
+        omega,
+        algebra.complex,
+        lambda cell: signed_cell_to_word(space, cell),
+        lambda cell: phi_signed_cell(space, cell, ring),
+    )[1]
 
 
 # --- the free simplicial group on positive simplices ---
@@ -733,6 +726,14 @@ def cartan_serre_cell(space: SimplicialSet, cell) -> MapCell:
     return MapCell(n, assignment)
 
 
+def _map_cell_chain(target: SimplicialSet, cell: MapCell, ring: Ring) -> FreeElement:
+    """The canonical form of a map cell; zero unless its morphism is the identity."""
+    base, morphism = canonical_map_cell(target, cell)
+    if not morphism.is_identity:
+        return FreeElement.zero(ring)
+    return FreeElement.single(ring, base.key(), ring.one)
+
+
 class CartanSerre:
     """Collapse comparison from simplicial chains into cube-map chains."""
 
@@ -755,11 +756,7 @@ class CartanSerre:
         self.map = GradedLinearMap(self.source, self.target, 0, self._rule)
 
     def _rule(self, cell) -> FreeElement:
-        mc = self._image[cell]
-        base, morphism = canonical_map_cell(self.space, mc)
-        if not morphism.is_identity:
-            return FreeElement.zero(self.ring)
-        return FreeElement.single(self.ring, base.key(), self.ring.one)
+        return _map_cell_chain(self.space, self._image[cell], self.ring)
 
     def is_chain_map(self, degrees=None):
         return self.map.is_chain_map(degrees)
@@ -843,7 +840,7 @@ def zigzag_report(
     else:
         omega = cubical_cobar(space, depth, max_length, ring)
     cubes = omega.cubes
-    cube_chains = cubical_chains(cubes, None, ring)
+    cube_chains = omega.chains()
     tri = triangulate(cubes, depth)
     tri_chains = normalized_chains(tri, depth, ring)
 
@@ -886,18 +883,10 @@ def zigzag_report(
     mapping_chains = cubical_chains(mapping, None, ring)
 
     def eta_rule(cid):
-        base, morphism = canonical_map_cell(tri, eta_of[cid])
-        if not morphism.is_identity:
-            return FreeElement.zero(ring)
-        return FreeElement.single(ring, base.key(), ring.one)
+        return _map_cell_chain(tri, eta_of[cid], ring)
 
     def cs_rule(cell):
-        if cell not in cs_of:
-            raise KeyError(cell)
-        base, morphism = canonical_map_cell(tri, cs_of[cell])
-        if not morphism.is_identity:
-            return FreeElement.zero(ring)
-        return FreeElement.single(ring, base.key(), ring.one)
+        return _map_cell_chain(tri, cs_of[cell], ring)
 
     unit_map = GradedLinearMap(cube_chains, mapping_chains, 0, eta_rule)
     unit_ok, unit_wit = unit_map.is_chain_map(

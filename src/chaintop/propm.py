@@ -297,17 +297,6 @@ def evaluate(graph: PropGraph, bialgebra, inputs) -> FreeElement:
     return FreeElement(ring, out)
 
 
-def evaluate_element(graph: PropGraph, bialgebra, element: FreeElement) -> FreeElement:
-    """Evaluate a single-input graph on a chain, extended linearly."""
-    if graph.n_in != 1:
-        raise ValueError("evaluate_element needs a single-input graph")
-    ring = bialgebra.ring
-    out = FreeElement.zero(ring)
-    for key, c in element.items():
-        out = out + evaluate(graph, bialgebra, (key,)).scale(c)
-    return out
-
-
 def hopf_coproduct(graph: PropGraph, ring: Ring = ZZ) -> FreeElement:
     """Diagonal on graphs: the cube diagonal applied to the stars.
 

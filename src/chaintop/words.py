@@ -13,14 +13,15 @@ for no bound).
 
 Plain words, letters in a row, are capped by their length:
 
-- fixed cap, `budget(d) = max_length` (the cobar). A boundary term
+- fixed cap, `budget(d) = max_length` (`cobar.cobar`). A boundary term
   replaces one letter by at most two, so it can leave the window; the
   cobar drops such terms. Longer words span a subcomplex, so the window
   is a quotient complex and d^2 = 0 survives exactly.
 - sliding cap, `budget(d) = max_length + (max_degree - d)` (the bead-word
-  monoid). A cube face lowers the degree by one and lengthens the word
-  by at most one bead, which the cap one degree down absorbs, so the
-  window is closed under faces and nothing is dropped.
+  monoid, and the cobar it is certified against). A cube face, like a
+  cobar boundary term, lowers the degree by one and lengthens the word
+  by at most one letter, which the cap one degree down absorbs, so the
+  window is closed under d and nothing is dropped.
 
 Localized words (g0, x1, g1, ..., xk, gk) alternate reduced group
 segments over the edges with heavy letters (dimension >= 2); the signed

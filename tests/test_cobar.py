@@ -463,7 +463,7 @@ def test_fuzz_d_squared_and_derivation():
 def test_dropped_cobar_complexes_are_freed_without_a_garbage_collection():
     gc.disable()
     try:
-        algebra = CobarComplex(projective_plane_model(), 3, ZZ, max_length=2)
+        algebra = cobar(projective_plane_model(), 3, ZZ, max_length=2)
         assert algebra.complex.d_squared_witness() is None
         refs = [weakref.ref(algebra), weakref.ref(algebra.complex)]
         del algebra

@@ -450,12 +450,16 @@ def test_certificate_reuses_the_cube_model_of_its_window():
         phi_certificate(rp2, 3, max_length=2, ring=GF(2), omega=omega)
 
 
-def test_comparison_cap_budget_zero_drops_no_boundary_term():
+def certify_windows():
     s2s2s3 = wedge_models(
         wedge_models(sphere_model(2), sphere_model(2)), sphere_model(3)
     )
     rp2 = projective_plane_model()
-    windows = [(rp2, 4, 2), (rp2, 2, 3), (s2s2s3, 6, None)]
+    return [(rp2, 4, 2), (rp2, 2, 3), (s2s2s3, 6, None)]
+
+
+def test_comparison_cap_budget_zero_drops_no_boundary_term():
+    windows = certify_windows()
     for seed in (0, 5):
         windows.append((random_reduced_model(random.Random(seed)), 3, 3))
     for space, max_degree, max_length in windows:
@@ -469,6 +473,43 @@ def test_comparison_cap_budget_zero_drops_no_boundary_term():
                 for word in phi_cell(space, cell, ZZ).support():
                     assert narrow.complex.degree_of(word) == n
                     assert narrow._word_boundary(word) == wide._word_boundary(word)
+
+
+def test_sliding_window_cobar_drops_no_boundary_term():
+    # so the certificate checks phi against the honest cobar differential
+    windows = certify_windows() + [(projective_plane_model(), 3, 3)]
+    for seed in range(4):
+        windows.append((random_reduced_model(random.Random(seed)), 3, 3))
+    for space, max_degree, max_length in windows:
+        om = cubical_cobar(space, max_degree, max_length)
+        sliding = CobarComplex(space, max_degree, ZZ, om.budget)
+        cap = om.budget(0)
+        wide = cobar(space, max_degree, ZZ, None if cap is None else cap + 1)
+        for n in sliding.complex.degrees():
+            for word in sliding.complex.basis_in(n):
+                assert sliding.complex.diff(word) == wide.complex.diff(word), (
+                    space.name,
+                    word,
+                )
+
+
+def test_certificate_compares_as_many_words_as_cells(monkeypatch):
+    built = []
+
+    class Recorded(CobarComplex):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(loopspace, "CobarComplex", Recorded)
+    for space, max_degree, max_length in certify_windows():
+        omega = cubical_cobar(space, max_degree, max_length)
+        cert = phi_certificate(space, max_degree, max_length, omega=omega)
+        (algebra,) = built
+        built.clear()
+        words = sum(algebra.complex.rank(n) for n in range(max_degree + 1))
+        cells = sum(len(omega.cubes.nondegenerate(n)) for n in range(max_degree + 1))
+        assert words == cells == cert["cells"], space.name
 
 
 # --- localized variant ---
