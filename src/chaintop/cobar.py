@@ -94,6 +94,12 @@ class CobarComplex:
             )
             for cell in edges + heavies
         }
+        # the letters with d = 0: d is a derivation, so every word of
+        # them has d = 0, and _word_boundary returns one shared zero
+        self._cycles = frozenset(
+            cell for cell, (terms, _) in self._letters.items() if not terms
+        )
+        self._zero = FreeElement.zero(ring)
         # d is a method of a copy taken before self.complex exists: with
         # self's own method the complex would refer back to self, a cycle
         # that keeps a finished complex and its diff cache alive until a
@@ -106,11 +112,9 @@ class CobarComplex:
             name=f"cobar({space.name})",
         )
 
-    def _in_basis(self, word) -> bool:
-        cap = self.budget(word_degree(self.space, word))
-        return cap is None or len(word) <= cap
-
     def _word_boundary(self, word) -> FreeElement:
+        if self._cycles.issuperset(word):
+            return self._zero
         sums = {}
         sign = 1
         degree = 0

@@ -23,7 +23,10 @@ class ChainComplex:
 
     basis maps degree -> ordered iterable of keys; keys must be globally
     unique across degrees. diff maps a basis key to a FreeElement supported
-    in the basis one degree down (checked lazily, with caching).
+    in the basis one degree down. That is checked lazily, wherever a
+    boundary is read: `diff` checks and caches one key at a time for
+    per-key callers, and `diff_columns` checks a whole d_n as it numbers
+    its terms, without the cache.
     """
 
     def __init__(self, ring: Ring, basis, diff, complete: bool = False, name: str = ""):
@@ -89,27 +92,55 @@ class ChainComplex:
         return el.map_terms(self.diff)
 
     def d_squared_witness(self, degrees=None):
-        """First basis key whose d(d(key)) is nonzero, or None if d^2 = 0."""
+        """First basis key whose d(d(key)) is nonzero, or None if d^2 = 0.
+
+        Each degree n is checked as D_{n-1} D_n = 0 on `diff_columns`, so
+        a sweep assembles every d_n once; the witness (key, d(d(key))) is
+        built from `diff` for the first nonzero column only.
+        """
         if degrees is None:
             degrees = [n for n in self.degrees() if n - 2 >= self.min_degree - 1]
+        last = upper = None
         for n in sorted(degrees):
-            for key in self.basis_in(n):
-                dd = self.diff_element(self.diff(key))
-                if not dd.is_zero():
-                    return key, dd
+            keys = self.basis_in(n)
+            if not keys:
+                continue
+            lower = upper if last == n - 1 else self.diff_columns(n - 1)
+            last, upper = n, self.diff_columns(n)
+            for key, dd in zip(keys, compose(lower, upper, self.ring)):
+                if dd:
+                    return key, self.diff_element(self.diff(key))
         return None
 
     def diff_columns(self, n: int) -> list:
         """Sparse columns of d: C_n -> C_{n-1}, one per key of C_n.
 
         Column j maps the position in C_{n-1} of each term of d(key_j) to
-        its nonzero coefficient (the column format of chaintop.linalg).
+        its coefficient (the column format of chaintop.linalg), read in
+        one pass from the boundary rule; the per-key cache of `diff` is
+        neither read nor filled. A term outside C_{n-1} raises the
+        ValueError of `diff`.
+
+        >>> from .freemod import FreeElement
+        >>> from .rings import ZZ
+        >>> rule = {"e": FreeElement(ZZ, {"v1": 1, "v0": -1})}.get
+        >>> ChainComplex(ZZ, {0: ["v0", "v1"], 1: ["e"]}, rule).diff_columns(1)
+        [{1: 1, 0: -1}]
         """
         index = {key: i for i, key in enumerate(self.basis_in(n - 1))}
-        return [
-            {index[out_key]: coeff for out_key, coeff in self.diff(key).items()}
-            for key in self.basis_in(n)
-        ]
+        rule = self._diff_rule
+        columns = []
+        for key in self.basis_in(n):
+            value = rule(key)
+            if value is None:
+                columns.append({})
+                continue
+            try:
+                columns.append({index[out]: c for out, c in value.items()})
+            except KeyError:
+                self.diff(key)
+                raise
+        return columns
 
     def diff_matrix(self, n: int):
         """Matrix of d: C_n -> C_{n-1}; rows indexed by C_{n-1}, columns by C_n."""

@@ -1,17 +1,23 @@
 """Exact homology of truncated complexes, and dense-matrix entry points.
 
 smith_homology reads the boundary columns of a complex straight from its
-differential and hands them to the sparse elimination kernel in
-chaintop.linalg, which pivots on unit entries first and keeps a dense
-Smith form only for the non-unit remainder. Over Z one elimination of
-d_n gives both its rank and its invariant factors, and homology_table
-eliminates each d_n once for a whole range of degrees. smith_normal_form and
-field_rank keep their dense list-of-rows interface for callers that
+differential rule (`ChainComplex.diff_columns`, one pass per d_n) and
+hands them to the sparse elimination kernel in chaintop.linalg, which
+pivots on unit entries first and keeps a dense Smith form only for the
+non-unit remainder. The columns go to the kernel as they are when the
+complex is over the requested ring and every entry is already in the
+kernel's form; otherwise each entry is converted and checked first, as
+when an integral complex is reduced to a field. Over Z one elimination
+of d_n gives both its rank and its invariant factors, and homology_table
+eliminates each d_n once for a whole range of degrees. smith_normal_form
+and field_rank keep their dense list-of-rows interface for callers that
 build small matrices by hand; both convert to sparse columns and run the
 same kernel.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 from .complexes import ChainComplex, InsufficientTruncationError
 from .linalg import eliminate
@@ -59,6 +65,19 @@ def _integer(x) -> int:
     if xi != x:
         raise ValueError(f"non-integer entry {x!r} in integer matrix")
     return xi
+
+
+def _canonical(columns, ring: Ring) -> bool:
+    """Whether every entry already has the form that conversion gives it:
+    a nonzero int over Z, an int in [1, p) over F_p, a nonzero Fraction
+    over Q."""
+    entries = (c for col in columns for c in col.values())
+    if ring.kind == "Q":
+        return all(type(c) is Fraction and c for c in entries)
+    if ring.kind == "Fp":
+        p = ring.p
+        return all(type(c) is int and 0 < c < p for c in entries)
+    return all(type(c) is int and c for c in entries)
 
 
 class HomologySummary:
@@ -148,11 +167,13 @@ def smith_homology(
     convert = _integer if ring == ZZ else ring.coerce
     for m in (n, n + 1):
         if m not in factors:
-            # entries that convert sends to zero are dropped
-            columns = [
-                {i: x for i, c in col.items() if (x := convert(c))}
-                for col in complex_.diff_columns(m)
-            ]
+            columns = complex_.diff_columns(m)
+            if complex_.ring != ring or not _canonical(columns, ring):
+                # entries that convert sends to zero are dropped
+                columns = [
+                    {i: x for i, c in col.items() if (x := convert(c))}
+                    for col in columns
+                ]
             factors[m] = eliminate(columns, ring)
     free_rank = complex_.rank(n) - len(factors[n]) - len(factors[n + 1])
     return HomologySummary(n, ring, free_rank, (f for f in factors[n + 1] if f > 1))

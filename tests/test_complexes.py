@@ -1,8 +1,14 @@
+import random
+
 import pytest
 
+from chaintop.cobar import CobarComplex, cobar, extended_cobar
 from chaintop.complexes import ChainComplex, GradedLinearMap, tensor_complex
+from chaintop.cubical import cubical_chains, standard_cube
 from chaintop.freemod import FreeElement
-from chaintop.rings import QQ, ZZ
+from chaintop.loopspace import cubical_cobar
+from chaintop.rings import GF, QQ, ZZ
+from chaintop.simplicial import normalized_chains, projective_plane_model, random_reduced_model
 
 
 def interval():
@@ -62,6 +68,118 @@ def test_d_squared_witness():
     c = ChainComplex(ZZ, {0: ["v0"], 1: ["e"], 2: ["t"]}, broken)
     witness = c.d_squared_witness()
     assert witness is not None and witness[0] == "t"
+
+
+def per_key_columns(complex_, n):
+    """diff_columns as it was: each key through the checked, cached diff."""
+    index = {key: i for i, key in enumerate(complex_.basis_in(n - 1))}
+    return [
+        {index[out_key]: coeff for out_key, coeff in complex_.diff(key).items()}
+        for key in complex_.basis_in(n)
+    ]
+
+
+def per_key_witness(complex_, degrees=None):
+    """d_squared_witness as it was: d(d(key)) key by key through diff."""
+    if degrees is None:
+        degrees = [n for n in complex_.degrees() if n - 2 >= complex_.min_degree - 1]
+    for n in sorted(degrees):
+        for key in complex_.basis_in(n):
+            dd = complex_.diff_element(complex_.diff(key))
+            if not dd.is_zero():
+                return key, dd
+    return None
+
+
+def typed(columns):
+    # Fraction(1) == 1, so compare the type of every entry too
+    return [[(i, type(c), c) for i, c in col.items()] for col in columns]
+
+
+def column_windows(ring):
+    """Complexes of every kind whose d_n is read as columns."""
+    rp2 = projective_plane_model()
+    omega = cubical_cobar(rp2, 3, max_length=2, ring=ring)
+    yield lambda: cobar(rp2, 3, ring, max_length=2).complex
+    yield lambda: CobarComplex(rp2, 3, ring, omega.budget).complex
+    yield lambda: cubical_cobar(rp2, 3, max_length=2, ring=ring).chains()
+    yield lambda: cubical_chains(standard_cube(3), None, ring)
+    yield lambda: normalized_chains(rp2, None, ring)
+    yield lambda: extended_cobar(rp2, 2, 4, ring).complex
+    for seed in range(4):
+        space = random_reduced_model(random.Random(seed))
+        length = 3 if space.nondegenerate(1) else None
+        yield lambda space=space, length=length: cobar(space, 4, ring, length).complex
+        yield lambda space=space: normalized_chains(space, None, ring)
+
+
+@pytest.mark.parametrize("ring", [ZZ, GF(2), GF(3), QQ], ids=str)
+def test_diff_columns_match_the_per_key_construction(ring):
+    for build in column_windows(ring):
+        complex_ = build()
+        oracle = build()
+        for n in range(complex_.min_degree, complex_.max_degree + 2):
+            assert typed(complex_.diff_columns(n)) == typed(per_key_columns(oracle, n)), (
+                complex_.name,
+                n,
+            )
+        # the columns are read from the rule, not through the per-key cache
+        assert not complex_._diff_cache
+
+
+def test_diff_columns_raise_the_error_of_diff():
+    def leaves(key):
+        if key == "e":
+            return FreeElement(ZZ, {"v0": 1})
+        if key == "f":
+            return FreeElement(ZZ, {"nowhere": 1})
+        return FreeElement.zero(ZZ)
+
+    def build():
+        return ChainComplex(ZZ, {0: ["v0"], 2: ["e"], 4: ["f"]}, leaves)
+
+    for key, n in (("e", 2), ("f", 4)):
+        with pytest.raises(ValueError) as per_key:
+            build().diff(key)
+        with pytest.raises(ValueError) as columns:
+            build().diff_columns(n)
+        assert str(columns.value) == str(per_key.value)
+
+
+def table_complex(ring, basis, table):
+    return ChainComplex(ring, basis, lambda key: FreeElement(ring, table.get(key, {})))
+
+
+def test_d_squared_witness_matches_the_per_key_sweep():
+    def broken():
+        # the complex of test_d_squared_witness
+        return table_complex(ZZ, {0: ["v0"], 1: ["e"], 2: ["t"]}, {"t": {"e": 1}, "e": {"v0": 1}})
+
+    # d(t) = e + f has d^2 = 2v, which vanishes mod 2; d(u) = s never does
+    basis = {0: ["v"], 1: ["e", "f"], 2: ["s", "t"], 3: ["u"]}
+    table = {
+        "e": {"v": 1},
+        "f": {"v": 1},
+        "s": {"e": 1, "f": -1},
+        "t": {"e": 1, "f": 1},
+        "u": {"s": 1},
+    }
+    builds = [interval, projective_plane_chains, broken]
+    builds += [
+        lambda ring=ring: table_complex(ring, basis, table) for ring in (ZZ, GF(2), GF(3), QQ)
+    ]
+    rp2 = projective_plane_model()
+    builds += [
+        lambda: cobar(rp2, 3, ZZ, max_length=2).complex,
+        lambda: extended_cobar(rp2, 2, 4, GF(3)).complex,
+    ]
+    for build in builds:
+        for degrees in (None, [3], [3, 2], [1, 5]):
+            # None, or the same key with the same d(d(key))
+            witness = build().d_squared_witness(degrees)
+            assert witness == per_key_witness(build(), degrees), (build().name, degrees)
+    assert table_complex(ZZ, basis, table).d_squared_witness()[0] == "t"
+    assert table_complex(GF(2), basis, table).d_squared_witness()[0] == "u"
 
 
 def test_diff_matrix_layout():

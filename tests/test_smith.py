@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -9,9 +10,10 @@ from chaintop.complexes import ChainComplex, InsufficientTruncationError
 from chaintop.freemod import FreeElement
 from chaintop.linalg import Echelon, eliminate, nullspace
 from chaintop.rings import GF, QQ, ZZ
-from chaintop.smith import field_rank, homology_table, smith_homology, smith_normal_form
+from chaintop.simplicial import normalized_chains, projective_plane_model, random_reduced_model
+from chaintop.smith import _integer, field_rank, homology_table, smith_homology, smith_normal_form
 
-from test_complexes import interval, projective_plane_chains
+from test_complexes import interval, per_key_columns, projective_plane_chains
 
 
 # --- independent oracle: invariant factors via determinantal divisors ---
@@ -331,6 +333,68 @@ def test_homology_table_eliminates_each_differential_once(monkeypatch):
     assert table[2] is None and table[3] is None
     # H_0 and H_1 read d_0, d_1 and d_2, each eliminated once
     assert calls == [1, 1, 1]
+
+
+def converted_homology(complex_, n, ring):
+    """smith_homology of a complete complex as it was: every entry of the
+    per-key columns converted into the ring before elimination."""
+    convert = _integer if ring == ZZ else ring.coerce
+
+    def factors(m):
+        return eliminate(
+            [
+                {i: x for i, c in col.items() if (x := convert(c))}
+                for col in per_key_columns(complex_, m)
+            ],
+            ring,
+        )
+
+    below, above = factors(n), factors(n + 1)
+    return complex_.rank(n) - len(below) - len(above), [f for f in above if f > 1]
+
+
+def trusted_complex(ring, entry):
+    # _trusted keeps the entry as given, so the rule can hand smith_homology
+    # an entry outside the ring's canonical form
+    def diff(key):
+        if key == "e":
+            return FreeElement._trusted(ring, {"v": entry})
+        return FreeElement.zero(ring)
+
+    return ChainComplex(ring, {0: ["v"], 1: ["e"]}, diff, complete=True)
+
+
+def test_smith_homology_matches_converted_columns():
+    complexes = [projective_plane_chains, lambda: normalized_chains(projective_plane_model())]
+    for seed in range(4):
+        space = random_reduced_model(random.Random(seed))
+        complexes.append(lambda space=space: normalized_chains(space))
+    # entries that are not in canonical form are converted, as before
+    complexes += [
+        lambda: trusted_complex(ZZ, Fraction(2)),
+        lambda: trusted_complex(ZZ, Fraction(-1)),
+        lambda: trusted_complex(GF(3), 4),
+        lambda: trusted_complex(GF(3), 3),
+        lambda: trusted_complex(QQ, 2),
+    ]
+    for build in complexes:
+        complex_ = build()
+        rings = (ZZ, GF(2), GF(3), QQ) if complex_.ring == ZZ else (complex_.ring,)
+        for ring in rings:
+            for n in complex_.degrees():
+                summary = smith_homology(build(), n, ring)
+                assert summary.pair == converted_homology(build(), n, ring), (ring, n)
+                assert all(type(f) is int for f in summary.invariant_factors)
+    assert smith_homology(trusted_complex(ZZ, Fraction(2)), 0).pair == (0, [2])
+    assert smith_homology(trusted_complex(GF(3), 3), 0).pair == (1, [])
+
+
+def test_smith_homology_rejects_a_non_integral_entry_over_z():
+    with pytest.raises(ValueError) as converted:
+        converted_homology(trusted_complex(ZZ, Fraction(1, 2)), 0, ZZ)
+    with pytest.raises(ValueError) as summary:
+        smith_homology(trusted_complex(ZZ, Fraction(1, 2)), 0)
+    assert str(summary.value) == str(converted.value)
 
 
 def test_coefficient_change_guard():
