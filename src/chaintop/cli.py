@@ -17,12 +17,11 @@ import functools
 import itertools
 import json
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .cobar import cobar, h0_group_ring
 from .complexes import InsufficientTruncationError
 from .cubical import CubeBialgebra, serre_coproduct, serre_counit
-from .einfty import FieldHomology, simplicial_um, steenrod_sq
 from .freemod import FreeElement, add_into
 from .loopspace import cubical_cobar, phi_certificate
 from .rings import ZZ, parse_ring
@@ -47,21 +46,20 @@ class CliInputError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class JobSpec:
-    """One batch job: what to compute, on what, over which ring."""
+class JobSpec(
+    namedtuple(
+        "JobSpec",
+        "command model dim ring max_degree word_cutoff fmt check square degree suite",
+        defaults=(None, None, "z", None, None, "text", False, 1, None, None),
+    )
+):
+    """One batch job: what to compute, on what, over which ring.
 
-    command: str
-    model: str | None = None
-    dim: int | None = None
-    ring: str = "z"
-    max_degree: int | None = None
-    word_cutoff: int | None = None
-    fmt: str = "text"
-    check: bool = False
-    square: int = 1
-    degree: int | None = None
-    suite: str | None = None
+    An immutable record, equal and hashed by value. Being a tuple, it
+    also equals the plain tuple of its fields in order.
+    """
+
+    __slots__ = ()
 
 
 def load_space(job: JobSpec) -> SimplicialSet:
@@ -226,6 +224,10 @@ def cmd_loop(job: JobSpec):
 
 
 def cmd_steenrod(job: JobSpec):
+    # only this command needs the E-infinity layer (and propm under it),
+    # so the others do not pay for importing it
+    from .einfty import FieldHomology, simplicial_um, steenrod_sq
+
     space = load_space(job)
     ring = _ring(job if job.ring != "z" else JobSpec("steenrod", ring="fp:2"))
     if getattr(ring, "characteristic", 0) != 2:

@@ -26,7 +26,7 @@ class ChainComplex:
     in the basis one degree down. That is checked lazily, wherever a
     boundary is read: `diff` checks and caches one key at a time for
     per-key callers, and `diff_columns` checks a whole d_n as it numbers
-    its terms, without the cache.
+    its terms, and keeps the columns it builds.
     """
 
     def __init__(self, ring: Ring, basis, diff, complete: bool = False, name: str = ""):
@@ -41,6 +41,7 @@ class ChainComplex:
         self._degree_of = degree_of
         self._diff_rule = diff
         self._diff_cache = {}
+        self._columns = {}
         self.complete = complete
         self.name = name
         self.min_degree = min(self.basis) if self.basis else 0
@@ -119,7 +120,10 @@ class ChainComplex:
         its coefficient (the column format of chaintop.linalg), read in
         one pass from the boundary rule; the per-key cache of `diff` is
         neither read nor filled. A term outside C_{n-1} raises the
-        ValueError of `diff`.
+        ValueError of `diff`. Each d_n is built once: later calls return
+        the same list, so callers must not change it. Its zero columns
+        are one shared dict, so that keeping a d_n with many cycles,
+        such as a cobar's, keeps no dict per key alive.
 
         >>> from .freemod import FreeElement
         >>> from .rings import ZZ
@@ -127,19 +131,24 @@ class ChainComplex:
         >>> ChainComplex(ZZ, {0: ["v0", "v1"], 1: ["e"]}, rule).diff_columns(1)
         [{1: 1, 0: -1}]
         """
+        columns = self._columns.get(n)
+        if columns is not None:
+            return columns
         index = {key: i for i, key in enumerate(self.basis_in(n - 1))}
         rule = self._diff_rule
+        zero = {}
         columns = []
         for key in self.basis_in(n):
             value = rule(key)
             if value is None:
-                columns.append({})
+                columns.append(zero)
                 continue
             try:
-                columns.append({index[out]: c for out, c in value.items()})
+                columns.append({index[out]: c for out, c in value.items()} or zero)
             except KeyError:
                 self.diff(key)
                 raise
+        self._columns[n] = columns
         return columns
 
     def diff_matrix(self, n: int):

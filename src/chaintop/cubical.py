@@ -374,10 +374,6 @@ class CubicalSet:
         return self.resolve(ref.base, ref.morphism.compose(CubeMorphism.face(n, i, eps)))
 
     @property
-    def is_reduced(self) -> bool:
-        return len(self.nondegenerate(0)) == 1
-
-    @property
     def basepoint(self):
         verts = self.nondegenerate(0)
         if len(verts) != 1:

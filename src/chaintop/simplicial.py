@@ -19,7 +19,11 @@ class SimplexRef:
     """s_{w_1} s_{w_2} ... s_{w_k} (base), with w strictly decreasing.
 
     Every degenerate simplex has exactly one such word, so refs compare
-    and hash structurally.
+    and hash structurally. SimplexRef(base, word) checks that the word
+    is strictly decreasing. The face and degeneracy rules of this module
+    (`SimplicialSet.face_of_ref`, `apply_degeneracy`) build their results
+    with `_normal_ref`, which skips that check: both rules take words in
+    normal form to words in normal form.
     """
 
     __slots__ = ("base", "word")
@@ -55,6 +59,21 @@ class SimplexRef:
         return f"<{letters} {self.base}>"
 
 
+# the slot descriptors write past the immutability guard, and cost less
+# than object.__setattr__
+_set_base = SimplexRef.base.__set__
+_set_word = SimplexRef.word.__set__
+
+
+def _normal_ref(base, word: tuple) -> SimplexRef:
+    """SimplexRef(base, word) for a word already known to be a strictly
+    decreasing tuple, built without checking it."""
+    ref = object.__new__(SimplexRef)
+    _set_base(ref, base)
+    _set_word(ref, word)
+    return ref
+
+
 def apply_degeneracy(ref: SimplexRef, i: int) -> SimplexRef:
     """s_i applied on the outside, renormalized via s_i s_j = s_{j+1} s_i."""
     word = ref.word
@@ -65,7 +84,7 @@ def apply_degeneracy(ref: SimplexRef, i: int) -> SimplexRef:
         t += 1
     out.append(i)
     out.extend(word[t:])
-    return SimplexRef(ref.base, out)
+    return _normal_ref(ref.base, tuple(out))
 
 
 class SimplicialSet:
@@ -149,7 +168,7 @@ class SimplicialSet:
             if i < j:
                 out.append(j - 1)
             elif i == j or i == j + 1:
-                return SimplexRef(ref.base, tuple(out) + word[t + 1 :])
+                return _normal_ref(ref.base, tuple(out) + word[t + 1 :])
             else:
                 out.append(j)
                 i -= 1
@@ -175,10 +194,6 @@ class SimplicialSet:
         return self._refs_cache[n]
 
     @property
-    def is_reduced(self) -> bool:
-        return len(self.nondegenerate(0)) == 1
-
-    @property
     def basepoint(self):
         verts = self.nondegenerate(0)
         if len(verts) != 1:
@@ -186,16 +201,23 @@ class SimplicialSet:
         return verts[0]
 
     def validate(self) -> None:
-        """Check d_i d_j = d_{j-1} d_i (i < j) on every nondegenerate cell."""
+        """Check d_i d_j = d_{j-1} d_i (i < j) on every nondegenerate cell.
+
+        The first faces d_k x are read as stored, and each double face
+        d_i d_k x is computed once per cell: the pairs are checked in the
+        order (j, i) = (1, 0), (2, 0), (2, 1), (3, 0), ..., and every
+        double face is a side of exactly one of them.
+        """
+        face_of_ref = self.face_of_ref
         for n in self.dimensions():
             if n < 2:
                 continue
             for cid in self.nondegenerate(n):
-                ref = self.ref(cid)
+                first = [self._faces[(cid, k)] for k in range(n + 1)]
                 for j in range(1, n + 1):
                     for i in range(j):
-                        left = self.face_of_ref(self.face_of_ref(ref, j), i)
-                        right = self.face_of_ref(self.face_of_ref(ref, i), j - 1)
+                        left = face_of_ref(first[j], i)
+                        right = face_of_ref(first[i], j - 1)
                         if left != right:
                             raise ValueError(
                                 f"simplicial identity fails on {cid!r}: "

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -248,6 +249,42 @@ def test_loop_check_builds_the_cube_model_once(capsys, monkeypatch):
     assert len(calls) == 1
 
 
+def test_loop_check_builds_each_cube_differential_once(capsys, monkeypatch):
+    # the homology table and the chain-map check both read every d_n of
+    # the cube chains; the cube boundary rule must run once per cell
+    from chaintop import loopspace
+    from chaintop.complexes import ChainComplex
+
+    built = []
+    calls = Counter()
+    real = loopspace.cubical_chains
+
+    def counted_chains(*args, **kwargs):
+        chains = real(*args, **kwargs)
+        rule = chains._diff_rule
+
+        def counted_rule(key):
+            calls[key] += 1
+            return rule(key)
+
+        chains._diff_rule = counted_rule
+        built.append((chains, rule))
+        return chains
+
+    monkeypatch.setattr(loopspace, "cubical_chains", counted_chains)
+    code, out, _ = run(capsys, "loop", "rp2", "--word-cutoff", "2", "--check")
+    assert "cross-check: passed" in out
+    assert code == EXIT_INCONCLUSIVE
+    ((chains, rule),) = built
+    cells = [key for n in chains.degrees() for key in chains.basis_in(n)]
+    assert set(calls) == set(cells)
+    assert set(calls.values()) == {1}
+    # the kept columns are shared by both reads; neither changed them
+    fresh = ChainComplex(chains.ring, chains.basis, rule)
+    for n in chains.degrees():
+        assert chains.diff_columns(n) == fresh.diff_columns(n)
+
+
 def test_homology_table_eliminates_each_differential_once(tmp_path, capsys, monkeypatch):
     # the simplex on 6 vertices with its 2-skeleton collapsed to a point
     from chaintop import smith
@@ -270,6 +307,44 @@ def test_homology_table_eliminates_each_differential_once(tmp_path, capsys, monk
     # H_0..H_4 read d_0..d_5: six matrices, each eliminated once
     assert len(calls) == 6
     assert out.splitlines()[-5:] == ["H_0: Z", "H_1: 0", "H_2: Z^10", "H_3: 0", "H_4: Z^100"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cobar", None, "--max-degree", "4", "--ring", "z", "--check"],
+        ["homology", None, "--ring", "z", "--check"],
+    ],
+)
+def test_check_builds_each_differential_once(tmp_path, capsys, monkeypatch, argv):
+    # the homology table and the d^2 check both read every d_n; the
+    # boundary rule must run once per basis key
+    from chaintop.complexes import ChainComplex
+    from chaintop.simplicial import collapse_subcomplex, standard_simplex
+
+    simplex = standard_simplex(5)
+    skeleton = [c for m in range(3) for c in simplex.nondegenerate(m)]
+    model = tmp_path / "d5c2.json"
+    model.write_text(json.dumps(simplicial_to_json(collapse_subcomplex(simplex, skeleton).target)))
+    built = []
+    calls = Counter()
+    real = ChainComplex.__init__
+
+    def counted_init(self, ring, basis, diff, *args, **kwargs):
+        def counted_rule(key):
+            calls[key] += 1
+            return diff(key)
+
+        real(self, ring, basis, counted_rule, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(ChainComplex, "__init__", counted_init)
+    code, _, _ = run(capsys, argv[0], str(model), *argv[2:])
+    assert code == EXIT_OK
+    (complex_,) = built
+    keys = [key for n in complex_.degrees() for key in complex_.basis_in(n)]
+    assert set(calls) == set(keys)
+    assert set(calls.values()) == {1}
 
 
 def test_parser_is_built_once_and_survives_a_failed_parse(capsys):

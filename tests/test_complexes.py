@@ -119,10 +119,14 @@ def test_diff_columns_match_the_per_key_construction(ring):
         complex_ = build()
         oracle = build()
         for n in range(complex_.min_degree, complex_.max_degree + 2):
-            assert typed(complex_.diff_columns(n)) == typed(per_key_columns(oracle, n)), (
+            columns = complex_.diff_columns(n)
+            assert typed(columns) == typed(per_key_columns(oracle, n)), (
                 complex_.name,
                 n,
             )
+            # d_n is built once, and its zero columns are one dict
+            assert complex_.diff_columns(n) is columns
+            assert len({id(col) for col in columns if not col}) <= 1
         # the columns are read from the rule, not through the per-key cache
         assert not complex_._diff_cache
 

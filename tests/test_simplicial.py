@@ -1,6 +1,8 @@
 import itertools
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chaintop.freemod import FreeElement, add_into
 from chaintop.rings import GF, ZZ
@@ -13,17 +15,20 @@ from chaintop.simplicial import (
     aw_coproduct,
     chain_counit,
     char_pushforward,
+    collapse_subcomplex,
     collapse_to_projective_plane,
     collapse_to_sphere,
     monotone_ref,
     normalized_chains,
     projective_plane_model,
+    random_reduced_model,
     simplicial_from_json,
     simplicial_model,
     simplicial_to_json,
     sphere_model,
     standard_simplex,
     two_vertex_projective_plane,
+    wedge_models,
 )
 from chaintop.smith import smith_homology
 
@@ -105,6 +110,143 @@ def test_all_models_validate():
         simplicial_model("klein")
     with pytest.raises(ValueError):
         simplicial_model("simplex")
+
+
+def validate_as_before(space):
+    """SimplicialSet.validate as it was: both sides of every pair through
+    face_of_ref twice, so each first face is pushed through again."""
+    for n in space.dimensions():
+        if n < 2:
+            continue
+        for cid in space.nondegenerate(n):
+            ref = space.ref(cid)
+            for j in range(1, n + 1):
+                for i in range(j):
+                    left = space.face_of_ref(space.face_of_ref(ref, j), i)
+                    right = space.face_of_ref(space.face_of_ref(ref, i), j - 1)
+                    if left != right:
+                        raise ValueError(
+                            f"simplicial identity fails on {cid!r}: "
+                            f"d_{i} d_{j} = {left!r} but d_{j-1} d_{i} = {right!r}"
+                        )
+
+
+def collapsed_simplex(n, k):
+    simplex = standard_simplex(n)
+    skeleton = [c for m in range(k + 1) for c in simplex.nondegenerate(m)]
+    return collapse_subcomplex(simplex, skeleton).target
+
+
+def validation_models():
+    """Builtins, standard simplices, the benchmark's models and random
+    reduced models."""
+    models = [simplicial_model(name) for name in ("point", "circle", "rp2")]
+    models += [simplicial_model("sphere", n) for n in range(1, 5)]
+    models += [simplicial_model("simplex", n) for n in range(2, 6)]
+    models += [collapsed_simplex(5, 2), collapsed_simplex(4, 1)]
+    models.append(
+        wedge_models(wedge_models(sphere_model(2), sphere_model(2)), sphere_model(3))
+    )
+    models += [random_reduced_model(random.Random(seed)) for seed in range(8)]
+    return models
+
+
+def check_outcome(check, space):
+    try:
+        check(space)
+    except (KeyError, ValueError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def broken_variants(space):
+    """Copies of space with two faces of one cell swapped, or with one
+    degeneracy word replaced by another of the same length; the new word
+    may name a degeneracy that does not exist in its dimension."""
+    rng = random.Random(space.name)
+    faces = {
+        cid: tuple(space.face(cid, i) for i in range(n + 1))
+        for n in space.dimensions()
+        if n > 0
+        for cid in space.nondegenerate(n)
+    }
+    for cid, refs in faces.items():
+        for i in range(len(refs) - 1):
+            if refs[i] != refs[i + 1]:
+                swapped = list(refs)
+                swapped[i], swapped[i + 1] = refs[i + 1], refs[i]
+                yield SimplicialSet(space.name, space.cells, {**faces, cid: swapped})
+        for i, ref in enumerate(refs):
+            if ref.word:
+                top = space.ref_dim(ref)
+                letters = rng.sample(range(top + 1), len(ref.word))
+                word = tuple(sorted(letters, reverse=True))
+                if word != ref.word:
+                    altered = list(refs)
+                    altered[i] = SimplexRef(ref.base, word)
+                    yield SimplicialSet(space.name, space.cells, {**faces, cid: altered})
+
+
+def test_validate_agrees_with_the_four_face_version():
+    failed = 0
+    for space in validation_models():
+        assert check_outcome(SimplicialSet.validate, space) is None, space.name
+        assert check_outcome(validate_as_before, space) is None, space.name
+        for broken in broken_variants(space):
+            expected = check_outcome(validate_as_before, broken)
+            assert check_outcome(SimplicialSet.validate, broken) == expected
+            failed += expected is not None
+    assert failed > 100
+
+
+def test_validate_reports_the_first_failing_pair():
+    # with faces 0 and 1 of the 3-simplex swapped the pair (j, i) = (2, 0)
+    # fails; face 3 names degeneracies a vertex does not have, so pushing a
+    # face through it raises, but only the pairs after (2, 0) do that
+    simplex = standard_simplex(3)
+    faces = {
+        cid: [simplex.face(cid, i) for i in range(n + 1)]
+        for n in (1, 2, 3)
+        for cid in simplex.nondegenerate(n)
+    }
+    top = faces[(0, 1, 2, 3)]
+    top[0], top[1], top[3] = top[1], top[0], SimplexRef((0,), (5, 4))
+    broken = SimplicialSet("broken", simplex.cells, faces)
+    expected = check_outcome(validate_as_before, broken)
+    assert expected == (
+        ValueError,
+        "simplicial identity fails on (0, 1, 2, 3): "
+        "d_0 d_2 = <(1, 3)> but d_1 d_0 = <(0, 3)>",
+    )
+    assert check_outcome(SimplicialSet.validate, broken) == expected
+
+
+@st.composite
+def simplex_refs(draw):
+    """A standard simplex and a valid ref in it: a strictly decreasing word
+    of k letters on a d-cell may use the letters 0 .. d + k - 1."""
+    space = standard_simplex(draw(st.integers(1, 4)))
+    cells = [c for n in space.dimensions() for c in space.nondegenerate(n)]
+    base = draw(st.sampled_from(cells))
+    k = draw(st.integers(0, 4))
+    letters = ()
+    if k:
+        letters = draw(st.sets(st.integers(0, len(base) + k - 2), min_size=k, max_size=k))
+    return space, SimplexRef(base, sorted(letters, reverse=True))
+
+
+@settings(max_examples=200, deadline=None)
+@given(simplex_refs())
+def test_face_and_degeneracy_rules_build_checked_refs(case):
+    space, ref = case
+    top = space.ref_dim(ref)
+    built = [apply_degeneracy(ref, i) for i in range(top + 1)]
+    if top > 0:
+        built += [space.face_of_ref(ref, i) for i in range(top + 1)]
+    for out in built:
+        assert type(out.word) is tuple
+        checked = SimplexRef(out.base, out.word)
+        assert out == checked and hash(out) == hash(checked)
 
 
 # --- chains ---
