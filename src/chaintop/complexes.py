@@ -192,6 +192,7 @@ class GradedLinearMap:
         self.shift = shift
         self._rule = rule
         self._cache = {}
+        self._columns = {}
 
     def apply_key(self, key) -> FreeElement:
         if key not in self._cache:
@@ -212,18 +213,63 @@ class GradedLinearMap:
     def apply(self, el: FreeElement) -> FreeElement:
         return el.map_terms(self.apply_key)
 
+    def columns(self, n: int) -> list:
+        """Sparse columns of f on degree n, one per key of the source's C_n.
+
+        Column j maps the position in the target basis of degree
+        n + shift of each term of f(key_j) to its coefficient, the format
+        of `ChainComplex.diff_columns`. Each image is read once, from the
+        per-key cache of `apply_key` or from the rule, and kept in that
+        cache; a term outside the target basis of degree n + shift raises
+        the error of `apply_key`. Each degree is built once: later calls
+        return the same list, so callers must not change it.
+
+        >>> from .rings import ZZ
+        >>> a = ChainComplex(ZZ, {0: ["v"], 1: ["e"]}, lambda key: None)
+        >>> b = ChainComplex(ZZ, {0: ["w"], 1: ["x", "y"]}, lambda key: None)
+        >>> f = GradedLinearMap(a, b, 0, {"e": FreeElement(ZZ, {"y": 2})}.get)
+        >>> f.columns(1), f.columns(0)
+        ([{1: 2}], [{}])
+        """
+        columns = self._columns.get(n)
+        if columns is not None:
+            return columns
+        index = {key: i for i, key in enumerate(self.target.basis_in(n + self.shift))}
+        cache = self._cache
+        rule = self._rule
+        columns = []
+        for key in self.source.basis_in(n):
+            value = cache.get(key)
+            if value is None:
+                value = rule(key)
+                if value is None:
+                    value = FreeElement.zero(self.target.ring)
+            try:
+                columns.append({index[out]: c for out, c in value.items()})
+            except KeyError:
+                self.apply_key(key)
+                raise
+            cache[key] = value
+        self._columns[n] = columns
+        return columns
+
     def is_chain_map(self, degrees=None):
         """Check f(dx) = (-1)^shift d(fx) on basis keys.
 
         Returns (True, None) or (False, (key, f_dx, d_fx_signed)); the
         witness carries both sides so failures are inspectable.
         Each degree n is checked as F_{n-1} D_n = (-1)^shift D' F_n on
-        sparse columns (chaintop.linalg), whose rows number only the
-        target keys that occur; columns are compared in basis order, so
-        the witness is the first failing key. The images of a whole
-        degree and their target boundaries are built, and so validated,
-        before any column is compared: a map that raises on any key of
-        degree n raises even if an earlier key of degree n fails.
+        sparse columns (chaintop.linalg) whose rows are positions in the
+        target basis: F comes from `columns`, and D' is the target's own
+        `diff_columns(n + shift)`. So every column of D' and all of
+        F_{n-1} are built, and so validated, not only the part that the
+        images and the source's boundaries reach: a target whose
+        boundary leaves its basis on a key outside the image of f
+        raises, and so does a map whose image of an unreached key of
+        degree n - 1 leaves the target basis. Columns are compared in
+        basis order, so the witness is the first failing key, and only
+        once a degree's columns are all built: a map that raises on any
+        key of degree n raises even if an earlier key of degree n fails.
         """
         source, target = self.source, self.target
         ring = target.ring
@@ -234,24 +280,15 @@ class GradedLinearMap:
             keys = source.basis_in(n)
             if not keys:
                 continue
-            # each target key that occurs gets the next row index: one
-            # numbering for F_n, one for F_{n-1} and D'
-            upper = {}
-            f_n = [_numbered(self.apply_key(key), upper) for key in keys]
+            f_n = self.columns(n)
             d_source = source.diff_columns(n)
-            # F_{n-1} only on the faces that d_source reaches
-            lower = {}
-            lower_keys = source.basis_in(n - 1)
-            f_below = {
-                k: _numbered(self.apply_key(lower_keys[k]), lower)
-                for k in sorted({k for col in d_source for k in col})
-            }
-            d_target = [_numbered(target.diff(key), lower) for key in upper]
-            if sign == -1:
-                d_target = [{i: ring.neg(c) for i, c in col.items()} for col in d_target]
+            f_below = self.columns(n - 1)
+            d_target = target.diff_columns(n + self.shift)
             lhs = compose(f_below, d_source, ring)
             rhs = compose(d_target, f_n, ring)
             for key, left, right in zip(keys, lhs, rhs):
+                if sign == -1:
+                    right = {i: ring.neg(c) for i, c in right.items()}
                 if left != right:
                     return False, (
                         key,
@@ -259,11 +296,6 @@ class GradedLinearMap:
                         target.diff_element(self.apply_key(key)).scale(sign),
                     )
         return True, None
-
-
-def _numbered(el: FreeElement, index: dict) -> dict:
-    """el as a sparse column; a key not yet in index gets the next row."""
-    return {index.setdefault(key, len(index)): c for key, c in el.items()}
 
 
 def tensor_complex(a: ChainComplex, b: ChainComplex, max_degree=None, name: str = "") -> ChainComplex:

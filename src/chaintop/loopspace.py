@@ -224,12 +224,14 @@ class CubicalCobar:
     vertex (1-side); the raw answer is canonicalized, so faces may be
     degeneracies or connections of stored cells. Stored beads are
     nondegenerate, so a face rewrites only the bead that owns its
-    direction: that bead's face is canonicalized once per (letter,
-    direction, side) and spliced into the word, its degeneracy padded
-    by identities on the other beads' coordinates; signed words then
-    cancel inverse edge pairs at the two junctions. The product is word
-    concatenation. The stored window is closed under faces: its
-    sliding budget is the one `chaintop.words` describes.
+    direction. A table built once per letter holds, per (direction,
+    side), that bead's canonical face and its degeneracy padded by
+    identities on the other beads' coordinates, keyed by how many come
+    before and after; each face splices the piece into the word, and
+    signed words then cancel inverse edge pairs at the two junctions.
+    The product is word concatenation. The stored window is closed
+    under faces: its sliding budget is the one `chaintop.words`
+    describes.
     """
 
     def __init__(
@@ -270,33 +272,39 @@ class CubicalCobar:
             self.growth = None
             cells = plain_words(space, edges + heavies, self.max_degree, self.budget)
         cells = {n: sorted(ids, key=repr) for n, ids in cells.items() if ids}
+        # per letter that fits the window: its width and, per (j, eps),
+        # the canonical face of the lone bead, with that face's morphism
+        # padded by the coordinates (before, after) of the other beads
+        table = {}
+        for cell in edges + heavies:
+            width = space.dim_of(cell) - 1
+            if width > self.max_degree:
+                continue
+            sides = []
+            for j in range(1, width + 1):
+                for eps in (0, 1):
+                    raw = _face_items(space, [(space.ref(cell), 1)], j, eps)
+                    piece = canonical_cell(space, raw, signed)
+                    sides.append((j, eps, piece.base, piece.morphism, {}))
+            table[cell] = width, sides
         faces = {}
-        pieces = {}  # (letter, j, eps) -> canonical face of the lone bead
-        padded = {}  # (coordinates before, piece morphism, after) -> morphism
         for n, ids in cells.items():
             for cid in ids:
                 offset = 0
                 for i, letter in enumerate(cid):
-                    cell = letter[0] if signed else letter
-                    width = space.dim_of(cell) - 1
+                    width, sides = table[letter[0] if signed else letter]
                     after = n - offset - width
-                    for j, eps in itertools.product(range(1, width + 1), (0, 1)):
-                        piece = pieces.get((cell, j, eps))
-                        if piece is None:
-                            raw = _face_items(space, [(space.ref(cell), 1)], j, eps)
-                            piece = canonical_cell(space, raw, signed)
-                            pieces[(cell, j, eps)] = piece
+                    key = (offset, after)
+                    head, tail = cid[:i], cid[i + 1 :]
+                    for j, eps, base, morphism, padded in sides:
+                        pad = padded.get(key)
+                        if pad is None:
+                            pad = padded[key] = _padded(offset, morphism, after)
                         if signed:
-                            base = _signed_join(
-                                space, cid[:i], piece.base + cid[i + 1 :]
-                            )
+                            spliced = _signed_join(space, head, base + tail)
                         else:
-                            base = cid[:i] + piece.base + cid[i + 1 :]
-                        key = (offset, piece.morphism, after)
-                        morphism = padded.get(key)
-                        if morphism is None:
-                            morphism = padded[key] = _padded(*key)
-                        faces[(cid, offset + j, eps)] = CubeRef(base, morphism)
+                            spliced = head + base + tail
+                        faces[(cid, offset + j, eps)] = CubeRef(spliced, pad)
                     offset += width
         self._chains = None
         # no beads above the cutoff dimension means nothing was dropped

@@ -3,7 +3,8 @@
 The oracle is the earlier body of is_chain_map: one basis key at a time,
 both sides built as FreeElements. On correct maps, on maps with one sign
 flipped and on maps with one term dropped, both must agree on ok and on
-the witness.
+the witness. The columns of a map, which is_chain_map reads, are checked
+against apply_key, on values and on errors.
 """
 
 import random
@@ -155,7 +156,7 @@ def test_column_check_agrees_with_oracle_on_correct_maps():
         ok, witness = agree(source, target, shift, rule)
         assert ok and witness is None, name
         # every degree, the bottom one included, and one degree alone
-        # (whose lower columns are then built only for the faces used)
+        # (which then builds the columns one degree down on its own)
         agree(source, target, shift, rule, source.degrees())
         agree(source, target, shift, rule, [source.degrees()[-1]])
 
@@ -177,6 +178,56 @@ def test_column_check_agrees_with_oracle_on_a_dropped_term():
         if seen:
             assert not ok and witness[0] == bad, name
         agree(source, target, shift, dropped(rule, bad, target), [source.degree_of(bad) + 1])
+
+
+# --- the columns of a map against apply_key ---
+
+def test_columns_match_apply_key_at_target_positions():
+    for name, (source, target, shift, rule) in maps():
+        f = GradedLinearMap(source, target, shift, rule)
+        oracle = GradedLinearMap(source, target, shift, rule)
+        for n in source.degrees():
+            columns = f.columns(n)
+            row_keys = target.basis_in(n + shift)
+            keys = source.basis_in(n)
+            assert len(columns) == len(keys), name
+            for key, col in zip(keys, columns):
+                image = FreeElement(source.ring, {row_keys[i]: c for i, c in col.items()})
+                assert image == oracle.apply_key(key), (name, key)
+                # the per-key cache holds the same image
+                assert f.apply_key(key) == image, (name, key)
+            assert f.columns(n) is columns, name
+
+
+def raised(call, *args):
+    try:
+        call(*args)
+    except Exception as exc:  # the exception itself is the result
+        return type(exc), str(exc)
+    return None
+
+
+def test_columns_raise_the_error_of_apply_key():
+    for name, (source, target, shift, rule) in maps():
+        bad, _ = mutated_key(source, target, rule)
+        n = source.degree_of(bad)
+        other = next(m for m in target.degrees() if m != n + shift)
+        strays = [("stray", "not a target key"), target.basis_in(other)[0]]
+        for stray in strays:
+            def broken(key, stray=stray):
+                value = rule(key)
+                if key != bad:
+                    return value
+                terms = dict(value.items())
+                terms[stray] = source.ring.one
+                return FreeElement(source.ring, terms)
+
+            expected = raised(GradedLinearMap(source, target, shift, broken).apply_key, bad)
+            assert expected is not None, (name, stray)
+            f = GradedLinearMap(source, target, shift, broken)
+            assert raised(f.columns, n) == expected, (name, stray)
+            f = GradedLinearMap(source, target, shift, broken)
+            assert raised(f.is_chain_map) == expected, (name, stray)
 
 
 # --- the product of sparse columns against a dense product ---

@@ -285,6 +285,56 @@ def test_loop_check_builds_each_cube_differential_once(capsys, monkeypatch):
         assert chains.diff_columns(n) == fresh.diff_columns(n)
 
 
+def test_loop_check_evaluates_each_word_boundary_and_phi_image_once(capsys, monkeypatch):
+    # the certificate reads d of the comparison cobar for its chain-map
+    # check and phi of every cube cell for both the chain-map and the
+    # product checks; each must be evaluated at most once per key
+    from chaintop import loopspace
+    from chaintop.cobar import CobarComplex
+
+    algebras = []
+    boundary_calls = Counter()
+    phi_calls = Counter()
+
+    class CountedCobar(CobarComplex):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            algebras.append(self)
+
+        def _word_boundary(self, word):
+            boundary_calls[word] += 1
+            return super()._word_boundary(word)
+
+    real_phi = loopspace.phi_cell
+
+    def counted_phi(space, cell, ring):
+        phi_calls[cell] += 1
+        return real_phi(space, cell, ring)
+
+    omegas = []
+    real_cubes = chaintop.cli.cubical_cobar
+
+    def kept_cubes(*args, **kwargs):
+        omegas.append(real_cubes(*args, **kwargs))
+        return omegas[-1]
+
+    monkeypatch.setattr(loopspace, "CobarComplex", CountedCobar)
+    monkeypatch.setattr(loopspace, "phi_cell", counted_phi)
+    monkeypatch.setattr(chaintop.cli, "cubical_cobar", kept_cubes)
+    code, out, _ = run(capsys, "loop", "rp2", "--word-cutoff", "2", "--check")
+    assert "cross-check: passed" in out
+    assert code == EXIT_INCONCLUSIVE
+    (algebra,) = algebras
+    words = algebra.complex
+    assert boundary_calls
+    assert set(boundary_calls) <= {w for n in words.degrees() for w in words.basis_in(n)}
+    assert max(boundary_calls.values()) == 1
+    (omega,) = omegas
+    cells = {c for n in omega.cubes.dimensions() for c in omega.cubes.nondegenerate(n)}
+    assert set(phi_calls) == cells
+    assert max(phi_calls.values()) == 1
+
+
 def test_homology_table_eliminates_each_differential_once(tmp_path, capsys, monkeypatch):
     # the simplex on 6 vertices with its 2-skeleton collapsed to a point
     from chaintop import smith

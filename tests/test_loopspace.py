@@ -228,6 +228,63 @@ def test_spliced_signed_faces_match_whole_word_canonical_forms():
     assert face == CubeRef((), CubeMorphism.identity(0))
 
 
+def splice_loop_faces(space, cells, signed):
+    """The faces as the splice loop built them before the per-letter table:
+    each (letter, direction, side) piece looked up per face, and the padded
+    morphisms keyed by (coordinates before, piece morphism, after)."""
+    faces = {}
+    pieces = {}
+    padded = {}
+    for n, ids in cells.items():
+        for cid in ids:
+            offset = 0
+            for i, letter in enumerate(cid):
+                cell = letter[0] if signed else letter
+                width = space.dim_of(cell) - 1
+                after = n - offset - width
+                for j, eps in itertools.product(range(1, width + 1), (0, 1)):
+                    piece = pieces.get((cell, j, eps))
+                    if piece is None:
+                        raw = _face_items(space, [(space.ref(cell), 1)], j, eps)
+                        piece = canonical_cell(space, raw, signed)
+                        pieces[(cell, j, eps)] = piece
+                    if signed:
+                        base = loopspace._signed_join(
+                            space, cid[:i], piece.base + cid[i + 1 :]
+                        )
+                    else:
+                        base = cid[:i] + piece.base + cid[i + 1 :]
+                    key = (offset, piece.morphism, after)
+                    morphism = padded.get(key)
+                    if morphism is None:
+                        morphism = padded[key] = loopspace._padded(*key)
+                    faces[(cid, offset + j, eps)] = CubeRef(base, morphism)
+                offset += width
+    return faces
+
+
+def test_face_table_matches_the_splice_loop():
+    rp2 = projective_plane_model()
+    s2s2s3 = wedge_models(
+        wedge_models(sphere_model(2), sphere_model(2)), sphere_model(3)
+    )
+    windows = [
+        cubical_cobar(rp2, 4, max_length=2),
+        cubical_cobar(rp2, 2, max_length=3),
+        cubical_cobar(s2s2s3, 6),
+        extended_cubical_cobar(rp2, 2, 6),
+    ]
+    for seed in (0, 3, 5, 8):
+        model = random_reduced_model(random.Random(seed))
+        windows.append(cubical_cobar(model, 3, max_length=3))
+    for om in windows:
+        faces = splice_loop_faces(om.source, om.cubes.cells, om.signed)
+        assert faces
+        assert om.cubes._faces.keys() == faces.keys()
+        for key, ref in faces.items():
+            assert om.cubes.face(*key) == ref, key
+
+
 def test_length_cutoff_required_exactly_when_edges_exist():
     with pytest.raises(ValueError):
         cubical_cobar(projective_plane_model(), 2)
