@@ -8,7 +8,7 @@ for `cobar`, the cube model's sliding one when Adams' map is certified.
 The localized variant turns dimension-1 letters into invertible group
 letters under a group budget that shrinks with the degree. Both windows
 are built by `chaintop.words`, whose notes say when each is closed
-under d.
+under d; each degree is stored in the order that module builds it.
 `edge_expansion` is the one rule that turns a dimension-1 letter t
 into t plus or minus the unit: Adams' relabeling, its inverse and the
 embedding into the localized construction all call it.
@@ -84,8 +84,7 @@ class CobarComplex:
                 "dimension-1 letters make degrees infinite-rank; "
                 "pass a word length cutoff"
             )
-        words = plain_words(space, edges + heavies, self.max_degree, budget)
-        basis = {n: tuple(sorted(ws, key=repr)) for n, ws in words.items()}
+        basis = plain_words(space, edges + heavies, self.max_degree, budget)
         # each letter's boundary terms and degree
         self._letters = {
             cell: (
@@ -260,6 +259,18 @@ def expand_word(space: SimplicialSet, word, ring: Ring) -> FreeElement:
     )
 
 
+def loc_letter_boundary(space: SimplicialSet, cell, ring: Ring) -> FreeElement:
+    """d of a heavy letter as localized words.
+
+    Each term of `letter_boundary` has its edges written as g - 1
+    (`expand_word`). The extended cobar's boundary and the H_0 relation
+    rows both read the letter rule from here.
+    """
+    return letter_boundary(space, cell, ring).map_terms(
+        lambda word: expand_word(space, word, ring)
+    )
+
+
 class ExtendedCobarComplex:
     """Localized construction: 1-cells become invertible group letters.
 
@@ -286,10 +297,9 @@ class ExtendedCobarComplex:
         self.cutoff = int(cutoff)
         self.growth = growth(space)
         self._letter_values = {}
-        words = localized_words(
+        basis = localized_words(
             space, self.group_letters, self.heavy_letters, self.max_degree, self.budget
         )
-        basis = {n: tuple(sorted(ws, key=repr)) for n, ws in words.items()}
         # a copy's method, as in CobarComplex, so no cycle through self
         self.complex = ChainComplex(
             ring,
@@ -311,10 +321,7 @@ class ExtendedCobarComplex:
     def letter_value(self, cell) -> FreeElement:
         """d of a heavy letter, rewritten into localized words."""
         if cell not in self._letter_values:
-            plain = letter_boundary(self.space, cell, self.ring)
-            self._letter_values[cell] = plain.map_terms(
-                lambda word: expand_word(self.space, word, self.ring)
-            )
+            self._letter_values[cell] = loc_letter_boundary(self.space, cell, self.ring)
         return self._letter_values[cell]
 
     def _boundary(self, word) -> FreeElement:
@@ -435,8 +442,7 @@ def _relator_values(space: SimplicialSet, ring: Ring):
     """d of each 2-cell letter as a group-algebra element."""
     values = []
     for cell in space.nondegenerate(2):
-        plain = letter_boundary(space, cell, ring)
-        loc = plain.map_terms(lambda word: expand_word(space, word, ring))
+        loc = loc_letter_boundary(space, cell, ring)
         values.append({word[0]: c for word, c in loc.items()})
     return values
 

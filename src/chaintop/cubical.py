@@ -876,81 +876,6 @@ def canonical_map_cell(target: SimplicialSet, cell: MapCell):
         morphism = m.compose(morphism)
 
 
-class ResourceLimitError(Exception):
-    """Enumeration would exceed the configured budget."""
-
-
-def u_adjoint(
-    target: SimplicialSet, max_degree: int, limit: int = 200000
-) -> CubicalSet:
-    """The cubical set of simplex-power maps into target, enumerated.
-
-    Cells in degree n are maps (simplex^1)^n -> target; faces restrict
-    along coordinate inclusions. Enumeration is exhaustive and guarded:
-    a combinatorial blowup raises ResourceLimitError with an estimate.
-    """
-    refs_by_dim = {}
-
-    def refs(m):
-        if m not in refs_by_dim:
-            refs_by_dim[m] = tuple(target.refs(m))
-        return refs_by_dim[m]
-
-    cells_by_degree = {}
-    for n in range(max_degree + 1):
-        chains = sorted(_strict_chains(n), key=lambda c: (len(c), c))
-        assignments = [{}]
-        for chain in chains:
-            m = len(chain) - 1
-            new_assignments = []
-            for partial in assignments:
-                candidates = []
-                for ref in refs(m):
-                    ok = True
-                    if m > 0:
-                        for i in range(m + 1):
-                            sub = chain[:i] + chain[i + 1 :]
-                            if partial[sub] != target.face_of_ref(ref, i):
-                                ok = False
-                                break
-                    if ok:
-                        candidates.append(ref)
-                for ref in candidates:
-                    extended = dict(partial)
-                    extended[chain] = ref
-                    new_assignments.append(extended)
-                if len(new_assignments) > limit:
-                    raise ResourceLimitError(
-                        f"mapping object in degree {n} exceeds {limit} partial "
-                        f"assignments (at least {len(new_assignments)} already)"
-                    )
-            assignments = new_assignments
-        cells_by_degree[n] = [MapCell(n, a) for a in assignments]
-
-    cells = {}
-    faces = {}
-    key_of = {}
-    for n in range(max_degree + 1):
-        nondeg = []
-        for cell in cells_by_degree[n]:
-            base, morphism = canonical_map_cell(target, cell)
-            if morphism.is_identity:
-                nondeg.append(cell.key())
-                key_of[cell.key()] = cell
-        cells[n] = nondeg
-    for n in range(1, max_degree + 1):
-        for key in cells[n]:
-            cell = key_of[key]
-            for i in range(1, n + 1):
-                for eps in (0, 1):
-                    sub = _map_cell_face(cell, i, eps)
-                    base, morphism = canonical_map_cell(target, sub)
-                    faces[(key, i, eps)] = CubeRef(base.key(), morphism)
-    return CubicalSet(
-        f"maps(power->{target.name})", cells, faces, complete=False
-    )
-
-
 def u_closure(target: SimplicialSet, seed_cells) -> CubicalSet:
     """Face-closed cubical subset of the mapping object containing the seeds.
 

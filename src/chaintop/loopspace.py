@@ -231,7 +231,7 @@ class CubicalCobar:
     signed words then cancel inverse edge pairs at the two junctions.
     The product is word concatenation. The stored window is closed
     under faces: its sliding budget is the one `chaintop.words`
-    describes.
+    describes, and each dimension keeps the order that module builds.
     """
 
     def __init__(
@@ -271,7 +271,6 @@ class CubicalCobar:
             self.cutoff = None
             self.growth = None
             cells = plain_words(space, edges + heavies, self.max_degree, self.budget)
-        cells = {n: sorted(ids, key=repr) for n, ids in cells.items() if ids}
         # per letter that fits the window: its width and, per (j, eps),
         # the canonical face of the lone bead, with that face's morphism
         # padded by the coordinates (before, after) of the other beads

@@ -678,18 +678,3 @@ class PsiMachine:
             new_key = tuple(self._push(key, x) for x in tup)
             add_into(terms, ring, new_key, c)
         return FreeElement(ring, terms)
-
-    def boundary_defect(self, i: int, n: int, key):
-        """d(psi(e_i)(x)) - psi(d e_i)(x) - (-1)^i psi(e_i)(dx) in model n."""
-        ring = self.ring
-        bial = self.model(n)
-        lhs = self.tensor_diff(bial, self.on_cell(i, key))
-        rhs = FreeElement.zero(ring)
-        for power, coeff in self.w.differential(i):
-            rhs = rhs + self.rho_power(self.on_cell(i - 1, key), power).scale(
-                ring.from_int(coeff)
-            )
-        sign = ring.from_int(-1 if i % 2 else 1)
-        for face, c in bial.complex.diff(key).items():
-            rhs = rhs + self.on_cell(i, face).scale(ring.mul(sign, c))
-        return lhs - rhs

@@ -32,6 +32,13 @@ exist, since their splits produce two edge factors; 1 with higher cells
 only; 0 without edges. A boundary term lowers the degree by one and so
 raises the budget by `growth`, which keeps the stored basis closed under
 the honest differential, and d^2 = 0 holds exactly.
+
+The order built here is the stored basis order: each window keeps every
+degree exactly as `plain_words` or `localized_words` returns it, and no
+class sorts it again. Words come breadth first, shortest first, with
+letters tried in the order of `letters`, which is the model's stored
+cell order; group segments come from `group_words` in the same way. So
+the order is deterministic and does not depend on the hash seed.
 """
 
 from __future__ import annotations

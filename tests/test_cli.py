@@ -180,6 +180,56 @@ def test_output_is_deterministic(capsys):
     assert len(outputs) == 2
 
 
+HASH_SEED_CHILD = """\
+import sys
+from chaintop.cli import main
+from chaintop.cobar import ExtendedCobarComplex, cobar
+from chaintop.loopspace import CubicalCobar
+from chaintop.simplicial import projective_plane_model
+
+codes = [
+    main(argv.split())
+    for argv in (
+        "cobar rp2 --max-degree 2 --word-cutoff 2 --format json",
+        "cobar-ext rp2 --word-cutoff 3 --format json",
+        "loop sphere 2 --max-degree 3 --check --format json",
+    )
+]
+print(codes)
+rp2 = projective_plane_model()
+for bases in (
+    cobar(rp2, 2, max_length=2).complex.basis_in,
+    ExtendedCobarComplex(rp2, 2, 3).complex.basis_in,
+    CubicalCobar(rp2, 2, max_length=2).cubes.nondegenerate,
+    CubicalCobar(rp2, 2, signed=True, cutoff=3).cubes.nondegenerate,
+):
+    print([bases(n) for n in range(3)])
+"""
+
+
+def test_output_and_bases_do_not_depend_on_the_hash_seed():
+    # string hashes change with PYTHONHASHSEED, so any basis order or
+    # output built from set or dict-of-set iteration would differ here
+    package_root = str(Path(chaintop.__file__).resolve().parents[1])
+    paths = [package_root, os.environ.get("PYTHONPATH")]
+    runs = [
+        subprocess.run(
+            [sys.executable, "-c", HASH_SEED_CHILD],
+            capture_output=True,
+            text=True,
+            env=dict(
+                os.environ,
+                PYTHONPATH=os.pathsep.join(filter(None, paths)),
+                PYTHONHASHSEED=seed,
+            ),
+            timeout=120,
+        )
+        for seed in ("0", "1")
+    ]
+    assert runs[0].returncode == runs[1].returncode == 0, runs[0].stderr
+    assert runs[0].stdout == runs[1].stdout
+
+
 def test_unknown_suite_raises_at_job_level():
     with pytest.raises(CliInputError):
         run_job(JobSpec(command="verify", suite="nope"))

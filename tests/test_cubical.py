@@ -13,7 +13,7 @@ from chaintop.cubical import (
     CubicalSet,
     I,
     MapCell,
-    ResourceLimitError,
+    _strict_chains,
     canonical_map_cell,
     cell_pushforward,
     cube_tensor_iso,
@@ -32,13 +32,12 @@ from chaintop.cubical import (
     serre_counit,
     standard_cube,
     triangulate,
-    u_adjoint,
     u_closure,
     word_face_morphism,
 )
 from chaintop.freemod import FreeElement
 from chaintop.rings import GF, QQ, ZZ
-from chaintop.simplicial import SimplexRef, point_model, standard_simplex
+from chaintop.simplicial import SimplexRef, monotone_ref, standard_simplex
 from chaintop.smith import smith_homology
 
 
@@ -566,31 +565,6 @@ def test_triangulate_truncation_flag():
 
 # --- mapping objects ---
 
-def test_u_adjoint_point():
-    u = u_adjoint(point_model(), 2)
-    assert len(u.nondegenerate(0)) == 1
-    assert len(u.nondegenerate(1)) == 0
-    assert len(u.nondegenerate(2)) == 0
-    u.validate()
-
-
-def test_u_adjoint_interval():
-    u = u_adjoint(standard_simplex(1), 2)
-    assert len(u.nondegenerate(0)) == 2
-    assert len(u.nondegenerate(1)) == 1
-    # the only nondegenerate square is min(x, y); max factors through
-    # the connection
-    assert len(u.nondegenerate(2)) == 1
-    u.validate()
-    chains = cubical_chains(u, max_degree=2)
-    assert chains.diff(u.nondegenerate(2)[0]).is_zero
-
-
-def test_u_adjoint_resource_limit():
-    with pytest.raises(ResourceLimitError):
-        u_adjoint(standard_simplex(1), 3, limit=10)
-
-
 def test_map_cell_consistency():
     target = standard_simplex(1)
     v0 = SimplexRef((0,))
@@ -613,11 +587,14 @@ def test_canonical_map_cell_peels():
 
 def test_u_closure():
     target = standard_simplex(1)
-    u = u_adjoint(target, 2)
-    top_key = u.nondegenerate(2)[0]
-    # rebuild the top cell as a MapCell and close under faces
-    n, items = top_key
-    cell = MapCell(n, dict(items))
+    # the square min(x, y) of maps into the edge, closed under faces
+    cell = MapCell(
+        2,
+        {
+            chain: monotone_ref(target, (0, 1), [min(pt) for pt in chain])
+            for chain in _strict_chains(2)
+        },
+    )
     sub = u_closure(target, [cell])
     sub.validate()
     assert len(sub.nondegenerate(2)) == 1

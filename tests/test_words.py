@@ -3,17 +3,25 @@
 The oracle functions below are the per-class enumerators that the cobar,
 the extended cobar and the bead-word monoid each carried before
 `chaintop.words` existed, kept verbatim as plain functions. The bases
-the constructions store now must equal theirs, degree by degree, after
-the same repr sort. The pinned certificate counts come from the word
-recurrence of the benchmark notes, so they hold whichever enumerator
-builds the windows.
+the constructions store now must hold the same words as theirs, degree
+by degree; both sides are repr-sorted before they are compared, so these
+tests fix the words and not their order. A separate test pins the
+stored order, the one `chaintop.words` builds. The pinned certificate
+counts come from the word recurrence of the benchmark notes, so they
+hold whichever enumerator builds the windows.
 """
 
 import random
 
 import pytest
 
-from chaintop.cobar import CobarComplex, ExtendedCobarComplex, cobar, group_words
+from chaintop.cobar import (
+    CobarComplex,
+    ExtendedCobarComplex,
+    cobar,
+    group_words,
+    word_to_signed_cell,
+)
 from chaintop.loopspace import CubicalCobar, phi_certificate
 from chaintop.simplicial import (
     collapse_subcomplex,
@@ -177,6 +185,11 @@ def by_degree(words, degree_of, max_degree):
     return {n: tuple(sorted(ws, key=repr)) for n, ws in out.items()}
 
 
+def sorted_bases(bases, max_degree):
+    """{degree: repr-sorted basis} of a stored window, as by_degree gives."""
+    return {n: tuple(sorted(bases(n), key=repr)) for n in range(max_degree + 1)}
+
+
 # --- models ---
 
 def collapsed_simplex(n, k):
@@ -231,20 +244,18 @@ def test_plain_windows_match_the_old_enumerators(index):
             want = by_degree(
                 old_cobar_words(space, max_degree, length), deg, max_degree
             )
-            got = {n: algebra.complex.basis_in(n) for n in range(max_degree + 1)}
+            got = sorted_bases(algebra.complex.basis_in, max_degree)
             assert got == want, (space.name, max_degree, length)
             omega = CubicalCobar(space, max_degree, max_length=length)
             want = by_degree(
                 old_cube_words(space, max_degree, length), deg, max_degree
             )
-            got = {
-                n: omega.cubes.nondegenerate(n) for n in range(max_degree + 1)
-            }
+            got = sorted_bases(omega.cubes.nondegenerate, max_degree)
             assert got == want, (space.name, max_degree, length)
             # the cobar on the cube model's sliding window, as the
             # certificate of Adams' map builds it
             algebra = CobarComplex(space, max_degree, budget=omega.budget)
-            got = {n: algebra.complex.basis_in(n) for n in range(max_degree + 1)}
+            got = sorted_bases(algebra.complex.basis_in, max_degree)
             assert got == want, (space.name, max_degree, length)
 
 
@@ -259,7 +270,7 @@ def test_localized_windows_match_the_old_enumerators(index):
                 lambda w: loc_degree(space, w),
                 max_degree,
             )
-            got = {n: algebra.complex.basis_in(n) for n in range(max_degree + 1)}
+            got = sorted_bases(algebra.complex.basis_in, max_degree)
             assert got == want, (space.name, max_degree, cutoff)
             omega = CubicalCobar(space, max_degree, signed=True, cutoff=cutoff)
             want = by_degree(
@@ -267,10 +278,43 @@ def test_localized_windows_match_the_old_enumerators(index):
                 lambda c: signed_degree(space, c),
                 max_degree,
             )
-            got = {
-                n: omega.cubes.nondegenerate(n) for n in range(max_degree + 1)
-            }
+            got = sorted_bases(omega.cubes.nondegenerate, max_degree)
             assert got == want, (space.name, max_degree, cutoff)
+
+
+@pytest.mark.parametrize("index", range(len(MODELS)))
+def test_windows_store_the_enumerators_order(index):
+    # basis order is decided in chaintop.words alone: every window keeps
+    # each degree exactly as plain_words or localized_words returns it
+    space = MODELS[index]
+    edges, heavies = letters(space)
+    max_degree, length, cutoff = 3, 2, 3
+    degrees = range(max_degree + 1)
+
+    fixed = plain_words(space, edges + heavies, max_degree, lambda d: length)
+    algebra = cobar(space, max_degree, max_length=length)
+    for n in degrees:
+        assert algebra.complex.basis_in(n) == tuple(fixed[n]), (space.name, n)
+
+    sliding = plain_words(
+        space, edges + heavies, max_degree, lambda d: length + max_degree - d
+    )
+    omega = CubicalCobar(space, max_degree, max_length=length)
+    algebra = CobarComplex(space, max_degree, budget=omega.budget)
+    for n in degrees:
+        assert algebra.complex.basis_in(n) == tuple(sliding[n]), (space.name, n)
+        assert omega.cubes.nondegenerate(n) == tuple(sliding[n]), (space.name, n)
+
+    g = growth(space)
+    localized = localized_words(
+        space, edges, heavies, max_degree, lambda d: cutoff - g * d
+    )
+    algebra = ExtendedCobarComplex(space, max_degree, cutoff)
+    omega = CubicalCobar(space, max_degree, signed=True, cutoff=cutoff)
+    for n in degrees:
+        assert algebra.complex.basis_in(n) == tuple(localized[n]), (space.name, n)
+        signed = tuple(word_to_signed_cell(w) for w in localized[n])
+        assert omega.cubes.nondegenerate(n) == signed, (space.name, n)
 
 
 def test_letters_split_and_growth_rule():
