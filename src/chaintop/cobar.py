@@ -136,14 +136,25 @@ class CobarComplex:
         return FreeElement.single(self.ring, (), self.ring.one)
 
     def product(self, left: FreeElement, right: FreeElement) -> FreeElement:
-        """Concatenation, dropping words outside the stored truncation."""
+        """Concatenation, dropping words outside the stored truncation.
+
+        The degree of a stored word is read from the window's basis;
+        only a word the window does not store has its degree summed
+        letter by letter.
+        """
         space, budget = self.space, self.budget
-        right = [(v, cv, word_degree(space, v)) for v, cv in right.items()]
+        stored = self.complex._degree_of
+        factors = []
+        for v, cv in right.items():
+            dv = stored.get(v)
+            factors.append((v, cv, word_degree(space, v) if dv is None else dv))
         sums = {}
         for u, cu in left.items():
-            du = word_degree(space, u)
+            du = stored.get(u)
+            if du is None:
+                du = word_degree(space, u)
             room = self.max_degree - du
-            for v, cv, dv in right:
+            for v, cv, dv in factors:
                 if dv <= room:
                     w = u + v
                     cap = budget(du + dv)
@@ -225,28 +236,34 @@ def word_to_signed_cell(word) -> tuple:
     return tuple(out)
 
 
-def edge_expansion(space: SimplicialSet, word, ring: Ring, lead, edge_sign) -> FreeElement:
-    """lead times the product of the letters, each edge t as t + edge_sign.
+def edge_expansion(space: SimplicialSet, word, ring: Ring, odd_sign, edge_sign) -> FreeElement:
+    """The product of the letters, each edge t as t + edge_sign.
 
     Letters of dimension >= 2 stay, so a word with k edge letters
-    expands into 2^k subwords; equal subwords add up.
+    expands into 2^k subwords; equal subwords add up. Each letter of odd
+    degree multiplies every term by odd_sign, so with odd_sign = -1 the
+    whole sum carries (-1)^degree, the same for every subword since
+    edges have degree 0; it is read in the one pass over the letters.
 
     >>> from .rings import ZZ
     >>> from .simplicial import projective_plane_model
     >>> rp2 = projective_plane_model()
     >>> edge_expansion(rp2, ("a", "U", "b"), ZZ, 1, 1)
     ('U', 'b') + ('U',) + ('a', 'U') + ('a', 'U', 'b')
-    >>> edge_expansion(rp2, ("a", "a"), ZZ, 1, -1)
+    >>> edge_expansion(rp2, ("a", "U", "b"), ZZ, -1, 1)
+    -1*('U', 'b') + -1*('U',) + -1*('a', 'U') + -1*('a', 'U', 'b')
+    >>> edge_expansion(rp2, ("a", "a"), ZZ, -1, -1)
     ('a', 'a') + -2*('a',) + ()
     """
-    sums = {(): lead}
+    sums = {(): 1}
     for cell in word:
-        edge = space.dim_of(cell) == 1
+        dim = space.dim_of(cell)
+        sign = odd_sign if dim % 2 == 0 else 1
         grown = {}
         for sub, c in sums.items():
             longer = sub + (cell,)
-            grown[longer] = grown.get(longer, 0) + c
-            if edge:
+            grown[longer] = grown.get(longer, 0) + c * sign
+            if dim == 1:
                 grown[sub] = grown.get(sub, 0) + c * edge_sign
         sums = grown
     return FreeElement._from_sums(ring, sums)
@@ -254,7 +271,7 @@ def edge_expansion(space: SimplicialSet, word, ring: Ring, lead, edge_sign) -> F
 
 def expand_word(space: SimplicialSet, word, ring: Ring) -> FreeElement:
     """A plain word as a sum of localized words: each edge is g - 1."""
-    return edge_expansion(space, word, ring, ring.one, ring.neg(ring.one)).map_keys(
+    return edge_expansion(space, word, ring, 1, ring.neg(ring.one)).map_keys(
         lambda sub: signed_cell_to_word(space, tuple((c, 1) for c in sub))
     )
 

@@ -10,7 +10,7 @@ a truncation (see InsufficientTruncationError).
 from __future__ import annotations
 
 from .freemod import FreeElement, add_into
-from .linalg import compose
+from .linalg import residual_columns
 from .rings import Ring
 
 
@@ -31,7 +31,7 @@ class ChainComplex:
 
     def __init__(self, ring: Ring, basis, diff, complete: bool = False, name: str = ""):
         self.ring = ring
-        self.basis = {int(n): tuple(keys) for n, keys in basis.items() if len(tuple(keys))}
+        self.basis = {int(n): ids for n, given in basis.items() if (ids := tuple(given))}
         degree_of = {}
         for n, keys in self.basis.items():
             for key in keys:
@@ -96,8 +96,10 @@ class ChainComplex:
         """First basis key whose d(d(key)) is nonzero, or None if d^2 = 0.
 
         Each degree n is checked as D_{n-1} D_n = 0 on `diff_columns`, so
-        a sweep assembles every d_n once; the witness (key, d(d(key))) is
-        built from `diff` for the first nonzero column only.
+        a sweep assembles every d_n once; `linalg.residual_columns` sums
+        each column of the product in one dict, and the witness
+        (key, d(d(key))) is built from `diff` for the first nonzero
+        column only.
         """
         if degrees is None:
             degrees = [n for n in self.degrees() if n - 2 >= self.min_degree - 1]
@@ -108,7 +110,7 @@ class ChainComplex:
                 continue
             lower = upper if last == n - 1 else self.diff_columns(n - 1)
             last, upper = n, self.diff_columns(n)
-            for key, dd in zip(keys, compose(lower, upper, self.ring)):
+            for key, dd in zip(keys, residual_columns(lower, upper, self.ring)):
                 if dd:
                     return key, self.diff_element(self.diff(key))
         return None
@@ -258,21 +260,24 @@ class GradedLinearMap:
 
         Returns (True, None) or (False, (key, f_dx, d_fx_signed)); the
         witness carries both sides so failures are inspectable.
-        Each degree n is checked as F_{n-1} D_n = (-1)^shift D' F_n on
-        sparse columns (chaintop.linalg) whose rows are positions in the
-        target basis: F comes from `columns`, and D' is the target's own
-        `diff_columns(n + shift)`. So every column of D' and all of
-        F_{n-1} are built, and so validated, not only the part that the
-        images and the source's boundaries reach: a target whose
-        boundary leaves its basis on a key outside the image of f
-        raises, and so does a map whose image of an unreached key of
-        degree n - 1 leaves the target basis. Columns are compared in
-        basis order, so the witness is the first failing key, and only
-        once a degree's columns are all built: a map that raises on any
-        key of degree n raises even if an earlier key of degree n fails.
+        Each degree n is checked as F_{n-1} D_n - (-1)^shift D' F_n = 0
+        on sparse columns (chaintop.linalg) whose rows are positions in
+        the target basis: F comes from `columns`, and D' is the target's
+        own `diff_columns(n + shift)`. `linalg.residual_columns` sums both
+        products of a column into one dict, which vanishes exactly when
+        the two sides agree (mod p over F_p); neither side is built on
+        its own. Every column of D' and all of F_{n-1} are built, and so
+        validated, not only the part that the images and the source's
+        boundaries reach: a target whose boundary leaves its basis on a
+        key outside the image of f raises, and so does a map whose image
+        of an unreached key of degree n - 1 leaves the target basis.
+        Columns are checked in basis order, so the witness is the first
+        failing key, and only once a degree's columns are all built: a
+        map that raises on any key of degree n raises even if an earlier
+        key of degree n fails. The witness itself is built key by key,
+        for the failing key only.
         """
         source, target = self.source, self.target
-        ring = target.ring
         sign = -1 if self.shift % 2 else 1
         if degrees is None:
             degrees = [n for n in source.degrees() if n > source.min_degree]
@@ -284,12 +289,11 @@ class GradedLinearMap:
             d_source = source.diff_columns(n)
             f_below = self.columns(n - 1)
             d_target = target.diff_columns(n + self.shift)
-            lhs = compose(f_below, d_source, ring)
-            rhs = compose(d_target, f_n, ring)
-            for key, left, right in zip(keys, lhs, rhs):
-                if sign == -1:
-                    right = {i: ring.neg(c) for i, c in right.items()}
-                if left != right:
+            residuals = residual_columns(
+                f_below, d_source, target.ring, d_target, f_n, sign
+            )
+            for key, residual in zip(keys, residuals):
+                if residual:
                     return False, (
                         key,
                         self.apply(source.diff(key)),

@@ -291,36 +291,58 @@ class CubicalSet:
     faces maps (id, direction 1..n, eps) -> CubeRef one dimension down.
     complete=False marks a truncation: cells above the stored top
     dimension exist but are not listed.
+
+    The constructor checks every face in one pass against its own table
+    of cell dimensions: the key names a known cell, a direction in range
+    and a side 0 or 1; the face is a CubeRef on a known base, whose
+    morphism starts at that base's dimension and ends one dimension
+    below the cell. Every key that passes names a face of its cell, so
+    the faces are complete exactly when there are 2n of them per n-cube;
+    only when the count falls short are the cells walked to name the
+    first missing face.
     """
 
     def __init__(self, name: str, cells, faces, complete: bool = True):
         self.name = name
         self.complete = bool(complete)
-        self.cells = {int(n): tuple(ids) for n, ids in cells.items() if len(tuple(ids))}
-        self._dim = {}
+        self.cells = {int(n): ids for n, given in cells.items() if (ids := tuple(given))}
+        dims = self._dim = {}
         for n, ids in self.cells.items():
             if n < 0:
                 raise ValueError("negative dimension")
             for cid in ids:
-                if cid in self._dim:
+                if cid in dims:
                     raise ValueError(f"duplicate cell id: {cid!r}")
-                self._dim[cid] = n
-        self._faces = {}
+                dims[cid] = n
+        named = 0
         for key, ref in faces.items():
             cid, i, eps = key
-            n = self.dim_of(cid)
+            n = dims.get(cid)
+            if n is None:
+                raise KeyError(f"unknown cube id: {cid!r}")
             if not 1 <= i <= n or eps not in (0, 1):
                 raise ValueError(f"bad face key {key!r}")
             if not isinstance(ref, CubeRef):
                 raise ValueError(f"face {key!r} must be a CubeRef")
-            if self.ref_dim(ref) != n - 1:
+            base_dim = dims.get(ref.base)
+            if base_dim is None:
+                raise KeyError(f"unknown cube id: {ref.base!r}")
+            morphism = ref.morphism
+            if morphism.n_out != base_dim:
+                raise ValueError(f"ref morphism does not match base dimension: {ref!r}")
+            if morphism.n_in != n - 1:
                 raise ValueError(f"face {key!r} has wrong dimension")
-            self._faces[key] = ref
-        for cid, n in self._dim.items():
-            for i in range(1, n + 1):
-                for eps in (0, 1):
-                    if (cid, i, eps) not in self._faces:
-                        raise ValueError(f"missing face ({cid!r}, {i}, {eps})")
+            # a direction strictly between two integers passes the range
+            # check but names no face, so it does not count
+            if i.__class__ is int or i in range(1, n + 1):
+                named += 1
+        self._faces = dict(faces)
+        if named != 2 * sum(n * len(ids) for n, ids in self.cells.items()):
+            for cid, n in dims.items():
+                for i in range(1, n + 1):
+                    for eps in (0, 1):
+                        if (cid, i, eps) not in self._faces:
+                            raise ValueError(f"missing face ({cid!r}, {i}, {eps})")
 
     def dimensions(self):
         return sorted(self.cells)
@@ -416,15 +438,16 @@ def cubical_chains(
     """
     top = space.dimension if max_degree is None else min(max_degree, space.dimension)
     basis = {n: space.nondegenerate(n) for n in range(top + 1)}
+    dims = space._dim
+    faces = space._faces
 
     def diff(key):
-        n = space.dim_of(key)
         sums = {}
-        for i in range(1, n + 1):
-            sign = -1 if (i - 1) % 2 else 1
+        for i in range(1, dims[key] + 1):
+            sign = 1 if i % 2 else -1
             for eps, eps_sign in ((1, sign), (0, -sign)):
-                ref = space.face(key, i, eps)
-                if not ref.is_degenerate:
+                ref = faces[key, i, eps]
+                if ref.morphism.is_identity:
                     sums[ref.base] = sums.get(ref.base, 0) + eps_sign
         return FreeElement._from_sums(ring, sums)
 

@@ -23,7 +23,6 @@ from .cobar import (
     loc_degree,
     reduce_group_word,
     signed_cell_to_word,
-    word_degree,
     word_to_signed_cell,
 )
 from .complexes import GradedLinearMap, InsufficientTruncationError
@@ -377,7 +376,8 @@ def extended_cubical_cobar(
 # A cell of dimension n maps to (-1)^n times the product of its bead
 # letters, where an edge bead contributes (letter + unit); the inverse
 # unshifts each edge letter to (cell - unit). Both are
-# `cobar.edge_expansion`. The sign reconciles the two boundary
+# `cobar.edge_expansion`, which reads the sign off the letters in the
+# same pass that expands them. The sign reconciles the two boundary
 # conventions and is multiplicative, so the relabeling is
 # simultaneously an algebra map and a chain map.
 
@@ -387,8 +387,7 @@ def _dim_sign(ring: Ring, n: int):
 
 def phi_cell(space: SimplicialSet, cell, ring: Ring) -> FreeElement:
     """Image of a plain cell: a signed sum of subwords keeping heavies."""
-    sign = _dim_sign(ring, word_degree(space, cell))
-    return edge_expansion(space, cell, ring, sign, ring.one)
+    return edge_expansion(space, cell, ring, -1, ring.one)
 
 
 def phi_chain(space: SimplicialSet, element: FreeElement, ring: Ring) -> FreeElement:
@@ -397,8 +396,7 @@ def phi_chain(space: SimplicialSet, element: FreeElement, ring: Ring) -> FreeEle
 
 def phi_inverse_word(space: SimplicialSet, word, ring: Ring) -> FreeElement:
     """Preimage of a bead word: edge letters unshift to (cell - unit)."""
-    sign = _dim_sign(ring, word_degree(space, word))
-    return edge_expansion(space, word, ring, sign, ring.neg(ring.one))
+    return edge_expansion(space, word, ring, -1, ring.neg(ring.one))
 
 
 def phi_inverse_chain(space, element: FreeElement, ring: Ring) -> FreeElement:

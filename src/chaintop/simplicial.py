@@ -100,7 +100,7 @@ class SimplicialSet:
     def __init__(self, name: str, cells, faces, complete: bool = True):
         self.name = name
         self.complete = bool(complete)
-        self.cells = {int(n): tuple(ids) for n, ids in cells.items() if len(tuple(ids))}
+        self.cells = {int(n): ids for n, given in cells.items() if (ids := tuple(given))}
         self._dim = {}
         for n, ids in self.cells.items():
             if n < 0:

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from chaintop.cobar import ExtendedCobarComplex, cobar
 from chaintop.complexes import ChainComplex, GradedLinearMap, tensor_complex
 from chaintop.freemod import FreeElement
-from chaintop.linalg import compose
+from chaintop.linalg import residual_columns
 from chaintop.loopspace import (
     cartan_serre,
     cubical_cobar,
@@ -230,7 +230,7 @@ def test_columns_raise_the_error_of_apply_key():
             assert raised(f.is_chain_map) == expected, (name, stray)
 
 
-# --- the product of sparse columns against a dense product ---
+# --- the residual of sparse column products against dense products ---
 
 def scalars(ring):
     if ring == QQ:
@@ -238,13 +238,21 @@ def scalars(ring):
     return st.integers(-3, 3)
 
 
+def dense(draw, ring, rows, cols):
+    return [[draw(scalars(ring)) for _ in range(cols)] for _ in range(rows)]
+
+
 @st.composite
-def matrix_pairs(draw):
+def residual_cases(draw):
+    """(ring, a, b, second, sign): second is None or the pair (c, d)."""
     ring = draw(st.sampled_from(RINGS))
     rows, inner, cols = (draw(st.integers(0, 4)) for _ in range(3))
-    a = [[draw(scalars(ring)) for _ in range(inner)] for _ in range(rows)]
-    b = [[draw(scalars(ring)) for _ in range(cols)] for _ in range(inner)]
-    return ring, a, b
+    a, b = dense(draw, ring, rows, inner), dense(draw, ring, inner, cols)
+    second = None
+    if draw(st.booleans()):
+        middle = draw(st.integers(0, 4))
+        second = dense(draw, ring, rows, middle), dense(draw, ring, middle, cols)
+    return ring, a, b, second, draw(st.sampled_from((1, -1)))
 
 
 def sparse_columns(mat, width, ring):
@@ -254,24 +262,56 @@ def sparse_columns(mat, width, ring):
     ]
 
 
-@settings(max_examples=150, deadline=None)
-@given(matrix_pairs())
-def test_compose_matches_dense_product(case):
-    ring, a, b = case
-    inner = len(b)
+def dense_product(a, b, width):
+    return [
+        [sum(row[k] * b[k][j] for k in range(len(b))) for j in range(width)]
+        for row in a
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(residual_cases())
+def test_residual_columns_match_dense_products(case):
+    ring, a, b, second, sign = case
     cols = len(b[0]) if b else 0
     # exact products of the entries as given; sparse_columns reduces them
-    dense = [
-        [sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(cols)]
-        for i in range(len(a))
-    ]
-    product = list(
-        compose(sparse_columns(a, inner, ring), sparse_columns(b, cols, ring), ring)
-    )
-    assert product == sparse_columns(dense, cols, ring)
-    for col in product:
+    expected = dense_product(a, b, cols)
+    args = (sparse_columns(a, len(b), ring), sparse_columns(b, cols, ring), ring)
+    if second is not None:
+        c, d = second
+        other = dense_product(c, d, cols)
+        expected = [
+            [x - sign * y for x, y in zip(row, other_row)]
+            for row, other_row in zip(expected, other)
+        ]
+        args += (sparse_columns(c, len(d), ring), sparse_columns(d, cols, ring), sign)
+    residual = list(residual_columns(*args))
+    assert residual == sparse_columns(expected, cols, ring)
+    for col in residual:
         for x in col.values():
             assert type(x) is (Fraction if ring == QQ else int)
+
+
+def mod_three_map(ring):
+    """v -> 2w, e -> x with d e = 2v and d x = w: f d e - d f e = 3w."""
+    source = ChainComplex(
+        ring, {0: ["v"], 1: ["e"]}, {"e": FreeElement(ring, {"v": 2})}.get
+    )
+    target = ChainComplex(
+        ring, {0: ["w"], 1: ["x"]}, {"x": FreeElement(ring, {"w": 1})}.get
+    )
+    images = {"v": FreeElement(ring, {"w": 2}), "e": FreeElement(ring, {"x": 1})}
+    return source, target, 0, images.get
+
+
+def test_sides_that_agree_only_mod_p_pass_exactly_over_that_field():
+    # over F_3 the columns hold 2, 2 and 1, so the residual 4 - 1 is a
+    # nonzero plain number that vanishes only once reduced mod 3
+    ok, witness = agree(*mod_three_map(GF(3)))
+    assert ok and witness is None
+    for ring in (ZZ, QQ, GF(2)):
+        ok, witness = agree(*mod_three_map(ring))
+        assert not ok and witness[0] == "e", ring
 
 
 # --- the constructor that canonicalizes plain-number sums ---

@@ -162,6 +162,67 @@ def test_product_is_associative_and_unital():
         assert c.product(one, u) == u == c.product(u, one)
 
 
+def oracle_product(algebra, left, right):
+    """The product with every degree summed letter by letter."""
+    space, ring = algebra.space, algebra.ring
+    terms = {}
+    for u, cu in left.items():
+        for v, cv in right.items():
+            degree = word_degree(space, u) + word_degree(space, v)
+            cap = algebra.budget(degree)
+            if degree <= algebra.max_degree and (cap is None or len(u + v) <= cap):
+                add_into(terms, ring, u + v, ring.mul(cu, cv))
+    return FreeElement(ring, terms)
+
+
+def product_windows(ring):
+    rp2 = projective_plane_model()
+    yield "fixed rp2", cobar(rp2, 3, ring, max_length=2)
+    # the cube model's sliding budget: one more letter per degree down
+    yield "sliding rp2", CobarComplex(rp2, 3, ring, lambda degree: 2 + (3 - degree))
+    wedge = wedge_models(sphere_model(2), sphere_model(3))
+    yield "uncapped s2vs3", CobarComplex(wedge, 4, ring)
+
+
+@pytest.mark.parametrize("ring", [ZZ, GF(3), QQ])
+def test_product_reads_stored_degrees_and_matches_the_letter_sum(ring, monkeypatch):
+    summed = []
+    real = cobar_module.word_degree
+
+    def counted(space, word):
+        summed.append(word)
+        return real(space, word)
+
+    monkeypatch.setattr(cobar_module, "word_degree", counted)
+    rng = random.Random(11)
+    for name, algebra in product_windows(ring):
+        words = [w for n in algebra.complex.degrees() for w in algebra.complex.basis_in(n)]
+        letters = sorted({x for w in words for x in w})
+        # words the window does not store: too long, or of too high a degree
+        strays = {tuple(rng.choice(letters) for _ in range(rng.randint(3, 6))) for _ in range(40)}
+        strays -= set(words)
+        assert strays, name
+
+        def element(pool):
+            picked = {rng.choice(pool): rng.randint(-3, 3) for _ in range(rng.randint(1, 4))}
+            return FreeElement(ring, {w: ring.coerce(c) for w, c in picked.items()})
+
+        for _ in range(40):
+            left, right = element(words), element(words)
+            summed.clear()
+            assert algebra.product(left, right) == oracle_product(algebra, left, right), name
+            # every factor word is stored, so no degree is summed
+            assert summed == [], name
+        for pools in ((words, list(strays)), (list(strays), words), (list(strays), list(strays))):
+            for _ in range(20):
+                left, right = element(pools[0]), element(pools[1])
+                summed.clear()
+                assert algebra.product(left, right) == oracle_product(algebra, left, right), name
+                # the fallback sums the degree of each unstored factor word
+                stray = [w for w in (*left.support(), *right.support()) if w in strays]
+                assert sorted(summed) == sorted(stray), name
+
+
 def test_d_squared_on_standard_models():
     assert cobar(sphere_model(2), 5).complex.d_squared_witness() is None
     assert cobar(sphere_model(3), 5).complex.d_squared_witness() is None

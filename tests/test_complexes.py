@@ -45,6 +45,29 @@ def test_basis_bookkeeping():
         ChainComplex(ZZ, {0: ["x"], 1: ["x"]}, lambda k: None)
 
 
+def test_bases_given_as_iterators_are_kept_and_empty_degrees_dropped():
+    from chaintop.cubical import CubeMorphism, CubeRef, CubicalSet
+    from chaintop.simplicial import SimplexRef, SimplicialSet
+
+    c = ChainComplex(ZZ, {0: iter(["v"]), 1: (k for k in ["e"]), 2: iter([])}, lambda k: None)
+    assert c.basis == {0: ("v",), 1: ("e",)}
+    assert c.degrees() == [0, 1] and c.degree_of("e") == 1
+
+    point = CubeRef("p", CubeMorphism.identity(0))
+    cubes = CubicalSet(
+        "interval",
+        {0: iter(["p"]), 1: (k for k in ["e"]), 2: iter([])},
+        {("e", 1, 0): point, ("e", 1, 1): point},
+    )
+    assert cubes.cells == {0: ("p",), 1: ("e",)}
+    assert cubes.dimensions() == [0, 1] and cubes.dim_of("e") == 1
+
+    faces = {"e": (SimplexRef("p"), SimplexRef("p"))}
+    circle = SimplicialSet("circle", {0: iter(["p"]), 1: (k for k in ["e"]), 2: iter([])}, faces)
+    assert circle.cells == {0: ("p",), 1: ("e",)}
+    assert circle.dimensions() == [0, 1] and circle.dim_of("e") == 1
+
+
 def test_diff_validation():
     def bad(key):
         return FreeElement(ZZ, {"v0": 1}) if key == "e" else FreeElement.zero(ZZ)

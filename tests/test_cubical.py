@@ -219,6 +219,100 @@ def test_missing_face_rejected():
         )
 
 
+POINT = CubeRef("p", CubeMorphism.identity(0))
+EDGE = CubeRef("e", CubeMorphism.identity(1))
+SQUARE_CELLS = {0: ["p"], 1: ["e"], 2: ["s"]}
+
+
+def square_faces(**changes):
+    """Faces of a point p, an edge e and a square s, with entries replaced.
+
+    A change maps a name such as "s_2_1" to a new ref, or to None to drop
+    that face; extra keys come in through the "extra" change.
+    """
+    faces = {("e", 1, 0): POINT, ("e", 1, 1): POINT}
+    for i in (1, 2):
+        for eps in (0, 1):
+            faces[("s", i, eps)] = EDGE
+    for name, ref in changes.items():
+        if name == "extra":
+            faces.update(ref)
+            continue
+        cid, i, eps = name.split("_")
+        key = (cid, int(i), int(eps))
+        if ref is None:
+            del faces[key]
+        else:
+            faces[key] = ref
+    return faces
+
+
+def construction_error(cells, faces):
+    try:
+        CubicalSet("bad", cells, faces)
+    except Exception as exc:  # the exception itself is the result
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize(
+    "faces, expected",
+    [
+        # the key: direction out of range, eps not 0/1, unknown cell
+        (square_faces(extra={("e", 2, 0): POINT}), (ValueError, "bad face key ('e', 2, 0)")),
+        (square_faces(extra={("s", 0, 1): EDGE}), (ValueError, "bad face key ('s', 0, 1)")),
+        (square_faces(extra={("e", 1, 2): POINT}), (ValueError, "bad face key ('e', 1, 2)")),
+        (square_faces(extra={("x", 1, 0): POINT}), (KeyError, "\"unknown cube id: 'x'\"")),
+        # the ref: not a CubeRef, unknown base, morphism off its base,
+        # wrong dimension
+        (square_faces(e_1_1="p"), (ValueError, "face ('e', 1, 1) must be a CubeRef")),
+        (
+            square_faces(s_2_0=CubeRef("q", CubeMorphism.identity(1))),
+            (KeyError, "\"unknown cube id: 'q'\""),
+        ),
+        (
+            square_faces(s_1_1=CubeRef("e", CubeMorphism.identity(0))),
+            (ValueError, "ref morphism does not match base dimension: <e>"),
+        ),
+        (
+            square_faces(e_1_0=CubeRef("p", CubeMorphism.degeneracy(1, 1))),
+            (ValueError, "face ('e', 1, 0) has wrong dimension"),
+        ),
+        (square_faces(s_1_0=POINT), (ValueError, "face ('s', 1, 0) has wrong dimension")),
+        # completeness, named in cell order, then direction, then eps
+        (square_faces(s_2_1=None), (ValueError, "missing face ('s', 2, 1)")),
+        (square_faces(e_1_1=None, s_1_0=None), (ValueError, "missing face ('e', 1, 1)")),
+        # a direction strictly inside the range is valid but names no
+        # face, so it must not stand in for a missing one
+        (
+            square_faces(s_2_1=None, extra={("s", 1.5, 1): EDGE}),
+            (ValueError, "missing face ('s', 2, 1)"),
+        ),
+        # the first bad face in the dict's order is reported, and the key
+        # is checked before its ref
+        (
+            square_faces(extra={("e", 3, 0): "p", ("x", 1, 0): POINT}),
+            (ValueError, "bad face key ('e', 3, 0)"),
+        ),
+        (
+            square_faces(e_1_0="p", extra={("x", 1, 0): POINT}),
+            (ValueError, "face ('e', 1, 0) must be a CubeRef"),
+        ),
+    ],
+)
+def test_cubical_set_constructor_errors(faces, expected):
+    assert construction_error(SQUARE_CELLS, faces) == expected
+
+
+def test_cubical_set_accepts_complete_faces_and_valid_strays():
+    assert construction_error(SQUARE_CELLS, square_faces()) is None
+    # a valid direction that names no face is kept, as it always was
+    faces = square_faces(extra={("s", 1.5, 1): EDGE})
+    assert CubicalSet("ok", SQUARE_CELLS, faces).face("s", 1.5, 1) == EDGE
+    # a dimension with no cells needs no faces
+    assert construction_error({0: ["p"], 1: []}, {}) is None
+
+
 def test_chain_boundary_frozen():
     ring = ZZ
     c1 = cubical_chains(standard_cube(1), ring=ring)
