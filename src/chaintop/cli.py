@@ -22,7 +22,7 @@ from collections import namedtuple
 from .cobar import cobar, h0_group_ring
 from .complexes import InsufficientTruncationError
 from .cubical import CubeBialgebra, serre_coproduct, serre_counit
-from .freemod import FreeElement, add_into
+from .freemod import FreeElement
 from .loopspace import cubical_cobar, phi_certificate
 from .rings import ZZ, parse_ring
 from .simplicial import (
@@ -267,29 +267,23 @@ def _verify_serre_coalgebra():
     for n in range(4):
         words = list(itertools.product(("0", "1", "I"), repeat=n))
         for w in words:
-            # counit axiom on both sides
-            through = {}
-            for (a, b), c in serre_coproduct(w, ring).items():
-                ca = serre_counit(a, ring)
-                if not ring.is_zero(ca):
-                    add_into(through, ring, b, ring.mul(c, ca))
-            if FreeElement(ring, through) != FreeElement.single(ring, w, ring.one):
-                return f"left counit fails on {w!r}"
-            through = {}
-            for (a, b), c in serre_coproduct(w, ring).items():
-                cb = serre_counit(b, ring)
-                if not ring.is_zero(cb):
-                    add_into(through, ring, a, ring.mul(c, cb))
-            if FreeElement(ring, through) != FreeElement.single(ring, w, ring.one):
-                return f"right counit fails on {w!r}"
-            left = {}
-            for (a, b), c in serre_coproduct(w, ring).items():
-                for (a1, a2), c2 in serre_coproduct(a, ring).items():
-                    add_into(left, ring, (a1, a2, b), ring.mul(c, c2))
-            right = {}
-            for (a, b), c in serre_coproduct(w, ring).items():
-                for (b1, b2), c2 in serre_coproduct(b, ring).items():
-                    add_into(right, ring, (a, b1, b2), ring.mul(c, c2))
+            delta = serre_coproduct(w, ring).items()
+            unit = FreeElement.single(ring, w)
+            # counit axiom on both sides: the counit of one factor leaves the other
+            for side, name in ((0, "left"), (1, "right")):
+                through = [(ab[1 - side], c * serre_counit(ab[side], ring)) for ab, c in delta]
+                if FreeElement(ring, through) != unit:
+                    return f"{name} counit fails on {w!r}"
+            left = [
+                ((a1, a2, b), c * c2)
+                for (a, b), c in delta
+                for (a1, a2), c2 in serre_coproduct(a, ring).items()
+            ]
+            right = [
+                ((a, b1, b2), c * c2)
+                for (a, b), c in delta
+                for (b1, b2), c2 in serre_coproduct(b, ring).items()
+            ]
             if FreeElement(ring, left) != FreeElement(ring, right):
                 return f"coassociativity fails on {w!r}"
     return None
@@ -442,24 +436,29 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="chaintop", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, model=True):
-        if model:
-            p.add_argument("model", help="builtin name or .json path")
-            p.add_argument("dim", nargs="?", type=int, default=None)
-        p.add_argument("--ring", default="z", help="z, q, or fp:<p>")
-        p.add_argument("--max-degree", type=int, default=None, dest="max_degree")
-        p.add_argument(
-            "--word-cutoff", type=int, default=None, dest="word_cutoff"
-        )
-        p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--check", action="store_true")
+    # each command registers only the flags it reads, so a flag that would
+    # change nothing is bad input
+    flags = {
+        "--max-degree": {"type": int, "default": None, "dest": "max_degree"},
+        "--word-cutoff": {"type": int, "default": None, "dest": "word_cutoff"},
+        "--check": {"action": "store_true"},
+    }
 
-    common(sub.add_parser("homology", help="homology of normalized chains"))
-    common(sub.add_parser("cobar", help="loop homology from the word algebra"))
-    common(sub.add_parser("cobar-ext", help="degree zero of the localized algebra"))
-    common(sub.add_parser("loop", help="loop homology from the cube model"))
-    steenrod = sub.add_parser("steenrod", help="Steenrod square images")
-    common(steenrod)
+    def model_command(name, summary, *reads):
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("model", help="builtin name or .json path")
+        p.add_argument("dim", nargs="?", type=int, default=None)
+        p.add_argument("--ring", default="z", help="z, q, or fp:<p>")
+        for flag in reads:
+            p.add_argument(flag, **flags[flag])
+        p.add_argument("--format", choices=("text", "json"), default="text")
+        return p
+
+    model_command("homology", "homology of normalized chains", "--max-degree", "--check")
+    model_command("cobar", "loop homology from the word algebra", *flags)
+    model_command("cobar-ext", "degree zero of the localized algebra", "--word-cutoff")
+    model_command("loop", "loop homology from the cube model", *flags)
+    steenrod = model_command("steenrod", "Steenrod square images")
     steenrod.add_argument("--square", type=int, default=1)
     steenrod.add_argument("--degree", type=int, default=None)
     verify = sub.add_parser("verify", help="named invariant suites")

@@ -19,7 +19,7 @@ from __future__ import annotations
 import copy
 
 from .complexes import ChainComplex
-from .freemod import FreeElement, add_into
+from .freemod import FreeElement
 from .linalg import eliminate
 from .rings import QQ, Ring, ZZ
 from .simplicial import SimplicialSet, back_face, front_face
@@ -42,22 +42,22 @@ def letter_boundary(space: SimplicialSet, cell, ring: Ring) -> FreeElement:
     factor. Degenerate letters and vertex letters drop.
     """
     n = space.dim_of(cell)
-    terms = {}
+    sums = {}
     ref = space.ref(cell)
     if n >= 2:
         for i in range(n + 1):
             face = space.face_of_ref(ref, i)
             if not face.is_degenerate:
-                sign = ring.from_int(-1 if i % 2 == 0 else 1)
-                add_into(terms, ring, (face.base,), sign)
+                word = (face.base,)
+                sums[word] = sums.get(word, 0) + (-1 if i % 2 == 0 else 1)
     for i in range(1, n):
         front = front_face(space, ref, i)
         back = back_face(space, ref, n - i)
         if front.is_degenerate or back.is_degenerate:
             continue
-        sign = ring.from_int(-1 if i % 2 else 1)
-        add_into(terms, ring, (front.base, back.base), sign)
-    return FreeElement(ring, terms)
+        word = (front.base, back.base)
+        sums[word] = sums.get(word, 0) + (-1 if i % 2 else 1)
+    return FreeElement._from_sums(ring, sums)
 
 
 class CobarComplex:
@@ -342,9 +342,8 @@ class ExtendedCobarComplex:
         return self._letter_values[cell]
 
     def _boundary(self, word) -> FreeElement:
-        ring = self.ring
-        terms = {}
-        sign = ring.one
+        sums = {}
+        sign = 1
         for j in range(1, len(word), 2):
             cell = word[j]
             for piece, c in self.letter_value(cell).items():
@@ -361,23 +360,22 @@ class ExtendedCobarComplex:
                         + (last,)
                         + word[j + 2 :]
                     )
-                add_into(terms, ring, new, ring.mul(sign, c))
+                sums[new] = sums.get(new, 0) + sign * c
             if (self.space.dim_of(cell) - 1) % 2:
-                sign = ring.neg(sign)
-        return FreeElement(ring, terms)
+                sign = -sign
+        return FreeElement._from_sums(self.ring, sums)
 
     def unit(self) -> FreeElement:
         return FreeElement.single(self.ring, ((),), self.ring.one)
 
     def product(self, left: FreeElement, right: FreeElement) -> FreeElement:
-        ring = self.ring
-        terms = {}
+        sums = {}
         for u, cu in left.items():
             for v, cv in right.items():
                 w = loc_product(u, v)
                 if self.in_window(w):
-                    add_into(terms, ring, w, ring.mul(cu, cv))
-        return FreeElement(ring, terms)
+                    sums[w] = sums.get(w, 0) + cu * cv
+        return FreeElement._from_sums(self.ring, sums)
 
     def embed_word(self, word) -> FreeElement:
         """Image of a plain cobar word; fails if the window is too tight."""

@@ -9,7 +9,7 @@ a truncation (see InsufficientTruncationError).
 
 from __future__ import annotations
 
-from .freemod import FreeElement, add_into
+from .freemod import FreeElement
 from .linalg import residual_columns
 from .rings import Ring
 
@@ -165,18 +165,15 @@ class ChainComplex:
 
 def tensor_diff(complex_: ChainComplex, element: FreeElement) -> FreeElement:
     """Leibniz boundary on tensor words of basis keys, with Koszul signs."""
-    ring = complex_.ring
-    terms = {}
-    for key, c in element.items():
-        sign = ring.one
+    sums = {}
+    for key, coeff in element.items():
         for j, x in enumerate(key):
-            coeff = ring.mul(c, sign)
             for face, c2 in complex_.diff(x).items():
                 new_key = key[:j] + (face,) + key[j + 1 :]
-                add_into(terms, ring, new_key, ring.mul(coeff, c2))
+                sums[new_key] = sums.get(new_key, 0) + coeff * c2
             if complex_.degree_of(x) % 2:
-                sign = ring.neg(sign)
-    return FreeElement(ring, terms)
+                coeff = -coeff
+    return FreeElement._from_sums(complex_.ring, sums)
 
 
 class GradedLinearMap:
@@ -327,13 +324,11 @@ def tensor_complex(a: ChainComplex, b: ChainComplex, max_degree=None, name: str 
 
     def diff(key):
         ka, kb = key
-        deg_a = a.degree_of(ka)
-        terms = {}
-        for k2, c in a.diff(ka).items():
-            add_into(terms, ring, (k2, kb), c)
-        sign = ring.from_int(-1 if deg_a % 2 else 1)
+        # a face of ka is never ka, so the two halves share no pair key
+        sums = {(k2, kb): c for k2, c in a.diff(ka).items()}
+        sign = -1 if a.degree_of(ka) % 2 else 1
         for k2, c in b.diff(kb).items():
-            add_into(terms, ring, (ka, k2), ring.mul(sign, c))
-        return FreeElement(ring, terms)
+            sums[(ka, k2)] = sign * c
+        return FreeElement._from_sums(ring, sums)
 
     return ChainComplex(ring, basis, diff, complete=complete, name=name or f"({a.name})ox({b.name})")

@@ -18,7 +18,7 @@ from __future__ import annotations
 from itertools import product
 
 from .complexes import ChainComplex, GradedLinearMap
-from .freemod import FreeElement, add_into
+from .freemod import FreeElement
 from .rings import Ring, ZZ
 from .simplicial import SimplexRef, SimplicialSet, apply_degeneracy
 
@@ -493,7 +493,7 @@ def serre_coproduct(word, ring: Ring = ZZ) -> FreeElement:
             options.append((("0", I), (I, "1")))
         else:
             options.append(((x, x),))
-    terms = {}
+    sums = {}
     for combo in product(*options):
         left = tuple(a for a, _ in combo)
         right = tuple(b for _, b in combo)
@@ -505,8 +505,8 @@ def serre_coproduct(word, ring: Ring = ZZ) -> FreeElement:
             crossings = sum(1 for t in range(j) if right[t] == I)
             if crossings % 2:
                 sign = -sign
-        terms[(left, right)] = ring.from_int(sign)
-    return FreeElement(ring, terms)
+        sums[(left, right)] = sign
+    return FreeElement._from_sums(ring, sums)
 
 
 def serre_counit(word, ring: Ring = ZZ):
@@ -531,7 +531,7 @@ def cubical_join(wa, wb, ring: Ring = ZZ) -> FreeElement:
     if len(wa) != len(wb):
         raise ValueError("join of words from different cubes")
     global_sign = -1 if cube_word_degree(wa) % 2 else 1
-    terms = {}
+    sums = {}
     for i in range(len(wa)):
         if any(y == I for y in wb[:i]) or any(x == I for x in wa[i + 1 :]):
             continue
@@ -539,8 +539,8 @@ def cubical_join(wa, wb, ring: Ring = ZZ) -> FreeElement:
         if s is None:
             continue
         new_word = wa[:i] + (I,) + wb[i + 1 :]
-        add_into(terms, ring, new_word, ring.from_int(s * global_sign))
-    return FreeElement(ring, terms)
+        sums[new_word] = sums.get(new_word, 0) + s * global_sign
+    return FreeElement._from_sums(ring, sums)
 
 
 def word_face_morphism(word) -> CubeMorphism:

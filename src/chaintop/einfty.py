@@ -14,7 +14,7 @@ import math
 from .complexes import ChainComplex, InsufficientTruncationError
 from .complexes import tensor_diff  # re-exported: callers import it from here
 from .cubical import CubeBialgebra, CubicalSet, cell_pushforward, cubical_chains
-from .freemod import FreeElement, add_into
+from .freemod import FreeElement
 from .linalg import Echelon, nullspace
 from .propm import PropGraph, PsiMachine, evaluate
 from .rings import GF, Ring
@@ -55,11 +55,6 @@ class UmCoalgebra:
             self._machines[p] = PsiMachine(p, self.geometry, self.ring)
         return self._machines[p]
 
-    def top_cell(self, n: int):
-        if self.geometry == "simplex":
-            return tuple(range(n + 1))
-        return ("I",) * n
-
     def push(self, cell, std_key):
         """Image of a standard-model basis key; None when degenerate."""
         if self.geometry == "simplex":
@@ -69,8 +64,7 @@ class UmCoalgebra:
         return None if ref.is_degenerate else ref.base
 
     def push_tensor(self, cell, element: FreeElement) -> FreeElement:
-        terms = {}
-        ring = self.ring
+        sums = {}
         for key, c in element.items():
             images = []
             for component in key:
@@ -79,16 +73,17 @@ class UmCoalgebra:
                     break
                 images.append(image)
             else:
-                add_into(terms, ring, tuple(images), c)
-        return FreeElement(self.ring, terms)
+                pushed = tuple(images)
+                sums[pushed] = sums.get(pushed, 0) + c
+        return FreeElement._from_sums(self.ring, sums)
 
 
-def simplicial_um(space: SimplicialSet, ring: Ring, max_degree=None) -> UmCoalgebra:
-    return UmCoalgebra("simplex", space, normalized_chains(space, max_degree, ring))
+def simplicial_um(space: SimplicialSet, ring: Ring) -> UmCoalgebra:
+    return UmCoalgebra("simplex", space, normalized_chains(space, ring=ring))
 
 
-def cubical_um(space: CubicalSet, ring: Ring, max_degree=None) -> UmCoalgebra:
-    return UmCoalgebra("cube", space, cubical_chains(space, max_degree, ring))
+def cubical_um(space: CubicalSet, ring: Ring) -> UmCoalgebra:
+    return UmCoalgebra("cube", space, cubical_chains(space, ring=ring))
 
 
 def _as_element(coalg: UmCoalgebra, chain) -> FreeElement:
@@ -108,8 +103,8 @@ def um_action(coalg: UmCoalgebra, op: PropGraph, chain) -> FreeElement:
     chain = _as_element(coalg, chain)
     out = FreeElement.zero(coalg.ring)
     for cell, c in chain.items():
-        n = coalg.complex.degree_of(cell)
-        value = evaluate(op, coalg.model(n), (coalg.top_cell(n),))
+        model = coalg.model(coalg.complex.degree_of(cell))
+        value = evaluate(op, model, (model.top,))
         out = out + coalg.push_tensor(cell, value).scale(c)
     return out
 

@@ -4,6 +4,13 @@ A FreeElement is a sparse linear combination; zero coefficients are never
 stored. Keys can be anything hashable: simplex references, words of cube
 letters, serialized graphs. Degree bookkeeping lives with the callers,
 so the Koszul sign helpers here take explicit degree data.
+
+Chains are built one way. A loop in the library adds plain ints (and
+Fractions over Q) into a dict with + and *, and ends in one
+FreeElement._from_sums, which reduces mod p, makes Fractions over Q and
+drops zeros in a single pass; _trusted wraps a dict that is already
+canonical. FreeElement(ring, terms) is the checked constructor for input
+from outside: every coefficient goes through Ring.coerce first.
 """
 
 from __future__ import annotations
@@ -11,35 +18,33 @@ from __future__ import annotations
 from .rings import Ring
 
 
-def add_into(terms: dict, ring: Ring, key, coeff) -> None:
-    """Accumulate coeff onto terms[key], dropping the entry if it cancels."""
-    c = ring.add(terms.get(key, ring.zero), coeff)
-    if ring.is_zero(c):
-        terms.pop(key, None)
-    else:
-        terms[key] = c
-
-
 class FreeElement:
     """Finite linear combination of basis keys over a fixed ring.
 
-    >>> from .rings import ZZ
+    terms is a dict or an iterable of (key, coefficient) pairs; repeated
+    keys add up, and a sum that is 0 in the ring is dropped, here 3 over
+    F_3:
+
+    >>> from .rings import GF, ZZ
     >>> x = FreeElement(ZZ, {"a": 2, "b": -1})
     >>> (x + x).coeff("a")
     4
     >>> (x - x).is_zero()
     True
+    >>> FreeElement(GF(3), [("a", 2), ("b", 1), ("a", 1)]).terms
+    {'b': 1}
     """
 
     __slots__ = ("ring", "terms")
 
     def __init__(self, ring: Ring, terms=None):
-        clean = {}
+        sums = {}
         if terms:
+            coerce = ring.coerce
             for key, coeff in terms.items() if isinstance(terms, dict) else terms:
-                add_into(clean, ring, key, ring.coerce(coeff))
+                sums[key] = sums.get(key, 0) + coerce(coeff)
         object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms", ring.canonical_sums(sums) if sums else sums)
 
     def __setattr__(self, name, value):
         raise AttributeError("FreeElement is immutable; build a new one")
@@ -95,10 +100,10 @@ class FreeElement:
 
     def __add__(self, other):
         self._require_same_ring(other)
-        terms = dict(self.terms)
+        sums = dict(self.terms)
         for key, coeff in other.terms.items():
-            add_into(terms, self.ring, key, coeff)
-        return FreeElement._trusted(self.ring, terms)
+            sums[key] = sums.get(key, 0) + coeff
+        return FreeElement._from_sums(self.ring, sums)
 
     def __sub__(self, other):
         return self + (-other)
@@ -136,23 +141,23 @@ class FreeElement:
 
     def map_keys(self, fn) -> "FreeElement":
         """Linear extension of a key map; fn may return None to drop a key."""
-        terms = {}
+        sums = {}
         for key, coeff in self.terms.items():
             new = fn(key)
             if new is not None:
-                add_into(terms, self.ring, new, coeff)
-        return FreeElement._trusted(self.ring, terms)
+                sums[new] = sums.get(new, 0) + coeff
+        return FreeElement._from_sums(self.ring, sums)
 
     def map_terms(self, fn) -> "FreeElement":
         """Linear extension of a key -> FreeElement map."""
-        terms = {}
+        sums = {}
         for key, coeff in self.terms.items():
             image = fn(key)
             if image is None:
                 continue
             for k2, c2 in image.terms.items():
-                add_into(terms, self.ring, k2, self.ring.mul(coeff, c2))
-        return FreeElement._trusted(self.ring, terms)
+                sums[k2] = sums.get(k2, 0) + coeff * c2
+        return FreeElement._from_sums(self.ring, sums)
 
 
 def koszul_sign(perm, degrees) -> int:
@@ -210,9 +215,7 @@ def tensor_elements(a: FreeElement, b: FreeElement, degree_fn=None) -> FreeEleme
             degs = {degree_fn(k) for k in el.support()}
             if len(degs) > 1:
                 raise ValueError(f"mixed-degree tensor factor, degrees {sorted(degs)}")
-    ring = a.ring
-    terms = {}
-    for ka, ca in a.items():
-        for kb, cb in b.items():
-            add_into(terms, ring, (ka, kb), ring.mul(ca, cb))
-    return FreeElement._trusted(ring, terms)
+    # pair keys are distinct, so each sum is a single product
+    return FreeElement._from_sums(
+        a.ring, {(ka, kb): ca * cb for ka, ca in a.items() for kb, cb in b.items()}
+    )

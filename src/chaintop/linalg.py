@@ -36,7 +36,6 @@ from __future__ import annotations
 
 from math import gcd
 
-from .freemod import add_into
 from .rings import Ring
 
 
@@ -262,20 +261,24 @@ class Echelon:
 
         The remainder is {} exactly when col lies in the span; the
         coefficients are then the unique ones, keyed by the order in which
-        the columns were added.
+        the columns were added. As in eliminate(), the sums are plain
+        numbers, reduced mod p only where a pivot entry is tested, and
+        both dicts are brought to canonical form once at the end.
         """
         ring = self.ring
+        mod = ring.p
         vec = dict(col)
         coeffs = {}
         for row, reduced, combo in self._pivots:
-            a = vec.get(row)
+            a = vec.get(row, 0)
+            if mod:
+                a %= mod
             if a:
-                minus_a = ring.neg(a)
                 for r, c in reduced.items():
-                    add_into(vec, ring, r, ring.mul(minus_a, c))
+                    vec[r] = vec.get(r, 0) - a * c
                 for k, c in combo.items():
-                    add_into(coeffs, ring, k, ring.mul(a, c))
-        return vec, coeffs
+                    coeffs[k] = coeffs.get(k, 0) + a * c
+        return ring.canonical_sums(vec), ring.canonical_sums(coeffs)
 
     def add(self, col) -> bool:
         """Add col if it lies outside the span; True when it was added."""

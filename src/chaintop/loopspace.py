@@ -38,7 +38,7 @@ from .cubical import (
     triangulate,
     u_closure,
 )
-from .freemod import FreeElement, add_into
+from .freemod import FreeElement
 from .rings import Ring, ZZ
 from .simplicial import (
     SimplexRef,
@@ -408,12 +408,15 @@ def phi_signed_cell(space: SimplicialSet, cell, ring: Ring) -> FreeElement:
     return FreeElement.single(ring, word, _dim_sign(ring, loc_degree(space, word)))
 
 
+# how many small-by-small products phi_certificate checks
+_PRODUCT_PAIRS = 400
+
+
 def phi_certificate(
     space: SimplicialSet,
     max_degree: int,
     max_length: int | None = None,
     ring: Ring = ZZ,
-    product_pairs: int = 400,
     omega: CubicalCobar | None = None,
 ) -> dict:
     """Certify the relabeling against the bead-word tensor algebra.
@@ -452,9 +455,7 @@ def phi_certificate(
         for cid in chains.basis_in(n)
         if len(cid) <= 2
     ]
-    for a, b in itertools.islice(
-        itertools.product(small, small), product_pairs * 4
-    ):
+    for a, b in itertools.islice(itertools.product(small, small), _PRODUCT_PAIRS * 4):
         try:
             ab = omega.product(a, b)
         except InsufficientTruncationError:
@@ -464,7 +465,7 @@ def phi_certificate(
         if lhs != rhs:
             raise AssertionError(f"not multiplicative on {a!r} * {b!r}")
         pairs += 1
-        if pairs >= product_pairs:
+        if pairs >= _PRODUCT_PAIRS:
             break
     checked["pairs"] = pairs
     return checked
@@ -516,6 +517,10 @@ def phi_signed_certificate(
 
 # --- the free simplicial group on positive simplices ---
 
+# random words for the homomorphism checks have fewer letters than this
+_RANDOM_WORD_CUTOFF = 8
+
+
 class KanLoopGroup:
     """Reduced words over barred simplices, one degree down.
 
@@ -525,11 +530,10 @@ class KanLoopGroup:
     the generator rules as group homomorphisms.
     """
 
-    def __init__(self, space: SimplicialSet, max_degree: int, word_cutoff: int = 8):
+    def __init__(self, space: SimplicialSet, max_degree: int):
         space.basepoint  # raises ValueError unless there is a single vertex
         self.space = space
         self.max_degree = int(max_degree)
-        self.word_cutoff = int(word_cutoff)
 
     def generators(self, n: int):
         return tuple(
@@ -636,7 +640,7 @@ class KanLoopGroup:
 
     def _random_word(self, rng, gens):
         letters = []
-        for _ in range(rng.randrange(self.word_cutoff)):
+        for _ in range(rng.randrange(_RANDOM_WORD_CUTOFF)):
             letters.append((gens[rng.randrange(len(gens))], rng.choice((1, -1))))
         return reduce_group_word(letters)
 
@@ -701,10 +705,8 @@ class Pi0Presentation:
         return None
 
 
-def kan_loop_group(
-    space: SimplicialSet, max_degree: int, word_cutoff: int = 8
-) -> KanLoopGroup:
-    return KanLoopGroup(space, max_degree, word_cutoff)
+def kan_loop_group(space: SimplicialSet, max_degree: int) -> KanLoopGroup:
+    return KanLoopGroup(space, max_degree)
 
 
 # --- simplex-to-cube collapse ---
@@ -930,16 +932,16 @@ def zigzag_report(
 # --- operations transported through the relabeling ---
 
 def _phi_tensor(space, element: FreeElement, ring: Ring) -> FreeElement:
-    out = {}
+    sums = {}
     for key, c in element.items():
         factors = [list(phi_cell(space, comp, ring).items()) for comp in key]
         for combo in itertools.product(*factors):
             word = tuple(w for w, _ in combo)
             coeff = c
             for _, s in combo:
-                coeff = ring.mul(coeff, s)
-            add_into(out, ring, word, coeff)
-    return FreeElement(ring, out)
+                coeff *= s
+            sums[word] = sums.get(word, 0) + coeff
+    return FreeElement._from_sums(ring, sums)
 
 
 def _transport(omega: CubicalCobar, action, chain, ring: Ring) -> FreeElement:

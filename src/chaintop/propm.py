@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from .complexes import tensor_diff
 from .cubical import I, serre_coproduct
-from .freemod import FreeElement, add_into, koszul_sign
+from .freemod import FreeElement, koszul_sign
 from .rings import Ring, ZZ
 
 KIND_ARITY = {"eps": (1, 0), "delta": (1, 2), "star": (2, 1)}
@@ -211,17 +211,19 @@ def graph_boundary(graph: PropGraph, ring: Ring = ZZ) -> FreeElement:
     Per star, the positive term lets the counit eat the first input and
     the negative term the second, matching d[0,1] = [1] - [0].
     """
-    terms = {}
+    sums = {}
     # vertex 0 acts innermost, so the Leibniz sign counts stars after it
     remaining = graph.degree
     for vid, kind in enumerate(graph.kinds):
         if kind != "star":
             continue
         remaining -= 1
-        sign = ring.from_int(-1 if remaining % 2 else 1)
-        add_into(terms, ring, _star_to_eps(graph, vid, 0), sign)
-        add_into(terms, ring, _star_to_eps(graph, vid, 1), ring.neg(sign))
-    return FreeElement(ring, terms)
+        sign = -1 if remaining % 2 else 1
+        first = _star_to_eps(graph, vid, 0)
+        sums[first] = sums.get(first, 0) + sign
+        second = _star_to_eps(graph, vid, 1)
+        sums[second] = sums.get(second, 0) - sign
+    return FreeElement._from_sums(ring, sums)
 
 
 def evaluate(graph: PropGraph, bialgebra, inputs) -> FreeElement:
@@ -236,7 +238,7 @@ def evaluate(graph: PropGraph, bialgebra, inputs) -> FreeElement:
     if len(inputs) != graph.n_in:
         raise ValueError(f"graph wants {graph.n_in} inputs, got {len(inputs)}")
     start = tuple((("in", i), key) for i, key in enumerate(inputs))
-    states = [(ring.one, start)]
+    states = [(1, start)]
     for vid, kind in enumerate(graph.kinds):
         sources = graph.vertex_inputs[vid]
         new_states = []
@@ -245,20 +247,15 @@ def evaluate(graph: PropGraph, bialgebra, inputs) -> FreeElement:
             if kind == "eps":
                 p = pos[sources[0]]
                 c = bialgebra.counit(frontier[p][1])
-                if ring.is_zero(c):
+                if not c:
                     continue
-                new_states.append(
-                    (ring.mul(coef, c), frontier[:p] + frontier[p + 1 :])
-                )
+                new_states.append((coef * c, frontier[:p] + frontier[p + 1 :]))
             elif kind == "delta":
                 p = pos[sources[0]]
                 for (k1, k2), c in bialgebra.coproduct(frontier[p][1]).items():
                     repl = ((("v", vid, 0), k1), (("v", vid, 1), k2))
                     new_states.append(
-                        (
-                            ring.mul(coef, c),
-                            frontier[:p] + repl + frontier[p + 1 :],
-                        )
+                        (coef * c, frontier[:p] + repl + frontier[p + 1 :])
                     )
             else:
                 pa = pos[sources[0]]
@@ -280,21 +277,18 @@ def evaluate(graph: PropGraph, bialgebra, inputs) -> FreeElement:
                 for key, c in bialgebra.join(ka, kb).items():
                     repl = ((("v", vid, 0), key),)
                     new_states.append(
-                        (
-                            ring.mul(coef, ring.mul(ring.from_int(sign), c)),
-                            permuted[:pmin] + repl + permuted[pmin + 2 :],
-                        )
+                        (coef * sign * c, permuted[:pmin] + repl + permuted[pmin + 2 :])
                     )
         states = new_states
-    out = {}
+    sums = {}
     for coef, frontier in states:
         pos = {src: t for t, (src, _) in enumerate(frontier)}
         degrees = [bialgebra.degree(k) for _, k in frontier]
         perm = [pos[s] for s in graph.out_sources]
         sign = koszul_sign(perm, degrees)
         key = tuple(frontier[t][1] for t in perm)
-        add_into(out, ring, key, ring.mul(coef, ring.from_int(sign)))
-    return FreeElement(ring, out)
+        sums[key] = sums.get(key, 0) + coef * sign
+    return FreeElement._from_sums(ring, sums)
 
 
 def hopf_coproduct(graph: PropGraph, ring: Ring = ZZ) -> FreeElement:
@@ -307,7 +301,7 @@ def hopf_coproduct(graph: PropGraph, ring: Ring = ZZ) -> FreeElement:
     """
     stars = tuple(reversed(graph.stars))
     word = (I,) * len(stars)
-    terms = {}
+    sums = {}
     for (left, right), c in serre_coproduct(word, ring).items():
         gl = graph
         gr = graph
@@ -320,8 +314,8 @@ def hopf_coproduct(graph: PropGraph, ring: Ring = ZZ) -> FreeElement:
                 gr = _star_to_eps(gr, vid, 1)
             elif right[t] == "1":
                 gr = _star_to_eps(gr, vid, 0)
-        add_into(terms, ring, (gl, gr), c)
-    return FreeElement(ring, terms)
+        sums[(gl, gr)] = sums.get((gl, gr), 0) + c
+    return FreeElement._from_sums(ring, sums)
 
 
 def hopf_counit(graph: PropGraph, ring: Ring = ZZ):
@@ -582,14 +576,12 @@ class PsiMachine:
         """Cyclic action on p-tensors: last factor to the front."""
         from .freemod import cyclic_rotation_sign
 
-        ring = self.ring
-        terms = {}
+        # the rotation is a bijection on keys, so nothing adds up
+        sums = {}
         for key, c in element.items():
-            degrees = [self.cell_dim(x) for x in key]
-            sign = cyclic_rotation_sign(degrees)
-            new_key = (key[-1],) + key[:-1]
-            add_into(terms, ring, new_key, ring.mul(c, ring.from_int(sign)))
-        return FreeElement(ring, terms)
+            sign = cyclic_rotation_sign([self.cell_dim(x) for x in key])
+            sums[(key[-1],) + key[:-1]] = c * sign
+        return FreeElement._from_sums(self.ring, sums)
 
     def rho_power(self, element: FreeElement, k: int) -> FreeElement:
         for _ in range(k % self.p):
@@ -597,17 +589,15 @@ class PsiMachine:
         return element
 
     def iterated_coproduct(self, bial, key) -> FreeElement:
-        ring = self.ring
-        current = {(key,): ring.one}
-        while True:
-            width = len(next(iter(current)))
-            if width == self.p:
-                return FreeElement(ring, current)
-            new = {}
+        current = FreeElement.single(self.ring, (key,))
+        for _ in range(self.p - 1):
+            sums = {}
             for tup, c in current.items():
                 for (a, b), c2 in bial.coproduct(tup[-1]).items():
-                    add_into(new, ring, tup[:-1] + (a, b), ring.mul(c, c2))
-            current = new
+                    new = tup[:-1] + (a, b)
+                    sums[new] = sums.get(new, 0) + c * c2
+            current = FreeElement._from_sums(self.ring, sums)
+        return current
 
     def tensor_diff(self, bial, element: FreeElement) -> FreeElement:
         """Leibniz differential on p-tensors of cells of one model."""
@@ -619,25 +609,19 @@ class PsiMachine:
         The projected prefix has degree zero, so the degree-1 contraction
         passes it without signs; d h + h d = id - (projection)^p.
         """
-        ring = self.ring
-        terms = {}
+        sums = {}
         for key, c in element.items():
             for j in range(self.p):
                 coeff = c
-                dead = False
                 for x in key[:j]:
-                    e = bial.counit(x)
-                    if ring.is_zero(e):
-                        dead = True
-                        break
-                    coeff = ring.mul(coeff, e)
-                if dead:
+                    coeff *= bial.counit(x)
+                if not coeff:
                     continue
                 prefix = (bial.basepoint,) * j
                 for lifted, c2 in bial.contract(key[j]).items():
                     new_key = prefix + (lifted,) + key[j + 1 :]
-                    add_into(terms, ring, new_key, ring.mul(coeff, c2))
-        return FreeElement(ring, terms)
+                    sums[new_key] = sums.get(new_key, 0) + coeff * c2
+        return FreeElement._from_sums(self.ring, sums)
 
     def top_value(self, i: int, m: int) -> FreeElement:
         """psi(e_i) on the top cell of the m-dimensional model."""
@@ -672,9 +656,8 @@ class PsiMachine:
         value = self.top_value(i, m)
         if key == self.model(m).top:
             return value
-        ring = self.ring
-        terms = {}
+        sums = {}
         for tup, c in value.items():
             new_key = tuple(self._push(key, x) for x in tup)
-            add_into(terms, ring, new_key, c)
-        return FreeElement(ring, terms)
+            sums[new_key] = sums.get(new_key, 0) + c
+        return FreeElement._from_sums(self.ring, sums)

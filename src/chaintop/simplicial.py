@@ -11,7 +11,7 @@ standard simplices carry in degree 1.
 from __future__ import annotations
 
 from .complexes import ChainComplex, GradedLinearMap
-from .freemod import FreeElement, add_into
+from .freemod import FreeElement
 from .rings import Ring, ZZ
 
 
@@ -234,13 +234,13 @@ def normalized_chains(
 
     def diff(key):
         n = space.dim_of(key)
-        terms = {}
+        sums = {}
         if n > 0:
             for i in range(n + 1):
                 ref = space.face(key, i)
                 if not ref.is_degenerate:
-                    add_into(terms, ring, ref.base, ring.from_int(-1 if i % 2 else 1))
-        return FreeElement(ring, terms)
+                    sums[ref.base] = sums.get(ref.base, 0) + (-1 if i % 2 else 1)
+        return FreeElement._from_sums(ring, sums)
 
     complete = space.complete and top >= space.dimension
     return ChainComplex(ring, basis, diff, complete=complete, name=space.name)
@@ -270,13 +270,14 @@ def aw_coproduct(space: SimplicialSet, key, ring: Ring = ZZ) -> FreeElement:
     """
     n = space.dim_of(key)
     ref = space.ref(key)
-    terms = {}
+    sums = {}
     for i in range(n + 1):
         left = front_face(space, ref, i)
         right = back_face(space, ref, n - i)
         if not left.is_degenerate and not right.is_degenerate:
-            add_into(terms, ring, (left.base, right.base), ring.one)
-    return FreeElement(ring, terms)
+            pair = (left.base, right.base)
+            sums[pair] = sums.get(pair, 0) + 1
+    return FreeElement._from_sums(ring, sums)
 
 
 def chain_counit(space: SimplicialSet, key, ring: Ring = ZZ):
@@ -342,11 +343,10 @@ class SimplexBialgebra:
         return self.ring.one if len(key) == 1 else self.ring.zero
 
     def coproduct(self, key) -> FreeElement:
-        terms = {}
-        m = len(key)
-        for i in range(m):
-            terms[(key[: i + 1], key[i:])] = self.ring.one
-        return FreeElement(self.ring, terms)
+        one = self.ring.one
+        return FreeElement._trusted(
+            self.ring, {(key[: i + 1], key[i:]): one for i in range(len(key))}
+        )
 
     def join(self, ka, kb) -> FreeElement:
         hit = join_vertex_tuples(ka, kb)

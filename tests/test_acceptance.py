@@ -38,7 +38,7 @@ from chaintop.einfty import (
     tensor_diff,
     um_action,
 )
-from chaintop.freemod import FreeElement, add_into
+from chaintop.freemod import FreeElement
 from chaintop.loopspace import (
     cartan_serre,
     cobar_psi,
@@ -77,6 +77,8 @@ from chaintop.simplicial import (
     wedge_models,
 )
 from chaintop.smith import smith_homology
+
+from ring_oracle import add_into
 
 
 @contextlib.contextmanager

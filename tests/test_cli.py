@@ -14,6 +14,7 @@ import chaintop
 from chaintop.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_INPUT,
+    EXIT_INVARIANT,
     EXIT_OK,
     CliInputError,
     JobSpec,
@@ -105,6 +106,31 @@ def test_verify_serre_coalgebra(capsys):
     assert "result: pass" in out
 
 
+@pytest.mark.parametrize(
+    "extra, witness",
+    [
+        # eps(0) = 1 leaves an extra I on the left, eps(I) = 0 hides it on the right
+        ((("0",), ("I",)), "left counit fails on ('I',)"),
+        ((("I",), ("0",)), "right counit fails on ('I',)"),
+    ],
+)
+def test_verify_serre_coalgebra_names_the_failing_counit(capsys, monkeypatch, extra, witness):
+    import chaintop.cli as cli
+
+    real = cli.serre_coproduct
+
+    def broken(word, ring):
+        delta = real(word, ring)
+        if word == ("I",):
+            delta = delta + cli.FreeElement.single(ring, extra)
+        return delta
+
+    monkeypatch.setattr(cli, "serre_coproduct", broken)
+    code, out, _ = run(capsys, "verify", "serre-coalgebra", "--format", "json")
+    assert code == EXIT_INVARIANT
+    assert json.loads(out)["witness"] == witness
+
+
 def test_verify_join_signs_unique_convention(capsys):
     code, out, _ = run(capsys, "verify", "join-signs")
     assert code == EXIT_OK
@@ -133,6 +159,28 @@ def test_square_above_the_degree_is_an_input_error(capsys, model):
     assert code == EXIT_INPUT
     assert out == ""
     assert err.startswith("error:") and "--square 3" in err
+
+
+# each command takes only the flags it reads; these six used to parse and
+# change nothing
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["homology", "sphere", "2"], ["--word-cutoff", "2"]),
+        (["cobar-ext", "rp2"], ["--max-degree", "2"]),
+        (["cobar-ext", "rp2"], ["--check"]),
+        (["steenrod", "rp2"], ["--max-degree", "2"]),
+        (["steenrod", "rp2"], ["--word-cutoff", "2"]),
+        (["steenrod", "rp2"], ["--check"]),
+    ],
+)
+def test_flag_the_command_does_not_read_is_an_input_error(capsys, argv, flag):
+    code, out, err = run(capsys, *argv, *flag)
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err == f"error: unrecognized arguments: {' '.join(flag)}\n"
+    code, _, _ = run(capsys, *argv)
+    assert code == EXIT_OK
 
 
 def test_missing_file_is_an_input_error(capsys):

@@ -23,7 +23,7 @@ from chaintop.cobar import (
     reduce_group_word,
     word_degree,
 )
-from chaintop.freemod import FreeElement, add_into
+from chaintop.freemod import FreeElement
 from chaintop.linalg import eliminate
 from chaintop.rings import GF, QQ, ZZ
 from chaintop.simplicial import (
@@ -36,6 +36,8 @@ from chaintop.simplicial import (
     wedge_models,
 )
 from chaintop.smith import smith_homology
+
+from ring_oracle import add_into
 
 # the package re-exports a function named cobar, which shadows the module
 cobar_module = importlib.import_module("chaintop.cobar")

@@ -1,8 +1,9 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from chaintop.complexes import ChainComplex, tensor_diff
 from chaintop.freemod import (
     FreeElement,
     cyclic_rotation_sign,
@@ -11,6 +12,8 @@ from chaintop.freemod import (
     tensor_elements,
 )
 from chaintop.rings import GF, QQ, ZZ
+
+from ring_oracle import add_into
 
 KEYS = ("a", "b", "c", "d")
 
@@ -141,3 +144,125 @@ def test_tensor_elements_rejects_mixed_degree():
 def test_tensor_bilinear(x, y, z):
     assert tensor_elements(x + y, z) == tensor_elements(x, z) + tensor_elements(y, z)
     assert tensor_elements(z, x + y) == tensor_elements(z, x) + tensor_elements(z, y)
+
+
+# --- the plain-sum builders against one ring call per term ---
+#
+# Each builder adds plain numbers and canonicalizes once; the oracle makes
+# one ring call per term (add_into). Keys repeat, and coefficients such
+# as 1 + 2 cancel over F_3 only.
+
+RINGS = (ZZ, GF(2), GF(3), QQ)
+
+
+def raw_scalars(ring):
+    if ring == QQ:
+        return st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+    return st.integers(-4, 4)
+
+
+def raw_pairs(ring, keys=KEYS):
+    return st.lists(st.tuples(st.sampled_from(keys), raw_scalars(ring)), max_size=8)
+
+
+def oracle_terms(ring, pairs):
+    terms = {}
+    for key, coeff in pairs:
+        add_into(terms, ring, key, ring.coerce(coeff))
+    return terms
+
+
+def assert_same_terms(ring, element, expected):
+    assert element.ring == ring
+    assert element.terms == expected
+    kind = {"Z": int, "Fp": int, "Q": Fraction}[ring.kind]
+    for c in element.terms.values():
+        assert type(c) is kind and c != 0
+        if ring.p:
+            assert 0 <= c < ring.p
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(RINGS), st.data())
+def test_pair_form_constructor_matches_ring_arithmetic(ring, data):
+    pairs = data.draw(raw_pairs(ring))
+    assert_same_terms(ring, FreeElement(ring, pairs), oracle_terms(ring, pairs))
+    as_dict = dict(pairs)
+    assert_same_terms(ring, FreeElement(ring, as_dict), oracle_terms(ring, as_dict.items()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(RINGS), st.data())
+def test_sum_and_key_maps_match_ring_arithmetic(ring, data):
+    x = FreeElement(ring, data.draw(raw_pairs(ring)))
+    y = FreeElement(ring, data.draw(raw_pairs(ring)))
+
+    expected = dict(x.terms)
+    for key, c in y.items():
+        add_into(expected, ring, key, c)
+    assert_same_terms(ring, x + y, expected)
+
+    # a key map that merges and drops keys
+    targets = st.sampled_from(("p", "q", None))
+    image = data.draw(st.fixed_dictionaries({k: targets for k in KEYS}))
+    expected = {}
+    for key, c in x.items():
+        if image[key] is not None:
+            add_into(expected, ring, image[key], c)
+    assert_same_terms(ring, x.map_keys(image.get), expected)
+
+    # a key -> element map whose images overlap
+    images = {k: FreeElement(ring, data.draw(raw_pairs(ring, "pqr"))) for k in KEYS}
+    images["d"] = None
+    expected = {}
+    for key, c in x.items():
+        if images[key] is not None:
+            for k2, c2 in images[key].items():
+                add_into(expected, ring, k2, ring.mul(c, c2))
+    assert_same_terms(ring, x.map_terms(images.get), expected)
+
+    expected = {}
+    for ka, ca in x.items():
+        for kb, cb in y.items():
+            add_into(expected, ring, (ka, kb), ring.mul(ca, cb))
+    assert_same_terms(ring, tensor_elements(x, y), expected)
+
+
+def small_complex(ring):
+    """d e = w - v, d f = 2v - 2w, d t = 2e + f: sums of 2s that vanish mod 2."""
+    diffs = {
+        "e": {"w": 1, "v": -1},
+        "f": {"v": 2, "w": -2},
+        "t": {"e": 2, "f": 1},
+    }
+    return ChainComplex(
+        ring,
+        {0: ["v", "w"], 1: ["e", "f"], 2: ["t"]},
+        lambda key: FreeElement(ring, diffs.get(key, {})),
+        complete=True,
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(RINGS), st.data())
+def test_tensor_diff_matches_ring_arithmetic(ring, data):
+    cx = small_complex(ring)
+    words = [(a, b) for a in "vweft" for b in "vweft"]
+    element = FreeElement(ring, data.draw(raw_pairs(ring, words)))
+    expected = {}
+    for key, c in element.items():
+        sign = ring.one
+        for j, x in enumerate(key):
+            for face, c2 in cx.diff(x).items():
+                new_key = key[:j] + (face,) + key[j + 1 :]
+                add_into(expected, ring, new_key, ring.mul(ring.mul(c, sign), c2))
+            if cx.degree_of(x) % 2:
+                sign = ring.neg(sign)
+    assert_same_terms(ring, tensor_diff(cx, element), expected)
+
+
+def test_checked_constructor_rejects_bools_and_fractions_over_z():
+    with pytest.raises(TypeError):
+        FreeElement(ZZ, {"a": True})
+    with pytest.raises(TypeError):
+        FreeElement(ZZ, {"a": Fraction(1, 2)})

@@ -10,7 +10,7 @@ from chaintop.cobar import CobarComplex, ExtendedCobarComplex, cobar, expand_wor
 from chaintop.complexes import InsufficientTruncationError
 from chaintop.cubical import CubeMorphism, CubeRef, cubical_chains
 from chaintop.einfty import cubical_um, simplicial_um, tensor_diff, um_action
-from chaintop.freemod import FreeElement, add_into
+from chaintop.freemod import FreeElement
 from chaintop.loopspace import (
     CubicalCobar,
     KanLoopGroup,
@@ -55,6 +55,8 @@ from chaintop.simplicial import (
     two_vertex_projective_plane,
     wedge_models,
 )
+
+from ring_oracle import add_into
 
 
 def el(ring, *terms):

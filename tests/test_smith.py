@@ -4,7 +4,7 @@ from itertools import combinations
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from chaintop.complexes import ChainComplex, InsufficientTruncationError
 from chaintop.freemod import FreeElement
@@ -255,6 +255,79 @@ def test_field_linear_algebra():
     span = Echelon(QQ)
     span.add({0: Fraction(1), 1: Fraction(1)})
     assert span.reduce({1: Fraction(1)})[0]
+
+
+# --- Echelon and nullspace over F_3 against dense row reduction ---
+#
+# The columns are canonical (entries 0, 1, 2), and a third of them are
+# sums of earlier ones, so plain-number reduction passes through values
+# such as 1 - 2 * 2 = -3 that are 0 over F_3 but not as ints.
+
+F3 = GF(3)
+
+
+@st.composite
+def f3_columns(draw):
+    rows = draw(st.integers(min_value=1, max_value=5))
+    entries = st.lists(st.integers(0, 2), min_size=rows, max_size=rows)
+    dense = []
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        if len(dense) >= 2 and draw(st.booleans()):
+            a, b = draw(st.sampled_from(dense)), draw(st.sampled_from(dense))
+            k = draw(st.integers(1, 2))
+            dense.append([(x + k * y) % 3 for x, y in zip(a, b)])
+        else:
+            dense.append(draw(entries))
+    return [{i: x for i, x in enumerate(col) if x} for col in dense], rows
+
+
+def f3_dense(columns, rows):
+    return [[col.get(i, 0) for col in columns] for i in range(rows)]
+
+
+def assert_f3_canonical(vec):
+    assert all(type(c) is int and 0 < c < 3 for c in vec.values()), vec
+
+
+@settings(max_examples=200, deadline=None)
+@example(([{0: 1, 1: 2}, {0: 2, 1: 1}], 2))
+@given(f3_columns())
+def test_echelon_reduce_over_f3_matches_dense_row_reduction(case):
+    columns, rows = case
+    span = Echelon(F3)
+    added = []
+    for col in columns:
+        remainder, coeffs = span.reduce(col)
+        assert_f3_canonical(remainder)
+        assert_f3_canonical(coeffs)
+        # col = remainder + sum coeffs[k] * (k-th column added), over F_3
+        for i in range(rows):
+            span_part = sum(c * added[k].get(i, 0) for k, c in coeffs.items())
+            assert (remainder.get(i, 0) + span_part - col.get(i, 0)) % 3 == 0
+        inside = dense_rank(f3_dense(added + [col], rows), F3) == len(added)
+        assert (remainder == {}) == inside
+        assert span.add(col) == (not inside)
+        if not inside:
+            added.append(col)
+
+
+@settings(max_examples=200, deadline=None)
+@example(([{0: 1, 1: 2}, {0: 2, 1: 1}], 2))
+@given(f3_columns())
+def test_nullspace_over_f3_matches_dense_row_reduction(case):
+    columns, rows = case
+    kernel = nullspace(columns, F3)
+    assert len(kernel) == len(columns) - dense_rank(f3_dense(columns, rows), F3)
+    dependent = []
+    for vec in kernel:
+        assert_f3_canonical(vec)
+        for i in range(rows):
+            assert sum(c * columns[j].get(i, 0) for j, c in vec.items()) % 3 == 0
+        dependent.append(max(vec))
+        assert vec[max(vec)] == 1
+    # 1 at its own dependent column, 0 at every other one
+    for vec in kernel:
+        assert [j for j in dependent if j in vec] == [max(vec)]
 
 
 def point_complex():
