@@ -27,6 +27,7 @@ from .loopspace import cubical_cobar, phi_certificate
 from .rings import ZZ, parse_ring
 from .simplicial import (
     SimplicialSet,
+    collapse_free_pairs,
     normalized_chains,
     simplicial_from_json,
     simplicial_model,
@@ -141,8 +142,24 @@ def _needs_cutoff(space: SimplicialSet) -> bool:
     return bool(space.nondegenerate(1))
 
 
-def cmd_cobar(job: JobSpec):
+def _load_loop_model(job: JobSpec) -> SimplicialSet:
+    """The model `cobar` and `loop` compute on.
+
+    Without 1-cells that is what collapsing free face pairs leaves of the
+    input (`collapse_free_pairs`): a deformation retract, so a simply
+    connected model keeps its loop homology (the cobar preserves
+    quasi-isomorphisms of simply connected chain coalgebras), and it
+    keeps its name, so the report reads the same. A model with 1-cells
+    is used as it is.
+    """
     space = load_space(job)
+    if _needs_cutoff(space):
+        return space
+    return collapse_free_pairs(space).source
+
+
+def cmd_cobar(job: JobSpec):
+    space = _load_loop_model(job)
     ring = _ring(job)
     top = 5 if job.max_degree is None else job.max_degree
     length = job.word_cutoff if _needs_cutoff(space) else None
@@ -184,7 +201,7 @@ def cmd_cobar_ext(job: JobSpec):
 
 
 def cmd_loop(job: JobSpec):
-    space = load_space(job)
+    space = _load_loop_model(job)
     ring = _ring(job)
     top = 5 if job.max_degree is None else job.max_degree
     length = None

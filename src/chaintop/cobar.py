@@ -23,7 +23,14 @@ from .freemod import FreeElement
 from .linalg import eliminate
 from .rings import QQ, Ring, ZZ
 from .simplicial import SimplicialSet, back_face, front_face
-from .words import group_words, growth, letters, localized_words, plain_words
+from .words import (
+    group_words,
+    growth,
+    letters,
+    localized_words,
+    plain_words,
+    stored_top,
+)
 
 
 def letter_degree(space: SimplicialSet, cell) -> int:
@@ -64,7 +71,9 @@ class CobarComplex:
     """Truncated tensor algebra on shifted chains, with its product.
 
     A word of degree d is stored when d <= max_degree and its length is
-    at most budget(d) (`chaintop.words`; None for no cap).
+    at most budget(d) (`chaintop.words`; None for no cap). The complex
+    counts the empty degrees above its words that the cap cannot cut
+    (`chaintop.words.stored_top`).
     """
 
     def __init__(
@@ -110,6 +119,7 @@ class CobarComplex:
             complete=False,
             name=f"cobar({space.name})",
         )
+        self.complex.max_degree = stored_top(basis, edges, budget)
 
     def _word_boundary(self, word) -> FreeElement:
         if self._cycles.issuperset(word):
@@ -325,6 +335,7 @@ class ExtendedCobarComplex:
             complete=False,
             name=f"extended-cobar({space.name})",
         )
+        self.complex.max_degree = stored_top(basis, self.group_letters, self.budget)
 
     def budget(self, degree: int) -> int:
         return self.cutoff - self.growth * degree

@@ -27,6 +27,12 @@ class ChainComplex:
     boundary is read: `diff` checks and caches one key at a time for
     per-key callers, and `diff_columns` checks a whole d_n as it numbers
     its terms, and keeps the columns it builds.
+
+    max_degree is the top degree the complex stores in full. It starts
+    as the top nonempty degree, since the basis keeps no empty degree; a
+    window that knows it stores empty degrees above that one in full
+    (`chaintop.words.stored_top`, `normalized_chains`) raises it, and
+    homology reads it to decide which degrees a truncation settles.
     """
 
     def __init__(self, ring: Ring, basis, diff, complete: bool = False, name: str = ""):

@@ -49,7 +49,7 @@ from .simplicial import (
     normalized_chains,
 )
 from .smith import homology_table, smith_normal_form
-from .words import growth, letters, localized_words, plain_words
+from .words import growth, letters, localized_words, plain_words, stored_top
 
 
 # --- the functor from necklace generators to the cube category ---
@@ -305,6 +305,7 @@ class CubicalCobar:
                         faces[(cid, offset + j, eps)] = CubeRef(spliced, pad)
                     offset += width
         self._chains = None
+        self._stored_top = stored_top(cells, edges, self.budget)
         # no beads above the cutoff dimension means nothing was dropped
         self.cubes = CubicalSet(
             ("loc-loops(" if signed else "loops(") + space.name + ")",
@@ -343,9 +344,15 @@ class CubicalCobar:
         return cid
 
     def chains(self):
-        """Normalized chains of the whole window over its ring, built once."""
+        """Normalized chains of the whole window over its ring, built once.
+
+        Their top degree is the window's (`chaintop.words.stored_top`),
+        which counts the empty degrees the window stores in full; the
+        cube set itself lists only nonempty dimensions.
+        """
         if self._chains is None:
             self._chains = cubical_chains(self.cubes, None, self.ring)
+            self._chains.max_degree = self._stored_top
         return self._chains
 
 

@@ -243,7 +243,10 @@ def normalized_chains(
         return FreeElement._from_sums(ring, sums)
 
     complete = space.complete and top >= space.dimension
-    return ChainComplex(ring, basis, diff, complete=complete, name=space.name)
+    chains = ChainComplex(ring, basis, diff, complete=complete, name=space.name)
+    # every degree up to top is stored in full, the empty ones included
+    chains.max_degree = max(chains.max_degree, top)
+    return chains
 
 
 def front_face(space: SimplicialSet, ref: SimplexRef, i: int) -> SimplexRef:
@@ -563,6 +566,67 @@ def collapse_subcomplex(space: SimplicialSet, cells, name: str = "") -> Simplici
         for cid in space.nondegenerate(n):
             mapping[cid] = collapse_ref(SimplexRef(cid))
     return SimplicialMap(space, target, mapping)
+
+
+def collapse_free_pairs(space: SimplicialSet) -> SimplicialMap:
+    """Inclusion Y -> space of what elementary collapses leave of space.
+
+    A pair (sigma, tau) collapses when tau = d_i sigma is nondegenerate
+    of dimension >= 2, tau occurs exactly once among the face refs of
+    the cells that remain (degenerate refs count), and sigma occurs in
+    none. Then space is Y with sigma filling the horn that misses face
+    i, so Y is a deformation retract of it (Whitehead's elementary
+    collapse), and a 1-reduced space stays 1-reduced. Cells are walked
+    top dimension first, each dimension in stored order, until a whole
+    walk collapses nothing, so Y does not depend on the hash seed.
+
+    Y is the source of the map and keeps the name of space; when nothing
+    collapses it is space itself. A truncated space is returned as it
+    is, since the cells it does not store may use any face.
+
+    >>> collapse_free_pairs(standard_simplex(3)).source.nondegenerate(2)
+    ((0, 1, 2), (0, 1, 3), (0, 2, 3))
+    """
+    faces = space._faces
+    uses = {}
+    for ref in faces.values():
+        uses[ref.base] = uses.get(ref.base, 0) + 1
+    removed = set()
+    walk = space.complete
+    while walk:
+        walk = False
+        for n in sorted(space.cells, reverse=True):
+            if n < 3:
+                break
+            for sigma in space.cells[n]:
+                if sigma in removed or uses.get(sigma):
+                    continue
+                for i in range(n + 1):
+                    tau = faces[(sigma, i)]
+                    if not tau.word and uses[tau.base] == 1:
+                        break
+                else:
+                    continue
+                for cid in (sigma, tau.base):
+                    removed.add(cid)
+                    for k in range(space.dim_of(cid) + 1):
+                        uses[faces[(cid, k)].base] -= 1
+                walk = True
+    rest = space
+    if removed:
+        cells = {
+            n: [cid for cid in ids if cid not in removed]
+            for n, ids in space.cells.items()
+        }
+        kept = {
+            cid: tuple(faces[(cid, i)] for i in range(n + 1))
+            for n, ids in cells.items()
+            if n
+            for cid in ids
+        }
+        rest = SimplicialSet(space.name, cells, kept)
+    mapping = {cid: SimplexRef(cid) for ids in rest.cells.values() for cid in ids}
+    return SimplicialMap(rest, space, mapping)
 
 
 def wedge_models(first: SimplicialSet, second: SimplicialSet, name: str = "") -> SimplicialSet:

@@ -125,7 +125,9 @@ def _stored(complex_: ChainComplex, n: int) -> bool:
     """Whether H_n needs d_n and d_{n+1}; raises where they are cut off.
 
     False means H_n = 0 without computing: below the honest bottom degree
-    of the complex, or above the top of a complete one.
+    of the complex, or above the top of a complete one. The top is the
+    complex's max_degree, the top degree its window stores in full, so a
+    stored empty degree n + 1 settles H_n.
     """
     if n < complex_.min_degree:
         return False

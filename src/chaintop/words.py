@@ -33,6 +33,11 @@ only; 0 without edges. A boundary term lowers the degree by one and so
 raises the budget by `growth`, which keeps the stored basis closed under
 the honest differential, and d^2 = 0 holds exactly.
 
+A window's complex keeps no empty degree, so each window also says up
+to which degree it stores every word (`stored_top`): an empty degree
+above its top nonempty one counts when the cap cannot cut it, and then
+settles the homology one degree down.
+
 The order built here is the stored basis order: each window keeps every
 degree exactly as `plain_words` or `localized_words` returns it, and no
 class sorts it again. Words come breadth first, shortest first, with
@@ -115,6 +120,33 @@ def plain_words(space: SimplicialSet, letters, max_degree: int, budget) -> dict:
                 words[d].append(grown)
         frontier = new
     return words
+
+
+def stored_top(words: dict, edges, budget) -> int:
+    """The top degree up to which a window stores every degree in full.
+
+    words is a window's {degree: [words]} for 0..max_degree, as
+    `plain_words` or `localized_words` build it. Its top nonempty degree
+    is raised through each degree above it that the cap leaves whole,
+    since a whole degree that is stored empty has no words at all. The
+    cap leaves degree d whole when budget(d) is None, or when there are
+    no edges and budget(d) >= d: every letter then adds at least one to
+    the degree, so a word of degree d has at most d letters and no group
+    letters. A degree the cap may cut is never raised through, so the
+    homology below it stays inconclusive rather than read as zero.
+
+    >>> stored_top({0: [()], 1: [], 2: [("x",)], 3: []}, (), lambda d: None)
+    3
+    >>> stored_top({0: [()], 1: [("x",)], 2: []}, (), lambda d: 1)
+    1
+    """
+    top = max((d for d, ws in words.items() if ws), default=-1)
+    while top + 1 in words:
+        cap = budget(top + 1)
+        if cap is not None and (edges or cap < top + 1):
+            break
+        top += 1
+    return top
 
 
 def localized_words(

@@ -22,7 +22,10 @@ from chaintop.cli import (
     main,
     run_job,
 )
+from chaintop.rings import GF, QQ, ZZ
 from chaintop.simplicial import simplicial_to_json, sphere_model, wedge_models
+
+from shared_models import collapsed_simplex, relabeled_json
 
 
 def run(capsys, *argv):
@@ -241,6 +244,8 @@ codes = [
         "cobar rp2 --max-degree 2 --word-cutoff 2 --format json",
         "cobar-ext rp2 --word-cutoff 3 --format json",
         "loop sphere 2 --max-degree 3 --check --format json",
+        f"cobar {sys.argv[1]} --max-degree 3 --format json",
+        f"loop {sys.argv[1]} --max-degree 2 --check --format json",
     )
 ]
 print(codes)
@@ -255,14 +260,24 @@ for bases in (
 """
 
 
-def test_output_and_bases_do_not_depend_on_the_hash_seed():
+def shuffled_collapsible_model(tmp_path) -> Path:
+    """Delta^4 over its 1-skeleton, renamed and reordered, as a JSON file:
+    free face pairs collapse it from 10 + 5 + 1 cells to 6 two-cells."""
+    model = tmp_path / "d4c1.json"
+    model.write_text(json.dumps(relabeled_json(collapsed_simplex(4, 1), 7)))
+    return model
+
+
+def test_output_and_bases_do_not_depend_on_the_hash_seed(tmp_path):
     # string hashes change with PYTHONHASHSEED, so any basis order or
-    # output built from set or dict-of-set iteration would differ here
+    # output built from set or dict-of-set iteration would differ here,
+    # and so would the pairs collapsed if they were picked that way
+    model = shuffled_collapsible_model(tmp_path)
     package_root = str(Path(chaintop.__file__).resolve().parents[1])
     paths = [package_root, os.environ.get("PYTHONPATH")]
     runs = [
         subprocess.run(
-            [sys.executable, "-c", HASH_SEED_CHILD],
+            [sys.executable, "-c", HASH_SEED_CHILD, str(model)],
             capture_output=True,
             text=True,
             env=dict(
@@ -276,6 +291,111 @@ def test_output_and_bases_do_not_depend_on_the_hash_seed():
     ]
     assert runs[0].returncode == runs[1].returncode == 0, runs[0].stderr
     assert runs[0].stdout == runs[1].stdout
+    assert "\n[3, 0, 0, 0, 0]\n" in runs[0].stdout
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_collapsed_model_prints_the_unreduced_table(tmp_path, capsys, fmt):
+    # cobar and loop compute on the collapsed model; the report must be
+    # the one the library gives on the model as it was read
+    from chaintop.cli import render
+    from chaintop.cobar import cobar
+    from chaintop.simplicial import simplicial_from_json
+    from chaintop.smith import homology_table
+
+    model = shuffled_collapsible_model(tmp_path)
+    space = simplicial_from_json(json.loads(model.read_text()))
+    top = 2
+    for flag, ring in (("z", ZZ), ("fp:2", GF(2)), ("q", QQ)):
+        table = homology_table(cobar(space, top + 1, ring).complex, range(top + 1))
+        payload = {
+            "model": space.name,
+            "ring": ring.name,
+            "window": {"max_degree": top + 1, "max_length": None},
+            "homology": {
+                n: {"rank": h.free_rank, "torsion": list(h.invariant_factors)}
+                for n, h in table.items()
+            },
+            "inconclusive": [],
+        }
+        argv = [str(model), "--max-degree", str(top), "--ring", flag, "--format", fmt]
+        for command, extra, check in (
+            ("cobar", {}, []),
+            ("loop", {"cross_check": "passed"}, ["--check"]),
+        ):
+            expected = render(dict(payload, command=command, **extra), fmt) + "\n"
+            code, out, _ = run(capsys, command, *argv, *check)
+            assert (code, out) == (EXIT_OK, expected), (command, ring)
+
+
+@pytest.mark.parametrize("k", [3, 5])
+def test_sphere_loop_homology_is_certified_at_every_max_degree(capsys, k):
+    # T(x_{k-1}) has no words in degrees that k - 1 does not divide, and
+    # an uncapped window stores those degrees in full, empty as they are
+    for top in range(1, 9):
+        rows = [f"H_{n}: {'Z' if n % (k - 1) == 0 else '0'}" for n in range(top + 1)]
+        for argv in (["cobar"], ["loop", "--check"]):
+            code, out, _ = run(capsys, argv[0], "sphere", str(k), "--max-degree", str(top), *argv[1:])
+            assert code == EXIT_OK, (argv, top, out)
+            assert [line for line in out.splitlines() if line.startswith("H_")] == rows
+
+
+# RP^2 windows that a word-length cap cuts: their rows depend on the
+# cutoff, so counting an empty top degree as stored must certify none of
+# them, and every row prints as it did.
+RP2_CUT_WINDOWS = [
+    (
+        "cobar rp2 --max-degree 2 --word-cutoff 2",
+        ["window: max_degree=3 max_length=2", "H_0: Z + Z/4", "H_1: Z/2", "H_2: inconclusive"],
+        EXIT_INCONCLUSIVE,
+    ),
+    (
+        "cobar rp2 --max-degree 2 --word-cutoff 4",
+        ["window: max_degree=3 max_length=4", "H_0: Z + Z/16", "H_1: Z/4 + Z/8", "H_2: Z/2 + Z/2 + Z/2"],
+        EXIT_OK,
+    ),
+    (
+        "loop rp2 --max-degree 1 --word-cutoff 3 --check",
+        ["window: max_degree=2 max_length=3", "H_0: Z^8", "H_1: Z^16", "cross-check: passed"],
+        EXIT_OK,
+    ),
+    (
+        "loop rp2 --word-cutoff 2 --check",
+        [
+            "window: max_degree=6 max_length=2",
+            "H_0: Z^11",
+            "H_1: Z^78",
+            "H_2: Z^77",
+            "H_3: Z^9",
+            "H_4: inconclusive",
+            "H_5: inconclusive",
+            "cross-check: passed",
+        ],
+        EXIT_INCONCLUSIVE,
+    ),
+    (
+        "loop rp2 --word-cutoff 3 --check",
+        [
+            "window: max_degree=6 max_length=3",
+            "H_0: Z^12",
+            "H_1: Z^113",
+            "H_2: Z^177",
+            "H_3: Z^44",
+            "H_4: inconclusive",
+            "H_5: inconclusive",
+            "cross-check: passed",
+        ],
+        EXIT_INCONCLUSIVE,
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, rows, exit_code", RP2_CUT_WINDOWS, ids=[a for a, _, _ in RP2_CUT_WINDOWS])
+def test_length_capped_windows_print_what_they_printed(capsys, argv, rows, exit_code):
+    code, out, _ = run(capsys, *argv.split())
+    command = argv.split()[0]
+    assert out == "\n".join([f"command: {command}", "model: rp2", "ring: Z", *rows]) + "\n"
+    assert code == exit_code
 
 
 def test_unknown_suite_raises_at_job_level():

@@ -38,6 +38,7 @@ from chaintop.simplicial import (
 from chaintop.smith import smith_homology
 
 from ring_oracle import add_into
+from shared_models import collapsed_simplex
 
 # the package re-exports a function named cobar, which shadows the module
 cobar_module = importlib.import_module("chaintop.cobar")
@@ -125,12 +126,6 @@ def letter_by_letter_boundary(algebra, word, letter_terms):
         if letter_degree(space, cell) % 2:
             sign = -sign
     return FreeElement(ring, terms)
-
-
-def collapsed_simplex(n, k):
-    simplex = standard_simplex(n)
-    skeleton = [cell for m in range(k + 1) for cell in simplex.nondegenerate(m)]
-    return collapse_subcomplex(simplex, skeleton).target
 
 
 @pytest.mark.parametrize("ring", [ZZ, GF(2)], ids=str)

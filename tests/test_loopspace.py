@@ -57,6 +57,7 @@ from chaintop.simplicial import (
 )
 
 from ring_oracle import add_into
+from shared_models import collapsed_simplex
 
 
 def el(ring, *terms):
@@ -191,12 +192,6 @@ def assert_spliced_faces_match_whole_words(om):
                     assert om.cubes.face(cid, q, eps) == expected, (cid, q, eps)
                     checked += 1
     return checked
-
-
-def collapsed_simplex(n, k):
-    simplex = standard_simplex(n)
-    skeleton = [c for m in range(k + 1) for c in simplex.nondegenerate(m)]
-    return collapse_subcomplex(simplex, skeleton).target
 
 
 def test_spliced_faces_match_whole_word_canonical_forms():

@@ -4,8 +4,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from chaintop.cobar import cobar
+from chaintop.complexes import GradedLinearMap
 from chaintop.freemod import FreeElement
-from chaintop.rings import GF, ZZ
+from chaintop.rings import GF, QQ, ZZ
 from chaintop.simplicial import (
     SimplexBialgebra,
     SimplexRef,
@@ -15,7 +17,7 @@ from chaintop.simplicial import (
     aw_coproduct,
     chain_counit,
     char_pushforward,
-    collapse_subcomplex,
+    collapse_free_pairs,
     collapse_to_projective_plane,
     collapse_to_sphere,
     monotone_ref,
@@ -32,7 +34,8 @@ from chaintop.simplicial import (
 )
 
 from ring_oracle import add_into
-from chaintop.smith import smith_homology
+from shared_models import collapsed_simplex, relabeled_json
+from chaintop.smith import homology_table, smith_homology
 
 
 def join_el(bial, x, y):
@@ -131,12 +134,6 @@ def validate_as_before(space):
                             f"simplicial identity fails on {cid!r}: "
                             f"d_{i} d_{j} = {left!r} but d_{j-1} d_{i} = {right!r}"
                         )
-
-
-def collapsed_simplex(n, k):
-    simplex = standard_simplex(n)
-    skeleton = [c for m in range(k + 1) for c in simplex.nondegenerate(m)]
-    return collapse_subcomplex(simplex, skeleton).target
 
 
 def validation_models():
@@ -457,6 +454,104 @@ def test_monotone_ref():
     assert monotone_ref(rp2, "U", (0, 1, 1)) == SimplexRef("b", (1,))
     with pytest.raises(ValueError):
         monotone_ref(rp2, "U", (1, 0))
+
+
+# --- elementary collapses ---
+
+def collapse_cases():
+    """Models without 1-cells that have free pairs: seeded random ones,
+    and the benchmark's wedges of spheres, renamed and reordered."""
+    cases = []
+    for seed in range(40):
+        space = random_reduced_model(random.Random(seed), max_dim=5, max_cells_per_degree=10)
+        if not space.nondegenerate(1):
+            cases.append((f"random{seed}", space, 4))
+    for n, k, top in ((5, 2, 5), (4, 1, 3)):
+        for seed in range(3):
+            space = simplicial_from_json(relabeled_json(collapsed_simplex(n, k), seed))
+            cases.append((f"d{n}c{k}/{seed}", space, top))
+    return cases
+
+
+def test_collapse_keeps_the_loop_homology_and_includes_as_a_chain_map():
+    cases = collapse_cases()
+    assert len(cases) >= 12
+    for name, space, top in cases:
+        inclusion = collapse_free_pairs(space)
+        inclusion.validate()
+        small = inclusion.source
+        assert inclusion.target is space and small.name == space.name
+        assert sum(map(len, small.cells.values())) < sum(map(len, space.cells.values()))
+        for ring in (ZZ, GF(2), QQ):
+            big_words, small_words = cobar(space, top, ring), cobar(small, top, ring)
+            expected = homology_table(big_words.complex, range(top))
+            assert None not in expected.values(), name
+            assert homology_table(small_words.complex, range(top)) == expected, (name, ring)
+            # the inclusion sends each word to itself
+            words = GradedLinearMap(
+                small_words.complex,
+                big_words.complex,
+                0,
+                lambda word: FreeElement.single(ring, word),
+            )
+            ok, witness = words.is_chain_map()
+            assert ok, (name, ring, witness)
+
+
+def test_collapse_reaches_the_fewest_cells_on_the_wedges_of_spheres():
+    for n, k, cells in ((5, 2, {0: 1, 3: 10}), (4, 1, {0: 1, 2: 6})):
+        for seed in range(4):
+            space = simplicial_from_json(relabeled_json(collapsed_simplex(n, k), seed))
+            small = collapse_free_pairs(space).source
+            assert {m: len(ids) for m, ids in small.cells.items()} == cells
+
+
+def disk_model(extra=None, complete=True):
+    """A 4-cell s whose face 0 is the 3-cell t, every other face of both
+    collapsed to the point: a disk, with t the free face of s. extra maps
+    cell ids, new or not, to their faces."""
+    point = {m: SimplexRef("p", tuple(range(m - 1, -1, -1))) for m in (2, 3)}
+    faces = {"t": (point[2],) * 4, "s": (SimplexRef("t"),) + (point[3],) * 4}
+    cells = {0: ["p"], 3: ["t"], 4: ["s"]}
+    for cid, refs in (extra or {}).items():
+        if cid not in faces:
+            cells.setdefault(len(refs) - 1, []).append(cid)
+        faces[cid] = refs
+    space = SimplicialSet("disk", cells, faces, complete=complete)
+    space.validate()
+    return space
+
+
+def test_no_pair_collapses_whose_face_is_used_twice_or_whose_cell_is_a_face():
+    assert collapse_free_pairs(disk_model()).source.cells == {0: ("p",)}
+    t, point3 = SimplexRef("t"), SimplexRef("p", (2, 1, 0))
+    # the faces of the degenerate 5-simplex s1 s0 t use t through
+    # degeneracies only
+    degenerate = [disk_model().face_of_ref(SimplexRef("t", (1, 0)), i) for i in range(6)]
+    assert {ref.base for ref in degenerate} == {"t", "p"}
+    assert all(ref.is_degenerate for ref in degenerate)
+    twice = {
+        "by a second cell": {"u": (t,) + (point3,) * 4},
+        "by the same cell": {"s": (t, t) + (point3,) * 3},
+        "through a degeneracy": {"r": tuple(degenerate)},
+        # t is still free, but s itself is a face (twice) of r
+        "by a cell that is a face": {
+            "r": (SimplexRef("s"), SimplexRef("s")) + (SimplexRef("p", (3, 2, 1, 0)),) * 4
+        },
+    }
+    for name, extra in twice.items():
+        space = disk_model(extra)
+        assert collapse_free_pairs(space).source is space, name
+
+
+def test_nothing_to_collapse_returns_the_space_itself():
+    wedge = wedge_models(wedge_models(sphere_model(2), sphere_model(2)), sphere_model(3))
+    # a truncated space may use its faces in cells it does not store
+    truncated = disk_model(complete=False)
+    for space in (wedge, projective_plane_model(), sphere_model(5), truncated):
+        inclusion = collapse_free_pairs(space)
+        assert inclusion.source is space and inclusion.target is space
+        inclusion.validate()
 
 
 # --- json ---

@@ -24,14 +24,15 @@ from chaintop.cobar import (
 )
 from chaintop.loopspace import CubicalCobar, phi_certificate
 from chaintop.simplicial import (
-    collapse_subcomplex,
     random_reduced_model,
     simplicial_model,
     sphere_model,
     standard_simplex,
     wedge_models,
 )
-from chaintop.words import growth, letters, localized_words, plain_words
+from chaintop.words import growth, letters, localized_words, plain_words, stored_top
+
+from shared_models import collapsed_simplex
 
 
 # --- the old enumerators, as oracles ---
@@ -192,12 +193,6 @@ def sorted_bases(bases, max_degree):
 
 # --- models ---
 
-def collapsed_simplex(n, k):
-    simplex = standard_simplex(n)
-    skeleton = [c for m in range(k + 1) for c in simplex.nondegenerate(m)]
-    return collapse_subcomplex(simplex, skeleton).target
-
-
 def benchmark_models():
     s2s2s3 = wedge_models(
         wedge_models(sphere_model(2), sphere_model(2)), sphere_model(3)
@@ -329,6 +324,34 @@ def test_letters_split_and_growth_rule():
     assert letters(sphere_model(3)) == ((), tuple(sphere_model(3).nondegenerate(3)))
     with pytest.raises(ValueError, match="not reduced"):
         letters(standard_simplex(2))
+
+
+@pytest.mark.parametrize("index", range(len(MODELS)))
+def test_stored_top_counts_only_degrees_the_cap_leaves_whole(index):
+    # a degree above the top nonempty one is whole when the capped window
+    # holds every word the uncapped one has there; with edges no degree
+    # is, since the uncapped window is infinite
+    space = MODELS[index]
+    edges, heavies = letters(space)
+    for max_degree in range(5):
+        every = None if edges else plain_words(space, heavies, max_degree, lambda d: None)
+        for length in (1, 2, 3) if edges else (None, 1, 2, 3):
+            fixed = lambda d: length
+            sliding = lambda d: None if length is None else length + max_degree - d
+            tops = []
+            for budget in (fixed, sliding):
+                words = plain_words(space, edges + heavies, max_degree, budget)
+                whole = max((d for d, ws in words.items() if ws), default=-1)
+                while every and whole < max_degree and len(words[whole + 1]) == len(every[whole + 1]):
+                    whole += 1
+                top = stored_top(words, edges, budget)
+                assert top <= whole, (space.name, max_degree, length)
+                if length is None:
+                    assert top == max_degree
+                tops.append(top)
+            assert cobar(space, max_degree, max_length=length).complex.max_degree == tops[0]
+            omega = CubicalCobar(space, max_degree, max_length=length)
+            assert omega.chains().max_degree == tops[1]
 
 
 def test_budget_bounds_each_degree():
