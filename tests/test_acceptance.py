@@ -432,7 +432,7 @@ def test_criterion_04_monoidality():
 # 5. the relabeling between cube model and word algebra
 
 def test_criterion_05_phi_certification():
-    with criterion(5, "phi certificates S1, S2, RP2 degrees<=5", limit=1.0):
+    with criterion(5, "phi certificates S1, S2, RP2 degrees<=5", limit=0.5):
         cert = phi_certificate(sphere_model(1), 5, max_length=4)
         assert cert["cells"] == 10 and cert["pairs"] > 0
         cert = phi_certificate(sphere_model(2), 5)

@@ -504,9 +504,9 @@ def test_loop_check_builds_each_cube_differential_once(capsys, monkeypatch):
 
 
 def test_loop_check_evaluates_each_word_boundary_and_phi_image_once(capsys, monkeypatch):
-    # the certificate reads d of the comparison cobar for its chain-map
-    # check and phi of every cube cell for both the chain-map and the
-    # product checks; each must be evaluated at most once per key
+    # the certificate reads d of the comparison cobar and phi of every
+    # letter for its chain-map check, and phi of the sampled cells for
+    # its product check; each must be evaluated at most once per key
     from chaintop import loopspace
     from chaintop.cobar import CobarComplex
 
@@ -549,7 +549,8 @@ def test_loop_check_evaluates_each_word_boundary_and_phi_image_once(capsys, monk
     assert max(boundary_calls.values()) == 1
     (omega,) = omegas
     cells = {c for n in omega.cubes.dimensions() for c in omega.cubes.nondegenerate(n)}
-    assert set(phi_calls) == cells
+    assert set(phi_calls) <= cells
+    assert {c for c in cells if len(c) == 1} <= set(phi_calls)
     assert max(phi_calls.values()) == 1
 
 

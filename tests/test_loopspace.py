@@ -4,6 +4,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chaintop import loopspace
 from chaintop.cobar import CobarComplex, ExtendedCobarComplex, cobar, expand_word
@@ -55,6 +56,7 @@ from chaintop.simplicial import (
     two_vertex_projective_plane,
     wedge_models,
 )
+from chaintop.words import letters
 
 from ring_oracle import add_into
 from shared_models import collapsed_simplex
@@ -564,6 +566,143 @@ def test_certificate_compares_as_many_words_as_cells(monkeypatch):
         words = sum(algebra.complex.rank(n) for n in range(max_degree + 1))
         cells = sum(len(omega.cubes.nondegenerate(n)) for n in range(max_degree + 1))
         assert words == cells == cert["cells"], space.name
+
+
+def _chain_map_verdicts(space, max_degree, max_length, perturb=None):
+    """(letter rule, full columns) verdicts on one window: summary or failing key.
+
+    perturb, when given, is (degree, position): that column of the cube
+    differential is negated, or given a term when it is zero, before
+    either check reads it.
+    """
+    omega = cubical_cobar(space, max_degree, max_length)
+    words = CobarComplex(space, max_degree, ZZ, omega.budget).complex
+    chains = omega.chains()
+    if perturb is not None:
+        n, j = perturb
+        columns = chains.diff_columns(n)
+        columns[j] = {i: -c for i, c in columns[j].items()} or {0: 1}
+
+    def image(cell):
+        return phi_cell(space, cell, ZZ)
+
+    verdicts = []
+    for check in (
+        lambda: loopspace._certify_letter_rule(omega, words, image),
+        lambda: loopspace._certify_relabeling(omega, words, lambda c: c, image)[1],
+    ):
+        try:
+            verdicts.append(check())
+        except AssertionError as exc:
+            assert str(exc).startswith("not a chain map on ")
+            verdicts.append(str(exc))
+    return verdicts
+
+
+def oracle_windows():
+    windows = [
+        # criterion 05
+        (sphere_model(1), 5, 4),
+        (sphere_model(2), 5, None),
+        (projective_plane_model(), 5, 2),
+    ]
+    windows += certify_windows()
+    windows.append((projective_plane_model(), 6, 3))
+    for seed in range(4):
+        windows.append((random_reduced_model(random.Random(seed)), 3, 3))
+    return windows
+
+
+def test_letter_rule_agrees_with_the_full_column_check():
+    # the letter rule builds phi only on letters; the full-column check
+    # of GradedLinearMap.is_chain_map builds it on every cell
+    for space, max_degree, max_length in oracle_windows():
+        rule, full = _chain_map_verdicts(space, max_degree, max_length)
+        assert rule == full, (space.name, max_degree, max_length)
+        assert isinstance(rule, dict) and rule["cells"] > 0
+
+
+def test_letter_rule_fails_where_the_full_column_check_fails():
+    rng = random.Random(3)
+    for space, max_degree, max_length in oracle_windows():
+        chains = cubical_cobar(space, max_degree, max_length).chains()
+        degrees = [m for m in chains.degrees() if m > chains.min_degree]
+        if not degrees:
+            continue
+        n = rng.choice(degrees)
+        perturb = (n, rng.randrange(chains.rank(n)))
+        rule, full = _chain_map_verdicts(space, max_degree, max_length, perturb)
+        cell = chains.basis_in(n)[perturb[1]]
+        assert rule == full == f"not a chain map on {cell!r}", space.name
+
+
+def _unsigned_letter_rule(table, cell):
+    # the letter rule with its Koszul signs dropped
+    sums = {}
+    for j, letter in enumerate(cell):
+        for piece, c in (table[letter][0] or {}).items():
+            new = cell[:j] + piece + cell[j + 1 :]
+            sums[new] = sums.get(new, 0) + c
+    return sums
+
+
+@pytest.mark.parametrize(
+    "mutant, witness",
+    [
+        ("negated rule", ("U",)),
+        ("E for E inverse", ("U",)),
+        ("no Koszul sign", ("U", "U")),
+    ],
+)
+def test_letter_rule_mutants_are_not_chain_maps(monkeypatch, mutant, witness):
+    real = loopspace.phi_inverse_word
+    if mutant == "negated rule":
+        monkeypatch.setattr(
+            loopspace,
+            "phi_inverse_word",
+            lambda space, word, ring: -real(space, word, ring),
+        )
+    elif mutant == "E for E inverse":
+        monkeypatch.setattr(loopspace, "phi_inverse_word", loopspace.phi_cell)
+    else:
+        monkeypatch.setattr(loopspace, "_letter_rule_sums", _unsigned_letter_rule)
+    with pytest.raises(AssertionError, match="not a chain map") as caught:
+        phi_certificate(projective_plane_model(), 3, max_length=2)
+    key, cube_side, rule_side = caught.value.witness
+    assert key == witness
+    assert cube_side != rule_side
+
+
+# words of up to _FACTOR letters on each side, in a cobar window that
+# stores every product of two of them
+_FACTOR = 3
+
+
+@pytest.fixture(scope="module")
+def multiplicativity_windows():
+    spaces = [projective_plane_model()]
+    spaces += [random_reduced_model(random.Random(seed)) for seed in (0, 1, 5)]
+    windows = []
+    for space in spaces:
+        edges, heavies = letters(space)
+        top = max(space.dim_of(cell) - 1 for cell in heavies)
+        algebra = cobar(space, 2 * _FACTOR * top, ZZ, 2 * _FACTOR)
+        windows.append((space, edges + heavies, algebra))
+    return windows
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_phi_is_multiplicative_on_random_words(multiplicativity_windows, data):
+    # phi_certificate checks phi d = d phi by the letter rule, which
+    # stands for phi on long cells because phi is multiplicative
+    space, alphabet, algebra = data.draw(st.sampled_from(multiplicativity_windows))
+    word = st.lists(st.sampled_from(alphabet), max_size=_FACTOR).map(tuple)
+    u, v = data.draw(word), data.draw(word)
+    whole = phi_cell(space, u + v, ZZ)
+    for w in whole.support():
+        algebra.complex.degree_of(w)  # stored, so the product cuts nothing
+    assert whole == algebra.product(phi_cell(space, u, ZZ), phi_cell(space, v, ZZ))
 
 
 # --- localized variant ---
