@@ -71,9 +71,9 @@ class CobarComplex:
     """Truncated tensor algebra on shifted chains, with its product.
 
     A word of degree d is stored when d <= max_degree and its length is
-    at most budget(d) (`chaintop.words`; None for no cap). The complex
-    counts the empty degrees above its words that the cap cannot cut
-    (`chaintop.words.stored_top`).
+    at most budget(d) (`chaintop.words`; None for no cap), a budget
+    that must not rise with degree. The complex counts the empty degrees
+    above its words that the cap cannot cut (`chaintop.words.stored_top`).
     """
 
     def __init__(

@@ -131,7 +131,9 @@ class ChainComplex:
         ValueError of `diff`. Each d_n is built once: later calls return
         the same list, so callers must not change it. Its zero columns
         are one shared dict, so that keeping a d_n with many cycles,
-        such as a cobar's, keeps no dict per key alive.
+        such as a cobar's, keeps no dict per key alive. A zero boundary
+        (None, or no terms) costs one test: it appends that dict, and
+        the index of C_{n-1} is built only at the first nonzero one.
 
         >>> from .freemod import FreeElement
         >>> from .rings import ZZ
@@ -142,17 +144,19 @@ class ChainComplex:
         columns = self._columns.get(n)
         if columns is not None:
             return columns
-        index = {key: i for i, key in enumerate(self.basis_in(n - 1))}
         rule = self._diff_rule
         zero = {}
+        index = None
         columns = []
         for key in self.basis_in(n):
             value = rule(key)
-            if value is None:
+            if value is None or not value.terms:
                 columns.append(zero)
                 continue
+            if index is None:
+                index = {k: i for i, k in enumerate(self.basis_in(n - 1))}
             try:
-                columns.append({index[out]: c for out, c in value.items()} or zero)
+                columns.append({index[out]: c for out, c in value.items()})
             except KeyError:
                 self.diff(key)
                 raise

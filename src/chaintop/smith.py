@@ -71,7 +71,7 @@ def _canonical(columns, ring: Ring) -> bool:
     """Whether every entry already has the form that conversion gives it:
     a nonzero int over Z, an int in [1, p) over F_p, a nonzero Fraction
     over Q."""
-    entries = (c for col in columns for c in col.values())
+    entries = (c for col in filter(None, columns) for c in col.values())
     if ring.kind == "Q":
         return all(type(c) is Fraction and c for c in entries)
     if ring.kind == "Fp":

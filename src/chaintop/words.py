@@ -40,10 +40,16 @@ settles the homology one degree down.
 
 The order built here is the stored basis order: each window keeps every
 degree exactly as `plain_words` or `localized_words` returns it, and no
-class sorts it again. Words come breadth first, shortest first, with
-letters tried in the order of `letters`, which is the model's stored
+class sorts it again. Plain words come shortest first, then
+lexicographic in the order of `letters`, which is the model's stored
 cell order; group segments come from `group_words` in the same way. So
 the order is deterministic and does not depend on the hash seed.
+
+A budget must not rise with degree: budget(d + 1) <= budget(d), and no
+None after a number. The fixed, sliding and localized caps above all
+fall or stay level, and `plain_words` refuses any other. A rising
+budget would make the window depend on how it is built, since a word
+could be kept while a shorter word inside it is not.
 """
 
 from __future__ import annotations
@@ -95,30 +101,57 @@ def group_words(cells, max_len: int):
 def plain_words(space: SimplicialSet, letters, max_degree: int, budget) -> dict:
     """Words in `letters` by degree, {degree: [words]} for 0..max_degree.
 
-    Breadth first, one length at a time; a word of degree d is kept when
-    d <= max_degree and its length is at most budget(d). The degree is
-    carried along with each word, never recomputed.
+    A word of degree d is kept when d <= max_degree and its length is at
+    most budget(d). Each degree comes shortest first, then
+    lexicographic in the order of `letters`. The words are built one
+    (length, degree) bucket at a time: those of length L and degree d
+    are each letter l, in order, put in front of every word of length
+    L - 1 and degree d - |l|. That reaches every word of the window
+    because the budget must not rise with degree, so every suffix of a
+    kept word is kept too. A budget(d + 1) above budget(d), or None
+    after a number, raises ValueError.
+
+    >>> from .simplicial import simplicial_model
+    >>> rp2 = simplicial_model("rp2")
+    >>> a, b = rp2.nondegenerate(1)
+    >>> plain_words(rp2, (a, b), 0, lambda d: 2)[0] == [(), (a,), (b,), (a, a), (a, b), (b, a), (b, b)]
+    True
     """
-    steps = [(cell, space.dim_of(cell) - 1) for cell in letters]
     caps = [budget(d) for d in range(max_degree + 1)]
+    for d, (cap, above) in enumerate(zip(caps, caps[1:])):
+        if cap is not None and (above is None or above > cap):
+            raise ValueError(
+                f"word budget rises with degree: budget({d}) = {cap}, "
+                f"budget({d + 1}) = {above}"
+            )
     words = {d: [] for d in range(max_degree + 1)}
     if max_degree < 0:
         return words
+    steps = [(cell, space.dim_of(cell) - 1) for cell in letters]
+    # per degree d, each letter that fits with the degree d - |letter|
+    # of the words it goes in front of
+    sources = [
+        [(cell, d - step) for cell, step in steps if step <= d]
+        for d in range(max_degree + 1)
+    ]
+    # bucket[d]: the words of the current length and degree d
+    bucket = [[()]] + [[] for _ in range(max_degree)]
     words[0].append(())
-    frontier = [((), 0)]
     length = 0
-    while frontier:
+    while any(bucket):
         length += 1
-        new = []
-        for word, degree in frontier:
-            for cell, step in steps:
-                d = degree + step
-                if d > max_degree or (caps[d] is not None and length > caps[d]):
-                    continue
-                grown = word + (cell,)
-                new.append((grown, d))
-                words[d].append(grown)
-        frontier = new
+        grown = []
+        for d, pairs in enumerate(sources):
+            new = []
+            cap = caps[d]
+            if cap is None or length <= cap:
+                for cell, below in pairs:
+                    tails = bucket[below]
+                    if tails:
+                        new += [(cell,) + u for u in tails]
+                words[d] += new
+            grown.append(new)
+        bucket = grown
     return words
 
 

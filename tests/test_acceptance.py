@@ -445,7 +445,7 @@ def test_criterion_05_phi_certification():
 # 6. loop homology of the spheres through the integer oracle
 
 def test_criterion_06_loop_homology():
-    with criterion(6, "loop homology of S2 and S3", limit=5.0):
+    with criterion(6, "loop homology of S2 and S3", limit=0.5):
         algebra = cobar(sphere_model(2), 6)
         for n in range(6):
             assert smith_homology(algebra.complex, n) == (1, ())

@@ -173,6 +173,37 @@ def test_diff_columns_raise_the_error_of_diff():
         assert str(columns.value) == str(per_key.value)
 
 
+def test_diff_columns_raise_the_error_of_diff_after_zero_columns():
+    # zero columns come first, so the index of C_{n-1} is built late
+    def rule(key):
+        if key == "z0":
+            return None
+        if key == "z1":
+            return FreeElement.zero(ZZ)
+        if key == "e":
+            return FreeElement(ZZ, {"v": 1})
+        return FreeElement(ZZ, {"v": 1, "z0": 1})
+
+    def build():
+        return ChainComplex(ZZ, {0: ["v"], 1: ["z0", "z1", "e", "bad"]}, rule)
+
+    with pytest.raises(ValueError) as per_key:
+        build().diff("bad")
+    with pytest.raises(ValueError) as columns:
+        build().diff_columns(1)
+    assert str(columns.value) == str(per_key.value)
+    assert "hit 'z0' (degree 1), expected degree 0" in str(columns.value)
+
+
+@pytest.mark.parametrize("zero", [None, FreeElement.zero(ZZ)], ids=["None", "zero"])
+def test_zero_boundaries_share_one_column(zero):
+    complex_ = ChainComplex(ZZ, {0: ["v", "w"], 1: ["a", "b", "c"], 2: ["s"]}, lambda key: zero)
+    for n in range(4):
+        columns = complex_.diff_columns(n)
+        assert len(columns) == complex_.rank(n)
+        assert all(col is columns[0] and col == {} for col in columns), n
+
+
 def table_complex(ring, basis, table):
     return ChainComplex(ring, basis, lambda key: FreeElement(ring, table.get(key, {})))
 

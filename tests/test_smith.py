@@ -462,6 +462,46 @@ def test_smith_homology_matches_converted_columns():
     assert smith_homology(trusted_complex(GF(3), 3), 0).pair == (1, [])
 
 
+def mixed_columns_complex():
+    # zero boundaries, given as None and as zero elements, between
+    # nonzero ones: H_0 = Z, H_1 = Z + Z/2, H_2 = Z^2, H_3 = Z
+    table = {
+        "a": {"v1": 1, "v0": -1},
+        "b": {"v2": 1, "v1": -1},
+        "c": {"v2": 1, "v0": -1},
+        "z2": {},
+        "s": {"a": 2, "b": 2, "c": -2},
+        "y1": {},
+        "t": {"z1": 1},
+    }
+
+    def diff(key):
+        terms = table.get(key)
+        return None if terms is None else FreeElement(ZZ, terms)
+
+    basis = {
+        0: ["v0", "v1", "v2"],
+        1: ["z1", "a", "z2", "b", "c"],
+        2: ["y0", "s", "y1", "t"],
+        3: ["w"],
+    }
+    return ChainComplex(ZZ, basis, diff, complete=True)
+
+
+def test_homology_with_zero_and_nonzero_columns():
+    expected = {
+        ZZ: [(1, []), (1, [2]), (2, []), (1, [])],
+        GF(2): [(1, []), (2, []), (3, []), (1, [])],
+        QQ: [(1, []), (1, []), (2, []), (1, [])],
+    }
+    for ring, pairs in expected.items():
+        for n, pair in enumerate(pairs):
+            assert smith_homology(mixed_columns_complex(), n, ring).pair == pair, (ring, n)
+            assert converted_homology(mixed_columns_complex(), n, ring) == pair, (ring, n)
+    table = homology_table(mixed_columns_complex(), range(4))
+    assert [table[n].pair for n in range(4)] == expected[ZZ]
+
+
 def test_smith_homology_rejects_a_non_integral_entry_over_z():
     with pytest.raises(ValueError) as converted:
         converted_homology(trusted_complex(ZZ, Fraction(1, 2)), 0, ZZ)

@@ -5,10 +5,12 @@ the extended cobar and the bead-word monoid each carried before
 `chaintop.words` existed, kept verbatim as plain functions. The bases
 the constructions store now must hold the same words as theirs, degree
 by degree; both sides are repr-sorted before they are compared, so these
-tests fix the words and not their order. A separate test pins the
-stored order, the one `chaintop.words` builds. The pinned certificate
-counts come from the word recurrence of the benchmark notes, so they
-hold whichever enumerator builds the windows.
+tests fix the words and not their order. The order is pinned twice:
+`plain_words` must equal the breadth-first enumerator it replaced
+(`words_oracle`), list for list, and every window must store each degree
+exactly as `chaintop.words` returns it. The pinned certificate counts
+come from the word recurrence of the benchmark notes, so they hold
+whichever enumerator builds the windows.
 """
 
 import random
@@ -32,6 +34,7 @@ from chaintop.simplicial import (
 )
 from chaintop.words import growth, letters, localized_words, plain_words, stored_top
 
+import words_oracle
 from shared_models import collapsed_simplex
 
 
@@ -252,6 +255,70 @@ def test_plain_windows_match_the_old_enumerators(index):
             algebra = CobarComplex(space, max_degree, budget=omega.budget)
             got = sorted_bases(algebra.complex.basis_in, max_degree)
             assert got == want, (space.name, max_degree, length)
+
+
+ORDER_MODELS = MODELS + [sphere_model(2), sphere_model(3)]
+
+
+def uncapped_size(space, alphabet, max_degree):
+    """Words of degree <= max_degree in letters of degree >= 1, by the
+    recurrence N(d) = sum over letters x of N(d - |x|)."""
+    steps = [space.dim_of(cell) - 1 for cell in alphabet]
+    counts = [1]
+    for d in range(1, max_degree + 1):
+        counts.append(sum(counts[d - s] for s in steps if s <= d))
+    return sum(counts)
+
+
+@pytest.mark.parametrize("index", range(len(ORDER_MODELS)))
+def test_plain_words_match_the_breadth_first_oracle(index):
+    # list for list, so the order is pinned too: shortest first, then
+    # lexicographic in the letter order
+    space = ORDER_MODELS[index]
+    edges, heavies = letters(space)
+    alphabet = edges + heavies
+    for max_degree in range(7):
+        budgets = [lambda d, c=c: c for c in range(5)]
+        budgets += [lambda d, c=c, top=max_degree: c + top - d for c in range(4)]
+        # the uncapped window of Delta^4 over its 1-skeleton holds 1.4
+        # million words at degree 6, too many to build twice here
+        if not edges and uncapped_size(space, alphabet, max_degree) <= 200_000:
+            budgets.append(lambda d: None)
+        for budget in budgets:
+            want = words_oracle.plain_words(space, alphabet, max_degree, budget)
+            got = plain_words(space, alphabet, max_degree, budget)
+            assert got == want, (space.name, max_degree, budget(0))
+
+
+def test_a_budget_that_rises_with_degree_is_refused():
+    # on RP2 with budget(0) = 0 and budget(1) = 2 the breadth-first
+    # enumerator keeps (U, a) and a bucketed one (a, U); the window
+    # "length <= budget(degree)" holds both, so neither is it
+    rp2 = simplicial_model("rp2")
+    edges, heavies = letters(rp2)
+    rising = lambda d: 2 * d
+    with pytest.raises(
+        ValueError, match=r"budget rises with degree: budget\(0\) = 0, budget\(1\) = 2"
+    ):
+        plain_words(rp2, edges + heavies, 1, rising)
+    with pytest.raises(ValueError, match="rises with degree"):
+        CobarComplex(rp2, 2, budget=rising)
+    s2 = sphere_model(2)
+    with pytest.raises(
+        ValueError, match=r"budget rises with degree: budget\(1\) = 1, budget\(2\) = None"
+    ):
+        plain_words(s2, s2.nondegenerate(2), 2, lambda d: 1 if d < 2 else None)
+    # a rise above max_degree is never read; None before a number is a fall
+    (x,) = s2.nondegenerate(2)
+    assert plain_words(s2, (x,), 1, lambda d: 1 if d < 2 else 5) == {
+        0: [()],
+        1: [(x,)],
+    }
+    assert plain_words(s2, (x,), 2, lambda d: None if d < 2 else 1) == {
+        0: [()],
+        1: [(x,)],
+        2: [],
+    }
 
 
 @pytest.mark.parametrize("index", range(len(MODELS)))

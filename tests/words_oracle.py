@@ -1,0 +1,36 @@
+"""The breadth-first word enumerator, kept as an oracle for the tests.
+
+`chaintop.words.plain_words` builds a window one (length, degree) bucket
+at a time, putting each letter in front of the shorter words. This is
+the enumerator it replaced: one length at a time, each word of the
+frontier grown by every letter at its end, the degree carried along.
+Both keep a word of degree d when d <= max_degree and its length is at
+most budget(d), and both list each degree shortest first, then
+lexicographic in the letter order, so their dicts must be equal, order
+included, for every budget that does not rise with degree.
+"""
+
+
+def plain_words(space, letters, max_degree, budget):
+    """{degree: [words]} for 0..max_degree, breadth first."""
+    steps = [(cell, space.dim_of(cell) - 1) for cell in letters]
+    caps = [budget(d) for d in range(max_degree + 1)]
+    words = {d: [] for d in range(max_degree + 1)}
+    if max_degree < 0:
+        return words
+    words[0].append(())
+    frontier = [((), 0)]
+    length = 0
+    while frontier:
+        length += 1
+        new = []
+        for word, degree in frontier:
+            for cell, step in steps:
+                d = degree + step
+                if d > max_degree or (caps[d] is not None and length > caps[d]):
+                    continue
+                grown = word + (cell,)
+                new.append((grown, d))
+                words[d].append(grown)
+        frontier = new
+    return words
