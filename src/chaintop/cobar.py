@@ -22,7 +22,7 @@ from .complexes import ChainComplex
 from .freemod import FreeElement
 from .linalg import eliminate
 from .rings import QQ, Ring, ZZ
-from .simplicial import SimplicialSet, back_face, front_face
+from .simplicial import SimplicialSet
 from .words import (
     group_words,
     growth,
@@ -50,16 +50,21 @@ def letter_boundary(space: SimplicialSet, cell, ring: Ring) -> FreeElement:
     """
     n = space.dim_of(cell)
     sums = {}
-    ref = space.ref(cell)
     if n >= 2:
         for i in range(n + 1):
-            face = space.face_of_ref(ref, i)
+            face = space.face(cell, i)
             if not face.is_degenerate:
                 word = (face.base,)
                 sums[word] = sums.get(word, 0) + (-1 if i % 2 == 0 else 1)
+    # front_face(x, i) = d_{i+1} front_face(x, i + 1) and back_face(x, i) =
+    # d_0 back_face(x, i + 1), so one face each gives every split
+    fronts, backs = {}, {}
+    front = back = space.ref(cell)
+    for i in range(n - 1, 0, -1):
+        front = fronts[i] = space.face_of_ref(front, i + 1)
+        back = backs[i] = space.face_of_ref(back, 0)
     for i in range(1, n):
-        front = front_face(space, ref, i)
-        back = back_face(space, ref, n - i)
+        front, back = fronts[i], backs[n - i]
         if front.is_degenerate or back.is_degenerate:
             continue
         word = (front.base, back.base)

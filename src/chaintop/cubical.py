@@ -285,6 +285,19 @@ class CubeRef:
         return f"<{ops} {self.base}>"
 
 
+_set_cube_base = CubeRef.base.__set__
+_set_cube_morphism = CubeRef.morphism.__set__
+
+
+def _degeneracy_ref(base, morphism: CubeMorphism) -> CubeRef:
+    """CubeRef(base, morphism) for a morphism already known to have no
+    constant entry, built without checking it."""
+    ref = object.__new__(CubeRef)
+    _set_cube_base(ref, base)
+    _set_cube_morphism(ref, morphism)
+    return ref
+
+
 class CubicalSet:
     """Nondegenerate cubes with faces; degeneracies live in CubeRef words.
 

@@ -110,13 +110,16 @@ class SimplicialSet:
                     raise ValueError(f"duplicate cell id: {cid!r}")
                 self._dim[cid] = n
         self._faces = {}
+        dims = self._dim
         for cid, refs in faces.items():
             n = self.dim_of(cid)
             refs = tuple(refs)
             if len(refs) != n + 1:
                 raise ValueError(f"cell {cid!r} of dimension {n} needs {n + 1} faces")
             for i, ref in enumerate(refs):
-                if self.ref_dim(ref) != n - 1:
+                base_dim = dims.get(ref.base)
+                # an unknown base raises ref_dim's KeyError in the message
+                if base_dim is None or base_dim + len(ref.word) != n - 1:
                     raise ValueError(
                         f"face {i} of {cid!r} has dimension {self.ref_dim(ref)}, "
                         f"expected {n - 1}"
@@ -154,7 +157,7 @@ class SimplicialSet:
 
     def ref(self, cid) -> SimplexRef:
         self.dim_of(cid)
-        return SimplexRef(cid)
+        return _normal_ref(cid, ())
 
     def face_of_ref(self, ref: SimplexRef, i: int) -> SimplexRef:
         """d_i pushed through the degeneracy word of ref.
@@ -203,22 +206,53 @@ class SimplicialSet:
     def validate(self) -> None:
         """Check d_i d_j = d_{j-1} d_i (i < j) on every nondegenerate cell.
 
-        The first faces d_k x are read as stored, and each double face
-        d_i d_k x is computed once per cell: the pairs are checked in the
-        order (j, i) = (1, 0), (2, 0), (2, 1), (3, 0), ..., and every
-        double face is a side of exactly one of them.
+        The first faces d_k x are read as stored. The pairs of a cell are
+        checked in the order (j, i) = (1, 0), (2, 0), (2, 1), (3, 0), ...,
+        so a broken set reports its first failing pair. The faces d_i f of
+        a nondegenerate first face f are read as stored too. For a
+        degenerate f, d_i f is computed when a pair first needs it and kept
+        per face object, so a ref that many cells share (as
+        `simplicial_from_json` shares equal ones) is pushed through each
+        face map once. The pairs depend on the first faces alone, so a
+        cell whose faces are the same objects as those of a cell already
+        checked passes with it.
         """
         face_of_ref = self.face_of_ref
+        faces = self._faces
+        # id of a first face -> its faces d_0 .. d_{n-1}, None until needed;
+        # the refs are held by self._faces, so their ids stay unique
+        rows = {}
+        checked = set()
         for n in self.dimensions():
             if n < 2:
                 continue
             for cid in self.nondegenerate(n):
-                first = [self._faces[(cid, k)] for k in range(n + 1)]
+                first = [faces[(cid, k)] for k in range(n + 1)]
+                ids = tuple(map(id, first))
+                if ids in checked:
+                    continue
+                checked.add(ids)
+                own = []
+                for f in first:
+                    row = rows.get(id(f))
+                    if row is None:
+                        if f.word:
+                            row = [None] * n
+                        else:
+                            row = [faces[(f.base, i)] for i in range(n)]
+                        rows[id(f)] = row
+                    own.append(row)
                 for j in range(1, n + 1):
+                    row_j = own[j]
                     for i in range(j):
-                        left = face_of_ref(first[j], i)
-                        right = face_of_ref(first[i], j - 1)
-                        if left != right:
+                        left = row_j[i]
+                        if left is None:
+                            left = row_j[i] = face_of_ref(first[j], i)
+                        row_i = own[i]
+                        right = row_i[j - 1]
+                        if right is None:
+                            right = row_i[j - 1] = face_of_ref(first[i], j - 1)
+                        if left is not right and left != right:
                             raise ValueError(
                                 f"simplicial identity fails on {cid!r}: "
                                 f"d_{i} d_{j} = {left!r} but d_{j-1} d_{i} = {right!r}"
@@ -625,7 +659,7 @@ def collapse_free_pairs(space: SimplicialSet) -> SimplicialMap:
             for cid in ids
         }
         rest = SimplicialSet(space.name, cells, kept)
-    mapping = {cid: SimplexRef(cid) for ids in rest.cells.values() for cid in ids}
+    mapping = {cid: _normal_ref(cid, ()) for ids in rest.cells.values() for cid in ids}
     return SimplicialMap(rest, space, mapping)
 
 
@@ -738,6 +772,9 @@ def simplicial_from_json(data) -> SimplicialSet:
 
     {"name": ..., "cells": {"0": [ids], "1": [ids], ...},
      "faces": {id: [[base, [degeneracy word]], ...]}}
+
+    A degeneracy word is a strictly decreasing list of JSON integers;
+    booleans, floats and strings in it are rejected.
     """
     if not isinstance(data, dict):
         raise ValueError("simplicial JSON must be an object")
@@ -757,6 +794,8 @@ def simplicial_from_json(data) -> SimplicialSet:
     if not isinstance(faces_raw, dict):
         raise ValueError("'faces' must be an object")
     faces = {}
+    # one checked ref per distinct (base, word), shared by every face naming it
+    shared = {}
     for cid, lst in faces_raw.items():
         if not isinstance(lst, list):
             raise ValueError(f"faces of {cid!r} must be a list")
@@ -769,10 +808,21 @@ def simplicial_from_json(data) -> SimplicialSet:
                 or not isinstance(entry[1], list)
             ):
                 raise ValueError(f"face entry of {cid!r} must be [base, [word]]")
-            try:
-                refs.append(SimplexRef(entry[0], tuple(int(i) for i in entry[1])))
-            except ValueError as e:
-                raise ValueError(f"bad face of {cid!r}: {e}") from None
+            word = entry[1]
+            # JSON integers only: true and 1.0 would hash and compare as 1
+            for i in word:
+                if type(i) is not int:
+                    raise ValueError(
+                        f"bad face of {cid!r}: degeneracy word must hold integers: {word!r}"
+                    )
+            key = (entry[0], tuple(word))
+            ref = shared.get(key)
+            if ref is None:
+                try:
+                    ref = shared[key] = SimplexRef(*key)
+                except ValueError as e:
+                    raise ValueError(f"bad face of {cid!r}: {e}") from None
+            refs.append(ref)
         faces[cid] = tuple(refs)
     try:
         space = SimplicialSet(data.get("name", "input"), cells, faces)

@@ -2,9 +2,21 @@
 spheres, and copies with renamed, reordered cells for tests whose
 answers must not depend on cell names or stored order."""
 
+import importlib.util
 import random
+from pathlib import Path
 
 from chaintop.simplicial import collapse_subcomplex, simplicial_to_json, standard_simplex
+
+BENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def bench_module(name: str):
+    """A module of the benchmark harness, loaded from its file as it is."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def collapsed_simplex(n: int, k: int):

@@ -202,6 +202,20 @@ def test_bad_json_is_an_input_error(tmp_path, capsys):
     assert code == EXIT_INPUT
 
 
+# a list or null used to end in a TypeError traceback, and 1.5 and true
+# were read as the index 1
+@pytest.mark.parametrize("letter", [[0], None, 1.5, True, "1"])
+def test_degeneracy_word_of_non_integers_is_an_input_error(tmp_path, capsys, letter):
+    data = simplicial_to_json(sphere_model(3))
+    data["faces"]["s"][0][1][0] = letter
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "cobar", str(path))
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err.startswith("error: bad face of 's': degeneracy word must hold integers")
+
+
 def test_json_file_input_round_trips(tmp_path, capsys):
     path = tmp_path / "sphere2.json"
     path.write_text(json.dumps(simplicial_to_json(sphere_model(2))))

@@ -27,7 +27,9 @@ from chaintop.freemod import FreeElement
 from chaintop.linalg import eliminate
 from chaintop.rings import GF, QQ, ZZ
 from chaintop.simplicial import (
+    back_face,
     collapse_subcomplex,
+    front_face,
     projective_plane_model,
     random_reduced_model,
     sphere_model,
@@ -77,6 +79,38 @@ def test_letter_boundary_frozen_values():
     assert letter_boundary(rp2, "L", ZZ) == el(ZZ, (("a",), 1), (("b",), -1))
     assert letter_boundary(sphere_model(2), "s", ZZ).is_zero()
     assert letter_boundary(sphere_model(1), "s", ZZ).is_zero()
+
+
+def letter_boundary_by_faces(space, cell):
+    """letter_boundary's formula with every split face built on its own."""
+    n = space.dim_of(cell)
+    ref = space.ref(cell)
+    terms = {}
+    if n >= 2:
+        for i in range(n + 1):
+            face = space.face_of_ref(ref, i)
+            if not face.is_degenerate:
+                add_into(terms, ZZ, (face.base,), -1 if i % 2 == 0 else 1)
+    for i in range(1, n):
+        front = front_face(space, ref, i)
+        back = back_face(space, ref, n - i)
+        if not front.is_degenerate and not back.is_degenerate:
+            add_into(terms, ZZ, (front.base, back.base), -1 if i % 2 else 1)
+    return FreeElement(ZZ, terms)
+
+
+def test_letter_boundary_agrees_with_splits_built_one_by_one():
+    spaces = [projective_plane_model(), sphere_model(4)]
+    spaces += [collapsed_simplex(5, 2), collapsed_simplex(4, 1), collapsed_simplex(6, 1)]
+    spaces += [random_reduced_model(random.Random(seed), max_dim=5) for seed in range(12)]
+    splits = 0
+    for space in spaces:
+        for n in space.dimensions():
+            for cell in space.nondegenerate(n) if n else ():
+                expected = letter_boundary_by_faces(space, cell)
+                assert letter_boundary(space, cell, ZZ) == expected
+                splits += any(len(word) == 2 for word in expected.terms)
+    assert splits > 20
 
 
 def test_basis_respects_degree_and_length():

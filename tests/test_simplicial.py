@@ -34,7 +34,7 @@ from chaintop.simplicial import (
 )
 
 from ring_oracle import add_into
-from shared_models import collapsed_simplex, relabeled_json
+from shared_models import bench_module, collapsed_simplex, relabeled_json
 from chaintop.smith import homology_table, smith_homology
 
 
@@ -581,6 +581,49 @@ def test_json_rejects_garbage():
         simplicial_from_json(
             {"cells": {"0": ["p"], "1": ["e"]}, "faces": {"e": [["q", []], ["p", []]]}}
         )
+
+
+def test_loaded_broken_models_report_the_first_failing_pair():
+    failed = 0
+    for space in validation_models():
+        for broken in broken_variants(space):
+            doc = simplicial_to_json(broken)
+            # the model as the JSON names it, built without validating it
+            read = SimplicialSet(
+                doc["name"],
+                {int(n): ids for n, ids in doc["cells"].items()},
+                {
+                    cid: [SimplexRef(base, word) for base, word in refs]
+                    for cid, refs in doc["faces"].items()
+                },
+            )
+            expected = check_outcome(validate_as_before, read)
+            if expected is None:
+                simplicial_from_json(doc)
+                continue
+            with pytest.raises(ValueError) as info:
+                simplicial_from_json(doc)
+            assert str(info.value) == f"invalid simplicial set: {expected[1]}"
+            failed += 1
+    assert failed > 100
+
+
+def test_benchmark_labelings_load_with_one_ref_per_distinct_face():
+    workloads = bench_module("workloads")
+    for model, n, k in (("d5c2", 5, 2), ("d4c1", 4, 1)):
+        plain = simplicial_to_json(collapsed_simplex(n, k))
+        for seed in (1, 2, 3):
+            for labeling in range(workloads.LABELINGS):
+                doc = workloads.relabel(plain, model, seed, labeling)
+                space = simplicial_from_json(doc)
+                assert simplicial_to_json(space) == doc
+                shared = {}
+                for m in space.dimensions():
+                    for cid in space.nondegenerate(m) if m else ():
+                        for i in range(m + 1):
+                            ref = space.face(cid, i)
+                            assert shared.setdefault(ref, ref) is ref
+                assert any(ref.word for ref in shared)
 
 
 def test_counit_helper():
