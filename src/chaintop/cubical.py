@@ -254,8 +254,9 @@ class CubeRef:
     def __init__(self, base, morphism: CubeMorphism):
         if not morphism.is_degeneracy_morphism:
             raise ValueError("CubeRef morphism must be a pure degeneracy")
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "morphism", morphism)
+        # the slot descriptors' setters skip the blocked __setattr__ lookup
+        _set_cube_base(self, base)
+        _set_cube_morphism(self, morphism)
 
     def __setattr__(self, name, value):
         raise AttributeError("CubeRef is immutable")
@@ -287,15 +288,6 @@ class CubeRef:
 
 _set_cube_base = CubeRef.base.__set__
 _set_cube_morphism = CubeRef.morphism.__set__
-
-
-def _degeneracy_ref(base, morphism: CubeMorphism) -> CubeRef:
-    """CubeRef(base, morphism) for a morphism already known to have no
-    constant entry, built without checking it."""
-    ref = object.__new__(CubeRef)
-    _set_cube_base(ref, base)
-    _set_cube_morphism(ref, morphism)
-    return ref
 
 
 class CubicalSet:

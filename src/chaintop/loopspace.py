@@ -31,7 +31,6 @@ from .cubical import (
     CubeRef,
     CubicalSet,
     MapCell,
-    _degeneracy_ref,
     _strict_chains,
     _canonical_simplex,
     canonical_map_cell,
@@ -303,9 +302,7 @@ class CubicalCobar:
                             spliced = _signed_join(space, head, base + tail)
                         else:
                             spliced = head + base + tail
-                        # morphism came from a checked CubeRef, and padding
-                        # it by identities adds no constant entry
-                        faces[(cid, offset + j, eps)] = _degeneracy_ref(spliced, pad)
+                        faces[(cid, offset + j, eps)] = CubeRef(spliced, pad)
                     offset += width
         self._chains = None
         self._stored_top = stored_top(cells, edges, self.budget)

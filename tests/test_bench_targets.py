@@ -3,32 +3,16 @@
 perfbench/tracer.py names its entry points as (module, attribute path)
 pairs. When one stops resolving, or a counter reads an attribute that was
 renamed, a traced benchmark run still exits 0 but reports that metric as
-null. These tests load the tracer as it is and hold the library to it.
+null. This test loads the tracer as it is and holds the library to it.
 """
 
-import importlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-import chaintop
-
-from shared_models import BENCH, bench_module
-
-
-def test_every_traced_entry_point_resolves_in_the_library():
-    src = Path(chaintop.__file__).resolve().parent
-    missing = []
-    for module_name, path, span_name, _ in bench_module("tracer").TARGETS:
-        owner = importlib.import_module(module_name)
-        assert src in Path(owner.__file__).resolve().parents, module_name
-        for part in path.split("."):
-            owner = getattr(owner, part, None)
-        if not callable(owner):
-            missing.append(f"{module_name}.{path} ({span_name})")
-    assert missing == []
+from shared_models import BENCH
 
 
 # one traced pass of every workload, set up and run by the benchmark's own
@@ -39,7 +23,7 @@ from pathlib import Path
 root, out = Path(sys.argv[1]), Path(sys.argv[2])
 sys.path.insert(0, str(root / "perfbench"))
 import workloads, worker
-from tracer import Tracer, derive_metrics
+from tracer import TARGETS, Tracer, derive_metrics
 chaintop = worker.import_chaintop(root)
 tracer = Tracer()
 tracer.install()
@@ -57,6 +41,7 @@ print(json.dumps({
     "absent": trace["absent"],
     "broken": trace["broken"],
     "null": sorted(k for k, (value, _) in metrics.items() if value is None),
+    "files": sorted({sys.modules[module].__file__ for module, *_ in TARGETS}),
 }))
 """
 
@@ -73,4 +58,7 @@ def test_a_traced_pass_of_every_workload_reports_every_metric(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.splitlines()[-1])
+    # every traced module is the library's own, not an installed copy
+    src = (root / "src" / "chaintop").resolve()
+    assert [f for f in report.pop("files") if src not in Path(f).resolve().parents] == []
     assert report == {"failed": [], "absent": [], "broken": [], "null": []}
