@@ -7,7 +7,8 @@ for fixed inputs: text mode prints one "key: value" line per fact in a
 fixed order, json mode sorts keys.
 
 Exit codes: 0 success, 2 a checked invariant failed, 3 the window was
-too small to certify the answer, 4 bad input.
+too small to certify the answer, 4 bad input, 141 stdout was closed
+before the report was written (a reader such as `head` stopped early).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import argparse
 import functools
 import itertools
 import json
+import os
 import sys
 from collections import namedtuple
 
@@ -38,6 +40,8 @@ EXIT_OK = 0
 EXIT_INVARIANT = 2
 EXIT_INCONCLUSIVE = 3
 EXIT_INPUT = 4
+# what a shell reports for a writer stopped by SIGPIPE: 128 + 13
+EXIT_PIPE = 141
 
 BUILTIN_MODELS = ("point", "circle", "sphere", "simplex", "rp2")
 VERIFY_SUITES = ("serre-coalgebra", "join-signs")
@@ -522,7 +526,14 @@ def main(argv=None) -> int:
     if "error" in payload:
         print(f"error: {payload['error']}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
-    print(render(payload, job.fmt))
+    try:
+        print(render(payload, job.fmt))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader stopped early (`| head`); send what is still buffered
+        # nowhere, so that the flush at exit does not fail a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     return code
 
 

@@ -308,6 +308,10 @@ class CubicalSet:
     """
 
     def __init__(self, name: str, cells, faces, complete: bool = True):
+        self._store_cells(name, cells, complete)
+        self._faces = self._checked_faces(faces)
+
+    def _store_cells(self, name: str, cells, complete: bool) -> None:
         self.name = name
         self.complete = bool(complete)
         self.cells = {int(n): ids for n, given in cells.items() if (ids := tuple(given))}
@@ -319,6 +323,10 @@ class CubicalSet:
                 if cid in dims:
                     raise ValueError(f"duplicate cell id: {cid!r}")
                 dims[cid] = n
+
+    def _checked_faces(self, faces) -> dict:
+        """faces as a dict, after the checking pass the class docstring describes."""
+        dims = self._dim
         named = 0
         for key, ref in faces.items():
             cid, i, eps = key
@@ -341,13 +349,14 @@ class CubicalSet:
             # check but names no face, so it does not count
             if i.__class__ is int or i in range(1, n + 1):
                 named += 1
-        self._faces = dict(faces)
+        faces = dict(faces)
         if named != 2 * sum(n * len(ids) for n, ids in self.cells.items()):
             for cid, n in dims.items():
                 for i in range(1, n + 1):
                     for eps in (0, 1):
-                        if (cid, i, eps) not in self._faces:
+                        if (cid, i, eps) not in faces:
                             raise ValueError(f"missing face ({cid!r}, {i}, {eps})")
+        return faces
 
     def dimensions(self):
         return sorted(self.cells)
@@ -375,6 +384,22 @@ class CubicalSet:
 
     def face(self, cid, i: int, eps: int) -> CubeRef:
         return self._faces[(cid, i, eps)]
+
+    def _boundary(self, cid) -> dict:
+        """Normalized boundary of a stored cell, as plain-number sums.
+
+        sum_{i=1..n} (-1)^{i-1} (d_i^1 c - d_i^0 c), degenerate faces
+        dropped; a term may sum to 0.
+        """
+        faces = self._faces
+        sums = {}
+        for i in range(1, self._dim[cid] + 1):
+            sign = 1 if i % 2 else -1
+            for eps, eps_sign in ((1, sign), (0, -sign)):
+                ref = faces[cid, i, eps]
+                if ref.morphism.is_identity:
+                    sums[ref.base] = sums.get(ref.base, 0) + eps_sign
+        return sums
 
     def resolve(self, base, morphism: CubeMorphism) -> CubeRef:
         """Canonical CubeRef for base acted on by an arbitrary morphism.
@@ -439,22 +464,16 @@ def cubical_chains(
 
     d(c) = sum_{i=1..n} (-1)^{i-1} (d_i^1 c - d_i^0 c), degenerate faces
     dropped; this is the boundary induced by d[0,1] = [1] - [0] under
-    the tensor decomposition of the standard cube.
+    the tensor decomposition of the standard cube. Each boundary is the
+    set's own `_boundary`, which a set that knows its boundary without
+    its faces (the loop-space cube model) computes that way.
     """
     top = space.dimension if max_degree is None else min(max_degree, space.dimension)
     basis = {n: space.nondegenerate(n) for n in range(top + 1)}
-    dims = space._dim
-    faces = space._faces
+    boundary = space._boundary
 
     def diff(key):
-        sums = {}
-        for i in range(1, dims[key] + 1):
-            sign = 1 if i % 2 else -1
-            for eps, eps_sign in ((1, sign), (0, -sign)):
-                ref = faces[key, i, eps]
-                if ref.morphism.is_identity:
-                    sums[ref.base] = sums.get(ref.base, 0) + eps_sign
-        return FreeElement._from_sums(ring, sums)
+        return FreeElement._from_sums(ring, boundary(key))
 
     complete = space.complete and top >= space.dimension
     return ChainComplex(ring, basis, diff, complete=complete, name=space.name)

@@ -17,9 +17,10 @@ invariant factor 1 (Kaczynski-Mrozek-Slusarek, "Homology computation by
 reduction of chain complexes", 1998). Cobar and cube boundaries are
 mostly +-1, so over Z little or nothing is left; that remainder, which
 has no unit entry, gets the dense Smith form by minimal-|entry|
-pivoting. Over Q a +-1 pivot keeps int entries ints, so on int columns
-a Fraction is made only after a pivot that is not +-1; the elimination
-is exact either way.
+pivoting. Over Q the integral entries of a column of Fractions are
+stored as ints when the columns are first copied, and a +-1 pivot keeps
+int entries ints, so a Fraction is made only after a pivot that is not
++-1; the elimination is exact either way.
 
 residual_columns() gives a*b - sign*c*d column by column, or a*b alone
 when no second product is passed. Each column is one dict of plain-number
@@ -69,7 +70,16 @@ def eliminate(columns, ring: Ring) -> list:
     rows = {}
     for j, col in enumerate(columns):
         if col:
-            cols[j] = dict(col)
+            if rational and type(next(iter(col.values()))) is not int:
+                # a column built over Q holds Fractions (`QQ.canonical_sums`);
+                # its integral ones are stored as ints, so that +-1 pivots do
+                # int arithmetic. A column of ints, such as a relation row,
+                # is copied as it is.
+                cols[j] = {
+                    i: c.numerator if c.denominator == 1 else c for i, c in col.items()
+                }
+            else:
+                cols[j] = dict(col)
             for i in col:
                 rows.setdefault(i, set()).add(j)
     # (row length, row index); an entry whose length is out of date is

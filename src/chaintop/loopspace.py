@@ -14,6 +14,7 @@ triangulation zigzag used to compare all of these models.
 from __future__ import annotations
 
 import itertools
+from functools import cached_property
 
 from .cobar import (
     CobarComplex,
@@ -215,6 +216,96 @@ def _signed_join(space: SimplicialSet, left, right) -> tuple:
     return tuple(merged)
 
 
+class _WordCubes(CubicalSet):
+    """The cubes of a bead-word window, read off a table built once per letter.
+
+    table maps each letter of the window to (width, sides): its number
+    of cube coordinates and, per coordinate j and side eps, the entry
+    (j, eps, base, morphism, coefficient, padded). base and morphism
+    form the canonical face of the lone bead; coefficient is that
+    face's term in the lone bead's boundary, (-1)^(j-1) for eps 1 and
+    -(-1)^(j-1) for eps 0, or 0 when the face is degenerate; padded
+    caches the morphism padded by identities on the other beads'
+    coordinates, keyed by how many come before and after. A face of a
+    word rewrites only the bead that owns its direction, so the face
+    (word, offset + j, eps) of a letter with offset coordinates before
+    it is the splice head + base + tail of that letter's entry, with
+    the padded morphism; signed windows splice through `_signed_join`,
+    which cancels inverse edge pairs at the two junctions.
+
+    The boundary of a word is therefore the sum over its letters and
+    their nondegenerate sides of (-1)^offset * coefficient * splice,
+    one splice per term and no CubeRef; a degenerate side's splice is
+    only checked to be a stored cell of its dimension, and every term,
+    zero sums included, must be a stored cell one degree down. The face
+    dict that `CubicalSet` keeps is spliced from the same table, and
+    checked by its pass, only when something first asks for a face.
+    """
+
+    def __init__(self, name: str, cells, complete: bool, space, table, signed):
+        self._store_cells(name, cells, complete)
+        self._space = space
+        self._table = table
+        self._signed = signed
+        self._below = {}
+
+    def _boundary(self, cid) -> dict:
+        table, signed, space, dims = self._table, self._signed, self._space, self._dim
+        n = dims[cid]
+        sums = {}
+        offset = 0
+        for i, letter in enumerate(cid):
+            width, sides = table[letter[0] if signed else letter]
+            if sides:
+                head, tail = cid[:i], cid[i + 1 :]
+                flip = offset % 2
+                for _, _, base, morphism, coefficient, _ in sides:
+                    if signed:
+                        word = _signed_join(space, head, base + tail)
+                    else:
+                        word = head + base + tail
+                    if coefficient:
+                        sums[word] = sums.get(word, 0) + (
+                            -coefficient if flip else coefficient
+                        )
+                    elif dims.get(word) != n - width + morphism.n_out:
+                        raise ValueError(
+                            f"degenerate face {word!r} of {cid!r} is not a stored cell"
+                        )
+            offset += width
+        below = self._below.get(n - 1)
+        if below is None:
+            below = self._below[n - 1] = frozenset(self.cells.get(n - 1, ()))
+        if not sums.keys() <= below:
+            word = next(w for w in sums if w not in below)
+            raise ValueError(f"face {word!r} of {cid!r} is not a stored {n - 1}-cell")
+        return sums
+
+    @cached_property
+    def _faces(self) -> dict:
+        table, signed, space = self._table, self._signed, self._space
+        faces = {}
+        for n, ids in self.cells.items():
+            for cid in ids:
+                offset = 0
+                for i, letter in enumerate(cid):
+                    width, sides = table[letter[0] if signed else letter]
+                    after = n - offset - width
+                    key = (offset, after)
+                    head, tail = cid[:i], cid[i + 1 :]
+                    for j, eps, base, morphism, _, padded in sides:
+                        pad = padded.get(key)
+                        if pad is None:
+                            pad = padded[key] = _padded(offset, morphism, after)
+                        if signed:
+                            spliced = _signed_join(space, head, base + tail)
+                        else:
+                            spliced = head + base + tail
+                        faces[(cid, offset + j, eps)] = CubeRef(spliced, pad)
+                    offset += width
+        return self._checked_faces(faces)
+
+
 class CubicalCobar:
     """Monoid of bead words, one cube per totally nondegenerate word.
 
@@ -223,14 +314,13 @@ class CubicalCobar:
     vertex (1-side); the raw answer is canonicalized, so faces may be
     degeneracies or connections of stored cells. Stored beads are
     nondegenerate, so a face rewrites only the bead that owns its
-    direction. A table built once per letter holds, per (direction,
-    side), that bead's canonical face and its degeneracy padded by
-    identities on the other beads' coordinates, keyed by how many come
-    before and after; each face splices the piece into the word, and
-    signed words then cancel inverse edge pairs at the two junctions.
-    The product is word concatenation. The stored window is closed
-    under faces: its sliding budget is the one `chaintop.words`
-    describes, and each dimension keeps the order that module builds.
+    direction: the constructor canonicalizes each letter's faces once,
+    checks their dimensions, and keeps that table with the cells
+    (`_WordCubes`). The chains read each boundary off the table; the
+    faces themselves are spliced from it only when asked for. The
+    product is word concatenation. The stored window is closed under
+    faces: its sliding budget is the one `chaintop.words` describes,
+    and each dimension keeps the order that module builds.
     """
 
     def __init__(
@@ -270,9 +360,6 @@ class CubicalCobar:
             self.cutoff = None
             self.growth = None
             cells = plain_words(space, edges + heavies, self.max_degree, self.budget)
-        # per letter that fits the window: its width and, per (j, eps),
-        # the canonical face of the lone bead, with that face's morphism
-        # padded by the coordinates (before, after) of the other beads
         table = {}
         for cell in edges + heavies:
             width = space.dim_of(cell) - 1
@@ -283,35 +370,30 @@ class CubicalCobar:
                 for eps in (0, 1):
                     raw = _face_items(space, [(space.ref(cell), 1)], j, eps)
                     piece = canonical_cell(space, raw, signed)
-                    sides.append((j, eps, piece.base, piece.morphism, {}))
-            table[cell] = width, sides
-        faces = {}
-        for n, ids in cells.items():
-            for cid in ids:
-                offset = 0
-                for i, letter in enumerate(cid):
-                    width, sides = table[letter[0] if signed else letter]
-                    after = n - offset - width
-                    key = (offset, after)
-                    head, tail = cid[:i], cid[i + 1 :]
-                    for j, eps, base, morphism, padded in sides:
-                        pad = padded.get(key)
-                        if pad is None:
-                            pad = padded[key] = _padded(offset, morphism, after)
-                        if signed:
-                            spliced = _signed_join(space, head, base + tail)
-                        else:
-                            spliced = head + base + tail
-                        faces[(cid, offset + j, eps)] = CubeRef(spliced, pad)
-                    offset += width
+                    base, morphism = piece.base, piece.morphism
+                    dim = sum(
+                        space.dim_of(letter[0] if signed else letter) - 1
+                        for letter in base
+                    )
+                    if (morphism.n_in, morphism.n_out) != (width - 1, dim):
+                        raise ValueError(
+                            f"face ({cell!r}, {j}, {eps}) has wrong dimension: {piece!r}"
+                        )
+                    coefficient = 0
+                    if morphism.is_identity:
+                        coefficient = (1 if eps else -1) * (-1 if j % 2 == 0 else 1)
+                    sides.append((j, eps, base, morphism, coefficient, {}))
+            table[cell] = width, tuple(sides)
         self._chains = None
         self._stored_top = stored_top(cells, edges, self.budget)
         # no beads above the cutoff dimension means nothing was dropped
-        self.cubes = CubicalSet(
+        self.cubes = _WordCubes(
             ("loc-loops(" if signed else "loops(") + space.name + ")",
             cells,
-            faces,
-            complete=not heavies,
+            not heavies,
+            space,
+            table,
+            signed,
         )
 
     def budget(self, degree: int):
@@ -440,6 +522,15 @@ def phi_certificate(
     (`chaintop.words`). Returns a summary dict; any failure raises
     AssertionError with the witness. omega, when given, is the cube
     model of this very window, built once by the caller.
+
+    The cube boundaries are read off the model's letter table
+    (`_WordCubes`), so the chain-map check compares two per-letter
+    computations that share the splice of a letter's piece into a
+    word: the sides of each letter's cube, from its simplicial faces,
+    and D(l), from its Alexander-Whitney splits. That the splice gives
+    the faces of the whole word is not checked here; the tests hold the
+    columns to those of the face-built `CubicalSet` on fixed and seeded
+    windows.
     """
     window = (space, max_degree, max_length, ring)
     if omega is None:
@@ -491,10 +582,13 @@ def _certify_letter_rule(omega: CubicalCobar, words, image) -> dict:
     since d is one and E preserves degrees, so it is fixed by its
     letter table D(l) = phi^-1(d(phi(l))), read from image (the phi of
     one-letter cells), `phi_inverse_word` and the words' own d on the
-    one-letter words. Every cell's cube boundary, built from its
-    faces (`diff_columns`), must equal the sum over its letters of
-    +-prefix D(l) suffix, with the Koszul sign of the letters before l,
-    as `CobarComplex._word_boundary` computes d. Leibniz is assumed only
+    one-letter words. Every cell's cube boundary, read off the cube
+    model's letter table (`diff_columns`), must equal the sum over its
+    letters of +-prefix D(l) suffix, with the Koszul sign of the letters
+    before l, as `CobarComplex._word_boundary` computes d. Both sides
+    are thus per-letter rules spliced into the word; this checks the
+    letters' cube sides against their D(l), and the tests check the
+    splice against the faces. Leibniz is assumed only
     for the cobar, where it is the definition; no word of the window
     has a boundary term it cuts, so D is exact on it. Cells must be
     their own words, which is checked first. Returns

@@ -41,6 +41,7 @@ print(json.dumps({
     "absent": trace["absent"],
     "broken": trace["broken"],
     "null": sorted(k for k, (value, _) in metrics.items() if value is None),
+    "cube_metrics": {k: metrics[k][0] for k in ("loopspace.cube_cells", "cubical.chains_s")},
     "files": sorted({sys.modules[module].__file__ for module, *_ in TARGETS}),
 }))
 """
@@ -61,4 +62,7 @@ def test_a_traced_pass_of_every_workload_reports_every_metric(tmp_path):
     # every traced module is the library's own, not an installed copy
     src = (root / "src" / "chaintop").resolve()
     assert [f for f in report.pop("files") if src not in Path(f).resolve().parents] == []
+    # the cube model is counted and its columns are timed through cubical_chains
+    cube_metrics = report.pop("cube_metrics")
+    assert all(value > 0 for value in cube_metrics.values()), cube_metrics
     assert report == {"failed": [], "absent": [], "broken": [], "null": []}

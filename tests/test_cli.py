@@ -16,6 +16,7 @@ from chaintop.cli import (
     EXIT_INPUT,
     EXIT_INVARIANT,
     EXIT_OK,
+    EXIT_PIPE,
     CliInputError,
     JobSpec,
     format_group,
@@ -233,6 +234,24 @@ def test_json_format_embeds_ring_and_window(capsys):
     assert data["ring"] == "Z"
     assert data["window"] == {"max_degree": 4, "max_length": None}
     assert data["homology"]["3"] == {"rank": 1, "torsion": []}
+
+
+def test_a_reader_that_closes_the_pipe_early_gets_a_quiet_exit():
+    # the read end is closed before the child has started, so its first
+    # write to stdout meets a closed pipe
+    package_root = str(Path(chaintop.__file__).resolve().parents[1])
+    paths = [package_root, os.environ.get("PYTHONPATH")]
+    child = subprocess.Popen(
+        [sys.executable, "-m", "chaintop.cli", "homology", "sphere", "2"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths))),
+    )
+    child.stdout.close()
+    stderr = child.stderr.read()
+    child.stderr.close()
+    assert child.wait(timeout=60) == EXIT_PIPE == 141
+    assert stderr == b""
 
 
 def test_output_is_deterministic(capsys):

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from chaintop import loopspace
 from chaintop.cobar import CobarComplex, ExtendedCobarComplex, cobar, expand_word
 from chaintop.complexes import InsufficientTruncationError
-from chaintop.cubical import CubeMorphism, CubeRef, cubical_chains
+from chaintop.cubical import CubeMorphism, CubeRef, CubicalSet, cubical_chains
 from chaintop.einfty import cubical_um, simplicial_um, tensor_diff, um_action
 from chaintop.freemod import FreeElement
 from chaintop.loopspace import (
@@ -60,6 +60,10 @@ from chaintop.words import letters
 
 from ring_oracle import add_into
 from shared_models import collapsed_simplex
+
+
+def s2s2s3_model():
+    return wedge_models(wedge_models(sphere_model(2), sphere_model(2)), sphere_model(3))
 
 
 def el(ring, *terms):
@@ -282,6 +286,98 @@ def test_face_table_matches_the_splice_loop():
         assert om.cubes._faces.keys() == faces.keys()
         for key, ref in faces.items():
             assert om.cubes.face(*key) == ref, key
+
+
+def face_built_chains(om):
+    """The oracle for the letter-table columns: the window's chains summed
+    by `cubical_chains` from the splice loop's eager face dict, after
+    `CubicalSet` has checked every face."""
+    faces = splice_loop_faces(om.source, om.cubes.cells, om.signed)
+    cubes = CubicalSet(om.cubes.name, om.cubes.cells, faces, complete=om.cubes.complete)
+    return cubical_chains(cubes, None, om.ring)
+
+
+def letter_table_windows():
+    rp2 = projective_plane_model()
+    windows = [cubical_cobar(*window) for window in certify_windows()]
+    windows.append(cubical_cobar(s2s2s3_model(), 9))
+    windows.append(cubical_cobar(rp2, 6, max_length=3))
+    for max_degree, cutoff in ((2, 3), (3, 3), (2, 4), (4, 4)):
+        windows.append(extended_cubical_cobar(rp2, max_degree, cutoff))
+    windows.append(cubical_cobar(rp2, 4, max_length=2, ring=GF(2)))
+    windows.append(extended_cubical_cobar(rp2, 3, 3, ring=GF(3)))
+    for seed in range(6):
+        model = random_reduced_model(random.Random(seed))
+        windows.append(cubical_cobar(model, 3, max_length=3))
+    return windows
+
+
+def test_letter_table_columns_match_the_face_built_oracle():
+    for om in letter_table_windows():
+        chains = om.chains()
+        assert chains.degrees()
+        for n in chains.degrees():
+            chains.diff_columns(n)
+        # the columns were read off the letter table, without a face
+        assert "_faces" not in vars(om.cubes)
+        oracle = face_built_chains(om)
+        assert chains.degrees() == oracle.degrees()
+        for n in chains.degrees():
+            assert chains.diff_columns(n) == oracle.diff_columns(n), (om.cubes.name, n)
+
+
+def test_faces_are_spliced_only_when_asked_for():
+    rp2 = projective_plane_model()
+    om = cubical_cobar(rp2, 3, max_length=2)
+    assert [len(om.cubes.nondegenerate(n)) for n in om.cubes.dimensions()]
+    phi_certificate(rp2, 3, max_length=2, omega=om)
+    assert "_faces" not in vars(om.cubes)
+    assert om.cubes.face(("U",), 1, 1) == CubeRef(("b", "a"), CubeMorphism.identity(0))
+    assert "_faces" in vars(om.cubes)
+    om.cubes.validate()
+
+
+def letter_table_mutants(table):
+    """The letter table with one nondegenerate side's coefficient negated,
+    and with that side dropped, for every such side."""
+    for letter, (width, sides) in table.items():
+        for k, side in enumerate(sides):
+            if side[4]:
+                flipped = side[:4] + (-side[4],) + side[5:]
+                yield {**table, letter: (width, sides[:k] + (flipped,) + sides[k + 1 :])}
+                yield {**table, letter: (width, sides[:k] + sides[k + 1 :])}
+
+
+def test_a_wrong_side_in_the_letter_table_fails_the_certificate():
+    windows = certify_windows()
+    for seed in (0, 5):
+        windows.append((random_reduced_model(random.Random(seed)), 3, 3))
+    for window in windows:
+        space, max_degree, max_length = window
+        mutants = 0
+        for table in letter_table_mutants(cubical_cobar(*window).cubes._table):
+            omega = cubical_cobar(*window)
+            omega.cubes._table = table
+            with pytest.raises(AssertionError, match="not a chain map"):
+                phi_certificate(space, max_degree, max_length, omega=omega)
+            mutants += 1
+        assert mutants > 0, space.name
+
+
+def test_a_spliced_face_outside_the_window_is_refused():
+    # S^3's letter has only degenerate sides; each S^2 letter has two
+    # nondegenerate sides that cancel, so neither face is a term of d
+    s2 = ("a", ("a", "s"))
+    s3 = ("b", "s")
+    for letter in (s2, s3):
+        om = cubical_cobar(s2s2s3_model(), 4)
+        width, sides = om.cubes._table[letter]
+        om.cubes._table[letter] = width, tuple(
+            (j, eps, ("nowhere",), morphism, coefficient, padded)
+            for j, eps, _, morphism, coefficient, padded in sides
+        )
+        with pytest.raises(ValueError, match="nowhere"):
+            om.chains().diff_columns(width)
 
 
 def test_length_cutoff_required_exactly_when_edges_exist():

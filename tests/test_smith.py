@@ -208,6 +208,18 @@ def test_rational_kernel_with_mixed_entries_matches_dense_oracle(mat):
     assert eliminate(columns, QQ) == [1] * dense_rank(mat, QQ)
 
 
+@settings(max_examples=100, deadline=None)
+@given(small_matrices())
+def test_rational_kernel_on_integral_fractions_matches_ints_and_the_z_rank(mat):
+    # over Q the columns arrive as Fractions, which eliminate stores as ints
+    fractions = sparse_columns(mat, QQ)
+    ints = sparse_columns(mat, ZZ)
+    assert all(type(c) is Fraction for col in fractions for c in col.values())
+    factors = eliminate(fractions, QQ)
+    assert factors == eliminate(ints, QQ)
+    assert len(factors) == len(eliminate(ints, ZZ))
+
+
 def test_oracle_sanity():
     assert oracle_invariant_factors([[2, 0], [0, 3]]) == [1, 6]
     assert oracle_invariant_factors([[0]]) == []
