@@ -209,46 +209,14 @@ def invert_group_word(word) -> tuple:
 
 # --- localized words ---
 #
-# A localized word alternates group segments and letters of dimension
-# >= 2: (g0, x1, g1, ..., xk, gk), always odd length, every group
-# segment reduced. The unit is ((),).
+# A localized word is a flat, freely reduced word of (cell, exp) pairs
+# (`chaintop.words`): edges are group letters with exp +-1, and letters
+# of dimension >= 2 always carry exp +1, so they never cancel. The unit
+# is (), the product is `reduce_group_word(u + v)`, and the signed bead
+# words of `loopspace.CubicalCobar` are the same keys.
 
 def loc_degree(space: SimplicialSet, word) -> int:
-    return sum(space.dim_of(word[j]) - 1 for j in range(1, len(word), 2))
-
-
-def loc_group_count(word) -> int:
-    return sum(len(word[j]) for j in range(0, len(word), 2))
-
-
-def loc_product(left, right) -> tuple:
-    joined = reduce_group_word(left[-1] + right[0])
-    return left[:-1] + (joined,) + right[1:]
-
-
-def signed_cell_to_word(space: SimplicialSet, cell) -> tuple:
-    """Localized word of a signed cell: edge runs become group segments."""
-    parts = []
-    seg = []
-    for c, e in cell:
-        if space.dim_of(c) == 1:
-            seg.append((c, e))
-        else:
-            parts.append(tuple(seg))
-            parts.append(c)
-            seg = []
-    parts.append(tuple(seg))
-    return tuple(parts)
-
-
-def word_to_signed_cell(word) -> tuple:
-    out = []
-    for j, part in enumerate(word):
-        if j % 2 == 0:
-            out.extend(part)
-        else:
-            out.append((part, 1))
-    return tuple(out)
+    return sum(space.dim_of(cell) - 1 for cell, _ in word)
 
 
 def edge_expansion(space: SimplicialSet, word, ring: Ring, odd_sign, edge_sign) -> FreeElement:
@@ -287,7 +255,7 @@ def edge_expansion(space: SimplicialSet, word, ring: Ring, odd_sign, edge_sign) 
 def expand_word(space: SimplicialSet, word, ring: Ring) -> FreeElement:
     """A plain word as a sum of localized words: each edge is g - 1."""
     return edge_expansion(space, word, ring, 1, ring.neg(ring.one)).map_keys(
-        lambda sub: signed_cell_to_word(space, tuple((c, 1) for c in sub))
+        lambda sub: tuple((c, 1) for c in sub)
     )
 
 
@@ -306,7 +274,10 @@ def loc_letter_boundary(space: SimplicialSet, cell, ring: Ring) -> FreeElement:
 class ExtendedCobarComplex:
     """Localized construction: 1-cells become invertible group letters.
 
-    The group-letter budget of the degree-n basis is cutoff - growth*n
+    Keys are flat localized words of (cell, exp) pairs, the same keys as
+    the signed bead words of `loopspace.CubicalCobar`; the unit is ()
+    and the product is free reduction of the concatenation. The
+    group-letter budget of the degree-n basis is cutoff - growth*n
     (`chaintop.words.growth`), so boundaries never leave the stored
     basis and d^2 = 0 holds exactly.
     """
@@ -346,10 +317,12 @@ class ExtendedCobarComplex:
         return self.cutoff - self.growth * degree
 
     def in_window(self, word) -> bool:
-        degree = loc_degree(self.space, word)
-        return degree <= self.max_degree and loc_group_count(word) <= self.budget(
-            degree
-        )
+        degree = groups = 0
+        for cell, _ in word:
+            step = self.space.dim_of(cell) - 1
+            degree += step
+            groups += not step
+        return degree <= self.max_degree and groups <= self.budget(degree)
 
     def letter_value(self, cell) -> FreeElement:
         """d of a heavy letter, rewritten into localized words."""
@@ -358,37 +331,33 @@ class ExtendedCobarComplex:
         return self._letter_values[cell]
 
     def _boundary(self, word) -> FreeElement:
+        """Sum over the heavy letters of +-head d(letter) tail, freely reduced.
+
+        Heavy letters never cancel, so reducing the splice cancels edges
+        only where a piece of d(letter) meets the runs beside it.
+        """
         sums = {}
         sign = 1
-        for j in range(1, len(word), 2):
-            cell = word[j]
+        for j, (cell, _) in enumerate(word):
+            step = self.space.dim_of(cell) - 1
+            if not step:
+                continue
+            head, tail = word[:j], word[j + 1 :]
             for piece, c in self.letter_value(cell).items():
-                if len(piece) == 1:
-                    mid = reduce_group_word(word[j - 1] + piece[0] + word[j + 1])
-                    new = word[: j - 1] + (mid,) + word[j + 2 :]
-                else:
-                    first = reduce_group_word(word[j - 1] + piece[0])
-                    last = reduce_group_word(piece[-1] + word[j + 1])
-                    new = (
-                        word[: j - 1]
-                        + (first,)
-                        + piece[1:-1]
-                        + (last,)
-                        + word[j + 2 :]
-                    )
+                new = reduce_group_word(head + piece + tail)
                 sums[new] = sums.get(new, 0) + sign * c
-            if (self.space.dim_of(cell) - 1) % 2:
+            if step % 2:
                 sign = -sign
         return FreeElement._from_sums(self.ring, sums)
 
     def unit(self) -> FreeElement:
-        return FreeElement.single(self.ring, ((),), self.ring.one)
+        return FreeElement.single(self.ring, (), self.ring.one)
 
     def product(self, left: FreeElement, right: FreeElement) -> FreeElement:
         sums = {}
         for u, cu in left.items():
             for v, cv in right.items():
-                w = loc_product(u, v)
+                w = reduce_group_word(u + v)
                 if self.in_window(w):
                     sums[w] = sums.get(w, 0) + cu * cv
         return FreeElement._from_sums(self.ring, sums)
@@ -471,11 +440,10 @@ def fundamental_relators(space: SimplicialSet):
 
 def _relator_values(space: SimplicialSet, ring: Ring):
     """d of each 2-cell letter as a group-algebra element."""
-    values = []
-    for cell in space.nondegenerate(2):
-        loc = loc_letter_boundary(space, cell, ring)
-        values.append({word[0]: c for word, c in loc.items()})
-    return values
+    return [
+        loc_letter_boundary(space, cell, ring).terms
+        for cell in space.nondegenerate(2)
+    ]
 
 
 def _h0_rows(space: SimplicialSet, cutoff: int, ring: Ring) -> tuple:

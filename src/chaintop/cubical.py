@@ -20,7 +20,7 @@ from itertools import product
 from .complexes import ChainComplex, GradedLinearMap
 from .freemod import FreeElement
 from .rings import Ring, ZZ
-from .simplicial import SimplexRef, SimplicialSet, apply_degeneracy
+from .simplicial import SimplexRef, SimplicialSet, _dimension_key, apply_degeneracy
 
 
 class CubeMorphism:
@@ -969,7 +969,9 @@ def cubical_from_json(data) -> CubicalSet:
      "faces": {id: [[[base, word], [base, word]], ...]}}
 
     faces[id] lists, per direction 1..n, the pair (negative, positive);
-    each side is [base, word] with word a list of ["s"|"g", i] entries.
+    each side is [base, word] with word a list of ["s"|"g", i] entries,
+    i a JSON integer. A dimension key is the decimal form of its
+    integer, as str(n) writes it.
     """
     if not isinstance(data, dict):
         raise ValueError("cubical JSON must be an object")
@@ -979,10 +981,7 @@ def cubical_from_json(data) -> CubicalSet:
     cells = {}
     dims = {}
     for key, ids in cells_raw.items():
-        try:
-            n = int(key)
-        except (TypeError, ValueError):
-            raise ValueError(f"bad dimension key {key!r}") from None
+        n = _dimension_key(key)
         if not isinstance(ids, list) or not all(isinstance(c, str) for c in ids):
             raise ValueError(f"cell list for dimension {key} must hold strings")
         cells[n] = ids
@@ -1005,13 +1004,15 @@ def cubical_from_json(data) -> CubicalSet:
             raise ValueError(f"face of {cid!r} references unknown cell {base!r}")
         ops = []
         for entry in word:
+            # JSON integers only: true and 1.0 would compare as 1
             if (
                 not isinstance(entry, list)
                 or len(entry) != 2
                 or entry[0] not in ("s", "g")
+                or type(entry[1]) is not int
             ):
                 raise ValueError(f"bad degeneracy op in face of {cid!r}: {entry!r}")
-            ops.append((entry[0], int(entry[1])))
+            ops.append(tuple(entry))
         try:
             morphism = morphism_from_word(dims[base], ops)
         except ValueError as e:

@@ -23,8 +23,6 @@ from .cobar import (
     invert_group_word,
     loc_degree,
     reduce_group_word,
-    signed_cell_to_word,
-    word_to_signed_cell,
 )
 from .complexes import GradedLinearMap, InsufficientTruncationError
 from .cubical import (
@@ -91,7 +89,8 @@ def p_functor(kind: str, n: int, j: int) -> CubeMorphism:
 # A working cell is a list of (SimplexRef, exp) pairs; exp is +1 except
 # for inverted edge beads of the localized construction. Stored cell
 # ids drop the refs: plain cells are bare tuples of simplex ids, signed
-# cells are tuples of (id, exp) pairs.
+# cells are tuples of (id, exp) pairs, the localized words of
+# `chaintop.words`.
 
 def _items_dim(space, items) -> int:
     return sum(space.ref_dim(ref) - 1 for ref, _ in items)
@@ -197,25 +196,6 @@ def _padded(before: int, morphism: CubeMorphism, after: int) -> CubeMorphism:
     return CubeMorphism(n_in + after, before + morphism.n_out + after, entries)
 
 
-def _signed_join(space: SimplicialSet, left, right) -> tuple:
-    """Concatenate signed cells; inverse edge pairs cancel, cascading.
-
-    left must be reduced. Heavy beads never cancel, so this is free
-    reduction with the heavies as extra free letters.
-    """
-    merged = list(left)
-    for entry in right:
-        if (
-            merged
-            and space.dim_of(entry[0]) == 1
-            and merged[-1] == (entry[0], -entry[1])
-        ):
-            merged.pop()
-        else:
-            merged.append(entry)
-    return tuple(merged)
-
-
 class _WordCubes(CubicalSet):
     """The cubes of a bead-word window, read off a table built once per letter.
 
@@ -230,8 +210,9 @@ class _WordCubes(CubicalSet):
     word rewrites only the bead that owns its direction, so the face
     (word, offset + j, eps) of a letter with offset coordinates before
     it is the splice head + base + tail of that letter's entry, with
-    the padded morphism; signed windows splice through `_signed_join`,
-    which cancels inverse edge pairs at the two junctions.
+    the padded morphism; signed windows reduce the splice freely
+    (`cobar.reduce_group_word`), which cancels inverse edge pairs at the
+    two junctions, since heavy letters never cancel.
 
     The boundary of a word is therefore the sum over its letters and
     their nondegenerate sides of (-1)^offset * coefficient * splice,
@@ -242,15 +223,14 @@ class _WordCubes(CubicalSet):
     checked by its pass, only when something first asks for a face.
     """
 
-    def __init__(self, name: str, cells, complete: bool, space, table, signed):
+    def __init__(self, name: str, cells, complete: bool, table, signed):
         self._store_cells(name, cells, complete)
-        self._space = space
         self._table = table
         self._signed = signed
         self._below = {}
 
     def _boundary(self, cid) -> dict:
-        table, signed, space, dims = self._table, self._signed, self._space, self._dim
+        table, signed, dims = self._table, self._signed, self._dim
         n = dims[cid]
         sums = {}
         offset = 0
@@ -260,10 +240,9 @@ class _WordCubes(CubicalSet):
                 head, tail = cid[:i], cid[i + 1 :]
                 flip = offset % 2
                 for _, _, base, morphism, coefficient, _ in sides:
+                    word = head + base + tail
                     if signed:
-                        word = _signed_join(space, head, base + tail)
-                    else:
-                        word = head + base + tail
+                        word = reduce_group_word(word)
                     if coefficient:
                         sums[word] = sums.get(word, 0) + (
                             -coefficient if flip else coefficient
@@ -283,7 +262,7 @@ class _WordCubes(CubicalSet):
 
     @cached_property
     def _faces(self) -> dict:
-        table, signed, space = self._table, self._signed, self._space
+        table, signed = self._table, self._signed
         faces = {}
         for n, ids in self.cells.items():
             for cid in ids:
@@ -297,10 +276,9 @@ class _WordCubes(CubicalSet):
                         pad = padded.get(key)
                         if pad is None:
                             pad = padded[key] = _padded(offset, morphism, after)
+                        spliced = head + base + tail
                         if signed:
-                            spliced = _signed_join(space, head, base + tail)
-                        else:
-                            spliced = head + base + tail
+                            spliced = reduce_group_word(spliced)
                         faces[(cid, offset + j, eps)] = CubeRef(spliced, pad)
                     offset += width
         return self._checked_faces(faces)
@@ -345,12 +323,9 @@ class CubicalCobar:
             self.cutoff = int(cutoff)
             self.growth = growth(space)
             self.max_length = None
-            words = localized_words(
+            cells = localized_words(
                 space, edges, heavies, self.max_degree, self.budget
             )
-            cells = {
-                n: [word_to_signed_cell(w) for w in ws] for n, ws in words.items()
-            }
         else:
             if edges and max_length is None:
                 raise ValueError(
@@ -391,7 +366,6 @@ class CubicalCobar:
             ("loc-loops(" if signed else "loops(") + space.name + ")",
             cells,
             not heavies,
-            space,
             table,
             signed,
         )
@@ -413,10 +387,9 @@ class CubicalCobar:
 
     def product(self, left, right):
         """Concatenation; raises when the result leaves the window."""
+        cid = left + right
         if self.signed:
-            cid = _signed_join(self.source, left, right)
-        else:
-            cid = left + right
+            cid = reduce_group_word(cid)
         try:
             self.cubes.dim_of(cid)
         except KeyError:
@@ -493,8 +466,8 @@ def phi_inverse_chain(space, element: FreeElement, ring: Ring) -> FreeElement:
 
 
 def phi_signed_cell(space: SimplicialSet, cell, ring: Ring) -> FreeElement:
-    word = signed_cell_to_word(space, cell)
-    return FreeElement.single(ring, word, _dim_sign(ring, loc_degree(space, word)))
+    """Image of a signed cell: the same localized word, times (-1)^degree."""
+    return FreeElement.single(ring, cell, _dim_sign(ring, loc_degree(space, cell)))
 
 
 # how many small-by-small products phi_certificate checks
@@ -510,10 +483,10 @@ def phi_certificate(
 ) -> dict:
     """Certify the relabeling against the bead-word tensor algebra.
 
-    Checks, exactly: the degreewise bijection between cells and words
-    inside the matching windows; the chain-map identity
-    phi(d c) = d phi(c) on every stored cell, by the letter rule
-    (`_certify_letter_rule`); and multiplicativity
+    Checks, exactly: that the cells of each degree are that degree's
+    words, in the same order, inside the matching windows; the
+    chain-map identity phi(d c) = d phi(c) on every stored cell, by
+    the letter rule (`_certify_letter_rule`); and multiplicativity
     phi(a b) = phi(a) phi(b) on up to `_PRODUCT_PAIRS` sampled pairs of
     cells of at most two letters whose product stays stored, a sample
     and not every pair. phi is evaluated only on the letters and the
@@ -591,12 +564,12 @@ def _certify_letter_rule(omega: CubicalCobar, words, image) -> dict:
     splice against the faces. Leibniz is assumed only
     for the cobar, where it is the definition; no word of the window
     has a boundary term it cuts, so D is exact on it. Cells must be
-    their own words, which is checked first. Returns
+    their own words, in the same order, which is checked first. Returns
     {"cells": count, "degrees": {degree: count}}; a failing cell raises
     AssertionError whose `witness` is (cell, d_cube(cell), its letter
     rule value).
     """
-    _check_cells_are_words(omega, words, lambda cell: cell)
+    _check_cells_are_words(omega, words)
     chains = omega.chains()
     space, ring = omega.source, omega.ring
     # per letter: its nonzero D(l) or None, and the parity of its degree
@@ -647,36 +620,17 @@ def _letter_rule_sums(table, cell) -> dict:
     return sums
 
 
-def _check_cells_are_words(omega: CubicalCobar, words, word_of) -> None:
-    """Raise unless the cells of each degree name that degree's words one to one."""
+def _check_cells_are_words(omega: CubicalCobar, words) -> None:
+    """Raise unless the cells of each degree are that degree's words, in order."""
     for n in range(omega.max_degree + 1):
-        cells = set(map(word_of, omega.cubes.nondegenerate(n)))
-        basis = set(words.basis_in(n))
+        cells = omega.cubes.nondegenerate(n)
+        basis = words.basis_in(n)
         if cells != basis:
+            odd = sorted(set(cells) ^ set(basis), key=repr)[:4]
             raise AssertionError(
                 f"degree {n}: cells and words disagree: "
-                f"{sorted(cells ^ basis, key=repr)[:4]}"
+                f"{odd or 'same words in another order'}"
             )
-
-
-def _certify_relabeling(omega: CubicalCobar, words, word_of, image) -> tuple:
-    """Check that image relabels the cells of omega as the words, as a chain map.
-
-    word_of names the word of each stored cell, and the cells of every
-    degree must name the word basis of that degree one to one; image is
-    the relabeling, checked as phi(d c) = d phi(c) on every stored cell
-    and cached in one GradedLinearMap. Returns phi and the summary
-    {"cells": count, "degrees": {degree: count}}; any failure raises
-    AssertionError with the witness.
-    """
-    chains = omega.chains()
-    _check_cells_are_words(omega, words, word_of)
-    phi = GradedLinearMap(chains, words, 0, image)
-    ok, witness = phi.is_chain_map(chains.degrees())
-    if not ok:
-        raise AssertionError(f"not a chain map on {witness[0]!r}")
-    degrees = {n: chains.rank(n) for n in chains.degrees()}
-    return phi, {"cells": sum(degrees.values()), "degrees": degrees}
 
 
 def phi_signed_certificate(
@@ -685,15 +639,28 @@ def phi_signed_certificate(
     cutoff: int,
     ring: Ring = ZZ,
 ) -> dict:
-    """Same certificate for the localized monoid, against localized words."""
+    """Certify the localized monoid against the extended cobar.
+
+    Cells and words are the same localized words, stored in the same
+    order, which is checked first. phi is then the sign (-1)^degree
+    (`phi_signed_cell`), so phi d = d phi says that every column of the
+    cube differential is the negated column of the extended cobar's;
+    each is compared, in every degree. Returns
+    {"cells": count, "degrees": {degree: count}}; a failing cell raises
+    AssertionError naming it.
+    """
     omega = extended_cubical_cobar(space, max_degree, cutoff, ring)
-    algebra = ExtendedCobarComplex(space, max_degree, cutoff, ring)
-    return _certify_relabeling(
-        omega,
-        algebra.complex,
-        lambda cell: signed_cell_to_word(space, cell),
-        lambda cell: phi_signed_cell(space, cell, ring),
-    )[1]
+    words = ExtendedCobarComplex(space, max_degree, cutoff, ring).complex
+    _check_cells_are_words(omega, words)
+    chains = omega.chains()
+    for n in chains.degrees():
+        for cell, cube, word in zip(
+            chains.basis_in(n), chains.diff_columns(n), words.diff_columns(n)
+        ):
+            if cube != {i: ring.neg(c) for i, c in word.items()}:
+                raise AssertionError(f"not a chain map on {cell!r}")
+    degrees = {n: chains.rank(n) for n in chains.degrees()}
+    return {"cells": sum(degrees.values()), "degrees": degrees}
 
 
 # --- the free simplicial group on positive simplices ---

@@ -767,14 +767,37 @@ def monotone_ref(space: SimplicialSet, cell, seq) -> SimplexRef:
 
 # --- JSON input and output ---
 
+def _dimension_key(key) -> int:
+    """The dimension a JSON model's "cells" key names, read strictly.
+
+    int() also reads " 2", "+2", "02", "0_2" and "\uff12" as 2, so two
+    keys could name one dimension; only the key str(n) is read as n.
+
+    >>> _dimension_key("2")
+    2
+    >>> _dimension_key("02")
+    Traceback (most recent call last):
+    ...
+    ValueError: bad dimension key '02'
+    """
+    try:
+        n = int(key)
+    except (TypeError, ValueError):
+        n = None
+    if n is None or key != str(n):
+        raise ValueError(f"bad dimension key {key!r}")
+    return n
+
+
 def simplicial_from_json(data) -> SimplicialSet:
     """Build and validate a simplicial set from the JSON wire format.
 
     {"name": ..., "cells": {"0": [ids], "1": [ids], ...},
      "faces": {id: [[base, [degeneracy word]], ...]}}
 
-    A degeneracy word is a strictly decreasing list of JSON integers;
-    booleans, floats and strings in it are rejected.
+    A dimension key is the decimal form of its integer, as str(n)
+    writes it. A degeneracy word is a strictly decreasing list of JSON
+    integers; booleans, floats and strings in it are rejected.
     """
     if not isinstance(data, dict):
         raise ValueError("simplicial JSON must be an object")
@@ -783,10 +806,7 @@ def simplicial_from_json(data) -> SimplicialSet:
         raise ValueError("missing or bad 'cells' object")
     cells = {}
     for key, ids in cells_raw.items():
-        try:
-            n = int(key)
-        except (TypeError, ValueError):
-            raise ValueError(f"bad dimension key {key!r}") from None
+        n = _dimension_key(key)
         if not isinstance(ids, list) or not all(isinstance(c, str) for c in ids):
             raise ValueError(f"cell list for dimension {key} must hold strings")
         cells[n] = ids

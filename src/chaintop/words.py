@@ -23,9 +23,12 @@ Plain words, letters in a row, are capped by their length:
   by at most one letter, which the cap one degree down absorbs, so the
   window is closed under d and nothing is dropped.
 
-Localized words (g0, x1, g1, ..., xk, gk) alternate reduced group
-segments over the edges with heavy letters (dimension >= 2); the signed
-bead words are the same words written flat. They are capped by their
+Localized words are flat, freely reduced words of (cell, exp) pairs:
+heavy letters (dimension >= 2) always carry exponent +1, and the runs
+between them are reduced group words over the edges. The extended cobar
+and the signed bead words store these same keys and multiply them by
+free reduction (`cobar.reduce_group_word`): heavy letters never cancel,
+so reducing u + v cancels only at the join. They are capped by their
 total group length, `budget(d) = cutoff - growth * d`, where `growth`
 bounds how many group letters one boundary term can add: 2 when 2-cells
 exist, since their splits produce two edge factors; 1 with higher cells
@@ -42,7 +45,7 @@ The order built here is the stored basis order: each window keeps every
 degree exactly as `plain_words` or `localized_words` returns it, and no
 class sorts it again. Plain words come shortest first, then
 lexicographic in the order of `letters`, which is the model's stored
-cell order; group segments come from `group_words` in the same way. So
+cell order; group runs come from `group_words` in the same way. So
 the order is deterministic and does not depend on the hash seed.
 
 A budget must not rise with degree: budget(d + 1) <= budget(d), and no
@@ -185,11 +188,21 @@ def stored_top(words: dict, edges, budget) -> int:
 def localized_words(
     space: SimplicialSet, edges, heavies, max_degree: int, budget
 ) -> dict:
-    """Localized words (g0, x1, g1, ..., xk, gk) by degree.
+    """Localized words g0 x1 g1 ... xk gk by degree, written flat.
 
-    The heavy letters x1..xk form a skeleton of degree d; the group
-    segments g0..gk are reduced words in the edges of total length at
-    most budget(d). A degree with a negative budget stays empty.
+    The heavy letters x1..xk, each as (x, 1), form a skeleton of degree
+    d; the group runs g0..gk are reduced words in the edges of total
+    length at most budget(d). A degree with a negative budget stays
+    empty.
+
+    >>> from .simplicial import simplicial_model
+    >>> rp2 = simplicial_model("rp2")
+    >>> edges, heavies = letters(rp2)
+    >>> words = localized_words(rp2, edges, heavies, 1, lambda d: 1 - d)
+    >>> words[0]
+    [(), (('a', 1),), (('a', -1),), (('b', 1),), (('b', -1),)]
+    >>> words[1]
+    [(('U', 1),), (('L', 1),)]
     """
     skeletons = plain_words(space, heavies, max_degree, lambda d: None)
     words = {}
@@ -200,11 +213,12 @@ def localized_words(
             continue
         pool = list(group_words(edges, cap))
         for sk in sks:
+            heavy = [((cell, 1),) for cell in sk]
             for segs in _segments(pool, len(sk) + 1, cap):
-                parts = [segs[0]]
-                for cell, seg in zip(sk, segs[1:]):
-                    parts += (cell, seg)
-                words[degree].append(tuple(parts))
+                word = segs[0]
+                for letter, seg in zip(heavy, segs[1:]):
+                    word += letter + seg
+                words[degree].append(word)
     return words
 
 

@@ -217,6 +217,19 @@ def test_degeneracy_word_of_non_integers_is_an_input_error(tmp_path, capsys, let
     assert err.startswith("error: bad face of 's': degeneracy word must hold integers")
 
 
+# each was read as the dimension 2, so the model loaded and printed a table
+@pytest.mark.parametrize("key", ["0_2", "02", "+2", " 2", "\uff12"])
+def test_dimension_key_that_is_not_canonical_is_an_input_error(tmp_path, capsys, key):
+    data = simplicial_to_json(sphere_model(2))
+    data["cells"][key] = data["cells"].pop("2")
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "cobar", str(path))
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err.startswith(f"error: bad dimension key {key!r}")
+
+
 def test_json_file_input_round_trips(tmp_path, capsys):
     path = tmp_path / "sphere2.json"
     path.write_text(json.dumps(simplicial_to_json(sphere_model(2))))

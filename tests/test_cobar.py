@@ -18,8 +18,6 @@ from chaintop.cobar import (
     letter_boundary,
     letter_degree,
     loc_degree,
-    loc_group_count,
-    loc_product,
     reduce_group_word,
     word_degree,
 )
@@ -325,17 +323,17 @@ def test_extended_circle_is_laurent_truncation():
             assert e.complex.diff(w).is_zero()
     # t * t^-1 = 1
     e = extended_cobar(sphere_model(1), 0, 2)
-    t = FreeElement.single(ZZ, ((("s", 1),),), ZZ.one)
-    tinv = FreeElement.single(ZZ, ((("s", -1),),), ZZ.one)
-    assert e.product(t, tinv) == e.unit()
+    t = FreeElement.single(ZZ, (("s", 1),), ZZ.one)
+    tinv = FreeElement.single(ZZ, (("s", -1),), ZZ.one)
+    assert e.product(t, tinv) == e.unit() == FreeElement.single(ZZ, (), ZZ.one)
 
 
 def test_extended_boundary_frozen_on_projective_plane():
     e = extended_cobar(projective_plane_model(), 1, 4)
-    d_u = e.complex.diff(((), "U", ()))
-    assert d_u == el(ZZ, (((),), 1), (((("b", 1), ("a", 1)),), -1))
-    d_l = e.complex.diff(((), "L", ()))
-    assert d_l == el(ZZ, (((("a", 1),),), 1), (((("b", 1),),), -1))
+    d_u = e.complex.diff((("U", 1),))
+    assert d_u == el(ZZ, ((), 1), ((("b", 1), ("a", 1)), -1))
+    d_l = e.complex.diff((("L", 1),))
+    assert d_l == el(ZZ, ((("a", 1),), 1), ((("b", 1),), -1))
 
 
 def test_extended_boundary_merges_group_segments():
@@ -343,10 +341,10 @@ def test_extended_boundary_merges_group_segments():
     # conjugating the letter conjugates its boundary
     g = (("a", 1),)
     ginv = (("a", -1),)
-    value = e.complex.diff((g, "U", ginv))
+    value = e.complex.diff(g + (("U", 1),) + ginv)
     expect = {}
-    for word, c in e.complex.diff(((), "U", ())).items():
-        key = (reduce_group_word(g + word[0] + ginv),)
+    for word, c in e.complex.diff((("U", 1),)).items():
+        key = reduce_group_word(g + word + ginv)
         expect[key] = expect.get(key, ZZ.zero) + c
     assert value == FreeElement(ZZ, expect)
 
@@ -362,13 +360,22 @@ def test_extended_d_squared():
     ]
 
 
+def group_count(space, word):
+    """The group letters (edges) of a localized word."""
+    return sum(1 for cell, _ in word if space.dim_of(cell) == 1)
+
+
 def test_extended_window_is_tiered():
     e = extended_cobar(projective_plane_model(), 2, 6)
     assert e.growth == 2
     for n in e.complex.degrees():
         for w in e.complex.basis_in(n):
             assert loc_degree(e.space, w) == n
-            assert loc_group_count(w) <= 6 - 2 * n
+            assert group_count(e.space, w) <= 6 - 2 * n
+            assert e.in_window(w)
+    # one group letter past the degree-1 budget of 4, and degree 3
+    assert not e.in_window((("U", 1),) + (("a", 1),) * 5)
+    assert not e.in_window((("L", 1),) * 3)
 
 
 def test_extended_derivation_law():
@@ -376,11 +383,11 @@ def test_extended_derivation_law():
     e = extended_cobar(rp2, 2, 8)
     rng = random.Random(11)
     words = [w for n in (0, 1) for w in e.complex.basis_in(n)]
-    small = [w for w in words if loc_group_count(w) <= 2]
+    small = [w for w in words if group_count(rp2, w) <= 2]
     checked = 0
     while checked < 60:
         u, v = rng.choice(small), rng.choice(small)
-        w = loc_product(u, v)
+        w = reduce_group_word(u + v)
         if not e.in_window(w):
             continue
         checked += 1

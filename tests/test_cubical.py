@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -742,6 +743,36 @@ def test_json_degenerate_faces():
     chains = cubical_chains(space)
     assert chains.diff("c").is_zero
     assert smith_homology(chains, 2).pair == (1, [])
+
+
+def collapsed_square_json(index):
+    """test_json_degenerate_faces' model with every degeneracy index set to index."""
+    side = ["p", [["s", index]]]
+    return {
+        "name": "collapsed",
+        "cells": {"0": ["p"], "2": ["c"]},
+        "faces": {"c": [[side, side], [side, side]]},
+    }
+
+
+# 1.5, true and "1" were read as 1; null and a list raised TypeError
+@pytest.mark.parametrize("index", [1.5, True, "1", None, [1]])
+def test_json_degeneracy_indices_must_be_integers(index):
+    assert cubical_from_json(collapsed_square_json(1)).face("c", 1, 0).is_degenerate
+    with pytest.raises(ValueError, match="bad degeneracy op in face of 'c'"):
+        cubical_from_json(collapsed_square_json(index))
+
+
+# int() reads each of these as 2, and two of them could name one dimension
+@pytest.mark.parametrize("key", [" 2", "2 ", "+2", "02", "0_2", "\uff12"])
+def test_json_dimension_keys_must_be_canonical(key):
+    data = cubical_to_json(cubical_torus())
+    data["cells"][key] = data["cells"].pop("2")
+    with pytest.raises(ValueError, match=re.escape(f"bad dimension key {key!r}")):
+        cubical_from_json(data)
+    data["cells"]["2"] = data["cells"][key]
+    with pytest.raises(ValueError, match="bad dimension key"):
+        cubical_from_json(data)
 
 
 def test_json_rejects_garbage():

@@ -7,8 +7,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chaintop import loopspace
-from chaintop.cobar import CobarComplex, ExtendedCobarComplex, cobar, expand_word
-from chaintop.complexes import InsufficientTruncationError
+from chaintop.cobar import (
+    CobarComplex,
+    ExtendedCobarComplex,
+    cobar,
+    expand_word,
+    reduce_group_word,
+)
+from chaintop.complexes import (
+    ChainComplex,
+    GradedLinearMap,
+    InsufficientTruncationError,
+)
 from chaintop.cubical import CubeMorphism, CubeRef, CubicalSet, cubical_chains
 from chaintop.einfty import cubical_um, simplicial_um, tensor_diff, um_action
 from chaintop.freemod import FreeElement
@@ -33,8 +43,6 @@ from chaintop.loopspace import (
     phi_inverse_word,
     phi_signed_cell,
     phi_signed_certificate,
-    signed_cell_to_word,
-    word_to_signed_cell,
     zigzag_report,
 )
 from chaintop.propm import (
@@ -251,12 +259,9 @@ def splice_loop_faces(space, cells, signed):
                         raw = _face_items(space, [(space.ref(cell), 1)], j, eps)
                         piece = canonical_cell(space, raw, signed)
                         pieces[(cell, j, eps)] = piece
+                    base = cid[:i] + piece.base + cid[i + 1 :]
                     if signed:
-                        base = loopspace._signed_join(
-                            space, cid[:i], piece.base + cid[i + 1 :]
-                        )
-                    else:
-                        base = cid[:i] + piece.base + cid[i + 1 :]
+                        base = reduce_group_word(base)
                     key = (offset, piece.morphism, after)
                     morphism = padded.get(key)
                     if morphism is None:
@@ -497,7 +502,11 @@ def oracle_expand_word(space, word, ring):
             ]
     terms = {}
     for sign, parts in branches:
-        add_into(terms, ring, tuple(parts), sign)
+        # the alternating word (g0, x1, g1, ...), written flat
+        word = []
+        for j, part in enumerate(parts):
+            word += part if j % 2 == 0 else [(part, 1)]
+        add_into(terms, ring, tuple(word), sign)
     return FreeElement(ring, terms)
 
 
@@ -664,6 +673,22 @@ def test_certificate_compares_as_many_words_as_cells(monkeypatch):
         assert words == cells == cert["cells"], space.name
 
 
+def certify_relabeling(omega, words, image):
+    """The full-column check: image relabels the cells of omega as the
+    words, and phi(d c) = d phi(c) on every stored cell, with phi built on
+    every cell in one GradedLinearMap. Returns the summary
+    {"cells": count, "degrees": {degree: count}}; a failing cell raises
+    AssertionError naming it."""
+    chains = omega.chains()
+    loopspace._check_cells_are_words(omega, words)
+    phi = GradedLinearMap(chains, words, 0, image)
+    ok, witness = phi.is_chain_map(chains.degrees())
+    if not ok:
+        raise AssertionError(f"not a chain map on {witness[0]!r}")
+    degrees = {n: chains.rank(n) for n in chains.degrees()}
+    return {"cells": sum(degrees.values()), "degrees": degrees}
+
+
 def _chain_map_verdicts(space, max_degree, max_length, perturb=None):
     """(letter rule, full columns) verdicts on one window: summary or failing key.
 
@@ -685,7 +710,7 @@ def _chain_map_verdicts(space, max_degree, max_length, perturb=None):
     verdicts = []
     for check in (
         lambda: loopspace._certify_letter_rule(omega, words, image),
-        lambda: loopspace._certify_relabeling(omega, words, lambda c: c, image)[1],
+        lambda: certify_relabeling(omega, words, image),
     ):
         try:
             verdicts.append(check())
@@ -817,6 +842,101 @@ def test_localized_certificate():
     assert report["cells"] == 1457 + 1730 + 388
 
 
+def s1s2_model():
+    return wedge_models(sphere_model(1), sphere_model(2))
+
+
+@pytest.mark.parametrize(
+    "model, max_degree, cutoff, degrees",
+    [
+        (projective_plane_model, 2, 6, {0: 1457, 1: 1730, 2: 388}),
+        (projective_plane_model, 3, 4, {0: 161, 1: 98, 2: 4}),
+        (s1s2_model, 3, 4, {0: 9, 1: 13, 2: 1}),
+    ],
+)
+def test_signed_certificate_summaries_match_the_full_column_check(
+    model, max_degree, cutoff, degrees
+):
+    # the column comparison against the phi-on-every-cell oracle
+    space = model()
+    report = phi_signed_certificate(space, max_degree, cutoff)
+    assert report == {"cells": sum(degrees.values()), "degrees": degrees}
+    omega = extended_cubical_cobar(space, max_degree, cutoff)
+    words = ExtendedCobarComplex(space, max_degree, cutoff).complex
+    image = lambda cell: phi_signed_cell(space, cell, ZZ)
+    assert certify_relabeling(omega, words, image) == report
+
+
+def signed_windows():
+    """The signed windows these tests build, as cube models."""
+    rp2, s1s2 = projective_plane_model(), s1s2_model()
+    rp2_windows = ((2, 3), (3, 3), (2, 4), (4, 4), (2, 6), (3, 2), (3, 4), (1, 2))
+    windows = [extended_cubical_cobar(rp2, d, c) for d, c in rp2_windows]
+    windows.append(extended_cubical_cobar(rp2, 3, 3, ring=GF(3)))
+    windows += [extended_cubical_cobar(s1s2, d, c) for d, c in ((3, 4), (2, 3), (1, 2))]
+    windows += [extended_cubical_cobar(sphere_model(1), 0, c) for c in (1, 2, 3)]
+    return windows
+
+
+def test_signed_cells_are_the_extended_cobar_words_in_order():
+    for om in signed_windows():
+        words = ExtendedCobarComplex(om.source, om.max_degree, om.cutoff, om.ring)
+        for n in range(om.max_degree + 1):
+            assert om.cubes.nondegenerate(n) == words.complex.basis_in(n), (
+                om.cubes.name,
+                n,
+            )
+
+
+def test_cells_must_be_the_words_in_their_order():
+    rp2 = projective_plane_model()
+    om = extended_cubical_cobar(rp2, 1, 2)
+    words = ExtendedCobarComplex(rp2, 1, 2).complex
+    loopspace._check_cells_are_words(om, words)
+    swapped = {n: words.basis_in(n)[::-1] for n in words.degrees()}
+    swapped = ChainComplex(ZZ, swapped, lambda key: None)
+    with pytest.raises(AssertionError, match="degree 0: .* another order"):
+        loopspace._check_cells_are_words(om, swapped)
+    short = {n: words.basis_in(n)[1:] for n in words.degrees()}
+    short = ChainComplex(ZZ, short, lambda key: None)
+    with pytest.raises(AssertionError, match=r"degree 0: .* disagree: \[\(\)\]"):
+        loopspace._check_cells_are_words(om, short)
+
+
+def signed_mutant_windows():
+    return [(projective_plane_model(), 2, 4), (s1s2_model(), 2, 3)]
+
+
+def test_a_wrong_side_in_a_signed_letter_table_fails_the_signed_certificate(
+    monkeypatch,
+):
+    real = loopspace.extended_cubical_cobar
+    for (space, max_degree, cutoff), count in zip(signed_mutant_windows(), (8, 4)):
+        mutants = 0
+        for table in letter_table_mutants(real(space, max_degree, cutoff).cubes._table):
+
+            def mutant(*args, table=table, **kwargs):
+                omega = real(*args, **kwargs)
+                omega.cubes._table = table
+                return omega
+
+            monkeypatch.setattr(loopspace, "extended_cubical_cobar", mutant)
+            with pytest.raises(AssertionError, match="not a chain map"):
+                phi_signed_certificate(space, max_degree, cutoff)
+            mutants += 1
+        assert mutants == count, space.name
+
+
+def test_a_negated_extended_letter_value_fails_the_signed_certificate(monkeypatch):
+    real = ExtendedCobarComplex.letter_value
+    monkeypatch.setattr(
+        ExtendedCobarComplex, "letter_value", lambda self, cell: -real(self, cell)
+    )
+    # S^1 v S^2's heavy letter has d = 0, so only RP^2 can tell
+    with pytest.raises(AssertionError, match="not a chain map"):
+        phi_signed_certificate(projective_plane_model(), 2, 4)
+
+
 def test_cutoff_required_for_localization():
     with pytest.raises(ValueError):
         extended_cubical_cobar(sphere_model(1), 0)
@@ -841,14 +961,6 @@ def test_phi_sends_inverse_cells_to_algebra_inverses():
     tinv = phi_signed_cell(s1, (("s", -1),), ZZ)
     assert alg.product(t, tinv) == alg.unit()
     assert alg.product(tinv, t) == alg.unit()
-
-
-def test_signed_cell_word_translation_roundtrips():
-    rp2 = projective_plane_model()
-    cell = (("a", 1), ("b", -1), ("U", 1), ("a", -1))
-    word = signed_cell_to_word(rp2, cell)
-    assert word == ((("a", 1), ("b", -1)), "U", (("a", -1),))
-    assert word_to_signed_cell(word) == cell
 
 
 # --- free simplicial group on positive simplices ---
@@ -991,6 +1103,22 @@ def test_zigzag_on_sphere_loops():
     assert report.unit_is_chain_map
     assert report.unit_injective
     assert report.as_dict()["cubical"]["2"] == {"rank": 1, "torsion": []}
+
+
+@pytest.mark.parametrize("model, rank", [(projective_plane_model, 15), (s1s2_model, 5)])
+def test_zigzag_on_localized_models_with_heavy_letters(model, rank):
+    space = model()
+    assert zigzag_report(space, 1, cutoff=2).as_dict() == {
+        "space": space.name,
+        "range": 1,
+        "cubical": {"0": {"rank": rank, "torsion": []}, "1": None},
+        "triangulated": {"0": {"rank": rank, "torsion": []}, "1": None},
+        "agree": True,
+        "inconclusive": (("cubical", 1), ("triangulated", 1)),
+        "collapse_chain_map": True,
+        "unit_chain_map": True,
+        "unit_injective": True,
+    }
 
 
 def test_zigzag_on_localized_circle():

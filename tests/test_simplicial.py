@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -581,6 +582,22 @@ def test_json_rejects_garbage():
         simplicial_from_json(
             {"cells": {"0": ["p"], "1": ["e"]}, "faces": {"e": [["q", []], ["p", []]]}}
         )
+
+
+# int() reads each of these as 2, and two of them could name one dimension
+NONCANONICAL_KEYS = [" 2", "2 ", "+2", "02", "0_2", "\uff12"]
+
+
+@pytest.mark.parametrize("key", NONCANONICAL_KEYS)
+def test_json_dimension_keys_must_be_canonical(key):
+    data = simplicial_to_json(sphere_model(2))
+    data["cells"][key] = data["cells"].pop("2")
+    with pytest.raises(ValueError, match=re.escape(f"bad dimension key {key!r}")):
+        simplicial_from_json(data)
+    # beside the key "2" it would have overwritten that dimension's cells
+    data["cells"]["2"] = data["cells"][key]
+    with pytest.raises(ValueError, match="bad dimension key"):
+        simplicial_from_json(data)
 
 
 def test_loaded_broken_models_report_the_first_failing_pair():
