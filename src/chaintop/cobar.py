@@ -9,6 +9,12 @@ The localized variant turns dimension-1 letters into invertible group
 letters under a group budget that shrinks with the degree. Both windows
 are built by `chaintop.words`, whose notes say when each is closed
 under d; each degree is stored in the order that module builds it.
+
+One class, `CobarComplex`, serves both windows; `ExtendedCobarComplex`
+supplies only its window, its letter table and free reduction. d is
+the derivation fixed by one value per letter (`derivation`), and a
+product keeps a word exactly when the window stores it, since a window
+stores every word its caps admit.
 `edge_expansion` is the one rule that turns a dimension-1 letter t
 into t plus or minus the unit: Adams' relabeling, its inverse and the
 embedding into the localized construction all call it.
@@ -27,6 +33,7 @@ from .words import (
     group_words,
     growth,
     letters,
+    localized_budget,
     localized_words,
     plain_words,
     stored_top,
@@ -72,6 +79,33 @@ def letter_boundary(space: SimplicialSet, cell, ring: Ring) -> FreeElement:
     return FreeElement._from_sums(ring, sums)
 
 
+def derivation(table, word, reduce=None) -> tuple:
+    """(sums, degree): the derivation fixed by table, on one word.
+
+    table maps each letter to (its value as {word: coefficient}, or
+    nothing, and its degree). sums is the sum over the letters l of the
+    word of (-1)^(degree before l) head value(l) tail, each term passed
+    through reduce when one is given; degree is the word's. The cobar's
+    d and the certificate's letter rule both splice with this.
+    """
+    sums = {}
+    sign = 1
+    degree = 0
+    for j, letter in enumerate(word):
+        terms, step = table[letter]
+        if terms:
+            head, tail = word[:j], word[j + 1 :]
+            for piece, c in terms.items():
+                new = head + piece + tail
+                if reduce is not None:
+                    new = reduce(new)
+                sums[new] = sums.get(new, 0) + sign * c
+        if step % 2:
+            sign = -sign
+        degree += step
+    return sums, degree
+
+
 class CobarComplex:
     """Truncated tensor algebra on shifted chains, with its product.
 
@@ -79,7 +113,14 @@ class CobarComplex:
     at most budget(d) (`chaintop.words`; None for no cap), a budget
     that must not rise with degree. The complex counts the empty degrees
     above its words that the cap cannot cut (`chaintop.words.stored_top`).
+    d is `derivation` on the letter table; the product keeps a
+    concatenation exactly when the window stores it. The localized
+    construction (`ExtendedCobarComplex`) is this class on another
+    window and letter table, with words freely reduced.
     """
+
+    # what a spliced or concatenated word goes through; None for plain words
+    _reduce = None
 
     def __init__(
         self,
@@ -98,83 +139,66 @@ class CobarComplex:
                 "dimension-1 letters make degrees infinite-rank; "
                 "pass a word length cutoff"
             )
-        basis = plain_words(space, edges + heavies, self.max_degree, budget)
-        # each letter's boundary terms and degree
-        self._letters = {
-            cell: (
-                letter_boundary(space, cell, ring).terms,
-                letter_degree(space, cell),
-            )
+        table = {
+            cell: (letter_boundary(space, cell, ring).terms, letter_degree(space, cell))
             for cell in edges + heavies
         }
+        basis = plain_words(space, edges + heavies, self.max_degree, budget)
+        self._build(basis, table, edges, f"cobar({space.name})")
+
+    def _build(self, basis, table, edges, name) -> None:
+        """Store the window basis under d, the derivation of table.
+
+        table maps each letter to (the terms of its d, its degree).
+        """
+        self._letters = table
         # the letters with d = 0: d is a derivation, so every word of
         # them has d = 0, and _word_boundary returns one shared zero
         self._cycles = frozenset(
-            cell for cell, (terms, _) in self._letters.items() if not terms
+            letter for letter, (terms, _) in table.items() if not terms
         )
-        self._zero = FreeElement.zero(ring)
+        self._zero = FreeElement.zero(self.ring)
         # d is a method of a copy taken before self.complex exists: with
         # self's own method the complex would refer back to self, a cycle
         # that keeps a finished complex and its diff cache alive until a
         # full garbage collection
         self.complex = ChainComplex(
-            ring,
-            basis,
-            copy.copy(self)._word_boundary,
-            complete=False,
-            name=f"cobar({space.name})",
+            self.ring, basis, copy.copy(self)._word_boundary, complete=False, name=name
         )
-        self.complex.max_degree = stored_top(basis, edges, budget)
+        self.complex.max_degree = stored_top(basis, edges, self.budget)
 
     def _word_boundary(self, word) -> FreeElement:
         if self._cycles.issuperset(word):
             return self._zero
-        sums = {}
-        sign = 1
-        degree = 0
-        table = self._letters
-        for j, cell in enumerate(word):
-            terms, step = table[cell]
-            for piece, c in terms.items():
-                new = word[:j] + piece + word[j + 1 :]
-                sums[new] = sums.get(new, 0) + sign * c
-            if step % 2:
-                sign = -sign
-            degree += step
-        # a term is at most one letter longer than the word
-        cap = self.budget(degree - 1)
-        if cap is not None and len(word) >= cap:
-            sums = {new: c for new, c in sums.items() if len(new) <= cap}
+        sums, degree = derivation(self._letters, word, self._reduce)
+        # localized windows are closed under d (`chaintop.words`); a
+        # plain term is at most one letter longer than the word
+        if self._reduce is None:
+            cap = self.budget(degree - 1)
+            if cap is not None and len(word) >= cap:
+                sums = {new: c for new, c in sums.items() if len(new) <= cap}
         return FreeElement._from_sums(self.ring, sums)
 
     def unit(self) -> FreeElement:
         return FreeElement.single(self.ring, (), self.ring.one)
 
     def product(self, left: FreeElement, right: FreeElement) -> FreeElement:
-        """Concatenation, dropping words outside the stored truncation.
+        """Concatenation, keeping the words the window stores.
 
-        The degree of a stored word is read from the window's basis;
-        only a word the window does not store has its degree summed
-        letter by letter.
+        The window stores every word its caps admit, so a lookup in its
+        basis is the cap test for any word of its letters, stored factors
+        or not; localized words are freely reduced first.
         """
-        space, budget = self.space, self.budget
         stored = self.complex._degree_of
-        factors = []
-        for v, cv in right.items():
-            dv = stored.get(v)
-            factors.append((v, cv, word_degree(space, v) if dv is None else dv))
+        reduce = self._reduce
         sums = {}
         for u, cu in left.items():
-            du = stored.get(u)
-            if du is None:
-                du = word_degree(space, u)
-            room = self.max_degree - du
-            for v, cv, dv in factors:
-                if dv <= room:
-                    w = u + v
-                    cap = budget(du + dv)
-                    if cap is None or len(w) <= cap:
-                        sums[w] = sums.get(w, 0) + cu * cv
+            for v, cv in right.items():
+                w = u + v
+                if reduce is not None:
+                    w = reduce(w)
+                if w in stored:
+                    sums[w] = sums.get(w, 0) + cu * cv
         return FreeElement._from_sums(self.ring, sums)
 
 
@@ -271,16 +295,20 @@ def loc_letter_boundary(space: SimplicialSet, cell, ring: Ring) -> FreeElement:
     )
 
 
-class ExtendedCobarComplex:
+class ExtendedCobarComplex(CobarComplex):
     """Localized construction: 1-cells become invertible group letters.
 
     Keys are flat localized words of (cell, exp) pairs, the same keys as
     the signed bead words of `loopspace.CubicalCobar`; the unit is ()
     and the product is free reduction of the concatenation. The
     group-letter budget of the degree-n basis is cutoff - growth*n
-    (`chaintop.words.growth`), so boundaries never leave the stored
-    basis and d^2 = 0 holds exactly.
+    (`chaintop.words.localized_budget`), so boundaries never leave the
+    stored basis and d^2 = 0 holds exactly. Only the window, the letter
+    table and free reduction are its own; d and the product are those
+    of `CobarComplex`.
     """
+
+    _reduce = staticmethod(reduce_group_word)
 
     def __init__(
         self,
@@ -289,7 +317,7 @@ class ExtendedCobarComplex:
         cutoff: int | None,
         ring: Ring = ZZ,
     ):
-        self.group_letters, self.heavy_letters = letters(space)
+        edges, heavies = self.group_letters, self.heavy_letters = letters(space)
         if cutoff is None:
             raise ValueError(
                 "localized degrees are infinite-rank; pass a group-letter cutoff"
@@ -299,68 +327,21 @@ class ExtendedCobarComplex:
         self.max_degree = int(max_degree)
         self.cutoff = int(cutoff)
         self.growth = growth(space)
-        self._letter_values = {}
-        basis = localized_words(
-            space, self.group_letters, self.heavy_letters, self.max_degree, self.budget
-        )
-        # a copy's method, as in CobarComplex, so no cycle through self
-        self.complex = ChainComplex(
-            ring,
-            basis,
-            copy.copy(self)._boundary,
-            complete=False,
-            name=f"extended-cobar({space.name})",
-        )
-        self.complex.max_degree = stored_top(basis, self.group_letters, self.budget)
-
-    def budget(self, degree: int) -> int:
-        return self.cutoff - self.growth * degree
+        self.budget = localized_budget(self.cutoff, self.growth)
+        table = {(edge, exp): (None, 0) for edge in edges for exp in (1, -1)}
+        for cell in heavies:
+            value = loc_letter_boundary(space, cell, ring)
+            table[cell, 1] = (value.terms, letter_degree(space, cell))
+        basis = localized_words(space, edges, heavies, self.max_degree, self.budget)
+        self._build(basis, table, edges, f"extended-cobar({space.name})")
 
     def in_window(self, word) -> bool:
-        degree = groups = 0
-        for cell, _ in word:
-            step = self.space.dim_of(cell) - 1
-            degree += step
-            groups += not step
-        return degree <= self.max_degree and groups <= self.budget(degree)
+        """Whether the window stores word, a freely reduced localized word."""
+        return word in self.complex._degree_of
 
     def letter_value(self, cell) -> FreeElement:
         """d of a heavy letter, rewritten into localized words."""
-        if cell not in self._letter_values:
-            self._letter_values[cell] = loc_letter_boundary(self.space, cell, self.ring)
-        return self._letter_values[cell]
-
-    def _boundary(self, word) -> FreeElement:
-        """Sum over the heavy letters of +-head d(letter) tail, freely reduced.
-
-        Heavy letters never cancel, so reducing the splice cancels edges
-        only where a piece of d(letter) meets the runs beside it.
-        """
-        sums = {}
-        sign = 1
-        for j, (cell, _) in enumerate(word):
-            step = self.space.dim_of(cell) - 1
-            if not step:
-                continue
-            head, tail = word[:j], word[j + 1 :]
-            for piece, c in self.letter_value(cell).items():
-                new = reduce_group_word(head + piece + tail)
-                sums[new] = sums.get(new, 0) + sign * c
-            if step % 2:
-                sign = -sign
-        return FreeElement._from_sums(self.ring, sums)
-
-    def unit(self) -> FreeElement:
-        return FreeElement.single(self.ring, (), self.ring.one)
-
-    def product(self, left: FreeElement, right: FreeElement) -> FreeElement:
-        sums = {}
-        for u, cu in left.items():
-            for v, cv in right.items():
-                w = reduce_group_word(u + v)
-                if self.in_window(w):
-                    sums[w] = sums.get(w, 0) + cu * cv
-        return FreeElement._from_sums(self.ring, sums)
+        return loc_letter_boundary(self.space, cell, self.ring)
 
     def embed_word(self, word) -> FreeElement:
         """Image of a plain cobar word; fails if the window is too tight."""

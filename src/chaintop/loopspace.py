@@ -19,6 +19,7 @@ from functools import cached_property
 from .cobar import (
     CobarComplex,
     ExtendedCobarComplex,
+    derivation,
     edge_expansion,
     invert_group_word,
     loc_degree,
@@ -48,7 +49,15 @@ from .simplicial import (
     normalized_chains,
 )
 from .smith import homology_table, smith_normal_form
-from .words import growth, letters, localized_words, plain_words, stored_top
+from .words import (
+    growth,
+    letters,
+    localized_budget,
+    localized_words,
+    plain_words,
+    sliding_budget,
+    stored_top,
+)
 
 
 # --- the functor from necklace generators to the cube category ---
@@ -297,7 +306,7 @@ class CubicalCobar:
     (`_WordCubes`). The chains read each boundary off the table; the
     faces themselves are spliced from it only when asked for. The
     product is word concatenation. The stored window is closed under
-    faces: its sliding budget is the one `chaintop.words` describes,
+    faces: its sliding budget is `chaintop.words.sliding_budget`,
     and each dimension keeps the order that module builds.
     """
 
@@ -323,6 +332,7 @@ class CubicalCobar:
             self.cutoff = int(cutoff)
             self.growth = growth(space)
             self.max_length = None
+            self.budget = localized_budget(self.cutoff, self.growth)
             cells = localized_words(
                 space, edges, heavies, self.max_degree, self.budget
             )
@@ -334,6 +344,7 @@ class CubicalCobar:
             self.max_length = None if max_length is None else int(max_length)
             self.cutoff = None
             self.growth = None
+            self.budget = sliding_budget(self.max_length, self.max_degree)
             cells = plain_words(space, edges + heavies, self.max_degree, self.budget)
         table = {}
         for cell in edges + heavies:
@@ -369,13 +380,6 @@ class CubicalCobar:
             table,
             signed,
         )
-
-    def budget(self, degree: int):
-        if self.signed:
-            return self.cutoff - self.growth * degree
-        if self.max_length is None:
-            return None
-        return self.max_length + (self.max_degree - degree)
 
     # monoid structure
 
@@ -558,12 +562,12 @@ def _certify_letter_rule(omega: CubicalCobar, words, image) -> dict:
     one-letter words. Every cell's cube boundary, read off the cube
     model's letter table (`diff_columns`), must equal the sum over its
     letters of +-prefix D(l) suffix, with the Koszul sign of the letters
-    before l, as `CobarComplex._word_boundary` computes d. Both sides
-    are thus per-letter rules spliced into the word; this checks the
-    letters' cube sides against their D(l), and the tests check the
-    splice against the faces. Leibniz is assumed only
-    for the cobar, where it is the definition; no word of the window
-    has a boundary term it cuts, so D is exact on it. Cells must be
+    before l: `cobar.derivation` on the D table, the splice the cobar's
+    own d uses. Both sides are thus per-letter rules spliced into the
+    word; this checks the letters' cube sides against their D(l), and
+    the tests check the splice against the faces. Leibniz is assumed
+    only for the cobar, where it is the definition; no word of the
+    window has a boundary term it cuts, so D is exact on it. Cells must be
     their own words, in the same order, which is checked first. Returns
     {"cells": count, "degrees": {degree: count}}; a failing cell raises
     AssertionError whose `witness` is (cell, d_cube(cell), its letter
@@ -572,13 +576,13 @@ def _certify_letter_rule(omega: CubicalCobar, words, image) -> dict:
     _check_cells_are_words(omega, words)
     chains = omega.chains()
     space, ring = omega.source, omega.ring
-    # per letter: its nonzero D(l) or None, and the parity of its degree
+    # per letter: its nonzero D(l) or None, and its degree
     table = {}
     for n in words.degrees():
         for word in words.basis_in(n):
             if len(word) == 1:
                 value = phi_inverse_chain(space, words.diff_element(image(word)), ring)
-                table[word[0]] = (value.terms or None, n % 2)
+                table[word[0]] = (value.terms or None, n)
     moving = frozenset(letter for letter, (rule, _) in table.items() if rule)
     for n in chains.degrees():
         below = chains.basis_in(n - 1)
@@ -588,7 +592,7 @@ def _certify_letter_rule(omega: CubicalCobar, words, image) -> dict:
                     continue
                 residual = {}
             else:
-                residual = _letter_rule_sums(table, cell)
+                residual, _ = derivation(table, cell)
             for i, c in column.items():
                 key = below[i]
                 residual[key] = residual.get(key, 0) - c
@@ -597,27 +601,11 @@ def _certify_letter_rule(omega: CubicalCobar, words, image) -> dict:
                 error.witness = (
                     cell,
                     chains.diff(cell),
-                    FreeElement._from_sums(ring, _letter_rule_sums(table, cell)),
+                    FreeElement._from_sums(ring, derivation(table, cell)[0]),
                 )
                 raise error
     degrees = {n: chains.rank(n) for n in chains.degrees()}
     return {"cells": sum(degrees.values()), "degrees": degrees}
-
-
-def _letter_rule_sums(table, cell) -> dict:
-    """Sum of +-prefix D(l) suffix over the letters l of cell, as plain sums."""
-    sums = {}
-    sign = 1
-    for j, letter in enumerate(cell):
-        rule, odd = table[letter]
-        if rule:
-            head, tail = cell[:j], cell[j + 1 :]
-            for piece, c in rule.items():
-                new = head + piece + tail
-                sums[new] = sums.get(new, 0) + sign * c
-        if odd:
-            sign = -sign
-    return sums
 
 
 def _check_cells_are_words(omega: CubicalCobar, words) -> None:

@@ -17,11 +17,12 @@ Plain words, letters in a row, are capped by their length:
   replaces one letter by at most two, so it can leave the window; the
   cobar drops such terms. Longer words span a subcomplex, so the window
   is a quotient complex and d^2 = 0 survives exactly.
-- sliding cap, `budget(d) = max_length + (max_degree - d)` (the bead-word
-  monoid, and the cobar it is certified against). A cube face, like a
-  cobar boundary term, lowers the degree by one and lengthens the word
-  by at most one letter, which the cap one degree down absorbs, so the
-  window is closed under d and nothing is dropped.
+- sliding cap, `budget(d) = max_length + (max_degree - d)`
+  (`sliding_budget`; the bead-word monoid, and the cobar it is certified
+  against). A cube face, like a cobar boundary term, lowers the degree
+  by one and lengthens the word by at most one letter, which the cap one
+  degree down absorbs, so the window is closed under d and nothing is
+  dropped.
 
 Localized words are flat, freely reduced words of (cell, exp) pairs:
 heavy letters (dimension >= 2) always carry exponent +1, and the runs
@@ -29,12 +30,13 @@ between them are reduced group words over the edges. The extended cobar
 and the signed bead words store these same keys and multiply them by
 free reduction (`cobar.reduce_group_word`): heavy letters never cancel,
 so reducing u + v cancels only at the join. They are capped by their
-total group length, `budget(d) = cutoff - growth * d`, where `growth`
-bounds how many group letters one boundary term can add: 2 when 2-cells
-exist, since their splits produce two edge factors; 1 with higher cells
-only; 0 without edges. A boundary term lowers the degree by one and so
-raises the budget by `growth`, which keeps the stored basis closed under
-the honest differential, and d^2 = 0 holds exactly.
+total group length, `budget(d) = cutoff - growth * d`
+(`localized_budget`), where `growth` bounds how many group letters one
+boundary term can add: 2 when 2-cells exist, since their splits produce
+two edge factors; 1 with higher cells only; 0 without edges. A boundary
+term lowers the degree by one and so raises the budget by `growth`,
+which keeps the stored basis closed under the honest differential, and
+d^2 = 0 holds exactly.
 
 A window's complex keeps no empty degree, so each window also says up
 to which degree it stores every word (`stored_top`): an empty degree
@@ -78,6 +80,22 @@ def growth(space: SimplicialSet) -> int:
     if not space.nondegenerate(1):
         return 0
     return 2 if space.nondegenerate(2) else 1
+
+
+def sliding_budget(max_length: int | None, max_degree: int):
+    """budget(d) = max_length + (max_degree - d); no cap when max_length is None.
+
+    >>> [sliding_budget(2, 3)(d) for d in range(4)]
+    [5, 4, 3, 2]
+    """
+    if max_length is None:
+        return lambda degree: None
+    return lambda degree: max_length + (max_degree - degree)
+
+
+def localized_budget(cutoff: int, growth: int):
+    """budget(d) = cutoff - growth * d, the group letters of a localized word."""
+    return lambda degree: cutoff - growth * degree
 
 
 def group_words(cells, max_len: int):

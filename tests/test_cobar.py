@@ -2,6 +2,7 @@
 
 import gc
 import importlib
+import itertools
 import random
 import weakref
 
@@ -247,9 +248,8 @@ def test_product_reads_stored_degrees_and_matches_the_letter_sum(ring, monkeypat
                 left, right = element(pools[0]), element(pools[1])
                 summed.clear()
                 assert algebra.product(left, right) == oracle_product(algebra, left, right), name
-                # the fallback sums the degree of each unstored factor word
-                stray = [w for w in (*left.support(), *right.support()) if w in strays]
-                assert sorted(summed) == sorted(stray), name
+                # the window's lookup decides unstored factors too
+                assert summed == [], name
 
 
 def test_d_squared_on_standard_models():
@@ -376,6 +376,78 @@ def test_extended_window_is_tiered():
     # one group letter past the degree-1 budget of 4, and degree 3
     assert not e.in_window((("U", 1),) + (("a", 1),) * 5)
     assert not e.in_window((("L", 1),) * 3)
+
+
+def oracle_in_window(algebra, word):
+    """The letter-count rule: after free reduction, degree <= max_degree
+    and at most cutoff - growth * degree group letters."""
+    space = algebra.space
+    word = reduce_group_word(word)
+    degree = loc_degree(space, word)
+    budget = algebra.cutoff - algebra.growth * degree
+    return degree <= algebra.max_degree and group_count(space, word) <= budget
+
+
+def oracle_loc_product(algebra, left, right):
+    ring = algebra.ring
+    terms = {}
+    for u, cu in left.items():
+        for v, cv in right.items():
+            w = reduce_group_word(u + v)
+            if oracle_in_window(algebra, w):
+                add_into(terms, ring, w, ring.mul(cu, cv))
+    return FreeElement(ring, terms)
+
+
+def localized_windows():
+    yield extended_cobar(projective_plane_model(), 2, 6)
+    yield extended_cobar(wedge_models(sphere_model(1), sphere_model(2)), 2, 3)
+    for seed in (0, 5, 6):
+        yield extended_cobar(random_reduced_model(random.Random(seed)), 2, 4)
+
+
+def test_extended_product_and_in_window_match_the_letter_count_rule():
+    rng = random.Random(23)
+    for algebra in localized_windows():
+        name = algebra.complex.name
+        words = [w for n in algebra.complex.degrees() for w in algebra.complex.basis_in(n)]
+        alphabet = [(e, exp) for e in algebra.group_letters for exp in (1, -1)]
+        alphabet += [(x, 1) for x in algebra.heavy_letters]
+        # reduced words the window may not store: past the group budget,
+        # or of too high a degree
+        strays = set()
+        for _ in range(60):
+            strays.add(reduce_group_word(
+                rng.choice(alphabet) for _ in range(rng.randint(2, algebra.cutoff + 4))
+            ))
+        # a run past the cutoff whose product with an inverse run falls
+        # back inside the window, as (a,1)^3 (a,-1)^2 does at cutoff 2
+        edge = algebra.group_letters[0]
+        long_run = ((edge, 1),) * (algebra.cutoff + 1)
+        back = ((edge, -1),) * 2
+        strays |= {long_run, back}
+        assert not algebra.in_window(long_run), name
+        assert algebra.in_window(reduce_group_word(long_run + back)), name
+        outside = {w for w in strays if not oracle_in_window(algebra, w)}
+        assert outside and strays - outside, name
+        for w in words:
+            assert algebra.in_window(w) and oracle_in_window(algebra, w), (name, w)
+        for w in strays:
+            assert algebra.in_window(w) == oracle_in_window(algebra, w), (name, w)
+
+        def element(pool):
+            picked = {rng.choice(pool): rng.randint(-3, 3) for _ in range(rng.randint(1, 4))}
+            return FreeElement(ZZ, picked)
+
+        one, stray = single(long_run), single(back)
+        assert algebra.product(one, stray) == oracle_loc_product(algebra, one, stray), name
+        assert not algebra.product(one, stray).is_zero(), name
+        pools = (words, sorted(strays))
+        for left_pool, right_pool in itertools.product(pools, pools):
+            for _ in range(20):
+                left, right = element(left_pool), element(right_pool)
+                want = oracle_loc_product(algebra, left, right)
+                assert algebra.product(left, right) == want, name
 
 
 def test_extended_derivation_law():

@@ -1,5 +1,6 @@
 """Loop-space cube models, comparison maps, loop group, collapse, zigzag."""
 
+import importlib
 import itertools
 import random
 
@@ -757,14 +758,14 @@ def test_letter_rule_fails_where_the_full_column_check_fails():
         assert rule == full == f"not a chain map on {cell!r}", space.name
 
 
-def _unsigned_letter_rule(table, cell):
+def _unsigned_derivation(table, cell, reduce=None):
     # the letter rule with its Koszul signs dropped
     sums = {}
     for j, letter in enumerate(cell):
         for piece, c in (table[letter][0] or {}).items():
             new = cell[:j] + piece + cell[j + 1 :]
             sums[new] = sums.get(new, 0) + c
-    return sums
+    return sums, sum(table[letter][1] for letter in cell)
 
 
 @pytest.mark.parametrize(
@@ -786,7 +787,7 @@ def test_letter_rule_mutants_are_not_chain_maps(monkeypatch, mutant, witness):
     elif mutant == "E for E inverse":
         monkeypatch.setattr(loopspace, "phi_inverse_word", loopspace.phi_cell)
     else:
-        monkeypatch.setattr(loopspace, "_letter_rule_sums", _unsigned_letter_rule)
+        monkeypatch.setattr(loopspace, "derivation", _unsigned_derivation)
     with pytest.raises(AssertionError, match="not a chain map") as caught:
         phi_certificate(projective_plane_model(), 3, max_length=2)
     key, cube_side, rule_side = caught.value.witness
@@ -928,9 +929,13 @@ def test_a_wrong_side_in_a_signed_letter_table_fails_the_signed_certificate(
 
 
 def test_a_negated_extended_letter_value_fails_the_signed_certificate(monkeypatch):
-    real = ExtendedCobarComplex.letter_value
+    # the package re-exports a function named cobar, which shadows the module
+    cobar_module = importlib.import_module("chaintop.cobar")
+    real = cobar_module.loc_letter_boundary
     monkeypatch.setattr(
-        ExtendedCobarComplex, "letter_value", lambda self, cell: -real(self, cell)
+        cobar_module,
+        "loc_letter_boundary",
+        lambda space, cell, ring: -real(space, cell, ring),
     )
     # S^1 v S^2's heavy letter has d = 0, so only RP^2 can tell
     with pytest.raises(AssertionError, match="not a chain map"):
