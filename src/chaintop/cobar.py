@@ -44,10 +44,6 @@ def letter_degree(space: SimplicialSet, cell) -> int:
     return space.dim_of(cell) - 1
 
 
-def word_degree(space: SimplicialSet, word) -> int:
-    return sum(letter_degree(space, cell) for cell in word)
-
-
 def letter_boundary(space: SimplicialSet, cell, ring: Ring) -> FreeElement:
     """Boundary of a one-letter word: shifted faces plus split terms.
 
@@ -106,6 +102,29 @@ def derivation(table, word, reduce=None) -> tuple:
     return sums, degree
 
 
+def concatenation(left, right, stored, reduce, sums, sign) -> dict:
+    """Add sign * c_u * c_v at uv into sums for each uv that stored holds.
+
+    left and right map words to coefficients; uv is passed through
+    reduce first when one is given. Returns sums, whose entries stay
+    plain-number sums: the cobar's product and the certificate's
+    product check both add with this, and canonicalize once.
+
+    >>> left, right = {("a",): 2}, {("b",): 3, ("c",): 1}
+    >>> concatenation(left, right, {("a", "b"), ("a", "c")}, None, {}, 1)
+    {('a', 'b'): 6, ('a', 'c'): 2}
+    >>> concatenation(left, right, {("a", "b")}, None, {("a", "b"): 6}, -1)
+    {('a', 'b'): 0}
+    """
+    for u, cu in left.items():
+        cu *= sign
+        for v, cv in right.items():
+            w = u + v if reduce is None else reduce(u + v)
+            if w in stored:
+                sums[w] = sums.get(w, 0) + cu * cv
+    return sums
+
+
 class CobarComplex:
     """Truncated tensor algebra on shifted chains, with its product.
 
@@ -153,11 +172,10 @@ class CobarComplex:
         """
         self._letters = table
         # the letters with d = 0: d is a derivation, so every word of
-        # them has d = 0, and _word_boundary returns one shared zero
+        # them has d = 0, and _word_boundary returns None for it
         self._cycles = frozenset(
             letter for letter, (terms, _) in table.items() if not terms
         )
-        self._zero = FreeElement.zero(self.ring)
         # d is a method of a copy taken before self.complex exists: with
         # self's own method the complex would refer back to self, a cycle
         # that keeps a finished complex and its diff cache alive until a
@@ -167,9 +185,13 @@ class CobarComplex:
         )
         self.complex.max_degree = stored_top(basis, edges, self.budget)
 
-    def _word_boundary(self, word) -> FreeElement:
+    def _word_boundary(self, word):
+        """d of a stored word as plain-number sums, or None when it is 0.
+
+        The complex canonicalizes the sums (`ChainComplex`).
+        """
         if self._cycles.issuperset(word):
-            return self._zero
+            return None
         sums, degree = derivation(self._letters, word, self._reduce)
         # localized windows are closed under d (`chaintop.words`); a
         # plain term is at most one letter longer than the word
@@ -177,7 +199,7 @@ class CobarComplex:
             cap = self.budget(degree - 1)
             if cap is not None and len(word) >= cap:
                 sums = {new: c for new, c in sums.items() if len(new) <= cap}
-        return FreeElement._from_sums(self.ring, sums)
+        return sums
 
     def unit(self) -> FreeElement:
         return FreeElement.single(self.ring, (), self.ring.one)
@@ -187,18 +209,12 @@ class CobarComplex:
 
         The window stores every word its caps admit, so a lookup in its
         basis is the cap test for any word of its letters, stored factors
-        or not; localized words are freely reduced first.
+        or not; localized words are freely reduced first. The terms are
+        summed by `concatenation` and canonicalized once.
         """
-        stored = self.complex._degree_of
-        reduce = self._reduce
-        sums = {}
-        for u, cu in left.items():
-            for v, cv in right.items():
-                w = u + v
-                if reduce is not None:
-                    w = reduce(w)
-                if w in stored:
-                    sums[w] = sums.get(w, 0) + cu * cv
+        sums = concatenation(
+            left.terms, right.terms, self.complex._degree_of, self._reduce, {}, 1
+        )
         return FreeElement._from_sums(self.ring, sums)
 
 
@@ -339,10 +355,6 @@ class ExtendedCobarComplex(CobarComplex):
         """Whether the window stores word, a freely reduced localized word."""
         return word in self.complex._degree_of
 
-    def letter_value(self, cell) -> FreeElement:
-        """d of a heavy letter, rewritten into localized words."""
-        return loc_letter_boundary(self.space, cell, self.ring)
-
     def embed_word(self, word) -> FreeElement:
         """Image of a plain cobar word; fails if the window is too tight."""
         value = expand_word(self.space, word, self.ring)
@@ -427,6 +439,24 @@ def _relator_values(space: SimplicialSet, ring: Ring):
     ]
 
 
+def _junction(left, right) -> tuple:
+    """Free reduction of left + right when both are reduced.
+
+    Only pairs across the junction can cancel, so it peels inverse
+    pairs there and nowhere else.
+
+    >>> _junction((("a", 1), ("b", 1)), (("b", -1), ("a", 1)))
+    (('a', 1), ('a', 1))
+    """
+    n = len(left)
+    k = 0
+    for cell, exp in right[:n]:
+        if left[n - 1 - k] != (cell, -exp):
+            break
+        k += 1
+    return left[: n - k] + right[k:]
+
+
 def _h0_rows(space: SimplicialSet, cutoff: int, ring: Ring) -> tuple:
     """(words, rows) of the cutoff window, in one enumeration.
 
@@ -437,23 +467,37 @@ def _h0_rows(space: SimplicialSet, cutoff: int, ring: Ring) -> tuple:
     max(|g| + |h|, longest reduced term): it is a row of the window c
     exactly when its level is <= c, and a row met more than once keeps
     its lowest level. Coefficients are plain ints, mod p over F_p.
+    Each term w is reduced against g once, as g w; h runs over the
+    words of length <= cutoff - |g|, a prefix of words, and g w and h
+    are both reduced, so they are joined at their one junction
+    (`_junction`).
     """
     edges = space.nondegenerate(1)
     words = list(group_words(edges, cutoff))
     index = {w: i for i, w in enumerate(words)}
+    # within[k]: how many words have length <= k
+    within = [0] * (cutoff + 1)
+    for w in words:
+        within[len(w)] += 1
+    for k in range(1, cutoff + 1):
+        within[k] += within[k - 1]
+    # the inverse of each word's first letter: what a junction cancels
+    heads = [(w[0][0], -w[0][1]) if w else None for w in words]
     p = ring.p
     found = {}
     for value in _relator_values(space, ZZ):
         value = [(w, r) for w, c in value.items() if (r := c % p if p else c)]
         if not value:
             continue
-        for g in group_words(edges, cutoff):
-            for h in group_words(edges, cutoff - len(g)):
+        for g in words:
+            gw = [(reduce_group_word(g + w), c) for w, c in value]
+            for j in range(within[cutoff - len(g)]):
+                h, head = words[j], heads[j]
                 level = len(g) + len(h)
                 # g w h = g w' h only when w = w', so no two terms meet
                 row = {}
-                for w, c in value:
-                    full = reduce_group_word(g + w + h)
+                for x, c in gw:
+                    full = _junction(x, h) if x and x[-1] == head else x + h
                     if len(full) > level:
                         if len(full) > cutoff:
                             break

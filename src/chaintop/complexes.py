@@ -22,11 +22,15 @@ class ChainComplex:
     """Non-negatively graded complex data: basis per degree plus boundary rule.
 
     basis maps degree -> ordered iterable of keys; keys must be globally
-    unique across degrees. diff maps a basis key to a FreeElement supported
-    in the basis one degree down. That is checked lazily, wherever a
-    boundary is read: `diff` checks and caches one key at a time for
-    per-key callers, and `diff_columns` checks a whole d_n as it numbers
-    its terms, and keeps the columns it builds.
+    unique across degrees. diff maps a basis key to its boundary, one of:
+    None for zero; a dict of plain-number sums (ints, and Fractions over
+    Q, as a loop adds them with + and *; a sum may be 0); or a
+    FreeElement, whose terms are already canonical. The boundary must be
+    supported in the basis one degree down. That is checked lazily,
+    wherever a boundary is read: `diff` wraps a dict once, then checks
+    and caches one key at a time for per-key callers, and `diff_columns`
+    canonicalizes and checks a whole d_n as it numbers its terms, and
+    keeps the columns it builds.
 
     max_degree is the top degree the complex stores in full. It starts
     as the top nonempty degree, since the basis keeps no empty degree; a
@@ -85,6 +89,8 @@ class ChainComplex:
         value = self._diff_rule(key)
         if value is None:
             value = self.zero()
+        elif isinstance(value, dict):
+            value = FreeElement._from_sums(self.ring, value)
         for out_key in value.support():
             m = self._degree_of.get(out_key)
             if m != n - 1:
@@ -125,38 +131,45 @@ class ChainComplex:
         """Sparse columns of d: C_n -> C_{n-1}, one per key of C_n.
 
         Column j maps the position in C_{n-1} of each term of d(key_j) to
-        its coefficient (the column format of chaintop.linalg), read in
-        one pass from the boundary rule; the per-key cache of `diff` is
-        neither read nor filled. A term outside C_{n-1} raises the
-        ValueError of `diff`. Each d_n is built once: later calls return
-        the same list, so callers must not change it. Its zero columns
-        are one shared dict, so that keeping a d_n with many cycles,
-        such as a cobar's, keeps no dict per key alive. A zero boundary
-        (None, or no terms) costs one test: it appends that dict, and
-        the index of C_{n-1} is built only at the first nonzero one.
+        its coefficient (the column format of chaintop.linalg). The
+        rule's value, plain sums or a FreeElement, is canonicalized
+        straight into positions in one pass (`Ring.canonical_column`), so
+        no FreeElement is built; the per-key cache of `diff` is neither
+        read nor filled. A term whose sum is 0 is dropped before its
+        lookup; a nonzero term outside C_{n-1} raises the ValueError of
+        `diff`. Each d_n is built once: later calls return the same list,
+        so callers must not change it. Its zero columns are one shared
+        dict, so that keeping a d_n with many cycles, such as a cobar's,
+        keeps no dict per key alive. A falsy boundary (None, or no terms)
+        costs one test: it appends that dict, and the index of C_{n-1}
+        is built only at the first nonzero one.
 
         >>> from .freemod import FreeElement
-        >>> from .rings import ZZ
+        >>> from .rings import GF, ZZ
         >>> rule = {"e": FreeElement(ZZ, {"v1": 1, "v0": -1})}.get
         >>> ChainComplex(ZZ, {0: ["v0", "v1"], 1: ["e"]}, rule).diff_columns(1)
         [{1: 1, 0: -1}]
+        >>> sums = {"e": {"v1": 1, "v0": -1, "elsewhere": 0}}.get
+        >>> ChainComplex(GF(3), {0: ["v0", "v1"], 1: ["e"]}, sums).diff_columns(1)
+        [{1: 1, 0: 2}]
         """
         columns = self._columns.get(n)
         if columns is not None:
             return columns
         rule = self._diff_rule
+        column = self.ring.canonical_column
         zero = {}
         index = None
         columns = []
         for key in self.basis_in(n):
             value = rule(key)
-            if value is None or not value.terms:
+            if not value:
                 columns.append(zero)
                 continue
             if index is None:
                 index = {k: i for i, k in enumerate(self.basis_in(n - 1))}
             try:
-                columns.append({index[out]: c for out, c in value.items()})
+                columns.append(column(value, index) or zero)
             except KeyError:
                 self.diff(key)
                 raise
@@ -339,6 +352,6 @@ def tensor_complex(a: ChainComplex, b: ChainComplex, max_degree=None, name: str 
         sign = -1 if a.degree_of(ka) % 2 else 1
         for k2, c in b.diff(kb).items():
             sums[(ka, k2)] = sign * c
-        return FreeElement._from_sums(ring, sums)
+        return sums
 
     return ChainComplex(ring, basis, diff, complete=complete, name=name or f"({a.name})ox({b.name})")

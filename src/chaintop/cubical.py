@@ -464,19 +464,15 @@ def cubical_chains(
 
     d(c) = sum_{i=1..n} (-1)^{i-1} (d_i^1 c - d_i^0 c), degenerate faces
     dropped; this is the boundary induced by d[0,1] = [1] - [0] under
-    the tensor decomposition of the standard cube. Each boundary is the
-    set's own `_boundary`, which a set that knows its boundary without
-    its faces (the loop-space cube model) computes that way.
+    the tensor decomposition of the standard cube. The boundary rule is
+    the set's own `_boundary`, plain-number sums that the complex
+    canonicalizes; a set that knows its boundary without its faces (the
+    loop-space cube model) computes it that way.
     """
     top = space.dimension if max_degree is None else min(max_degree, space.dimension)
     basis = {n: space.nondegenerate(n) for n in range(top + 1)}
-    boundary = space._boundary
-
-    def diff(key):
-        return FreeElement._from_sums(ring, boundary(key))
-
     complete = space.complete and top >= space.dimension
-    return ChainComplex(ring, basis, diff, complete=complete, name=space.name)
+    return ChainComplex(ring, basis, space._boundary, complete=complete, name=space.name)
 
 
 # --- standard cubes: coalgebra and join ---

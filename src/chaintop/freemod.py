@@ -9,8 +9,12 @@ Chains are built one way. A loop in the library adds plain ints (and
 Fractions over Q) into a dict with + and *, and ends in one
 FreeElement._from_sums, which reduces mod p, makes Fractions over Q and
 drops zeros in a single pass; _trusted wraps a dict that is already
-canonical. FreeElement(ring, terms) is the checked constructor for input
-from outside: every coefficient goes through Ring.coerce first.
+canonical. A boundary rule of a ChainComplex may stop before that step
+and return its sums: the complex canonicalizes them straight into
+sparse columns (Ring.canonical_column), and wraps them with _from_sums
+only for a per-key diff. FreeElement(ring, terms) is the checked
+constructor for input from outside: every coefficient goes through
+Ring.coerce first.
 """
 
 from __future__ import annotations

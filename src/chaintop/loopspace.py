@@ -19,6 +19,7 @@ from functools import cached_property
 from .cobar import (
     CobarComplex,
     ExtendedCobarComplex,
+    concatenation,
     derivation,
     edge_expansion,
     invert_group_word,
@@ -494,7 +495,11 @@ def phi_certificate(
     phi(a b) = phi(a) phi(b) on up to `_PRODUCT_PAIRS` sampled pairs of
     cells of at most two letters whose product stays stored, a sample
     and not every pair. phi is evaluated only on the letters and the
-    sampled cells, once each. The comparison cobar stores the cube
+    sampled cells, once each. Each pair's phi(ab) - phi(a) phi(b) is
+    summed into one dict by `cobar.concatenation`, the loop of
+    `CobarComplex.product`, keeping the words the comparison cobar
+    stores, and must vanish after one canonical pass; neither side is
+    built as an element. The comparison cobar stores the cube
     model's own window, which the cobar differential never leaves
     (`chaintop.words`). Returns a summary dict; any failure raises
     AssertionError with the witness. omega, when given, is the cube
@@ -527,6 +532,7 @@ def phi_certificate(
 
     checked = _certify_letter_rule(omega, algebra.complex, phi)
     chains = omega.chains()
+    stored = algebra.complex._degree_of
     pairs = 0
     # small-by-small products, exhaustively up to the requested count
     small = [
@@ -540,7 +546,11 @@ def phi_certificate(
             ab = omega.product(a, b)
         except InsufficientTruncationError:
             continue
-        if phi(ab) != algebra.product(phi(a), phi(b)):
+        # phi(ab) - phi(a) phi(b), the product as `CobarComplex.product` sums it
+        residual = concatenation(
+            phi(a).terms, phi(b).terms, stored, None, dict(phi(ab).terms), -1
+        )
+        if ring.canonical_sums(residual):
             raise AssertionError(f"not multiplicative on {a!r} * {b!r}")
         pairs += 1
         if pairs >= _PRODUCT_PAIRS:

@@ -128,6 +128,30 @@ class Ring:
             }
         return {k: v for k, v in sums.items() if v}
 
+    def canonical_column(self, sums, index: dict) -> dict:
+        """`canonical_sums` with each key replaced by its position in index.
+
+        One pass builds a sparse column (the format of chaintop.linalg)
+        from plain-number sums, or from anything with `items()`. A key
+        whose sum is 0 is dropped before its lookup, so it need not be
+        in index; a nonzero one that is not raises KeyError.
+
+        >>> GF(3).canonical_column({"a": 4, "b": -3, "c": -1}, {"a": 0, "c": 1})
+        {0: 1, 1: 2}
+        >>> QQ.canonical_column({"a": 2, "gone": 0}, {"a": 5})
+        {5: Fraction(2, 1)}
+        """
+        if self.kind == "Fp":
+            p = self.p
+            return {index[k]: r for k, v in sums.items() if (r := v % p)}
+        if self.kind == "Q":
+            return {
+                index[k]: v if type(v) is Fraction else Fraction(v)
+                for k, v in sums.items()
+                if v
+            }
+        return {index[k]: v for k, v in sums.items() if v}
+
     def add(self, a, b):
         return (a + b) % self.p if self.kind == "Fp" else a + b
 

@@ -274,7 +274,7 @@ def normalized_chains(
                 ref = space.face(key, i)
                 if not ref.is_degenerate:
                     sums[ref.base] = sums.get(ref.base, 0) + (-1 if i % 2 else 1)
-        return FreeElement._from_sums(ring, sums)
+        return sums
 
     complete = space.complete and top >= space.dimension
     chains = ChainComplex(ring, basis, diff, complete=complete, name=space.name)

@@ -15,7 +15,6 @@ from chaintop.cobar import (
     h0_group_ring,
     loc_degree,
     reduce_group_word,
-    word_degree,
 )
 from chaintop.cubical import (
     CubeBialgebra,
@@ -79,6 +78,7 @@ from chaintop.simplicial import (
 from chaintop.smith import smith_homology
 
 from ring_oracle import add_into
+from words_oracle import word_degree
 
 
 @contextlib.contextmanager

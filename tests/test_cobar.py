@@ -20,7 +20,6 @@ from chaintop.cobar import (
     letter_degree,
     loc_degree,
     reduce_group_word,
-    word_degree,
 )
 from chaintop.freemod import FreeElement
 from chaintop.linalg import eliminate
@@ -38,8 +37,10 @@ from chaintop.simplicial import (
 )
 from chaintop.smith import smith_homology
 
+from h0_rows_oracle import h0_rows
 from ring_oracle import add_into
 from shared_models import collapsed_simplex
+from words_oracle import word_degree
 
 # the package re-exports a function named cobar, which shadows the module
 cobar_module = importlib.import_module("chaintop.cobar")
@@ -174,7 +175,7 @@ def test_word_boundary_matches_letter_by_letter_oracle(ring):
         for n in algebra.complex.degrees():
             for word in algebra.complex.basis_in(n):
                 expected = letter_by_letter_boundary(algebra, word, letter_terms)
-                assert algebra._word_boundary(word) == expected, word
+                assert algebra.complex.diff(word) == expected, word
                 cycles += all(letter_terms[cell].is_zero() for cell in word)
         # every window has words of cycle letters and words without
         assert 0 < cycles < sum(map(algebra.complex.rank, algebra.complex.degrees()))
@@ -216,14 +217,15 @@ def product_windows(ring):
 
 @pytest.mark.parametrize("ring", [ZZ, GF(3), QQ])
 def test_product_reads_stored_degrees_and_matches_the_letter_sum(ring, monkeypatch):
+    # the library's only degree rule; the product must not call it
     summed = []
-    real = cobar_module.word_degree
+    real = cobar_module.letter_degree
 
-    def counted(space, word):
-        summed.append(word)
-        return real(space, word)
+    def counted(space, cell):
+        summed.append(cell)
+        return real(space, cell)
 
-    monkeypatch.setattr(cobar_module, "word_degree", counted)
+    monkeypatch.setattr(cobar_module, "letter_degree", counted)
     rng = random.Random(11)
     for name, algebra in product_windows(ring):
         words = [w for n in algebra.complex.degrees() for w in algebra.complex.basis_in(n)]
@@ -622,6 +624,23 @@ def test_one_pass_h0_matches_the_two_pass_oracle():
                 assert as_set(row for _, row in leveled) == as_set(rows), where
                 below = as_set(row for level, row in leveled if level <= cutoff - 1)
                 assert below == as_set(prev_rows), where
+
+
+@pytest.mark.parametrize("ring", [QQ, GF(2), GF(3)], ids=str)
+def test_h0_rows_match_the_triple_by_triple_oracle(ring):
+    # equal words and rows, in the same order, so both eliminations see
+    # the same input; each row's entries in the same order too
+    rng = random.Random(3)
+    spaces = [projective_plane_model()] + [random_reduced_model(rng) for _ in range(6)]
+    assert sum(bool(space.nondegenerate(1)) for space in spaces) >= 4
+    for space in spaces:
+        for cutoff in (1, 2, 3, 4):
+            words, rows = cobar_module._h0_rows(space, cutoff, ring)
+            want_words, want_rows = h0_rows(space, cutoff, ring)
+            where = (space.name, cutoff)
+            assert words == want_words, where
+            ordered = [(level, list(row.items())) for level, row in rows]
+            assert ordered == [(level, list(row.items())) for level, row in want_rows], where
 
 
 def test_h0_group_ring_builds_the_relator_values_once(monkeypatch):

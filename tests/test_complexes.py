@@ -6,7 +6,7 @@ from chaintop.cobar import CobarComplex, cobar, extended_cobar
 from chaintop.complexes import ChainComplex, GradedLinearMap, tensor_complex
 from chaintop.cubical import cubical_chains, standard_cube
 from chaintop.freemod import FreeElement
-from chaintop.loopspace import cubical_cobar
+from chaintop.loopspace import cubical_cobar, extended_cubical_cobar
 from chaintop.rings import GF, QQ, ZZ
 from chaintop.simplicial import normalized_chains, projective_plane_model, random_reduced_model
 
@@ -129,6 +129,10 @@ def column_windows(ring):
     yield lambda: cubical_chains(standard_cube(3), None, ring)
     yield lambda: normalized_chains(rp2, None, ring)
     yield lambda: extended_cobar(rp2, 2, 4, ring).complex
+    yield lambda: extended_cubical_cobar(rp2, 2, 3, ring).chains()
+    yield lambda: tensor_complex(
+        normalized_chains(rp2, None, ring), cobar(rp2, 2, ring, max_length=2).complex, 3
+    )
     for seed in range(4):
         space = random_reduced_model(random.Random(seed))
         length = 3 if space.nondegenerate(1) else None

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chaintop.rings import GF, QQ, ZZ, Ring, is_prime, parse_ring
 
@@ -71,3 +72,32 @@ def test_parse_ring():
     for bad in ("r", "fp:4", "fp:x", ""):
         with pytest.raises(ValueError):
             parse_ring(bad)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), ring=st.sampled_from([ZZ, GF(2), GF(3), QQ]))
+def test_canonical_column_is_canonical_sums_rekeyed(data, ring):
+    numbers = st.integers(-7, 7)
+    if ring == QQ:
+        numbers = numbers | st.fractions(-4, 4, max_denominator=5)
+    # sums that are 0 in the ring, on keys the index does not hold
+    zeros = st.integers(-2, 2).map(lambda k: k * ring.characteristic)
+    if ring == QQ:
+        zeros = zeros | st.just(Fraction(0))
+    stored = data.draw(st.dictionaries(st.text("abc", max_size=3), numbers, max_size=8))
+    missing = data.draw(st.dictionaries(st.text("xyz", min_size=1, max_size=2), zeros, max_size=3))
+    sums = dict(data.draw(st.permutations(list(stored.items()) + list(missing.items()))))
+    keys = data.draw(st.permutations(sorted(stored)))
+    index = {key: 2 * i + 1 for i, key in enumerate(keys)}
+
+    column = ring.canonical_column(sums, index)
+    want = {index[k]: c for k, c in ring.canonical_sums(sums).items()}
+    # Fraction(1) == 1, so compare the type of every entry, and the order
+    assert [(i, type(c), c) for i, c in column.items()] == [
+        (i, type(c), c) for i, c in want.items()
+    ]
+    nonzero = [k for k in stored if ring.canonical_sums({k: stored[k]})]
+    if nonzero:
+        del index[nonzero[0]]
+        with pytest.raises(KeyError):
+            ring.canonical_column(sums, index)

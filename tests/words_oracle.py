@@ -8,7 +8,15 @@ Both keep a word of degree d when d <= max_degree and its length is at
 most budget(d), and both list each degree shortest first, then
 lexicographic in the letter order, so their dicts must be equal, order
 included, for every budget that does not rise with degree.
+
+`word_degree` sums a plain word's degree letter by letter; the library
+no longer does, since its windows store each word's degree.
 """
+
+
+def word_degree(space, word) -> int:
+    """The degree of a plain cobar word: each letter's dimension minus one."""
+    return sum(space.dim_of(cell) - 1 for cell in word)
 
 
 def plain_words(space, letters, max_degree, budget):
