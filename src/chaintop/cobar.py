@@ -132,7 +132,8 @@ class CobarComplex:
     at most budget(d) (`chaintop.words`; None for no cap), a budget
     that must not rise with degree. The complex counts the empty degrees
     above its words that the cap cannot cut (`chaintop.words.stored_top`).
-    d is `derivation` on the letter table; the product keeps a
+    d is `derivation` on the letter table, and the zero differential
+    when every letter is a cycle, as on a wedge of spheres; the product keeps a
     concatenation exactly when the window stores it. The localized
     construction (`ExtendedCobarComplex`) is this class on another
     window and letter table, with words freely reduced.
@@ -176,13 +177,17 @@ class CobarComplex:
         self._cycles = frozenset(
             letter for letter, (terms, _) in table.items() if not terms
         )
-        # d is a method of a copy taken before self.complex exists: with
-        # self's own method the complex would refer back to self, a cycle
-        # that keeps a finished complex and its diff cache alive until a
-        # full garbage collection
-        self.complex = ChainComplex(
-            self.ring, basis, copy.copy(self)._word_boundary, complete=False, name=name
-        )
+        if len(self._cycles) == len(table):
+            # every letter is a cycle (a wedge of spheres): d = 0 on every
+            # word, so the complex is the zero complex and reads no rule
+            rule = None
+        else:
+            # d is a method of a copy taken before self.complex exists:
+            # with self's own method the complex would refer back to self,
+            # a cycle that keeps a finished complex and its diff cache
+            # alive until a full garbage collection
+            rule = copy.copy(self)._word_boundary
+        self.complex = ChainComplex(self.ring, basis, rule, complete=False, name=name)
         self.complex.max_degree = stored_top(basis, edges, self.budget)
 
     def _word_boundary(self, word):

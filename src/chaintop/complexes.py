@@ -22,7 +22,9 @@ class ChainComplex:
     """Non-negatively graded complex data: basis per degree plus boundary rule.
 
     basis maps degree -> ordered iterable of keys; keys must be globally
-    unique across degrees. diff maps a basis key to its boundary, one of:
+    unique across degrees. diff is None for the zero differential, which
+    calls no rule: every boundary is 0 and every d_n a list of empty
+    columns. Otherwise diff maps a basis key to its boundary, one of:
     None for zero; a dict of plain-number sums (ints, and Fractions over
     Q, as a loop adds them with + and *; a sum may be 0); or a
     FreeElement, whose terms are already canonical. The boundary must be
@@ -44,10 +46,15 @@ class ChainComplex:
         self.basis = {int(n): ids for n, given in basis.items() if (ids := tuple(given))}
         degree_of = {}
         for n, keys in self.basis.items():
-            for key in keys:
-                if key in degree_of:
-                    raise ValueError(f"basis key appears in two degrees: {key!r}")
-                degree_of[key] = n
+            degree_of.update(dict.fromkeys(keys, n))
+        if len(degree_of) != sum(map(len, self.basis.values())):
+            # some key repeats; walk the keys to name the first repeat
+            seen = set()
+            for keys in self.basis.values():
+                for key in keys:
+                    if key in seen:
+                        raise ValueError(f"basis key appears in two degrees: {key!r}")
+                    seen.add(key)
         self._degree_of = degree_of
         self._diff_rule = diff
         self._diff_cache = {}
@@ -86,7 +93,8 @@ class ChainComplex:
         if key in self._diff_cache:
             return self._diff_cache[key]
         n = self.degree_of(key)
-        value = self._diff_rule(key)
+        rule = self._diff_rule
+        value = None if rule is None else rule(key)
         if value is None:
             value = self.zero()
         elif isinstance(value, dict):
@@ -142,7 +150,8 @@ class ChainComplex:
         dict, so that keeping a d_n with many cycles, such as a cobar's,
         keeps no dict per key alive. A falsy boundary (None, or no terms)
         costs one test: it appends that dict, and the index of C_{n-1}
-        is built only at the first nonzero one.
+        is built only at the first nonzero one. The zero differential
+        (diff None) gives that dict rank(n) times, reading no key.
 
         >>> from .freemod import FreeElement
         >>> from .rings import GF, ZZ
@@ -152,13 +161,18 @@ class ChainComplex:
         >>> sums = {"e": {"v1": 1, "v0": -1, "elsewhere": 0}}.get
         >>> ChainComplex(GF(3), {0: ["v0", "v1"], 1: ["e"]}, sums).diff_columns(1)
         [{1: 1, 0: 2}]
+        >>> ChainComplex(ZZ, {0: ["v"], 1: ["a", "b"]}, None).diff_columns(1)
+        [{}, {}]
         """
         columns = self._columns.get(n)
         if columns is not None:
             return columns
         rule = self._diff_rule
-        column = self.ring.canonical_column
         zero = {}
+        if rule is None:
+            columns = self._columns[n] = [zero] * self.rank(n)
+            return columns
+        column = self.ring.canonical_column
         index = None
         columns = []
         for key in self.basis_in(n):

@@ -59,7 +59,16 @@ def eliminate(columns, ring: Ring) -> list:
     >>> from .rings import QQ
     >>> eliminate([{0: 2, 1: Fraction(4)}, {0: Fraction(2, 3), 1: 3}], QQ)
     [1, 1]
+
+    Zero columns, or none at all, have no factors; that takes one test:
+
+    >>> [eliminate([{}, {}, {}], ring) for ring in (ZZ, GF(5), QQ)]
+    [[], [], []]
+    >>> eliminate([], ZZ)
+    []
     """
+    if not any(columns):
+        return []
     # imported on first use so that it adds nothing to the start-up of
     # commands that never eliminate
     from heapq import heapify, heappop, heappush

@@ -130,6 +130,23 @@ class SimplicialSet:
                 raise ValueError(f"cell {cid!r} has no faces given")
         self._refs_cache = {}
 
+    @classmethod
+    def _trusted(cls, name: str, cells: dict, faces: dict) -> SimplicialSet:
+        """A complete set from tables that a checked set already holds.
+
+        cells maps dimension -> tuple of ids, none empty, and faces maps
+        (id, i) -> SimplexRef for every face of every cell, as a checked
+        set stores them; nothing is checked again.
+        """
+        space = object.__new__(cls)
+        space.name = name
+        space.complete = True
+        space.cells = cells
+        space._dim = {cid: n for n, ids in cells.items() for cid in ids}
+        space._faces = faces
+        space._refs_cache = {}
+        return space
+
     def dimensions(self):
         return sorted(self.cells)
 
@@ -648,17 +665,21 @@ def collapse_free_pairs(space: SimplicialSet) -> SimplicialMap:
                 walk = True
     rest = space
     if removed:
-        cells = {
-            n: [cid for cid in ids if cid not in removed]
-            for n, ids in space.cells.items()
-        }
+        # a kept cell has no removed face, since tau goes only when sigma
+        # is its one user, so Y needs none of its faces checked again
+        cells = {}
+        for n, ids in space.cells.items():
+            ids = tuple(cid for cid in ids if cid not in removed)
+            if ids:
+                cells[n] = ids
         kept = {
-            cid: tuple(faces[(cid, i)] for i in range(n + 1))
+            (cid, i): faces[(cid, i)]
             for n, ids in cells.items()
             if n
             for cid in ids
+            for i in range(n + 1)
         }
-        rest = SimplicialSet(space.name, cells, kept)
+        rest = SimplicialSet._trusted(space.name, cells, kept)
     mapping = {cid: _normal_ref(cid, ()) for ids in rest.cells.values() for cid in ids}
     return SimplicialMap(rest, space, mapping)
 

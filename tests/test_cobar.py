@@ -5,6 +5,7 @@ import importlib
 import itertools
 import random
 import weakref
+from collections import Counter
 
 import pytest
 
@@ -21,11 +22,13 @@ from chaintop.cobar import (
     loc_degree,
     reduce_group_word,
 )
+from chaintop.complexes import ChainComplex
 from chaintop.freemod import FreeElement
 from chaintop.linalg import eliminate
 from chaintop.rings import GF, QQ, ZZ
 from chaintop.simplicial import (
     back_face,
+    collapse_free_pairs,
     collapse_subcomplex,
     front_face,
     projective_plane_model,
@@ -35,7 +38,7 @@ from chaintop.simplicial import (
     two_vertex_projective_plane,
     wedge_models,
 )
-from chaintop.smith import smith_homology
+from chaintop.smith import homology_table, smith_homology
 
 from h0_rows_oracle import h0_rows
 from ring_oracle import add_into
@@ -179,6 +182,66 @@ def test_word_boundary_matches_letter_by_letter_oracle(ring):
                 cycles += all(letter_terms[cell].is_zero() for cell in word)
         # every window has words of cycle letters and words without
         assert 0 < cycles < sum(map(algebra.complex.rank, algebra.complex.degrees()))
+
+
+def zero_path_models():
+    """(name, space, max_degree, max_length): wedges of spheres and the
+    benchmark's collapsed simplices, whose letters are all cycles, seeded
+    random models, and a wedge with exactly one letter that moves."""
+    s2, s3 = sphere_model(2), sphere_model(3)
+    models = [
+        ("S2", s2, 6, None),
+        ("S2vS2vS3", wedge_models(wedge_models(s2, s2), s3), 5, None),
+        ("d5c2", collapse_free_pairs(collapsed_simplex(5, 2)).source, 4, None),
+        ("d4c1", collapse_free_pairs(collapsed_simplex(4, 1)).source, 3, None),
+        # the 3-cell of the tetrahedron over its 1-skeleton moves
+        ("d3c1vS2", wedge_models(collapsed_simplex(3, 1), s2), 4, None),
+    ]
+    for seed in range(6):
+        space = random_reduced_model(random.Random(seed))
+        models.append((f"random{seed}", space, 3, 2 if space.nondegenerate(1) else None))
+    return models
+
+
+@pytest.mark.parametrize("ring", [ZZ, GF(2), QQ], ids=str)
+def test_a_cobar_of_cycles_is_the_zero_complex_of_its_per_word_rule(ring):
+    # each window again as a complex on the same basis that reads the
+    # per-word rule of the same cobar: its columns and homology must agree
+    kinds = set()
+    for name, space, top, length in zero_path_models():
+        algebra = cobar(space, top, ring, length)
+        words = algebra.complex
+        oracle = ChainComplex(ring, words.basis, algebra._word_boundary)
+        oracle.max_degree = words.max_degree
+        cycles = all(not terms for terms, _ in algebra._letters.values())
+        assert (words._diff_rule is None) == cycles, name
+        kinds.add(cycles)
+        for n in range(words.max_degree + 2):
+            assert words.diff_columns(n) == oracle.diff_columns(n), (name, n)
+        degrees = range(top + 1)
+        assert homology_table(words, degrees) == homology_table(oracle, degrees), name
+    assert kinds == {True, False}
+
+
+def test_a_table_with_one_moving_letter_reads_the_rule(monkeypatch):
+    calls = Counter()
+    real = CobarComplex._word_boundary
+
+    def counted(self, word):
+        calls[word] += 1
+        return real(self, word)
+
+    monkeypatch.setattr(CobarComplex, "_word_boundary", counted)
+    algebra = cobar(wedge_models(collapsed_simplex(3, 1), sphere_model(2)), 4)
+    moving = [letter for letter, (terms, _) in algebra._letters.items() if terms]
+    assert len(moving) == 1
+    words = algebra.complex
+    keys = [w for n in words.degrees() for w in words.basis_in(n)]
+    columns = [words.diff_columns(n) for n in words.degrees()]
+    assert set(calls) == set(keys) and set(calls.values()) == {1}
+    # the moving letter gives nonzero columns, its cycle neighbours none
+    assert words.diff_columns(2)[words.basis_in(2).index(tuple(moving))]
+    assert any(col == {} for cols in columns for col in cols)
 
 
 def test_product_is_associative_and_unital():

@@ -208,6 +208,34 @@ def test_zero_boundaries_share_one_column(zero):
         assert all(col is columns[0] and col == {} for col in columns), n
 
 
+@pytest.mark.parametrize("ring", [ZZ, GF(3), QQ], ids=str)
+def test_the_zero_differential_reads_no_rule(ring):
+    complex_ = ChainComplex(ring, {0: ["v"], 1: ["a", "b", "c"], 2: ["s"]}, None)
+    assert complex_.diff("a") == complex_.zero() and complex_.diff("s").is_zero()
+    with pytest.raises(KeyError, match="key not in complex basis: 'missing'"):
+        complex_.diff("missing")
+    for n in range(-1, 4):
+        columns = complex_.diff_columns(n)
+        assert columns == [{}] * complex_.rank(n)
+        assert all(col is columns[0] for col in columns), n
+        assert complex_.diff_columns(n) is columns
+    assert complex_.d_squared_witness() is None
+    assert complex_.diff_matrix(1) == [[ring.zero] * 3]
+
+
+@pytest.mark.parametrize("diff", [None, lambda key: None], ids=["zero", "rule"])
+def test_a_repeated_basis_key_names_its_first_repeat(diff):
+    cases = [
+        ({0: ["v", "w"], 1: ["a", "w", "a"], 2: ["v"]}, "w"),
+        ({0: ["v"], 1: ["a", "b", "b", "a"]}, "b"),
+        ({0: [("x", 1)], 3: [("x", 1)]}, ("x", 1)),
+    ]
+    for basis, key in cases:
+        with pytest.raises(ValueError) as err:
+            ChainComplex(ZZ, basis, diff)
+        assert str(err.value) == f"basis key appears in two degrees: {key!r}"
+
+
 def table_complex(ring, basis, table):
     return ChainComplex(ring, basis, lambda key: FreeElement(ring, table.get(key, {})))
 

@@ -507,6 +507,29 @@ def test_collapse_reaches_the_fewest_cells_on_the_wedges_of_spheres():
             assert {m: len(ids) for m, ids in small.cells.items()} == cells
 
 
+def test_collapse_builds_what_the_checked_constructor_builds():
+    cases = [(name, space) for name, space, _ in collapse_cases()]
+    cases += [(f"simplex{n}", standard_simplex(n)) for n in (3, 4, 5)]
+    cases += [(f"d{n}c{k}", collapsed_simplex(n, k)) for n, k in ((5, 1), (5, 3), (6, 2))]
+    for name, space in cases:
+        small = collapse_free_pairs(space).source
+        assert small is not space, name
+        kept = set(small._dim)
+        cells = {n: [cid for cid in ids if cid in kept] for n, ids in space.cells.items()}
+        faces = {
+            cid: tuple(space.face(cid, i) for i in range(n + 1))
+            for n, ids in cells.items()
+            if n
+            for cid in ids
+        }
+        checked = SimplicialSet(space.name, cells, faces)
+        assert (small.name, small.complete) == (checked.name, checked.complete), name
+        assert small.cells == checked.cells, name
+        assert list(small._dim.items()) == list(checked._dim.items()), name
+        assert list(small._faces.items()) == list(checked._faces.items()), name
+        small.validate()
+
+
 def disk_model(extra=None, complete=True):
     """A 4-cell s whose face 0 is the 3-cell t, every other face of both
     collapsed to the point: a disk, with t the free face of s. extra maps
