@@ -4,7 +4,7 @@ Words are tuples of nondegenerate simplices of dimension >= 1, each
 letter contributing its dimension minus one to the degree. The plain
 construction truncates by degree and, when dimension-1 letters make a
 degree infinite-rank, by a word length budget(degree): a fixed length
-for `cobar`, the cube model's sliding one when Adams' map is certified.
+for `cobar`, a sliding one for the cube model, which keeps this window.
 The localized variant turns dimension-1 letters into invertible group
 letters under a group budget that shrinks with the degree. Both windows
 are built by `chaintop.words`, whose notes say when each is closed
@@ -82,7 +82,8 @@ def derivation(table, word, reduce=None) -> tuple:
     nothing, and its degree). sums is the sum over the letters l of the
     word of (-1)^(degree before l) head value(l) tail, each term passed
     through reduce when one is given; degree is the word's. The cobar's
-    d and the certificate's letter rule both splice with this.
+    d, the cube model's d and the certificate's letter rule all splice
+    with this.
     """
     sums = {}
     sign = 1

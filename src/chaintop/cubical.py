@@ -467,7 +467,8 @@ def cubical_chains(
     the tensor decomposition of the standard cube. The boundary rule is
     the set's own `_boundary`, plain-number sums that the complex
     canonicalizes; a set that knows its boundary without its faces (the
-    loop-space cube model) computes it that way.
+    loop-space cube model) computes it that way, and gives None for the
+    zero differential.
     """
     top = space.dimension if max_degree is None else min(max_degree, space.dimension)
     basis = {n: space.nondegenerate(n) for n in range(top + 1)}

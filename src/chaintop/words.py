@@ -4,7 +4,10 @@ Adams' cobar (`cobar.CobarComplex`), the Hess-Tonks extended cobar
 (`cobar.ExtendedCobarComplex`) and the bead-word monoid
 (`loopspace.CubicalCobar`, plain and signed) each store a finite window
 of an infinite word basis, and this module is the only place that
-builds one. Letters are the nondegenerate simplices of dimension >= 1
+builds one. The two cobars call it; the bead-word monoid takes its
+window from the cobar of the same window, and its cube boundary is
+`cobar.derivation` on its cube value table, the splice of the cobar's
+own d. Letters are the nondegenerate simplices of dimension >= 1
 of a reduced simplicial set; a letter of dimension m adds m - 1 to the
 degree. Edges (dimension 1) add nothing, so with edges every degree has
 infinite rank and a window needs a second cap besides `max_degree`: a
