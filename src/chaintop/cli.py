@@ -519,6 +519,10 @@ def main(argv=None) -> int:
             raise CliInputError("--word-cutoff must be positive")
         if job.max_degree is not None and job.max_degree < 0:
             raise CliInputError("--max-degree must be nonnegative")
+        if job.square < 0:
+            raise CliInputError("--square must be nonnegative")
+        if job.degree is not None and job.degree < 0:
+            raise CliInputError("--degree must be nonnegative")
         payload, code = run_job(job)
     except CliInputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -20,7 +20,7 @@ from itertools import product
 from .complexes import ChainComplex, GradedLinearMap
 from .freemod import FreeElement
 from .rings import Ring, ZZ
-from .simplicial import SimplexRef, SimplicialSet, _dimension_key, apply_degeneracy
+from .simplicial import SimplexRef, SimplicialSet, apply_degeneracy
 
 
 class CubeMorphism:
@@ -163,12 +163,6 @@ class CubeMorphism:
                 used.extend(e)
         return sorted(used)
 
-    @property
-    def is_face_morphism(self) -> bool:
-        return all(e in (0, 1) or len(e) == 1 for e in self.entries) and len(
-            self.used_inputs()
-        ) == self.n_in
-
     def remove_output(self, j: int) -> "CubeMorphism":
         """Drop output j (1-based); only valid when entry j is a constant."""
         if self.entries[j - 1] not in (0, 1):
@@ -195,7 +189,7 @@ class CubeMorphism:
         """Generator word for a pure degeneracy morphism.
 
         Returns ops [("s", i) | ("g", i)] with the first entry applied
-        next to the base (outermost), matching morphism_from_word.
+        next to the base (outermost).
         """
         if not self.is_degeneracy_morphism:
             raise ValueError("word() needs a pure degeneracy morphism")
@@ -225,25 +219,6 @@ class CubeMorphism:
                     )
                     return reduced.word() + [("g", a)]
         raise ValueError(f"cannot factor {self!r} into degeneracy generators")
-
-
-def morphism_from_word(base_dim: int, word) -> CubeMorphism:
-    """Compose a generator word onto the identity of 2^{base_dim}.
-
-    Word entries ("s", i) and ("g", i) are applied in list order, the
-    first being closest to the base.
-    """
-    m = CubeMorphism.identity(base_dim)
-    for kind, i in word:
-        n = m.n_in + 1
-        if kind == "s":
-            op = CubeMorphism.degeneracy(n, i)
-        elif kind == "g":
-            op = CubeMorphism.connection(n, i)
-        else:
-            raise ValueError(f"unknown degeneracy op {kind!r}")
-        m = m.compose(op)
-    return m
 
 
 class CubeRef:
@@ -697,18 +672,6 @@ def cubical_torus() -> CubicalSet:
     return CubicalSet("cubical_torus", {0: ["p"], 1: ["a", "b"], 2: ["t"]}, faces)
 
 
-def cubical_model(name: str, n: int | None = None) -> CubicalSet:
-    if name == "cube":
-        if n is None:
-            raise ValueError("cube model needs a dimension")
-        return standard_cube(n)
-    if name == "circle":
-        return cubical_circle()
-    if name == "torus":
-        return cubical_torus()
-    raise ValueError(f"unknown cubical model {name!r}")
-
-
 # --- triangulation ---
 
 def _canonical_simplex(space: CubicalSet, cube, seq) -> SimplexRef:
@@ -956,108 +919,3 @@ def u_closure(target: SimplicialSet, seed_cells) -> CubicalSet:
         f"submaps(power->{target.name})", cells, faces, complete=False
     )
 
-
-# --- JSON input and output ---
-
-def cubical_from_json(data) -> CubicalSet:
-    """Build and validate a cubical set from the JSON wire format.
-
-    {"name": ..., "cells": {"0": [ids], ...},
-     "faces": {id: [[[base, word], [base, word]], ...]}}
-
-    faces[id] lists, per direction 1..n, the pair (negative, positive);
-    each side is [base, word] with word a list of ["s"|"g", i] entries,
-    i a JSON integer. A dimension key is the decimal form of its
-    integer, as str(n) writes it.
-    """
-    if not isinstance(data, dict):
-        raise ValueError("cubical JSON must be an object")
-    cells_raw = data.get("cells")
-    if not isinstance(cells_raw, dict):
-        raise ValueError("missing or bad 'cells' object")
-    cells = {}
-    dims = {}
-    for key, ids in cells_raw.items():
-        n = _dimension_key(key)
-        if not isinstance(ids, list) or not all(isinstance(c, str) for c in ids):
-            raise ValueError(f"cell list for dimension {key} must hold strings")
-        cells[n] = ids
-        for cid in ids:
-            dims[cid] = n
-    faces_raw = data.get("faces", {})
-    if not isinstance(faces_raw, dict):
-        raise ValueError("'faces' must be an object")
-
-    def parse_side(cid, side):
-        if (
-            not isinstance(side, list)
-            or len(side) != 2
-            or not isinstance(side[0], str)
-            or not isinstance(side[1], list)
-        ):
-            raise ValueError(f"face of {cid!r} must be [base, word]")
-        base, word = side
-        if base not in dims:
-            raise ValueError(f"face of {cid!r} references unknown cell {base!r}")
-        ops = []
-        for entry in word:
-            # JSON integers only: true and 1.0 would compare as 1
-            if (
-                not isinstance(entry, list)
-                or len(entry) != 2
-                or entry[0] not in ("s", "g")
-                or type(entry[1]) is not int
-            ):
-                raise ValueError(f"bad degeneracy op in face of {cid!r}: {entry!r}")
-            ops.append(tuple(entry))
-        try:
-            morphism = morphism_from_word(dims[base], ops)
-        except ValueError as e:
-            raise ValueError(f"bad degeneracy word in face of {cid!r}: {e}") from None
-        return CubeRef(base, morphism)
-
-    faces = {}
-    for cid, lst in faces_raw.items():
-        if cid not in dims:
-            raise ValueError(f"faces given for unknown cell {cid!r}")
-        n = dims[cid]
-        if not isinstance(lst, list) or len(lst) != n:
-            raise ValueError(f"cell {cid!r} needs {n} face pairs")
-        for i, pair in enumerate(lst, start=1):
-            if not isinstance(pair, list) or len(pair) != 2:
-                raise ValueError(f"direction {i} of {cid!r} needs [neg, pos]")
-            faces[(cid, i, 0)] = parse_side(cid, pair[0])
-            faces[(cid, i, 1)] = parse_side(cid, pair[1])
-    try:
-        space = CubicalSet(data.get("name", "input"), cells, faces)
-        space.validate()
-    except (KeyError, ValueError) as e:
-        raise ValueError(f"invalid cubical set: {e}") from None
-    return space
-
-
-def cubical_to_json(space: CubicalSet) -> dict:
-    ids = {}
-    for n in space.dimensions():
-        for cid in space.nondegenerate(n):
-            text = cid if isinstance(cid, str) else repr(cid)
-            if text in ids:
-                raise ValueError(f"cell ids collide as strings: {text!r}")
-            ids[text] = cid
-    by_text = {v: k for k, v in ids.items()}
-    cells = {str(n): [by_text[c] for c in space.nondegenerate(n)] for n in space.dimensions()}
-    faces = {}
-    for n in space.dimensions():
-        if n == 0:
-            continue
-        for cid in space.nondegenerate(n):
-            rows = []
-            for i in range(1, n + 1):
-                pair = []
-                for eps in (0, 1):
-                    ref = space.face(cid, i, eps)
-                    word = [[k, idx] for k, idx in ref.morphism.word()]
-                    pair.append([by_text[ref.base], word])
-                rows.append(pair)
-            faces[by_text[cid]] = rows
-    return {"name": space.name, "cells": cells, "faces": faces}

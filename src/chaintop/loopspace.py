@@ -369,9 +369,6 @@ class CubicalCobar:
     def unit(self):
         return ()
 
-    def cell_dim(self, cid) -> int:
-        return self.cubes.dim_of(cid)
-
     def product(self, left, right):
         """Concatenation; raises when the result leaves the window."""
         cid = left + right

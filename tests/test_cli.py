@@ -171,6 +171,22 @@ def test_square_above_the_degree_is_an_input_error(capsys, model):
     assert err.startswith("error:") and "--square 3" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["cobar", "rp2", "--max-degree", "-1"], "--max-degree must be nonnegative"),
+        (["steenrod", "rp2", "--square", "-3", "--degree", "-1"], "--square must be nonnegative"),
+        (["steenrod", "rp2", "--square", "-1"], "--square must be nonnegative"),
+        (["steenrod", "rp2", "--degree", "-1"], "--degree must be nonnegative"),
+    ],
+)
+def test_negative_degree_or_square_is_an_input_error(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 # each command takes only the flags it reads; these six used to parse and
 # change nothing
 @pytest.mark.parametrize(

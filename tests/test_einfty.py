@@ -3,7 +3,12 @@ import random
 import pytest
 
 from chaintop.complexes import InsufficientTruncationError
-from chaintop.cubical import CubeMorphism, cubical_model, word_face_morphism
+from chaintop.cubical import (
+    CubeMorphism,
+    cubical_circle,
+    cubical_torus,
+    word_face_morphism,
+)
 from chaintop.einfty import (
     FieldHomology,
     HomologyClass,
@@ -64,7 +69,7 @@ def test_um_action_is_chain_map_on_models():
     # degree-0 one-input ops commute with d; checked for the diagonal
     for coalg in (
         simplicial_um(projective_plane_model(), GF(2)),
-        cubical_um(cubical_model("torus"), GF(2)),
+        cubical_um(cubical_torus(), GF(2)),
     ):
         op = coproduct_graph()
         for n in coalg.complex.degrees():
@@ -210,8 +215,8 @@ def test_cup_relations_on_models():
     spaces = [
         simplicial_um(sphere_model(2), GF(2)),
         simplicial_um(projective_plane_model(), GF(2)),
-        cubical_um(cubical_model("torus"), GF(2)),
-        cubical_um(cubical_model("circle"), GF(2)),
+        cubical_um(cubical_torus(), GF(2)),
+        cubical_um(cubical_circle(), GF(2)),
     ]
     for coalg in spaces:
         for n in coalg.complex.degrees():
