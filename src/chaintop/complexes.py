@@ -18,6 +18,98 @@ class InsufficientTruncationError(Exception):
     """The requested computation needs degrees beyond the stored range."""
 
 
+def graded_ids(given) -> tuple:
+    """(ids per degree, degree_of) for a map degree -> iterable of keys.
+
+    Degrees are read with int and empty ones are dropped; each degree
+    keeps its keys in the order given, as a tuple. A negative degree
+    raises ValueError, and so does a key listed twice, in one degree or
+    in two, naming the first repeat in the order given. Complexes and
+    cell sets index their bases and cells here.
+
+    >>> graded_ids({1: ["e"], 0: ("v", "w"), 2: []})
+    ({1: ('e',), 0: ('v', 'w')}, {'e': 1, 'v': 0, 'w': 0})
+    >>> graded_ids({0: ["v"], 1: ["a", "b", "b", "a"]})
+    Traceback (most recent call last):
+    ...
+    ValueError: basis key listed twice: 'b'
+    """
+    ids = {int(n): keys for n, listed in given.items() if (keys := tuple(listed))}
+    degree_of = {}
+    for n, keys in ids.items():
+        if n < 0:
+            raise ValueError(f"negative degree: {n}")
+        degree_of.update(dict.fromkeys(keys, n))
+    if len(degree_of) != sum(map(len, ids.values())):
+        # some key repeats; walk the keys to name the first repeat
+        seen = set()
+        for keys in ids.values():
+            for key in keys:
+                if key in seen:
+                    raise ValueError(f"basis key listed twice: {key!r}")
+                seen.add(key)
+    return ids, degree_of
+
+
+def _image(rule, key, source, target, shift, cache, what) -> FreeElement:
+    """rule(key) as a FreeElement in degree n + shift of target, kept in cache.
+
+    n is the degree of key in source. The rule is None for the zero map,
+    and its value None, a FreeElement, or a dict of plain-number sums,
+    wrapped once. A term outside target's basis of degree n + shift
+    raises ValueError naming the key, the degree hit and the one
+    expected; `what` names the map in that message. Callers look in the
+    cache first.
+    """
+    n = source.degree_of(key)
+    value = None if rule is None else rule(key)
+    if not value:
+        value = FreeElement.zero(target.ring)
+    elif isinstance(value, dict):
+        value = FreeElement._from_sums(target.ring, value)
+    expected, degree_of = n + shift, target._degree_of
+    for out_key in value.terms:
+        m = degree_of.get(out_key)
+        if m != expected:
+            raise ValueError(
+                f"{what} of {key!r} (degree {n}) hit {out_key!r} "
+                f"(degree {m}), expected degree {expected}"
+            )
+    cache[key] = value
+    return value
+
+
+def _columns(rule, keys, rows, ring, checked) -> list:
+    """Sparse columns of rule on keys, numbered by position in rows.
+
+    The rule and its values are read as `_image` reads them. Each value
+    is canonicalized straight into positions in one pass
+    (`Ring.canonical_column`), so no FreeElement is built. Every zero
+    column is one shared dict, and the index of rows is built only at
+    the first nonzero value. A nonzero term outside rows makes
+    checked(key) raise its error.
+    """
+    zero = {}
+    if rule is None:
+        return [zero] * len(keys)
+    column = ring.canonical_column
+    index = None
+    columns = []
+    for key in keys:
+        value = rule(key)
+        if not value:
+            columns.append(zero)
+            continue
+        if index is None:
+            index = {k: i for i, k in enumerate(rows)}
+        try:
+            columns.append(column(value, index) or zero)
+        except KeyError:
+            checked(key)
+            raise
+    return columns
+
+
 class ChainComplex:
     """Non-negatively graded complex data: basis per degree plus boundary rule.
 
@@ -43,19 +135,7 @@ class ChainComplex:
 
     def __init__(self, ring: Ring, basis, diff, complete: bool = False, name: str = ""):
         self.ring = ring
-        self.basis = {int(n): ids for n, given in basis.items() if (ids := tuple(given))}
-        degree_of = {}
-        for n, keys in self.basis.items():
-            degree_of.update(dict.fromkeys(keys, n))
-        if len(degree_of) != sum(map(len, self.basis.values())):
-            # some key repeats; walk the keys to name the first repeat
-            seen = set()
-            for keys in self.basis.values():
-                for key in keys:
-                    if key in seen:
-                        raise ValueError(f"basis key appears in two degrees: {key!r}")
-                    seen.add(key)
-        self._degree_of = degree_of
+        self.basis, self._degree_of = graded_ids(basis)
         self._diff_rule = diff
         self._diff_cache = {}
         self._columns = {}
@@ -82,32 +162,12 @@ class ChainComplex:
     def zero(self) -> FreeElement:
         return FreeElement.zero(self.ring)
 
-    def element(self, terms) -> FreeElement:
-        el = FreeElement(self.ring, terms)
-        for key in el.support():
-            self.degree_of(key)
-        return el
-
     def diff(self, key) -> FreeElement:
         """Boundary of a single basis key, validated to land in the basis."""
-        if key in self._diff_cache:
-            return self._diff_cache[key]
-        n = self.degree_of(key)
-        rule = self._diff_rule
-        value = None if rule is None else rule(key)
-        if value is None:
-            value = self.zero()
-        elif isinstance(value, dict):
-            value = FreeElement._from_sums(self.ring, value)
-        for out_key in value.support():
-            m = self._degree_of.get(out_key)
-            if m != n - 1:
-                raise ValueError(
-                    f"diff of {key!r} (degree {n}) hit {out_key!r} "
-                    f"(degree {m}), expected degree {n - 1}"
-                )
-        self._diff_cache[key] = value
-        return value
+        cache = self._diff_cache
+        if key in cache:
+            return cache[key]
+        return _image(self._diff_rule, key, self, self, -1, cache, "diff")
 
     def diff_element(self, el: FreeElement) -> FreeElement:
         return el.map_terms(self.diff)
@@ -140,18 +200,16 @@ class ChainComplex:
 
         Column j maps the position in C_{n-1} of each term of d(key_j) to
         its coefficient (the column format of chaintop.linalg). The
-        rule's value, plain sums or a FreeElement, is canonicalized
-        straight into positions in one pass (`Ring.canonical_column`), so
-        no FreeElement is built; the per-key cache of `diff` is neither
-        read nor filled. A term whose sum is 0 is dropped before its
-        lookup; a nonzero term outside C_{n-1} raises the ValueError of
-        `diff`. Each d_n is built once: later calls return the same list,
-        so callers must not change it. Its zero columns are one shared
-        dict, so that keeping a d_n with many cycles, such as a cobar's,
-        keeps no dict per key alive. A falsy boundary (None, or no terms)
-        costs one test: it appends that dict, and the index of C_{n-1}
-        is built only at the first nonzero one. The zero differential
-        (diff None) gives that dict rank(n) times, reading no key.
+        columns come from `_columns`, the builder that the columns of a
+        GradedLinearMap use too: no FreeElement is built, the per-key
+        cache of `diff` is neither read nor filled, a term whose sum is
+        0 is dropped before its lookup, and a nonzero term outside
+        C_{n-1} raises the ValueError of `diff`. Each d_n is built once:
+        later calls return the same list, so callers must not change it.
+        Its zero columns are one shared dict, so that keeping a d_n with
+        many cycles, such as a cobar's, keeps no dict per key alive. The
+        zero differential (diff None) gives that dict rank(n) times,
+        reading no key.
 
         >>> from .freemod import FreeElement
         >>> from .rings import GF, ZZ
@@ -165,29 +223,10 @@ class ChainComplex:
         [{}, {}]
         """
         columns = self._columns.get(n)
-        if columns is not None:
-            return columns
-        rule = self._diff_rule
-        zero = {}
-        if rule is None:
-            columns = self._columns[n] = [zero] * self.rank(n)
-            return columns
-        column = self.ring.canonical_column
-        index = None
-        columns = []
-        for key in self.basis_in(n):
-            value = rule(key)
-            if not value:
-                columns.append(zero)
-                continue
-            if index is None:
-                index = {k: i for i, k in enumerate(self.basis_in(n - 1))}
-            try:
-                columns.append(column(value, index) or zero)
-            except KeyError:
-                self.diff(key)
-                raise
-        self._columns[n] = columns
+        if columns is None:
+            columns = self._columns[n] = _columns(
+                self._diff_rule, self.basis_in(n), self.basis_in(n - 1), self.ring, self.diff
+            )
         return columns
 
     def diff_matrix(self, n: int):
@@ -231,20 +270,10 @@ class GradedLinearMap:
         self._columns = {}
 
     def apply_key(self, key) -> FreeElement:
-        if key not in self._cache:
-            n = self.source.degree_of(key)
-            value = self._rule(key)
-            if value is None:
-                value = FreeElement.zero(self.target.ring)
-            for out_key in value.support():
-                m = self.target.degree_of(out_key)
-                if m != n + self.shift:
-                    raise ValueError(
-                        f"map of {key!r} (degree {n}, shift {self.shift}) "
-                        f"hit {out_key!r} of degree {m}"
-                    )
-            self._cache[key] = value
-        return self._cache[key]
+        cache = self._cache
+        if key in cache:
+            return cache[key]
+        return _image(self._rule, key, self.source, self.target, self.shift, cache, "map")
 
     def apply(self, el: FreeElement) -> FreeElement:
         return el.map_terms(self.apply_key)
@@ -253,12 +282,14 @@ class GradedLinearMap:
         """Sparse columns of f on degree n, one per key of the source's C_n.
 
         Column j maps the position in the target basis of degree
-        n + shift of each term of f(key_j) to its coefficient, the format
-        of `ChainComplex.diff_columns`. Each image is read once, from the
-        per-key cache of `apply_key` or from the rule, and kept in that
-        cache; a term outside the target basis of degree n + shift raises
-        the error of `apply_key`. Each degree is built once: later calls
-        return the same list, so callers must not change it.
+        n + shift of each term of f(key_j) to its coefficient, built as
+        `ChainComplex.diff_columns` builds a d_n, by `_columns`: the rule
+        may return plain sums, a None rule is the zero map, and every
+        zero column is one shared dict. The per-key cache of `apply_key`
+        is neither read nor filled; a term outside the target basis of
+        degree n + shift raises the ValueError of `apply_key`. Each
+        degree is built once: later calls return the same list, so
+        callers must not change it.
 
         >>> from .rings import ZZ
         >>> a = ChainComplex(ZZ, {0: ["v"], 1: ["e"]}, lambda key: None)
@@ -268,25 +299,14 @@ class GradedLinearMap:
         ([{1: 2}], [{}])
         """
         columns = self._columns.get(n)
-        if columns is not None:
-            return columns
-        index = {key: i for i, key in enumerate(self.target.basis_in(n + self.shift))}
-        cache = self._cache
-        rule = self._rule
-        columns = []
-        for key in self.source.basis_in(n):
-            value = cache.get(key)
-            if value is None:
-                value = rule(key)
-                if value is None:
-                    value = FreeElement.zero(self.target.ring)
-            try:
-                columns.append({index[out]: c for out, c in value.items()})
-            except KeyError:
-                self.apply_key(key)
-                raise
-            cache[key] = value
-        self._columns[n] = columns
+        if columns is None:
+            columns = self._columns[n] = _columns(
+                self._rule,
+                self.source.basis_in(n),
+                self.target.basis_in(n + self.shift),
+                self.target.ring,
+                self.apply_key,
+            )
         return columns
 
     def is_chain_map(self, degrees=None):

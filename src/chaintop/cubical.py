@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from itertools import product
 
-from .complexes import ChainComplex, GradedLinearMap
+from .complexes import ChainComplex, GradedLinearMap, graded_ids
 from .freemod import FreeElement
 from .rings import Ring, ZZ
 from .simplicial import SimplexRef, SimplicialSet, apply_degeneracy
@@ -283,21 +283,10 @@ class CubicalSet:
     """
 
     def __init__(self, name: str, cells, faces, complete: bool = True):
-        self._store_cells(name, cells, complete)
-        self._faces = self._checked_faces(faces)
-
-    def _store_cells(self, name: str, cells, complete: bool) -> None:
         self.name = name
         self.complete = bool(complete)
-        self.cells = {int(n): ids for n, given in cells.items() if (ids := tuple(given))}
-        dims = self._dim = {}
-        for n, ids in self.cells.items():
-            if n < 0:
-                raise ValueError("negative dimension")
-            for cid in ids:
-                if cid in dims:
-                    raise ValueError(f"duplicate cell id: {cid!r}")
-                dims[cid] = n
+        self.cells, self._dim = graded_ids(cells)
+        self._faces = self._checked_faces(faces)
 
     def _checked_faces(self, faces) -> dict:
         """faces as a dict, after the checking pass the class docstring describes."""

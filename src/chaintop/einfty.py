@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import math
 
-from .complexes import ChainComplex, InsufficientTruncationError
-from .complexes import tensor_diff  # re-exported: callers import it from here
+from .complexes import ChainComplex
 from .cubical import CubeBialgebra, CubicalSet, cell_pushforward, cubical_chains
 from .freemod import FreeElement
 from .linalg import Echelon, nullspace
@@ -20,6 +19,7 @@ from .propm import PropGraph, PsiMachine, evaluate
 from .rings import GF, Ring
 from .simplicial import SimplicialSet, monotone_ref, normalized_chains
 from .simplicial import SimplexBialgebra
+from .smith import _stored
 
 
 class UmCoalgebra:
@@ -153,28 +153,20 @@ class HomologyClass:
         return f"[{self.representative!r}] in H_{self.degree}"
 
 
-def _certify_degree(complex_: ChainComplex, n: int) -> None:
-    # boundaries into degree n come from degree n + 1
-    if not complex_.complete and n + 1 > complex_.max_degree:
-        raise InsufficientTruncationError(
-            f"H_{n} needs basis through degree {n + 1}, "
-            f"truncation stops at {complex_.max_degree}"
-        )
-
-
 class FieldHomology:
     """Homology of one degree of a complex over a field.
 
     Stores representative cycles plus enough linear algebra to express
     any cycle in terms of them. Refuses truncations that cannot certify
-    the requested degree.
+    the requested degree with the InsufficientTruncationError of
+    `smith_homology`, by the same rule (`smith._stored`).
     """
 
     def __init__(self, complex_: ChainComplex, n: int):
         ring = complex_.ring
         if not getattr(ring, "is_field", False):
             raise ValueError("field coefficients required")
-        _certify_degree(complex_, n)
+        _stored(complex_, n)
         self.complex = complex_
         self.degree = int(n)
         self.ring = ring

@@ -2,7 +2,7 @@
 
 A FreeElement is a sparse linear combination; zero coefficients are never
 stored. Keys can be anything hashable: simplex references, words of cube
-letters, serialized graphs. Degree bookkeeping lives with the callers,
+letters, operation graphs. Degree bookkeeping lives with the callers,
 so the Koszul sign helpers here take explicit degree data.
 
 Chains are built one way. A loop in the library adds plain ints (and
@@ -12,7 +12,9 @@ drops zeros in a single pass; _trusted wraps a dict that is already
 canonical. A boundary rule of a ChainComplex may stop before that step
 and return its sums: the complex canonicalizes them straight into
 sparse columns (Ring.canonical_column), and wraps them with _from_sums
-only for a per-key diff. FreeElement(ring, terms) is the checked
+only for a per-key diff. The rule of a GradedLinearMap may return its
+sums the same way: a map's columns and its apply_key read them as a
+complex's diff_columns and diff do. FreeElement(ring, terms) is the checked
 constructor for input from outside: every coefficient goes through
 Ring.coerce first.
 """

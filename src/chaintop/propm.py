@@ -15,7 +15,6 @@ turns into operations on any chain-level coalgebra with a join.
 
 from __future__ import annotations
 
-from .complexes import tensor_diff
 from .cubical import I, serre_coproduct
 from .freemod import FreeElement, koszul_sign
 from .rings import Ring, ZZ
@@ -416,84 +415,6 @@ def random_linear_extension(graph: PropGraph, rng):
     return placed
 
 
-# --- textual graph literals ---
-
-def graph_to_sexp(graph: PropGraph) -> str:
-    """Render as (graph (in n) (vertex kind src ...) ... (out src ...))."""
-
-    def src(s):
-        if s[0] == "in":
-            return f"(in {s[1]})"
-        return f"(v {s[1]} {s[2]})"
-
-    parts = [f"(in {graph.n_in})"]
-    for kind, vins in zip(graph.kinds, graph.vertex_inputs):
-        parts.append(f"(vertex {kind} {' '.join(src(s) for s in vins)}".rstrip() + ")")
-    parts.append(f"(out {' '.join(src(s) for s in graph.out_sources)}".rstrip() + ")")
-    return f"(graph {' '.join(parts)})"
-
-
-def _tokenize(text: str):
-    return text.replace("(", " ( ").replace(")", " ) ").split()
-
-
-def _parse_sexp(tokens, pos=0):
-    if pos >= len(tokens):
-        raise ValueError("unexpected end of graph literal")
-    tok = tokens[pos]
-    if tok == "(":
-        out = []
-        pos += 1
-        while pos < len(tokens) and tokens[pos] != ")":
-            node, pos = _parse_sexp(tokens, pos)
-            out.append(node)
-        if pos >= len(tokens):
-            raise ValueError("unbalanced parentheses in graph literal")
-        return out, pos + 1
-    if tok == ")":
-        raise ValueError("unexpected ')' in graph literal")
-    return tok, pos + 1
-
-
-def graph_from_sexp(text: str) -> PropGraph:
-    """Parse the textual graph format produced by graph_to_sexp."""
-    tree, pos = _parse_sexp(_tokenize(text))
-    if pos != len(_tokenize(text)):
-        raise ValueError("trailing tokens after graph literal")
-    if not isinstance(tree, list) or not tree or tree[0] != "graph":
-        raise ValueError("graph literal must start with (graph ...)")
-
-    def parse_src(node):
-        if not isinstance(node, list) or not node:
-            raise ValueError(f"bad source {node!r}")
-        if node[0] == "in" and len(node) == 2:
-            return ("in", int(node[1]))
-        if node[0] == "v" and len(node) == 3:
-            return ("v", int(node[1]), int(node[2]))
-        raise ValueError(f"bad source {node!r}")
-
-    n_in = None
-    kinds = []
-    vins = []
-    out = None
-    for node in tree[1:]:
-        if not isinstance(node, list) or not node:
-            raise ValueError(f"bad clause {node!r}")
-        head = node[0]
-        if head == "in":
-            n_in = int(node[1])
-        elif head == "vertex":
-            kinds.append(node[1])
-            vins.append(tuple(parse_src(s) for s in node[2:]))
-        elif head == "out":
-            out = tuple(parse_src(s) for s in node[1:])
-        else:
-            raise ValueError(f"unknown clause {head!r}")
-    if n_in is None or out is None:
-        raise ValueError("graph literal needs (in n) and (out ...) clauses")
-    return PropGraph(n_in, len(out), kinds, vins, out)
-
-
 # --- the cyclic resolution and the lifting machinery ---
 
 class WResolution:
@@ -598,10 +519,6 @@ class PsiMachine:
                     sums[new] = sums.get(new, 0) + c * c2
             current = FreeElement._from_sums(self.ring, sums)
         return current
-
-    def tensor_diff(self, bial, element: FreeElement) -> FreeElement:
-        """Leibniz differential on p-tensors of cells of one model."""
-        return tensor_diff(bial.complex, element)
 
     def h_tensor(self, bial, element: FreeElement) -> FreeElement:
         """Tensor contraction: project the prefix, contract one factor.

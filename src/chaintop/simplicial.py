@@ -10,7 +10,7 @@ standard simplices carry in degree 1.
 
 from __future__ import annotations
 
-from .complexes import ChainComplex, GradedLinearMap
+from .complexes import ChainComplex, GradedLinearMap, graded_ids
 from .freemod import FreeElement
 from .rings import Ring, ZZ
 
@@ -100,15 +100,7 @@ class SimplicialSet:
     def __init__(self, name: str, cells, faces, complete: bool = True):
         self.name = name
         self.complete = bool(complete)
-        self.cells = {int(n): ids for n, given in cells.items() if (ids := tuple(given))}
-        self._dim = {}
-        for n, ids in self.cells.items():
-            if n < 0:
-                raise ValueError("negative dimension")
-            for cid in ids:
-                if cid in self._dim:
-                    raise ValueError(f"duplicate cell id: {cid!r}")
-                self._dim[cid] = n
+        self.cells, self._dim = graded_ids(cells)
         self._faces = {}
         dims = self._dim
         for cid, refs in faces.items():
@@ -131,18 +123,17 @@ class SimplicialSet:
         self._refs_cache = {}
 
     @classmethod
-    def _trusted(cls, name: str, cells: dict, faces: dict) -> SimplicialSet:
+    def _trusted(cls, name: str, cells: dict, dims: dict, faces: dict) -> SimplicialSet:
         """A complete set from tables that a checked set already holds.
 
-        cells maps dimension -> tuple of ids, none empty, and faces maps
-        (id, i) -> SimplexRef for every face of every cell, as a checked
-        set stores them; nothing is checked again.
+        cells and dims are the two tables of `complexes.graded_ids`, and
+        faces maps (id, i) -> SimplexRef for every face of every cell, as
+        a checked set stores them; nothing is checked again.
         """
         space = object.__new__(cls)
         space.name = name
         space.complete = True
-        space.cells = cells
-        space._dim = {cid: n for n, ids in cells.items() for cid in ids}
+        space.cells, space._dim = cells, dims
         space._faces = faces
         space._refs_cache = {}
         return space
@@ -667,19 +658,11 @@ def collapse_free_pairs(space: SimplicialSet) -> SimplicialMap:
     if removed:
         # a kept cell has no removed face, since tau goes only when sigma
         # is its one user, so Y needs none of its faces checked again
-        cells = {}
-        for n, ids in space.cells.items():
-            ids = tuple(cid for cid in ids if cid not in removed)
-            if ids:
-                cells[n] = ids
-        kept = {
-            (cid, i): faces[(cid, i)]
-            for n, ids in cells.items()
-            if n
-            for cid in ids
-            for i in range(n + 1)
-        }
-        rest = SimplicialSet._trusted(space.name, cells, kept)
+        cells, dims = graded_ids(
+            {n: [cid for cid in ids if cid not in removed] for n, ids in space.cells.items()}
+        )
+        kept = {(cid, i): faces[(cid, i)] for cid, n in dims.items() if n for i in range(n + 1)}
+        rest = SimplicialSet._trusted(space.name, cells, dims, kept)
     mapping = {cid: _normal_ref(cid, ()) for ids in rest.cells.values() for cid in ids}
     return SimplicialMap(rest, space, mapping)
 

@@ -16,6 +16,7 @@ from chaintop.cobar import (
     loc_degree,
     reduce_group_word,
 )
+from chaintop.complexes import tensor_diff
 from chaintop.cubical import (
     CubeBialgebra,
     I,
@@ -34,7 +35,6 @@ from chaintop.einfty import (
     nu_coefficient,
     simplicial_um,
     steenrod_sq,
-    tensor_diff,
     um_action,
 )
 from chaintop.freemod import FreeElement

@@ -143,6 +143,25 @@ def dropped(rule, bad, target):
     return new_rule
 
 
+def plain_sums(rule, ring):
+    """rule with each image given as a dict of plain-number sums.
+
+    Each coefficient is off by the characteristic, so that over F_p the
+    map must reduce it, and a key outside the target rides along with
+    sum 0, so that it must be dropped before its lookup.
+    """
+
+    def sums_rule(key):
+        value = rule(key)
+        if value is None:
+            return None
+        sums = {k: c + ring.characteristic for k, c in value.items()}
+        sums[("stray", "sum 0")] = 0
+        return sums
+
+    return sums_rule
+
+
 def agree(source, target, shift, rule, degrees=None):
     new = GradedLinearMap(source, target, shift, rule).is_chain_map(degrees)
     old = oracle_is_chain_map(GradedLinearMap(source, target, shift, rule), degrees)
@@ -155,6 +174,9 @@ def test_column_check_agrees_with_oracle_on_correct_maps():
     for name, (source, target, shift, rule) in maps():
         ok, witness = agree(source, target, shift, rule)
         assert ok and witness is None, name
+        # the same images as plain sums, and the zero map of a None rule
+        assert agree(source, target, shift, plain_sums(rule, source.ring)) == (True, None)
+        assert agree(source, target, shift, None) == (True, None)
         # every degree, the bottom one included, and one degree alone
         # (which then builds the columns one degree down on its own)
         agree(source, target, shift, rule, source.degrees())
@@ -186,6 +208,8 @@ def test_columns_match_apply_key_at_target_positions():
     for name, (source, target, shift, rule) in maps():
         f = GradedLinearMap(source, target, shift, rule)
         oracle = GradedLinearMap(source, target, shift, rule)
+        sums = GradedLinearMap(source, target, shift, plain_sums(rule, source.ring))
+        zero = GradedLinearMap(source, target, shift, None)
         for n in source.degrees():
             columns = f.columns(n)
             row_keys = target.basis_in(n + shift)
@@ -194,9 +218,19 @@ def test_columns_match_apply_key_at_target_positions():
             for key, col in zip(keys, columns):
                 image = FreeElement(source.ring, {row_keys[i]: c for i, c in col.items()})
                 assert image == oracle.apply_key(key), (name, key)
-                # the per-key cache holds the same image
+                # apply_key reads the same image off the rule
                 assert f.apply_key(key) == image, (name, key)
+                assert sums.apply_key(key) == image, (name, key)
+                assert zero.apply_key(key).is_zero(), (name, key)
             assert f.columns(n) is columns, name
+            assert sums.columns(n) == columns, name
+            # each map's zero columns are one shared dict
+            for built in (columns, sums.columns(n)):
+                empty = [col for col in built if not col]
+                assert all(col is empty[0] for col in empty), name
+            zeros = zero.columns(n)
+            assert zeros == [{}] * len(keys), name
+            assert all(col is zeros[0] for col in zeros), name
 
 
 def raised(call, *args):
@@ -223,7 +257,12 @@ def test_columns_raise_the_error_of_apply_key():
                 return FreeElement(source.ring, terms)
 
             expected = raised(GradedLinearMap(source, target, shift, broken).apply_key, bad)
-            assert expected is not None, (name, stray)
+            # one ValueError naming the key, the degree hit and the one expected
+            assert expected is not None and expected[0] is ValueError, (name, stray)
+            assert expected[1] == (
+                f"map of {bad!r} (degree {n}) hit {stray!r} "
+                f"(degree {target._degree_of.get(stray)}), expected degree {n + shift}"
+            ), (name, stray)
             f = GradedLinearMap(source, target, shift, broken)
             assert raised(f.columns, n) == expected, (name, stray)
             f = GradedLinearMap(source, target, shift, broken)

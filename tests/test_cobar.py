@@ -22,7 +22,7 @@ from chaintop.cobar import (
     loc_degree,
     reduce_group_word,
 )
-from chaintop.complexes import ChainComplex
+from chaintop.complexes import ChainComplex, GradedLinearMap
 from chaintop.freemod import FreeElement
 from chaintop.linalg import eliminate
 from chaintop.rings import GF, QQ, ZZ
@@ -764,9 +764,12 @@ def test_dropped_cobar_complexes_are_freed_without_a_garbage_collection():
     try:
         algebra = cobar(projective_plane_model(), 3, ZZ, max_length=2)
         assert algebra.complex.d_squared_witness() is None
-        refs = [weakref.ref(algebra), weakref.ref(algebra.complex)]
-        del algebra
-        assert [ref() for ref in refs] == [None, None]
+        # d itself, as a map of shift -1, holds its complex and its columns
+        d = GradedLinearMap(algebra.complex, algebra.complex, -1, algebra.complex.diff)
+        assert d.is_chain_map() == (True, None)
+        refs = [weakref.ref(algebra), weakref.ref(algebra.complex), weakref.ref(d)]
+        del algebra, d
+        assert [ref() for ref in refs] == [None, None, None]
         algebra = extended_cobar(projective_plane_model(), 2, 6)
         assert algebra.complex.d_squared_witness() is None
         refs = [weakref.ref(algebra), weakref.ref(algebra.complex)]

@@ -4,11 +4,16 @@ import pytest
 
 from chaintop.cobar import CobarComplex, cobar, extended_cobar
 from chaintop.complexes import ChainComplex, GradedLinearMap, tensor_complex
-from chaintop.cubical import cubical_chains, standard_cube
+from chaintop.cubical import CubicalSet, cubical_chains, standard_cube
 from chaintop.freemod import FreeElement
 from chaintop.loopspace import cubical_cobar, extended_cubical_cobar
 from chaintop.rings import GF, QQ, ZZ
-from chaintop.simplicial import normalized_chains, projective_plane_model, random_reduced_model
+from chaintop.simplicial import (
+    SimplicialSet,
+    normalized_chains,
+    projective_plane_model,
+    random_reduced_model,
+)
 
 
 def interval():
@@ -230,10 +235,20 @@ def test_a_repeated_basis_key_names_its_first_repeat(diff):
         ({0: ["v"], 1: ["a", "b", "b", "a"]}, "b"),
         ({0: [("x", 1)], 3: [("x", 1)]}, ("x", 1)),
     ]
-    for basis, key in cases:
-        with pytest.raises(ValueError) as err:
-            ChainComplex(ZZ, basis, diff)
-        assert str(err.value) == f"basis key appears in two degrees: {key!r}"
+    # the cell sets index their cells as a complex indexes its basis,
+    # and refuse the same keys before reading a face
+    builds = [
+        lambda cells: ChainComplex(ZZ, cells, diff),
+        lambda cells: SimplicialSet("repeat", cells, {}),
+        lambda cells: CubicalSet("repeat", cells, {}),
+    ]
+    for build in builds:
+        for basis, key in cases:
+            with pytest.raises(ValueError) as err:
+                build(basis)
+            assert str(err.value) == f"basis key listed twice: {key!r}"
+        with pytest.raises(ValueError, match="^negative degree: -1$"):
+            build({0: ["v"], -1: ["u"]})
 
 
 def table_complex(ring, basis, table):

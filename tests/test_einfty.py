@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from chaintop.complexes import InsufficientTruncationError
+from chaintop.complexes import InsufficientTruncationError, tensor_diff
 from chaintop.cubical import (
     CubeMorphism,
     cubical_circle,
@@ -20,7 +20,6 @@ from chaintop.einfty import (
     simplicial_um,
     steenrod_odd,
     steenrod_sq,
-    tensor_diff,
     um_action,
 )
 from chaintop.freemod import FreeElement
@@ -288,12 +287,17 @@ def test_dual_cocycles_pair_identically():
 
 def test_truncation_refused():
     from chaintop.simplicial import normalized_chains
+    from chaintop.smith import smith_homology
 
     space = projective_plane_model()
     chains = normalized_chains(space, max_degree=1, ring=GF(2))
     assert not chains.complete
-    with pytest.raises(InsufficientTruncationError):
+    with pytest.raises(InsufficientTruncationError) as field:
         FieldHomology(chains, 1)
+    # the same rule as smith_homology refuses it, in the same words
+    with pytest.raises(InsufficientTruncationError) as smith:
+        smith_homology(chains, 1)
+    assert str(field.value) == str(smith.value)
     # degree 0 is still certifiable
     assert FieldHomology(chains, 0).dim == 1
 

@@ -15,9 +15,9 @@ from chaintop.cobar import (
     expand_word,
     reduce_group_word,
 )
-from chaintop.complexes import GradedLinearMap, InsufficientTruncationError
+from chaintop.complexes import GradedLinearMap, InsufficientTruncationError, tensor_diff
 from chaintop.cubical import CubeMorphism, CubeRef, CubicalSet, cubical_chains
-from chaintop.einfty import cubical_um, simplicial_um, tensor_diff, um_action
+from chaintop.einfty import cubical_um, simplicial_um, um_action
 from chaintop.freemod import FreeElement
 from chaintop.loopspace import (
     CubicalCobar,

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chaintop.complexes import tensor_diff
 from chaintop.cubical import CubeBialgebra
 from chaintop.freemod import FreeElement
 from chaintop.propm import (
@@ -16,8 +17,6 @@ from chaintop.propm import (
     counit_graph,
     evaluate,
     graph_boundary,
-    graph_from_sexp,
-    graph_to_sexp,
     hopf_coproduct,
     hopf_counit,
     identity_graph,
@@ -89,21 +88,6 @@ def test_degree_and_composition():
     assert (t.n_in, t.n_out, t.degree) == (2, 0, 0)
     with pytest.raises(ValueError):
         compose_graphs(coproduct_graph(), coproduct_graph())
-
-
-def test_sexp_roundtrip():
-    rng = random.Random(7)
-    for _ in range(20):
-        g = random_prop_graph(rng)
-        assert graph_from_sexp(graph_to_sexp(g)) == g
-    text = graph_to_sexp(join_graph())
-    assert text == "(graph (in 2) (vertex star (in 0) (in 1)) (out (v 0 0)))"
-    with pytest.raises(ValueError):
-        graph_from_sexp("(graph (in 1)")
-    with pytest.raises(ValueError):
-        graph_from_sexp("(graph (in 1) (out (in 0)) extra)")
-    with pytest.raises(ValueError):
-        graph_from_sexp("(notagraph)")
 
 
 # --- evaluation ---
@@ -447,7 +431,7 @@ def boundary_defect(machine, i, n, key):
     """d(psi(e_i)(x)) - psi(d e_i)(x) - (-1)^i psi(e_i)(dx) in model n."""
     ring = machine.ring
     bial = machine.model(n)
-    lhs = machine.tensor_diff(bial, machine.on_cell(i, key))
+    lhs = tensor_diff(bial.complex, machine.on_cell(i, key))
     rhs = FreeElement.zero(ring)
     for power, coeff in machine.w.differential(i):
         rhs = rhs + machine.rho_power(machine.on_cell(i - 1, key), power).scale(
@@ -486,8 +470,8 @@ def test_rho_is_an_order_p_chain_map():
             for _ in range(p):
                 rotated = machine.rho(rotated)
             assert rotated == value, (p, geometry, i)
-            lhs = machine.tensor_diff(bial, machine.rho(value))
-            rhs = machine.rho(machine.tensor_diff(bial, value))
+            lhs = tensor_diff(bial.complex, machine.rho(value))
+            rhs = machine.rho(tensor_diff(bial.complex, value))
             assert lhs == rhs, (p, geometry, i)
 
 
@@ -497,6 +481,6 @@ def test_psi_cup_one_symmetry():
     value = machine.on_cell(1, (0, 1))
     assert not value.is_zero()
     total = value + machine.rho(value)
-    defect = machine.tensor_diff(machine.model(1), machine.on_cell(2, (0, 1)))
+    defect = tensor_diff(machine.model(1).complex, machine.on_cell(2, (0, 1)))
     # d psi(e_2) = N psi(e_1) with N = 1 + rho mod 2
     assert defect == total
