@@ -286,16 +286,33 @@ def edge_expansion(space: SimplicialSet, word, ring: Ring, odd_sign, edge_sign) 
     """
     sums = {(): 1}
     for cell in word:
-        dim = space.dim_of(cell)
-        sign = odd_sign if dim % 2 == 0 else 1
-        grown = {}
-        for sub, c in sums.items():
-            longer = sub + (cell,)
-            grown[longer] = grown.get(longer, 0) + c * sign
-            if dim == 1:
-                grown[sub] = grown.get(sub, 0) + c * edge_sign
-        sums = grown
+        sums = expansion_step(sums, cell, space.dim_of(cell), odd_sign, edge_sign)
     return FreeElement._from_sums(ring, sums)
+
+
+def expansion_step(sums, cell, dim, odd_sign, edge_sign) -> dict:
+    """One step of `edge_expansion`: sums times a letter, an edge as cell + edge_sign.
+
+    sums maps words to plain-number coefficients; cell is a letter of
+    simplicial dimension dim. Each word gets cell appended, times
+    odd_sign when the letter's degree dim - 1 is odd; an edge (dim 1)
+    also keeps each word as it is, times edge_sign. Returns new
+    plain-number sums, equal words added up; sums is not changed.
+
+    >>> expansion_step({("a",): 1, (): 1}, "a", 1, -1, 1)
+    {('a', 'a'): 1, ('a',): 2, (): 1}
+    >>> expansion_step({("a",): 3}, "U", 2, -1, 1)
+    {('a', 'U'): -3}
+    """
+    if dim != 1:
+        sign = odd_sign if dim % 2 == 0 else 1
+        return {sub + (cell,): c * sign for sub, c in sums.items()}
+    grown = {}
+    for sub, c in sums.items():
+        longer = sub + (cell,)
+        grown[longer] = grown.get(longer, 0) + c
+        grown[sub] = grown.get(sub, 0) + c * edge_sign
+    return grown
 
 
 def expand_word(space: SimplicialSet, word, ring: Ring) -> FreeElement:

@@ -62,6 +62,7 @@ from chaintop.simplicial import (
 )
 from chaintop.words import letters
 
+from expansion_oracle import edge_expansion as oracle_edge_expansion
 from ring_oracle import add_into
 from shared_models import collapsed_simplex
 
@@ -627,6 +628,55 @@ def test_cached_certificate_still_catches_a_dropped_product_term(monkeypatch):
     monkeypatch.setattr(loopspace, "concatenation", lossy)
     with pytest.raises(AssertionError, match="not multiplicative"):
         phi_certificate(projective_plane_model(), 3, max_length=2)
+
+
+def test_a_unitless_step_on_longer_cells_fails_the_product_check(monkeypatch):
+    # the certificate takes an expansion step only for a cell of two or
+    # more letters, on its prefix's value; a step that drops an edge
+    # letter's unit term there (t -> t instead of t + 1) leaves phi of
+    # every letter, and so the letter rule, as it was: the product half
+    # must catch it
+    real = loopspace.expansion_step
+
+    def unitless(sums, cell, dim, odd_sign, edge_sign):
+        return real(sums, cell, dim, odd_sign, 0)
+
+    monkeypatch.setattr(loopspace, "expansion_step", unitless)
+    rp2 = projective_plane_model()
+    phi = loopspace._phi_sums(rp2, ZZ)
+    assert phi(("a",)) == phi_cell(rp2, ("a",), ZZ).terms
+    assert phi(("a", "b")) != phi_cell(rp2, ("a", "b"), ZZ).terms
+    with pytest.raises(AssertionError, match="not multiplicative"):
+        phi_certificate(rp2, 3, max_length=2)
+
+
+def test_the_certificate_checks_the_same_sample():
+    # the sample is pinned, so a change to the pair loop cannot check
+    # fewer pairs
+    rp2 = projective_plane_model()
+    for window, cells, pairs in (
+        ((rp2, 4, 2), 517, 361),
+        ((rp2, 2, 3), 189, 249),
+        ((s2s2s3_model(), 6, None), 288, 160),
+        ((rp2, 5, 2), 1413, 400),
+    ):
+        cert = phi_certificate(*window)
+        assert (cert["cells"], cert["pairs"]) == (cells, pairs), window[1:]
+
+
+def test_prefix_shared_phi_matches_the_whole_word_expansion():
+    # the certify windows come first among these; phi is the relabeling
+    # of plain cells, so the signed windows have none
+    for om in letter_table_windows():
+        if om.signed:
+            continue
+        space = om.source
+        cells = [c for n in om.cubes.dimensions() for c in om.cubes.nondegenerate(n)]
+        for ring in (ZZ, GF(2), GF(3), QQ):
+            phi = loopspace._phi_sums(space, ring)
+            for cell in cells:
+                expected = oracle_edge_expansion(space, cell, ring, -1, ring.one)
+                assert phi(cell) == expected.terms, (om.cubes.name, cell, ring)
 
 
 def test_certificate_reuses_the_cube_model_of_its_window():
