@@ -43,8 +43,9 @@ EXIT_INPUT = 4
 # what a shell reports for a writer stopped by SIGPIPE: 128 + 13
 EXIT_PIPE = 141
 
-BUILTIN_MODELS = ("point", "circle", "sphere", "simplex", "rp2")
 VERIFY_SUITES = ("serre-coalgebra", "join-signs")
+# rank certification needs a field and squares act mod 2; others use z
+DEFAULT_RING = {"cobar-ext": "q", "steenrod": "fp:2"}
 
 
 class CliInputError(Exception):
@@ -55,13 +56,14 @@ class JobSpec(
     namedtuple(
         "JobSpec",
         "command model dim ring max_degree word_cutoff fmt check square degree suite",
-        defaults=(None, None, "z", None, None, "text", False, 1, None, None),
+        defaults=(None, None, None, None, None, "text", False, 1, None, None),
     )
 ):
     """One batch job: what to compute, on what, over which ring.
 
     An immutable record, equal and hashed by value. Being a tuple, it
-    also equals the plain tuple of its fields in order.
+    also equals the plain tuple of its fields in order. A ring of None
+    means the command's own default (`DEFAULT_RING`).
     """
 
     __slots__ = ()
@@ -90,8 +92,9 @@ def load_space(job: JobSpec) -> SimplicialSet:
 
 
 def _ring(job: JobSpec):
+    name = job.ring if job.ring is not None else DEFAULT_RING.get(job.command, "z")
     try:
-        return parse_ring(job.ring)
+        return parse_ring(name)
     except ValueError as exc:
         raise CliInputError(str(exc)) from None
 
@@ -188,7 +191,7 @@ def cmd_cobar(job: JobSpec):
 
 def cmd_cobar_ext(job: JobSpec):
     space = load_space(job)
-    ring = _ring(job if job.ring != "z" else JobSpec("cobar-ext", ring="q"))
+    ring = _ring(job)
     cutoff = 3 if job.word_cutoff is None else job.word_cutoff
     try:
         report = h0_group_ring(space, cutoff, ring)
@@ -250,7 +253,7 @@ def cmd_steenrod(job: JobSpec):
     from .einfty import FieldHomology, simplicial_um, steenrod_sq
 
     space = load_space(job)
-    ring = _ring(job if job.ring != "z" else JobSpec("steenrod", ring="fp:2"))
+    ring = _ring(job)
     if getattr(ring, "characteristic", 0) != 2:
         raise CliInputError("squares act over fp:2")
     degree = space.dimension if job.degree is None else job.degree
@@ -469,7 +472,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=summary)
         p.add_argument("model", help="builtin name or .json path")
         p.add_argument("dim", nargs="?", type=int, default=None)
-        p.add_argument("--ring", default="z", help="z, q, or fp:<p>")
+        default = DEFAULT_RING.get(name, "z")
+        p.add_argument("--ring", help=f"z, q, or fp:<p> (default {default})")
         for flag in reads:
             p.add_argument(flag, **flags[flag])
         p.add_argument("--format", choices=("text", "json"), default="text")
@@ -493,7 +497,7 @@ def job_from_args(args) -> JobSpec:
         command=args.command,
         model=getattr(args, "model", None),
         dim=getattr(args, "dim", None),
-        ring=getattr(args, "ring", "z"),
+        ring=getattr(args, "ring", None),
         max_degree=getattr(args, "max_degree", None),
         word_cutoff=getattr(args, "word_cutoff", None),
         fmt=getattr(args, "format", "text"),

@@ -20,7 +20,7 @@ from itertools import product
 from .complexes import ChainComplex, GradedLinearMap, graded_ids
 from .freemod import FreeElement
 from .rings import Ring, ZZ
-from .simplicial import SimplexRef, SimplicialSet, apply_degeneracy
+from .simplicial import CellBialgebra, SimplexRef, SimplicialSet, apply_degeneracy
 
 
 class CubeMorphism:
@@ -572,8 +572,12 @@ def cell_pushforward(space: CubicalSet, cell, word) -> CubeRef:
     return space.resolve(cell, word_face_morphism(word))
 
 
-class CubeBialgebra:
-    """Chains on a standard cube with counit, coproduct, and join."""
+class CubeBialgebra(CellBialgebra):
+    """Chains on a standard cube; keys are words over {0, 1, I}."""
+
+    degree = staticmethod(cube_word_degree)
+    substitute = staticmethod(cube_word_substitute)
+    pushforward = staticmethod(cell_pushforward)
 
     def __init__(self, n: int, ring: Ring = ZZ):
         self.n = n
@@ -584,9 +588,6 @@ class CubeBialgebra:
         self.top = (I,) * n
         self.name = f"cube{n}"
 
-    def degree(self, key) -> int:
-        return cube_word_degree(key)
-
     def counit(self, key):
         return serre_counit(key, self.ring)
 
@@ -595,15 +596,6 @@ class CubeBialgebra:
 
     def join(self, ka, kb) -> FreeElement:
         return cubical_join(ka, kb, self.ring)
-
-    def contract(self, key) -> FreeElement:
-        return self.join(self.basepoint, key)
-
-    def project(self, key) -> FreeElement:
-        c = self.counit(key)
-        if self.ring.is_zero(c):
-            return FreeElement.zero(self.ring)
-        return FreeElement.single(self.ring, self.basepoint, c)
 
 
 def permute_cube_word(word, perm):

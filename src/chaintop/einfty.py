@@ -12,27 +12,26 @@ from __future__ import annotations
 import math
 
 from .complexes import ChainComplex
-from .cubical import CubeBialgebra, CubicalSet, cell_pushforward, cubical_chains
+from .cubical import CubicalSet, cubical_chains
 from .freemod import FreeElement
 from .linalg import Echelon, nullspace
-from .propm import PropGraph, PsiMachine, evaluate
+from .propm import PropGraph, PsiMachine, cell_family, evaluate, push_terms
 from .rings import GF, Ring
-from .simplicial import SimplicialSet, monotone_ref, normalized_chains
-from .simplicial import SimplexBialgebra
+from .simplicial import SimplicialSet, normalized_chains
 from .smith import _stored
 
 
 class UmCoalgebra:
     """Chains of a space together with the transported prop action.
 
-    `geometry` picks the standard-cell family; `push` carries a basis
-    cell of the standard model through the characteristic map of a cell
-    of the space, returning None when the image is degenerate.
+    `geometry` names the standard-cell family (`propm.cell_family`),
+    whose class supplies the models and the pushforward; `push` carries
+    a basis cell of the standard model through the characteristic map
+    of a cell of the space, returning None when the image is degenerate.
     """
 
     def __init__(self, geometry: str, space, complex_: ChainComplex):
-        if geometry not in ("simplex", "cube"):
-            raise ValueError(f"unknown geometry {geometry!r}")
+        self.family = cell_family(geometry)
         self.geometry = geometry
         self.space = space
         self.complex = complex_
@@ -42,8 +41,7 @@ class UmCoalgebra:
 
     def model(self, n: int):
         if n not in self._models:
-            cls = SimplexBialgebra if self.geometry == "simplex" else CubeBialgebra
-            self._models[n] = cls(n, self.ring)
+            self._models[n] = self.family(n, self.ring)
         return self._models[n]
 
     def machine(self, p: int) -> PsiMachine:
@@ -57,25 +55,11 @@ class UmCoalgebra:
 
     def push(self, cell, std_key):
         """Image of a standard-model basis key; None when degenerate."""
-        if self.geometry == "simplex":
-            ref = monotone_ref(self.space, cell, std_key)
-        else:
-            ref = cell_pushforward(self.space, cell, std_key)
+        ref = self.family.pushforward(self.space, cell, std_key)
         return None if ref.is_degenerate else ref.base
 
     def push_tensor(self, cell, element: FreeElement) -> FreeElement:
-        sums = {}
-        for key, c in element.items():
-            images = []
-            for component in key:
-                image = self.push(cell, component)
-                if image is None:
-                    break
-                images.append(image)
-            else:
-                pushed = tuple(images)
-                sums[pushed] = sums.get(pushed, 0) + c
-        return FreeElement._from_sums(self.ring, sums)
+        return push_terms(self.ring, element, lambda key: self.push(cell, key))
 
 
 def simplicial_um(space: SimplicialSet, ring: Ring) -> UmCoalgebra:
@@ -92,6 +76,17 @@ def _as_element(coalg: UmCoalgebra, chain) -> FreeElement:
     return FreeElement.single(coalg.ring, chain, coalg.ring.one)
 
 
+def _transport(coalg: UmCoalgebra, chain, top_value) -> FreeElement:
+    """Push top_value(n), an operation's value on the top cell of the
+    n-dimensional standard model, along each n-cell of the chain."""
+    chain = _as_element(coalg, chain)
+    out = FreeElement.zero(coalg.ring)
+    for cell, c in chain.items():
+        value = top_value(coalg.complex.degree_of(cell))
+        out = out + coalg.push_tensor(cell, value).scale(c)
+    return out
+
+
 def um_action(coalg: UmCoalgebra, op: PropGraph, chain) -> FreeElement:
     """Evaluate a one-input prop operation on a chain of the space.
 
@@ -100,13 +95,12 @@ def um_action(coalg: UmCoalgebra, op: PropGraph, chain) -> FreeElement:
     """
     if op.n_in != 1:
         raise ValueError("prop action needs a one-input operation")
-    chain = _as_element(coalg, chain)
-    out = FreeElement.zero(coalg.ring)
-    for cell, c in chain.items():
-        model = coalg.model(coalg.complex.degree_of(cell))
-        value = evaluate(op, model, (model.top,))
-        out = out + coalg.push_tensor(cell, value).scale(c)
-    return out
+
+    def top_value(n):
+        model = coalg.model(n)
+        return evaluate(op, model, (model.top,))
+
+    return _transport(coalg, chain, top_value)
 
 
 def psi_action(coalg: UmCoalgebra, p: int, i: int, chain) -> FreeElement:
@@ -114,13 +108,7 @@ def psi_action(coalg: UmCoalgebra, p: int, i: int, chain) -> FreeElement:
     if i < 0:
         return FreeElement.zero(coalg.ring)
     machine = coalg.machine(p)
-    chain = _as_element(coalg, chain)
-    out = FreeElement.zero(coalg.ring)
-    for cell, c in chain.items():
-        n = coalg.complex.degree_of(cell)
-        value = machine.top_value(i, n)
-        out = out + coalg.push_tensor(cell, value).scale(c)
-    return out
+    return _transport(coalg, chain, lambda n: machine.top_value(i, n))
 
 
 def cup_i(coalg: UmCoalgebra, i: int, chain) -> FreeElement:
@@ -269,6 +257,21 @@ def evaluate_cochain(alpha: dict, chain: FreeElement, ring: Ring):
     return total
 
 
+def _class_of_pairings(target: FieldHomology, value: FreeElement) -> HomologyClass:
+    """The class of target pairing each dual cocycle alpha with the
+    p-tensor chain value as the sum of c alpha(x_1)...alpha(x_p)."""
+    ring = target.ring
+    pairings = []
+    for alpha in target.dual_cocycles():
+        total = ring.zero
+        for key, c in value.items():
+            for x in key:
+                c = ring.mul(c, alpha.get(x, ring.zero))
+            total = ring.add(total, c)
+        pairings.append(total)
+    return target.class_from_pairings(pairings)
+
+
 # --- Steenrod operations ---
 
 def steenrod_sq(coalg: UmCoalgebra, s: int, mu: HomologyClass) -> HomologyClass:
@@ -292,22 +295,7 @@ def steenrod_sq(coalg: UmCoalgebra, s: int, mu: HomologyClass) -> HomologyClass:
     if index < 0:
         return target.class_from_pairings([ring.zero] * target.dim)
     value = psi_action(coalg, 2, index, mu.representative)
-    pairings = []
-    for alpha in target.dual_cocycles():
-        total = ring.zero
-        for (a, b), c in value.items():
-            total = ring.add(
-                total,
-                ring.mul(
-                    ring.mul(
-                        evaluate_cochain(alpha, FreeElement.single(ring, a, ring.one), ring),
-                        evaluate_cochain(alpha, FreeElement.single(ring, b, ring.one), ring),
-                    ),
-                    c,
-                ),
-            )
-        pairings.append(total)
-    return target.class_from_pairings(pairings)
+    return _class_of_pairings(target, value)
 
 
 def nu_coefficient(q: int, p: int):
@@ -356,18 +344,4 @@ def steenrod_odd(
     target = FieldHomology(coalg.complex, out_degree)
     coeff = ring.mul(ring.from_int((-1) ** p), nu_coefficient(q, p))
     value = psi_action(coalg, p, index, mu.representative).scale(coeff)
-    pairings = []
-    for alpha in target.dual_cocycles():
-        total = ring.zero
-        for key, c in value.items():
-            prod = c
-            for component in key:
-                prod = ring.mul(
-                    prod,
-                    evaluate_cochain(
-                        alpha, FreeElement.single(ring, component, ring.one), ring
-                    ),
-                )
-            total = ring.add(total, prod)
-        pairings.append(total)
-    return target.class_from_pairings(pairings)
+    return _class_of_pairings(target, value)

@@ -297,12 +297,14 @@ class CubicalCobar:
     vertex (1-side); the raw answer is canonicalized, so faces may be
     degeneracies or connections of stored cells. The window is that of
     a cobar, kept as words: `CobarComplex` on the sliding budget
-    (`chaintop.words.sliding_budget`), or `ExtendedCobarComplex` for
-    the signed words. Its words are the cells, in its order, and the
-    window is closed under faces. Stored beads are nondegenerate, so a
-    face rewrites only the bead that owns its direction: the constructor
-    canonicalizes each letter's faces once, checks their dimensions, and
-    keeps that table with the cells (`_WordCubes`). The boundary is
+    (`chaintop.words.sliding_budget`) of max_length, or, exactly when a
+    group-letter cutoff is given, `ExtendedCobarComplex` for the signed
+    (localized) words; passing both raises ValueError. Its words are
+    the cells, in its order, and the window is closed under faces.
+    Stored beads are nondegenerate, so a face rewrites only the bead
+    that owns its direction: the constructor canonicalizes each letter's
+    faces once, checks their dimensions, and keeps that table with the
+    cells (`_WordCubes`). The boundary is
     `cobar.derivation` on the value table read off it; the faces
     themselves are spliced from it only when asked for. The product is
     word concatenation.
@@ -313,25 +315,26 @@ class CubicalCobar:
         space: SimplicialSet,
         max_degree: int,
         max_length: int | None = None,
-        signed: bool = False,
         cutoff: int | None = None,
         ring: Ring = ZZ,
     ):
+        if max_length is not None and cutoff is not None:
+            raise ValueError("pass max_length or cutoff, not both")
         edges, heavies = letters(space)
+        signed = cutoff is not None
         self.source = space
         self.max_degree = int(max_degree)
-        self.signed = bool(signed)
+        self.signed = signed
         self.ring = ring
         self.max_length = self.cutoff = None
         if signed:
-            if cutoff is None:
-                raise ValueError("the localized monoid needs a group-letter cutoff")
             self.cutoff = int(cutoff)
             self.words = ExtendedCobarComplex(space, self.max_degree, self.cutoff, ring)
         else:
             if edges and max_length is None:
                 raise ValueError(
-                    "edge beads make the word monoid infinite; pass max_length"
+                    "edge beads make the word monoid infinite; "
+                    "pass max_length or cutoff"
                 )
             self.max_length = None if max_length is None else int(max_length)
             budget = sliding_budget(self.max_length, self.max_degree)
@@ -413,9 +416,9 @@ def extended_cubical_cobar(
     ring: Ring = ZZ,
 ) -> CubicalCobar:
     """Loop-space monoid with formal inverses for the edge beads."""
-    return CubicalCobar(
-        space, max_degree, signed=True, cutoff=cutoff, ring=ring
-    )
+    if cutoff is None:
+        raise ValueError("the localized monoid needs a group-letter cutoff")
+    return CubicalCobar(space, max_degree, cutoff=cutoff, ring=ring)
 
 
 # --- the signed relabeling onto bead-word tensor algebras ---

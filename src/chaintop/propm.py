@@ -15,9 +15,10 @@ turns into operations on any chain-level coalgebra with a join.
 
 from __future__ import annotations
 
-from .cubical import I, serre_coproduct
-from .freemod import FreeElement, koszul_sign
-from .rings import Ring, ZZ
+from .cubical import CubeBialgebra, I, serre_coproduct
+from .freemod import FreeElement, cyclic_rotation_sign, koszul_sign
+from .rings import GF, Ring, ZZ, is_prime
+from .simplicial import SimplexBialgebra
 
 KIND_ARITY = {"eps": (1, 0), "delta": (1, 2), "star": (2, 1)}
 
@@ -118,6 +119,24 @@ def join_graph() -> PropGraph:
     return PropGraph(2, 1, ("star",), ((("in", 0), ("in", 1)),), (("v", 0, 0),))
 
 
+def _relabel(graph: PropGraph, inputs, vertex, order=None):
+    """Kinds, vertex inputs and outputs of graph, vertices taken in order,
+    with input leg i read as the source inputs(i) and vertex v renamed
+    vertex(v)."""
+
+    def remap(src):
+        if src[0] == "in":
+            return inputs(src[1])
+        return ("v", vertex(src[1]), src[2])
+
+    order = range(len(graph.kinds)) if order is None else order
+    return (
+        tuple(graph.kinds[vid] for vid in order),
+        tuple(tuple(map(remap, graph.vertex_inputs[vid])) for vid in order),
+        tuple(map(remap, graph.out_sources)),
+    )
+
+
 def compose_graphs(first: PropGraph, second: PropGraph) -> PropGraph:
     """Feed the outputs of first into the inputs of second."""
     if first.n_out != second.n_in:
@@ -125,34 +144,23 @@ def compose_graphs(first: PropGraph, second: PropGraph) -> PropGraph:
             f"cannot compose: {first.n_out} outputs into {second.n_in} inputs"
         )
     off = len(first.kinds)
-
-    def remap(src):
-        if src[0] == "in":
-            return first.out_sources[src[1]]
-        return ("v", src[1] + off, src[2])
-
-    kinds = first.kinds + second.kinds
-    vins = first.vertex_inputs + tuple(
-        tuple(remap(s) for s in v) for v in second.vertex_inputs
+    inputs = first.out_sources
+    kinds, vins, out = _relabel(second, lambda i: inputs[i], lambda v: v + off)
+    return PropGraph(
+        first.n_in, second.n_out, first.kinds + kinds, first.vertex_inputs + vins, out
     )
-    out = tuple(remap(s) for s in second.out_sources)
-    return PropGraph(first.n_in, second.n_out, kinds, vins, out)
 
 
 def tensor_graphs(a: PropGraph, b: PropGraph) -> PropGraph:
     off = len(a.kinds)
-
-    def remap(src):
-        if src[0] == "in":
-            return ("in", src[1] + a.n_in)
-        return ("v", src[1] + off, src[2])
-
-    kinds = a.kinds + b.kinds
-    vins = a.vertex_inputs + tuple(
-        tuple(remap(s) for s in v) for v in b.vertex_inputs
+    kinds, vins, out = _relabel(b, lambda i: ("in", i + a.n_in), lambda v: v + off)
+    return PropGraph(
+        a.n_in + b.n_in,
+        a.n_out + b.n_out,
+        a.kinds + kinds,
+        a.vertex_inputs + vins,
+        a.out_sources + out,
     )
-    out = a.out_sources + tuple(remap(s) for s in b.out_sources)
-    return PropGraph(a.n_in + b.n_in, a.n_out + b.n_out, kinds, vins, out)
 
 
 def reorder_vertices(graph: PropGraph, order) -> PropGraph:
@@ -161,29 +169,13 @@ def reorder_vertices(graph: PropGraph, order) -> PropGraph:
     if sorted(order) != list(range(len(graph.kinds))):
         raise ValueError("order must permute the vertices")
     slot = {vid: t for t, vid in enumerate(order)}
-
-    def remap(src):
-        return ("v", slot[src[1]], src[2]) if src[0] == "v" else src
-
-    kinds = tuple(graph.kinds[vid] for vid in order)
-    vins = tuple(
-        tuple(remap(s) for s in graph.vertex_inputs[vid]) for vid in order
-    )
-    out = tuple(remap(s) for s in graph.out_sources)
-    return PropGraph(graph.n_in, graph.n_out, kinds, vins, out)
+    parts = _relabel(graph, lambda i: ("in", i), lambda v: slot[v], order)
+    return PropGraph(graph.n_in, graph.n_out, *parts)
 
 
 def reorder_sign(graph: PropGraph, order) -> int:
     """Koszul sign of the reordering: one -1 per inverted pair of stars."""
-    order = tuple(order)
-    star_slots = [t for t, vid in enumerate(order) if graph.kinds[vid] == "star"]
-    seq = [order[t] for t in star_slots]
-    sign = 1
-    for i in range(len(seq)):
-        for j in range(i + 1, len(seq)):
-            if seq[i] > seq[j]:
-                sign = -sign
-    return sign
+    return koszul_sign(tuple(order), [kind == "star" for kind in graph.kinds])
 
 
 def _star_to_eps(graph: PropGraph, vid: int, eaten_idx: int) -> PropGraph:
@@ -299,21 +291,18 @@ def hopf_coproduct(graph: PropGraph, ring: Ring = ZZ) -> FreeElement:
     other, 0 passing the first input and 1 the second.
     """
     stars = tuple(reversed(graph.stars))
-    word = (I,) * len(stars)
-    sums = {}
-    for (left, right), c in serre_coproduct(word, ring).items():
-        gl = graph
-        gr = graph
+
+    def degenerate(side):
+        out = graph
         for t, vid in enumerate(stars):
-            if left[t] == "0":
-                gl = _star_to_eps(gl, vid, 1)
-            elif left[t] == "1":
-                gl = _star_to_eps(gl, vid, 0)
-            if right[t] == "0":
-                gr = _star_to_eps(gr, vid, 1)
-            elif right[t] == "1":
-                gr = _star_to_eps(gr, vid, 0)
-        sums[(gl, gr)] = sums.get((gl, gr), 0) + c
+            if side[t] != I:
+                out = _star_to_eps(out, vid, int(side[t] == "0"))
+        return out
+
+    sums = {}
+    for sides, c in serre_coproduct((I,) * len(stars), ring).items():
+        pair = tuple(map(degenerate, sides))
+        sums[pair] = sums.get(pair, 0) + c
     return FreeElement._from_sums(ring, sums)
 
 
@@ -415,7 +404,26 @@ def random_linear_extension(graph: PropGraph, rng):
     return placed
 
 
-# --- the cyclic resolution and the lifting machinery ---
+# --- standard cells, the cyclic resolution and the lifting machinery ---
+
+def cell_family(geometry: str):
+    """The standard-cell class a geometry name stands for."""
+    families = {"simplex": SimplexBialgebra, "cube": CubeBialgebra}
+    if geometry not in families:
+        raise ValueError(f"unknown geometry {geometry!r}")
+    return families[geometry]
+
+
+def push_terms(ring: Ring, element: FreeElement, push) -> FreeElement:
+    """Push every factor of every tensor term of element; a factor pushed
+    to None (a degenerate image) drops its term."""
+    sums = {}
+    for key, c in element.items():
+        pushed = tuple(map(push, key))
+        if None not in pushed:
+            sums[pushed] = sums.get(pushed, 0) + c
+    return FreeElement._from_sums(ring, sums)
+
 
 class WResolution:
     """Minimal free resolution of the trivial module over k[C_p].
@@ -425,8 +433,6 @@ class WResolution:
     """
 
     def __init__(self, p: int):
-        from .rings import is_prime
-
         if not is_prime(p):
             raise ValueError(f"p must be prime, got {p}")
         self.p = p
@@ -454,12 +460,9 @@ class PsiMachine:
     """
 
     def __init__(self, p: int, geometry: str = "simplex", ring: Ring | None = None):
-        from .rings import GF
-
-        if geometry not in ("simplex", "cube"):
-            raise ValueError(f"unknown geometry {geometry!r}")
         self.p = p
         self.geometry = geometry
+        self.family = cell_family(geometry)
         self.ring = GF(p) if ring is None else ring
         self.w = WResolution(p)
         self._models = {}
@@ -467,40 +470,15 @@ class PsiMachine:
 
     def model(self, m: int):
         if m not in self._models:
-            if self.geometry == "simplex":
-                from .simplicial import SimplexBialgebra
-
-                self._models[m] = SimplexBialgebra(m, self.ring)
-            else:
-                from .cubical import CubeBialgebra
-
-                self._models[m] = CubeBialgebra(m, self.ring)
+            self._models[m] = self.family(m, self.ring)
         return self._models[m]
-
-    def cell_dim(self, key) -> int:
-        if self.geometry == "simplex":
-            return len(key) - 1
-        from .cubical import cube_word_degree
-
-        return cube_word_degree(key)
-
-    def _push(self, key, component):
-        # image of a standard-model cell under the characteristic
-        # inclusion of key; never degenerate on standard models
-        if self.geometry == "simplex":
-            return tuple(key[t] for t in component)
-        from .cubical import cube_word_substitute
-
-        return cube_word_substitute(key, component)
 
     def rho(self, element: FreeElement) -> FreeElement:
         """Cyclic action on p-tensors: last factor to the front."""
-        from .freemod import cyclic_rotation_sign
-
         # the rotation is a bijection on keys, so nothing adds up
         sums = {}
         for key, c in element.items():
-            sign = cyclic_rotation_sign([self.cell_dim(x) for x in key])
+            sign = cyclic_rotation_sign([self.family.degree(x) for x in key])
             sums[(key[-1],) + key[:-1]] = c * sign
         return FreeElement._from_sums(self.ring, sums)
 
@@ -569,12 +547,9 @@ class PsiMachine:
         cell of its own dimension, so components come out in the same
         coordinates as the input cell.
         """
-        m = self.cell_dim(key)
+        m = self.family.degree(key)
         value = self.top_value(i, m)
         if key == self.model(m).top:
             return value
-        sums = {}
-        for tup, c in value.items():
-            new_key = tuple(self._push(key, x) for x in tup)
-            sums[new_key] = sums.get(new_key, 0) + c
-        return FreeElement._from_sums(self.ring, sums)
+        # the inclusion of a standard-model cell degenerates no face
+        return push_terms(self.ring, value, lambda x: self.family.substitute(key, x))

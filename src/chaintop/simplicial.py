@@ -369,8 +369,31 @@ def join_vertex_tuples(a: tuple, b: tuple):
     return tuple(sorted(merged)), sign
 
 
-class SimplexBialgebra:
-    """Chains on a standard simplex with counit, coproduct, and join."""
+class CellBialgebra:
+    """Chains on a standard cell with counit, coproduct, and join.
+
+    A subclass is one family of standard cells and the one place that
+    knows its geometry: the static `degree(key)`, `substitute(outer,
+    inner)` (the cell inner of the standard model names inside the cell
+    outer), and `pushforward(space, cell, key)` (the image of a
+    standard-model key under the characteristic map of a cell of space).
+    The basepoint-join contraction and its projection are shared.
+    """
+
+    def contract(self, key) -> FreeElement:
+        """h(x) = basepoint * x, the standard contraction."""
+        return self.join(self.basepoint, key)
+
+    def project(self, key) -> FreeElement:
+        """pi(x) = counit(x) basepoint."""
+        c = self.counit(key)
+        if self.ring.is_zero(c):
+            return FreeElement.zero(self.ring)
+        return FreeElement.single(self.ring, self.basepoint, c)
+
+
+class SimplexBialgebra(CellBialgebra):
+    """Chains on a standard simplex; keys are increasing vertex tuples."""
 
     def __init__(self, n: int, ring: Ring = ZZ):
         self.n = n
@@ -381,8 +404,17 @@ class SimplexBialgebra:
         self.top = tuple(range(n + 1))
         self.name = f"simplex{n}"
 
-    def degree(self, key) -> int:
+    @staticmethod
+    def degree(key) -> int:
         return len(key) - 1
+
+    @staticmethod
+    def substitute(outer, inner):
+        return tuple(outer[t] for t in inner)
+
+    @staticmethod
+    def pushforward(space, cell, key) -> SimplexRef:
+        return monotone_ref(space, cell, key)
 
     def counit(self, key):
         return self.ring.one if len(key) == 1 else self.ring.zero
@@ -399,17 +431,6 @@ class SimplexBialgebra:
             return FreeElement.zero(self.ring)
         key, sign = hit
         return FreeElement.single(self.ring, key, self.ring.from_int(sign))
-
-    def contract(self, key) -> FreeElement:
-        """h(x) = basepoint * x, the standard contraction."""
-        return self.join(self.basepoint, key)
-
-    def project(self, key) -> FreeElement:
-        """pi(x) = counit(x) basepoint."""
-        c = self.counit(key)
-        if self.ring.is_zero(c):
-            return FreeElement.zero(self.ring)
-        return FreeElement.single(self.ring, self.basepoint, c)
 
 
 # --- models ---

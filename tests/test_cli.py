@@ -158,6 +158,26 @@ def test_bad_ring_is_an_input_error(capsys):
     assert code == EXIT_INPUT
 
 
+# the default ring of cobar-ext (q) and steenrod (fp:2) stands in only
+# when no ring is given; an explicit z is refused like any other ring
+# those commands cannot use
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["cobar-ext", "rp2"], "rank certification needs field coefficients"),
+        (["steenrod", "rp2"], "squares act over fp:2"),
+    ],
+)
+def test_an_explicit_integer_ring_is_not_replaced(capsys, argv, message):
+    code, out, err = run(capsys, *argv, "--ring", "z")
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err == f"error: {message}\n"
+    code, _, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+    assert run_job(JobSpec(argv[0], argv[1]))[1] == EXIT_OK
+
+
 def test_nonpositive_cutoff_is_an_input_error(capsys):
     code, _, _ = run(capsys, "cobar", "rp2", "--word-cutoff", "0")
     assert code == EXIT_INPUT
@@ -322,7 +342,7 @@ for bases in (
     cobar(rp2, 2, max_length=2).complex.basis_in,
     ExtendedCobarComplex(rp2, 2, 3).complex.basis_in,
     CubicalCobar(rp2, 2, max_length=2).cubes.nondegenerate,
-    CubicalCobar(rp2, 2, signed=True, cutoff=3).cubes.nondegenerate,
+    CubicalCobar(rp2, 2, cutoff=3).cubes.nondegenerate,
 ):
     print([bases(n) for n in range(3)])
 """

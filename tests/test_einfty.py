@@ -4,6 +4,7 @@ import pytest
 
 from chaintop.complexes import InsufficientTruncationError, tensor_diff
 from chaintop.cubical import (
+    CubeBialgebra,
     CubeMorphism,
     cubical_circle,
     cubical_torus,
@@ -12,6 +13,7 @@ from chaintop.cubical import (
 from chaintop.einfty import (
     FieldHomology,
     HomologyClass,
+    UmCoalgebra,
     cubical_um,
     cup_i,
     evaluate_cochain,
@@ -32,6 +34,7 @@ from chaintop.propm import (
 )
 from chaintop.rings import GF, QQ
 from chaintop.simplicial import (
+    SimplexBialgebra,
     aw_coproduct,
     collapse_to_projective_plane,
     collapse_to_sphere,
@@ -407,3 +410,30 @@ def test_psi_action_matches_machine_on_standard_cells():
     top = (0, 1, 2)
     for i in range(3):
         assert psi_action(coalg, 2, i, top) == machine.top_value(i, 2)
+
+
+def test_a_geometry_outside_the_two_families_is_refused():
+    chains = simplicial_um(sphere_model(2), GF(2)).complex
+    with pytest.raises(ValueError, match="'sphere'"):
+        PsiMachine(2, "sphere")
+    with pytest.raises(ValueError, match="'sphere'"):
+        UmCoalgebra("sphere", sphere_model(2), chains)
+
+
+def test_pushforward_along_a_standard_cell_is_the_substitution():
+    # PsiMachine.on_cell substitutes where UmCoalgebra.push pushes forward;
+    # on standard models the two must name the same nondegenerate cell
+    pairs = 0
+    for family in (SimplexBialgebra, CubeBialgebra):
+        for n in range(4):
+            model = family(n, GF(2))
+            for m in model.complex.degrees():
+                keys = family(m, GF(2)).complex
+                for cell in model.complex.basis_in(m):
+                    for k in keys.degrees():
+                        for key in keys.basis_in(k):
+                            ref = family.pushforward(model.space, cell, key)
+                            assert not ref.is_degenerate, (family, cell, key)
+                            assert ref.base == family.substitute(cell, key)
+                            pairs += 1
+    assert pairs == 90 + 156

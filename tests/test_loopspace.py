@@ -1053,6 +1053,20 @@ def test_cutoff_required_for_localization():
         extended_cubical_cobar(sphere_model(1), 0)
 
 
+def test_a_cutoff_alone_picks_the_localized_window():
+    rp2 = projective_plane_model()
+    for space, max_degree in ((sphere_model(2), 3), (rp2, 2)):
+        om = CubicalCobar(space, max_degree, cutoff=2)
+        want = extended_cubical_cobar(space, max_degree, 2)
+        assert om.signed and (om.cutoff, om.max_length) == (2, None)
+        for n in range(max_degree + 1):
+            assert om.cubes.nondegenerate(n) == want.cubes.nondegenerate(n)
+    with pytest.raises(ValueError, match="not both"):
+        CubicalCobar(rp2, 2, max_length=5, cutoff=2)
+    plain = CubicalCobar(sphere_model(2), 3)
+    assert not plain.signed and plain.cutoff is None
+
+
 def test_circle_cells_are_reduced_words_in_one_letter():
     s1 = sphere_model(1)
     for c in (1, 2, 3):

@@ -52,7 +52,7 @@ def test_steenrod_imports_its_layer_on_demand(capsys):
 DEFAULTS = {
     "model": None,
     "dim": None,
-    "ring": "z",
+    "ring": None,
     "max_degree": None,
     "word_cutoff": None,
     "fmt": "text",
@@ -85,7 +85,7 @@ def test_job_spec_defaults_and_construction():
         suite="x",
     )
     assert repr(JobSpec("verify", suite="join-signs")) == (
-        "JobSpec(command='verify', model=None, dim=None, ring='z', "
+        "JobSpec(command='verify', model=None, dim=None, ring=None, "
         "max_degree=None, word_cutoff=None, fmt='text', check=False, "
         "square=1, degree=None, suite='join-signs')"
     )

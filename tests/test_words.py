@@ -339,7 +339,7 @@ def test_localized_windows_match_the_old_enumerators(index):
             )
             got = sorted_bases(algebra.complex.basis_in, max_degree)
             assert got == want, (space.name, max_degree, cutoff)
-            omega = CubicalCobar(space, max_degree, signed=True, cutoff=cutoff)
+            omega = CubicalCobar(space, max_degree, cutoff=cutoff)
             want = by_degree(
                 old_signed_cube_words(space, max_degree, cutoff),
                 lambda c: signed_degree(space, c),
@@ -377,7 +377,7 @@ def test_windows_store_the_enumerators_order(index):
         space, edges, heavies, max_degree, lambda d: cutoff - g * d
     )
     algebra = ExtendedCobarComplex(space, max_degree, cutoff)
-    omega = CubicalCobar(space, max_degree, signed=True, cutoff=cutoff)
+    omega = CubicalCobar(space, max_degree, cutoff=cutoff)
     for n in degrees:
         assert algebra.complex.basis_in(n) == tuple(localized[n]), (space.name, n)
         assert omega.cubes.nondegenerate(n) == tuple(localized[n]), (space.name, n)
