@@ -170,7 +170,10 @@ class CobarComplex:
     def _build(self, basis, table, edges, name) -> None:
         """Store the window basis under d, the derivation of table.
 
-        table maps each letter to (the terms of its d, its degree).
+        basis is the `Window` that `chaintop.words` enumerates; the
+        complex stores it as it is, and indexes its words by degree at
+        the first lookup. table maps each letter to (the terms of its d,
+        its degree).
         """
         self._letters = table
         # the letters with d = 0: d is a derivation, so every word of

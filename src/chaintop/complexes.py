@@ -9,6 +9,8 @@ a truncation (see InsufficientTruncationError).
 
 from __future__ import annotations
 
+from functools import cached_property, partial
+
 from .freemod import FreeElement
 from .linalg import residual_columns
 from .rings import Ring
@@ -51,6 +53,33 @@ def graded_ids(given) -> tuple:
     return ids, degree_of
 
 
+class Window(dict):
+    """Keys listed per degree, {degree: tuple of keys}, each key once.
+
+    The word enumerators (`chaintop.words`) build their keys distinct
+    and return them as a window, which a `ChainComplex` stores as it is:
+    no key is hashed until something first reads `degree_of`, the map
+    {key: degree}, which is then built once and kept, so every complex
+    and cube set that holds the window shares it. A degree may be empty;
+    a complex keeps only the nonempty ones in its basis. A window is
+    trusted, not checked: a builder must make its degrees non-negative
+    ints and its keys distinct. Any other basis goes through `graded_ids`.
+
+    >>> window = Window({0: ((),), 1: (("a",), ("b",)), 2: ()})
+    >>> "degree_of" in window.__dict__
+    False
+    >>> window.degree_of
+    {(): 0, ('a',): 1, ('b',): 1}
+    """
+
+    @cached_property
+    def degree_of(self) -> dict:
+        degree_of = {}
+        for n, keys in self.items():
+            degree_of.update(dict.fromkeys(keys, n))
+        return degree_of
+
+
 def _image(rule, key, source, target, shift, cache, what) -> FreeElement:
     """rule(key) as a FreeElement in degree n + shift of target, kept in cache.
 
@@ -80,14 +109,14 @@ def _image(rule, key, source, target, shift, cache, what) -> FreeElement:
 
 
 def _columns(rule, keys, rows, ring, checked) -> list:
-    """Sparse columns of rule on keys, numbered by position in rows.
+    """Sparse columns of rule on keys, numbered by rows() = {row key: position}.
 
     The rule and its values are read as `_image` reads them. Each value
     is canonicalized straight into positions in one pass
     (`Ring.canonical_column`), so no FreeElement is built. Every zero
-    column is one shared dict, and the index of rows is built only at
-    the first nonzero value. A nonzero term outside rows makes
-    checked(key) raise its error.
+    column is one shared dict, and rows is called only at the first
+    nonzero value. A nonzero term outside the rows makes checked(key)
+    raise its error.
     """
     zero = {}
     if rule is None:
@@ -101,7 +130,7 @@ def _columns(rule, keys, rows, ring, checked) -> list:
             columns.append(zero)
             continue
         if index is None:
-            index = {k: i for i, k in enumerate(rows)}
+            index = rows()
         try:
             columns.append(column(value, index) or zero)
         except KeyError:
@@ -126,6 +155,13 @@ class ChainComplex:
     canonicalizes and checks a whole d_n as it numbers its terms, and
     keeps the columns it builds.
 
+    A `Window` basis, as `chaintop.words` enumerates it, is stored as it
+    is, kept as `window`, and its keys are indexed by degree only when a
+    lookup first needs it: the zero complex of a cobar on a wedge of
+    spheres never does. Any other basis is indexed and checked at
+    construction by `graded_ids`, and kept as a window whose index is
+    already built.
+
     max_degree is the top degree the complex stores in full. It starts
     as the top nonempty degree, since the basis keeps no empty degree; a
     window that knows it stores empty degrees above that one in full
@@ -135,10 +171,17 @@ class ChainComplex:
 
     def __init__(self, ring: Ring, basis, diff, complete: bool = False, name: str = ""):
         self.ring = ring
-        self.basis, self._degree_of = graded_ids(basis)
+        if isinstance(basis, Window):
+            self.window = basis
+            self.basis = {n: keys for n, keys in basis.items() if keys}
+        else:
+            self.basis, degree_of = graded_ids(basis)
+            self.window = Window(self.basis)
+            self.window.degree_of = degree_of
         self._diff_rule = diff
         self._diff_cache = {}
         self._columns = {}
+        self._positions = {}
         self.complete = complete
         self.name = name
         self.min_degree = min(self.basis) if self.basis else 0
@@ -152,6 +195,23 @@ class ChainComplex:
 
     def rank(self, n: int) -> int:
         return len(self.basis_in(n))
+
+    @property
+    def _degree_of(self) -> dict:
+        """{key: degree} of the whole basis, built at the first read."""
+        return self.window.degree_of
+
+    def positions(self, n: int) -> dict:
+        """{key: position} of the basis of degree n, built once and kept.
+
+        The rows that `diff_columns` and `GradedLinearMap.columns` number
+        their terms by; a degree whose columns are all zero never builds
+        one.
+        """
+        index = self._positions.get(n)
+        if index is None:
+            index = self._positions[n] = {k: i for i, k in enumerate(self.basis_in(n))}
+        return index
 
     def degree_of(self, key) -> int:
         try:
@@ -198,8 +258,9 @@ class ChainComplex:
     def diff_columns(self, n: int) -> list:
         """Sparse columns of d: C_n -> C_{n-1}, one per key of C_n.
 
-        Column j maps the position in C_{n-1} of each term of d(key_j) to
-        its coefficient (the column format of chaintop.linalg). The
+        Column j maps the position in C_{n-1} (`positions`) of each term
+        of d(key_j) to its coefficient (the column format of
+        chaintop.linalg). The
         columns come from `_columns`, the builder that the columns of a
         GradedLinearMap use too: no FreeElement is built, the per-key
         cache of `diff` is neither read nor filled, a term whose sum is
@@ -225,7 +286,11 @@ class ChainComplex:
         columns = self._columns.get(n)
         if columns is None:
             columns = self._columns[n] = _columns(
-                self._diff_rule, self.basis_in(n), self.basis_in(n - 1), self.ring, self.diff
+                self._diff_rule,
+                self.basis_in(n),
+                partial(self.positions, n - 1),
+                self.ring,
+                self.diff,
             )
         return columns
 
@@ -282,7 +347,8 @@ class GradedLinearMap:
         """Sparse columns of f on degree n, one per key of the source's C_n.
 
         Column j maps the position in the target basis of degree
-        n + shift of each term of f(key_j) to its coefficient, built as
+        n + shift (`ChainComplex.positions`) of each term of f(key_j) to
+        its coefficient, built as
         `ChainComplex.diff_columns` builds a d_n, by `_columns`: the rule
         may return plain sums, a None rule is the zero map, and every
         zero column is one shared dict. The per-key cache of `apply_key`
@@ -303,7 +369,7 @@ class GradedLinearMap:
             columns = self._columns[n] = _columns(
                 self._rule,
                 self.source.basis_in(n),
-                self.target.basis_in(n + self.shift),
+                partial(self.target.positions, n + self.shift),
                 self.target.ring,
                 self.apply_key,
             )

@@ -282,6 +282,11 @@ class CubicalSet:
     first missing face.
     """
 
+    # the `Window` a set shares with the complex its cells come from
+    # (`loopspace.CubicalCobar`), which `cubical_chains` passes on; a set
+    # that lists its own cells has none
+    window = None
+
     def __init__(self, name: str, cells, faces, complete: bool = True):
         self.name = name
         self.complete = bool(complete)
@@ -432,11 +437,18 @@ def cubical_chains(
     the set's own `_boundary`, plain-number sums that the complex
     canonicalizes; a set that knows its boundary without its faces (the
     loop-space cube model) computes it that way, and gives None for the
-    zero differential.
+    zero differential. A set that keeps a `Window` (`CubicalSet.window`)
+    hands it on when every cell is wanted, so its chains share the index
+    of its cells by degree; otherwise the cells of each degree up to the
+    top are listed and indexed anew.
     """
     top = space.dimension if max_degree is None else min(max_degree, space.dimension)
-    basis = {n: space.nondegenerate(n) for n in range(top + 1)}
-    complete = space.complete and top >= space.dimension
+    whole = top >= space.dimension
+    if space.window is not None and whole:
+        basis = space.window
+    else:
+        basis = {n: space.nondegenerate(n) for n in range(top + 1)}
+    complete = space.complete and whole
     return ChainComplex(ring, basis, space._boundary, complete=complete, name=space.name)
 
 

@@ -78,11 +78,17 @@ def _as_element(coalg: UmCoalgebra, chain) -> FreeElement:
 
 def _transport(coalg: UmCoalgebra, chain, top_value) -> FreeElement:
     """Push top_value(n), an operation's value on the top cell of the
-    n-dimensional standard model, along each n-cell of the chain."""
+    n-dimensional standard model, along each n-cell of the chain.
+
+    top_value is called once per dimension of the chain's cells."""
     chain = _as_element(coalg, chain)
     out = FreeElement.zero(coalg.ring)
+    values = {}
     for cell, c in chain.items():
-        value = top_value(coalg.complex.degree_of(cell))
+        n = coalg.complex.degree_of(cell)
+        value = values.get(n)
+        if value is None:
+            value = values[n] = top_value(n)
         out = out + coalg.push_tensor(cell, value).scale(c)
     return out
 
@@ -90,8 +96,9 @@ def _transport(coalg: UmCoalgebra, chain, top_value) -> FreeElement:
 def um_action(coalg: UmCoalgebra, op: PropGraph, chain) -> FreeElement:
     """Evaluate a one-input prop operation on a chain of the space.
 
-    The operation runs on the top cell of the standard model in each
-    dimension and the answer is pushed forward componentwise.
+    The operation runs once on the top cell of the standard model in
+    each dimension of the chain's cells, and the answer is pushed
+    forward componentwise.
     """
     if op.n_in != 1:
         raise ValueError("prop action needs a one-input operation")
@@ -160,7 +167,7 @@ class FieldHomology:
         self.ring = ring
         basis = complex_.basis_in(n)
         self._basis = basis
-        self._index = {key: t for t, key in enumerate(basis)}
+        self._index = complex_.positions(n)
 
         # greedy in basis order: a boundary, then a cycle, is kept when it
         # lies outside the span of those kept before it
@@ -246,15 +253,6 @@ class FieldHomology:
                     alpha[key] = a
             out.append(alpha)
         return out
-
-
-def evaluate_cochain(alpha: dict, chain: FreeElement, ring: Ring):
-    total = ring.zero
-    for key, c in chain.items():
-        a = alpha.get(key)
-        if a is not None:
-            total = ring.add(total, ring.mul(a, c))
-    return total
 
 
 def _class_of_pairings(target: FieldHomology, value: FreeElement) -> HomologyClass:

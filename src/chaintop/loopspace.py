@@ -223,11 +223,13 @@ def _letter_values(sides) -> dict:
 class _WordCubes(CubicalSet):
     """The cubes of a bead-word window, read off a table built once per letter.
 
-    The cells are the words of a cobar complex of the same window, and
-    share its basis and degrees. sides maps each letter, keyed as it
-    stands in a word, to (width, sides): its number of cube coordinates
-    and, per coordinate j and side eps, the entry
-    (j, eps, base, morphism, padded). base and morphism form the
+    The cells are the words of a cobar complex of the same window: the
+    cube set keeps that complex's basis and its `Window` (`window`), so
+    the words are indexed by degree once, at the first lookup, for the
+    cobar, the cube set and its chains (`cubical_chains`). sides maps
+    each letter, keyed as it stands in a word, to (width, sides): its
+    number of cube coordinates and, per coordinate j and side eps, the
+    entry (j, eps, base, morphism, padded). base and morphism form the
     canonical face of the lone bead; padded caches the morphism padded
     by identities on the other beads' coordinates, keyed by how many
     come before and after. A face of a word rewrites only the bead that
@@ -251,10 +253,14 @@ class _WordCubes(CubicalSet):
     def __init__(self, name: str, words, complete: bool, sides, reduce):
         self.name = name
         self.complete = complete
-        self.cells, self._dim = words.basis, words._degree_of
+        self.cells, self.window = words.basis, words.window
         self._sides = sides
         self._values = _letter_values(sides)
         self._reduce = reduce
+
+    @property
+    def _dim(self) -> dict:
+        return self.window.degree_of
 
     @property
     def _boundary(self):
@@ -300,7 +306,9 @@ class CubicalCobar:
     (`chaintop.words.sliding_budget`) of max_length, or, exactly when a
     group-letter cutoff is given, `ExtendedCobarComplex` for the signed
     (localized) words; passing both raises ValueError. Its words are
-    the cells, in its order, and the window is closed under faces.
+    the cells, in its order, and the window is closed under faces. The
+    cobar, the cubes and their chains hold one `Window` of the words,
+    indexed by degree once, at the first lookup.
     Stored beads are nondegenerate, so a face rewrites only the bead
     that owns its direction: the constructor canonicalizes each letter's
     faces once, checks their dimensions, and keeps that table with the
@@ -598,13 +606,14 @@ def _certify_letter_rule(omega: CubicalCobar, image) -> dict:
             table[letter] = (value.terms or None, n)
     moving = frozenset(letter for letter, (rule, _) in table.items() if rule)
     for n in chains.degrees():
-        index = {key: i for i, key in enumerate(chains.basis_in(n - 1))}
         for cell, column in zip(chains.basis_in(n), chains.diff_columns(n)):
             if moving.isdisjoint(cell):
                 expected = {}
             else:
                 try:
-                    expected = ring.canonical_column(derivation(table, cell)[0], index)
+                    expected = ring.canonical_column(
+                        derivation(table, cell)[0], chains.positions(n - 1)
+                    )
                 except KeyError:
                     expected = None
             if column != expected:

@@ -46,6 +46,16 @@ to which degree it stores every word (`stored_top`): an empty degree
 above its top nonempty one counts when the cap cannot cut it, and then
 settles the homology one degree down.
 
+Both enumerators return a `complexes.Window`: the words of each degree
+0..max_degree as a tuple, empty degrees included. Each word is built
+once, as a letter in front of a shorter word, or as heavy letters
+between group runs, so the words are distinct as soon as the letters
+are; that premise is all an enumerator checks, and a letter given twice
+raises ValueError naming it. The cobar stores the window as it is, and
+its cube model shares the same object (`loopspace.CubicalCobar`), so
+the words are indexed by degree once, at the first lookup, and not at
+all when nothing looks one up (`ChainComplex`).
+
 The order built here is the stored basis order: each window keeps every
 degree exactly as `plain_words` or `localized_words` returns it, and no
 class sorts it again. Plain words come shortest first, then
@@ -62,6 +72,7 @@ could be kept while a shorter word inside it is not.
 
 from __future__ import annotations
 
+from .complexes import Window
 from .simplicial import SimplicialSet
 
 
@@ -122,8 +133,18 @@ def group_words(cells, max_len: int):
         frontier = new
 
 
-def plain_words(space: SimplicialSet, letters, max_degree: int, budget) -> dict:
-    """Words in `letters` by degree, {degree: [words]} for 0..max_degree.
+def _distinct(letters) -> None:
+    """Raise ValueError naming the first letter listed twice."""
+    if len(set(letters)) != len(letters):
+        seen = set()
+        for cell in letters:
+            if cell in seen:
+                raise ValueError(f"letter listed twice: {cell!r}")
+            seen.add(cell)
+
+
+def plain_words(space: SimplicialSet, letters, max_degree: int, budget) -> Window:
+    """Words in `letters` by degree, a `Window` of tuples for 0..max_degree.
 
     A word of degree d is kept when d <= max_degree and its length is at
     most budget(d). Each degree comes shortest first, then
@@ -132,15 +153,18 @@ def plain_words(space: SimplicialSet, letters, max_degree: int, budget) -> dict:
     are each letter l, in order, put in front of every word of length
     L - 1 and degree d - |l|. That reaches every word of the window
     because the budget must not rise with degree, so every suffix of a
-    kept word is kept too. A budget(d + 1) above budget(d), or None
-    after a number, raises ValueError.
+    kept word is kept too, and it keeps the words distinct when the
+    letters are: a letter listed twice raises ValueError. So does a
+    budget(d + 1) above budget(d), or None after a number.
 
     >>> from .simplicial import simplicial_model
     >>> rp2 = simplicial_model("rp2")
     >>> a, b = rp2.nondegenerate(1)
-    >>> plain_words(rp2, (a, b), 0, lambda d: 2)[0] == [(), (a,), (b,), (a, a), (a, b), (b, a), (b, b)]
+    >>> plain_words(rp2, (a, b), 0, lambda d: 2)[0] == ((), (a,), (b,), (a, a), (a, b), (b, a), (b, b))
     True
     """
+    letters = tuple(letters)
+    _distinct(letters)
     caps = [budget(d) for d in range(max_degree + 1)]
     for d, (cap, above) in enumerate(zip(caps, caps[1:])):
         if cap is not None and (above is None or above > cap):
@@ -150,7 +174,7 @@ def plain_words(space: SimplicialSet, letters, max_degree: int, budget) -> dict:
             )
     words = {d: [] for d in range(max_degree + 1)}
     if max_degree < 0:
-        return words
+        return Window()
     steps = [(cell, space.dim_of(cell) - 1) for cell in letters]
     # per degree d, each letter that fits with the degree d - |letter|
     # of the words it goes in front of
@@ -176,13 +200,13 @@ def plain_words(space: SimplicialSet, letters, max_degree: int, budget) -> dict:
                 words[d] += new
             grown.append(new)
         bucket = grown
-    return words
+    return Window((d, tuple(ws)) for d, ws in words.items())
 
 
 def stored_top(words: dict, edges, budget) -> int:
     """The top degree up to which a window stores every degree in full.
 
-    words is a window's {degree: [words]} for 0..max_degree, as
+    words is a window's {degree: words} for 0..max_degree, as
     `plain_words` or `localized_words` build it. Its top nonempty degree
     is raised through each degree above it that the cap leaves whole,
     since a whole degree that is stored empty has no words at all. The
@@ -192,9 +216,9 @@ def stored_top(words: dict, edges, budget) -> int:
     letters. A degree the cap may cut is never raised through, so the
     homology below it stays inconclusive rather than read as zero.
 
-    >>> stored_top({0: [()], 1: [], 2: [("x",)], 3: []}, (), lambda d: None)
+    >>> stored_top({0: ((),), 1: (), 2: (("x",),), 3: ()}, (), lambda d: None)
     3
-    >>> stored_top({0: [()], 1: [("x",)], 2: []}, (), lambda d: 1)
+    >>> stored_top({0: ((),), 1: (("x",),), 2: ()}, (), lambda d: 1)
     1
     """
     top = max((d for d, ws in words.items() if ws), default=-1)
@@ -208,38 +232,41 @@ def stored_top(words: dict, edges, budget) -> int:
 
 def localized_words(
     space: SimplicialSet, edges, heavies, max_degree: int, budget
-) -> dict:
-    """Localized words g0 x1 g1 ... xk gk by degree, written flat.
+) -> Window:
+    """Localized words g0 x1 g1 ... xk gk by degree, written flat, as a `Window`.
 
     The heavy letters x1..xk, each as (x, 1), form a skeleton of degree
     d; the group runs g0..gk are reduced words in the edges of total
     length at most budget(d). A degree with a negative budget stays
-    empty.
+    empty. Edges and heavy letters must be distinct, one from another
+    and each from each, so that a flat word splits one way into its
+    skeleton and runs; a letter listed twice raises ValueError.
 
     >>> from .simplicial import simplicial_model
     >>> rp2 = simplicial_model("rp2")
     >>> edges, heavies = letters(rp2)
     >>> words = localized_words(rp2, edges, heavies, 1, lambda d: 1 - d)
     >>> words[0]
-    [(), (('a', 1),), (('a', -1),), (('b', 1),), (('b', -1),)]
+    ((), (('a', 1),), (('a', -1),), (('b', 1),), (('b', -1),))
     >>> words[1]
-    [(('U', 1),), (('L', 1),)]
+    ((('U', 1),), (('L', 1),))
     """
+    _distinct(tuple(edges) + tuple(heavies))
     skeletons = plain_words(space, heavies, max_degree, lambda d: None)
-    words = {}
+    words = Window()
     for degree, sks in skeletons.items():
         cap = budget(degree)
-        words[degree] = []
-        if cap < 0:
-            continue
-        pool = list(group_words(edges, cap))
-        for sk in sks:
-            heavy = [((cell, 1),) for cell in sk]
-            for segs in _segments(pool, len(sk) + 1, cap):
-                word = segs[0]
-                for letter, seg in zip(heavy, segs[1:]):
-                    word += letter + seg
-                words[degree].append(word)
+        built = []
+        if cap >= 0:
+            pool = list(group_words(edges, cap))
+            for sk in sks:
+                heavy = [((cell, 1),) for cell in sk]
+                for segs in _segments(pool, len(sk) + 1, cap):
+                    word = segs[0]
+                    for letter, seg in zip(heavy, segs[1:]):
+                        word += letter + seg
+                    built.append(word)
+        words[degree] = tuple(built)
     return words
 
 

@@ -13,3 +13,14 @@ def add_into(terms: dict, ring, key, coeff) -> None:
         terms.pop(key, None)
     else:
         terms[key] = c
+
+
+def evaluate_cochain(alpha: dict, chain, ring):
+    """The pairing of a cochain {key: value} with a chain, the sum of
+    alpha(key) * c over its terms; keys alpha omits count as 0."""
+    total = ring.zero
+    for key, c in chain.items():
+        a = alpha.get(key)
+        if a is not None:
+            total = ring.add(total, ring.mul(a, c))
+    return total

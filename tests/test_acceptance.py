@@ -31,7 +31,6 @@ from chaintop.einfty import (
     HomologyClass,
     cubical_um,
     cup_i,
-    evaluate_cochain,
     nu_coefficient,
     simplicial_um,
     steenrod_sq,
@@ -77,7 +76,7 @@ from chaintop.simplicial import (
 )
 from chaintop.smith import smith_homology
 
-from ring_oracle import add_into
+from ring_oracle import add_into, evaluate_cochain
 from words_oracle import word_degree
 
 

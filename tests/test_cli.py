@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 from collections import Counter
+from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -711,6 +712,60 @@ def test_check_builds_each_differential_once(tmp_path, capsys, monkeypatch, argv
     assert (complex_._diff_rule is not None) == reads_rule
     assert set(calls) == (set(keys) if reads_rule else set())
     assert set(calls.values()) <= {1}
+
+
+def count_window_indexes(monkeypatch) -> list:
+    """Patch `Window.degree_of` to append each window it indexes to the
+    list returned, then build the index as before."""
+    from chaintop.complexes import Window
+
+    real = Window.__dict__["degree_of"].func
+    built = []
+
+    def counted(window):
+        built.append(window)
+        return real(window)
+
+    counted_property = cached_property(counted)
+    counted_property.__set_name__(Window, "degree_of")
+    monkeypatch.setattr(Window, "degree_of", counted_property)
+    return built
+
+
+def test_cobar_on_a_wedge_of_spheres_indexes_no_word(tmp_path, capsys, monkeypatch):
+    # the cobar of S2 v S2 v S3 is the zero complex: its homology table
+    # reads ranks only, so no word is looked up by its degree
+    wedge = wedge_models(wedge_models(sphere_model(2), sphere_model(2)), sphere_model(3))
+    path = tmp_path / "s2s2s3.json"
+    path.write_text(json.dumps(simplicial_to_json(wedge)))
+    built = count_window_indexes(monkeypatch)
+    code, out, _ = run(capsys, "cobar", str(path), "--max-degree", "7", "--format", "json")
+    assert code == EXIT_OK
+    assert json.loads(out)["homology"]["7"] == {"rank": 408, "torsion": []}
+    assert built == []
+
+
+def test_loop_check_indexes_its_window_once(capsys, monkeypatch):
+    # the cobar, the cube set and the cube chains share one window, so the
+    # certificate's lookups index its words once between them
+    from chaintop import cli
+
+    omegas = []
+
+    def kept(*args, real=cli.cubical_cobar, **kwargs):
+        omegas.append(real(*args, **kwargs))
+        return omegas[-1]
+
+    monkeypatch.setattr(cli, "cubical_cobar", kept)
+    built = count_window_indexes(monkeypatch)
+    code, out, _ = run(capsys, "loop", "sphere", "2", "--check")
+    assert code == EXIT_OK
+    assert "passed" in out
+    (omega,) = omegas
+    window = omega.words.complex.window
+    assert built == [window]
+    assert omega.chains().window is window
+    assert omega.cubes.window is window
 
 
 def test_parser_is_built_once_and_survives_a_failed_parse(capsys):

@@ -234,6 +234,9 @@ def test_a_repeated_basis_key_names_its_first_repeat(diff):
         ({0: ["v", "w"], 1: ["a", "w", "a"], 2: ["v"]}, "w"),
         ({0: ["v"], 1: ["a", "b", "b", "a"]}, "b"),
         ({0: [("x", 1)], 3: [("x", 1)]}, ("x", 1)),
+        # tuples per degree, as the word enumerators list them, but in a
+        # plain dict: only a `Window` is stored unchecked
+        ({0: ((),), 1: (("a",), ("b",)), 2: (("a", "b"), ("a",))}, ("a",)),
     ]
     # the cell sets index their cells as a complex indexes its basis,
     # and refuse the same keys before reading a face

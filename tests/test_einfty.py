@@ -16,7 +16,6 @@ from chaintop.einfty import (
     UmCoalgebra,
     cubical_um,
     cup_i,
-    evaluate_cochain,
     nu_coefficient,
     psi_action,
     simplicial_um,
@@ -44,6 +43,8 @@ from chaintop.simplicial import (
     standard_simplex,
 )
 
+from ring_oracle import evaluate_cochain
+
 
 def one(coalg, key):
     return FreeElement.single(coalg.ring, key, coalg.ring.one)
@@ -65,6 +66,28 @@ def test_um_rejects_multi_input():
     coalg = simplicial_um(sphere_model(1), GF(2))
     with pytest.raises(ValueError):
         um_action(coalg, join_graph(), "a")
+
+
+def test_um_action_evaluates_once_per_dimension(monkeypatch):
+    # the value on the top cell depends only on the dimension, so the two
+    # 1-cells of the torus share one evaluation
+    import chaintop.einfty as einfty
+
+    calls = []
+
+    def counted(*args, real=einfty.evaluate):
+        calls.append(args[1].n)
+        return real(*args)
+
+    monkeypatch.setattr(einfty, "evaluate", counted)
+    coalg = cubical_um(cubical_torus(), GF(2))
+    a, b = coalg.complex.basis_in(1)
+    chain = one(coalg, a) + one(coalg, b)
+    got = um_action(coalg, coproduct_graph(), chain)
+    assert calls == [1]
+    assert got == um_action(coalg, coproduct_graph(), a) + um_action(
+        coalg, coproduct_graph(), b
+    )
 
 
 def test_um_action_is_chain_map_on_models():

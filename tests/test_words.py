@@ -31,7 +31,15 @@ from chaintop.simplicial import (
     standard_simplex,
     wedge_models,
 )
-from chaintop.words import growth, letters, localized_words, plain_words, stored_top
+from chaintop.words import (
+    growth,
+    letters,
+    localized_budget,
+    localized_words,
+    plain_words,
+    sliding_budget,
+    stored_top,
+)
 
 import words_oracle
 from shared_models import collapsed_simplex
@@ -316,13 +324,13 @@ def test_a_budget_that_rises_with_degree_is_refused():
     # a rise above max_degree is never read; None before a number is a fall
     (x,) = s2.nondegenerate(2)
     assert plain_words(s2, (x,), 1, lambda d: 1 if d < 2 else 5) == {
-        0: [()],
-        1: [(x,)],
+        0: ((),),
+        1: ((x,),),
     }
     assert plain_words(s2, (x,), 2, lambda d: None if d < 2 else 1) == {
-        0: [()],
-        1: [(x,)],
-        2: [],
+        0: ((),),
+        1: ((x,),),
+        2: (),
     }
 
 
@@ -383,6 +391,48 @@ def test_windows_store_the_enumerators_order(index):
         assert omega.cubes.nondegenerate(n) == tuple(localized[n]), (space.name, n)
 
 
+@pytest.mark.parametrize("index", range(len(MODELS)))
+def test_no_window_repeats_a_word(index):
+    # a window is stored unchecked: the enumerators check only that their
+    # letters are distinct, so each window is held here to distinct words
+    space = MODELS[index]
+    edges, heavies = letters(space)
+    g = growth(space)
+    for max_degree in range(4):
+        for length in (1, 2, 3):
+            windows = {
+                "fixed": plain_words(space, edges + heavies, max_degree, lambda d: length),
+                "sliding": plain_words(
+                    space, edges + heavies, max_degree, sliding_budget(length, max_degree)
+                ),
+                "localized": localized_words(
+                    space, edges, heavies, max_degree, localized_budget(length, g)
+                ),
+            }
+            if not edges:
+                windows["uncapped"] = plain_words(
+                    space, heavies, max_degree, lambda d: None
+                )
+            for kind, window in windows.items():
+                listed = [word for words in window.values() for word in words]
+                assert len(set(listed)) == len(listed), (space.name, max_degree, kind)
+
+
+def test_a_letter_given_twice_is_refused():
+    rp2 = simplicial_model("rp2")
+    edges, heavies = letters(rp2)
+    a, U = edges[0], heavies[0]
+    with pytest.raises(ValueError, match=f"^letter listed twice: {a!r}$"):
+        plain_words(rp2, edges + (a,) + heavies, 2, lambda d: 2)
+    with pytest.raises(ValueError, match=f"^letter listed twice: {U!r}$"):
+        plain_words(rp2, (U,) + edges + heavies, 2, lambda d: 2)
+    with pytest.raises(ValueError, match=f"^letter listed twice: {a!r}$"):
+        localized_words(rp2, edges + (a,), heavies, 1, lambda d: 1 - d)
+    # an edge that is also a heavy letter would make a flat word split two ways
+    with pytest.raises(ValueError, match=f"^letter listed twice: {a!r}$"):
+        localized_words(rp2, edges, heavies + (a,), 1, lambda d: 1 - d)
+
+
 def test_letters_split_and_growth_rule():
     rp2 = simplicial_model("rp2")
     edges, heavies = letters(rp2)
@@ -429,13 +479,13 @@ def test_budget_bounds_each_degree():
     s2 = sphere_model(2)
     (x,) = s2.nondegenerate(2)
     assert plain_words(s2, (x,), 3, lambda d: None) == {
-        0: [()],
-        1: [(x,)],
-        2: [(x, x)],
-        3: [(x, x, x)],
+        0: ((),),
+        1: ((x,),),
+        2: ((x, x),),
+        3: ((x, x, x),),
     }
     # a cap of one word letter keeps only the degree-1 letter
-    assert plain_words(s2, (x,), 3, lambda d: 1) == {0: [()], 1: [(x,)], 2: [], 3: []}
+    assert plain_words(s2, (x,), 3, lambda d: 1) == {0: ((),), 1: ((x,),), 2: (), 3: ()}
     rp2 = simplicial_model("rp2")
     edges, heavies = letters(rp2)
     words = localized_words(rp2, edges, heavies, 1, lambda d: 2 - 2 * d)
@@ -445,7 +495,7 @@ def test_budget_bounds_each_degree():
     assert sorted(words[1], key=repr) == sorted(
         [((cell, 1),) for cell in heavies], key=repr
     )
-    assert localized_words(rp2, edges, heavies, 1, lambda d: -1) == {0: [], 1: []}
+    assert localized_words(rp2, edges, heavies, 1, lambda d: -1) == {0: (), 1: ()}
 
 
 @pytest.mark.parametrize(

@@ -7,7 +7,8 @@ frontier grown by every letter at its end, the degree carried along.
 Both keep a word of degree d when d <= max_degree and its length is at
 most budget(d), and both list each degree shortest first, then
 lexicographic in the letter order, so their dicts must be equal, order
-included, for every budget that does not rise with degree.
+included, for every budget that does not rise with degree. Like the
+library's window, the oracle gives each degree as a tuple.
 
 `word_degree` sums a plain word's degree letter by letter; the library
 no longer does, since its windows store each word's degree.
@@ -20,7 +21,7 @@ def word_degree(space, word) -> int:
 
 
 def plain_words(space, letters, max_degree, budget):
-    """{degree: [words]} for 0..max_degree, breadth first."""
+    """{degree: (words)} for 0..max_degree, breadth first."""
     steps = [(cell, space.dim_of(cell) - 1) for cell in letters]
     caps = [budget(d) for d in range(max_degree + 1)]
     words = {d: [] for d in range(max_degree + 1)}
@@ -41,4 +42,4 @@ def plain_words(space, letters, max_degree, budget):
                 new.append((grown, d))
                 words[d].append(grown)
         frontier = new
-    return words
+    return {d: tuple(ws) for d, ws in words.items()}
