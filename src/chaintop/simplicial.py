@@ -10,7 +10,7 @@ standard simplices carry in degree 1.
 
 from __future__ import annotations
 
-from .complexes import ChainComplex, GradedLinearMap, graded_ids
+from .complexes import ChainComplex, GradedLinearMap, Window, graded_ids
 from .freemod import FreeElement
 from .rings import Ring, ZZ
 
@@ -270,9 +270,16 @@ class SimplicialSet:
 def normalized_chains(
     space: SimplicialSet, max_degree: int | None = None, ring: Ring = ZZ
 ) -> ChainComplex:
-    """Normalized chains: nondegenerate cells, faces with degenerates dropped."""
+    """Normalized chains: nondegenerate cells, faces with degenerates dropped.
+
+    The basis is the space's own cells, already indexed and checked, so
+    it goes to `ChainComplex` as a `Window`, not to be checked again;
+    when it holds every cell, the space's index is its index.
+    """
     top = space.dimension if max_degree is None else min(max_degree, space.dimension)
-    basis = {n: space.nondegenerate(n) for n in range(top + 1)}
+    basis = Window((n, space.nondegenerate(n)) for n in range(top + 1))
+    if top >= space.dimension:
+        basis.degree_of = space._dim
 
     def diff(key):
         n = space.dim_of(key)

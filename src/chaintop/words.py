@@ -107,6 +107,28 @@ def sliding_budget(max_length: int | None, max_degree: int):
     return lambda degree: max_length + (max_degree - degree)
 
 
+def first_open_degree(budget, max_degree: int):
+    """The lowest degree 1..max_degree whose plain boundary terms the budget may cut.
+
+    A boundary term of a plain word, in the cobar and in the cube model
+    alike, lowers the degree by one and adds at most one letter, so a
+    window keeps every term of d exactly when, in each degree d,
+    budget(d - 1) is None or at least budget(d) + 1. Returns the first
+    degree where that fails, or None when the window is closed under d:
+    the sliding cap is, the fixed cap of `cobar.cobar` is not.
+
+    >>> first_open_degree(sliding_budget(2, 3), 3) is None
+    True
+    >>> first_open_degree(lambda d: 2, 3)
+    1
+    """
+    for d in range(1, max_degree + 1):
+        below, cap = budget(d - 1), budget(d)
+        if below is not None and (cap is None or below < cap + 1):
+            return d
+    return None
+
+
 def localized_budget(cutoff: int, growth: int):
     """budget(d) = cutoff - growth * d, the group letters of a localized word."""
     return lambda degree: cutoff - growth * degree

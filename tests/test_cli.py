@@ -88,7 +88,8 @@ def test_cobar_ext_tight_window_is_inconclusive(capsys):
 def test_loop_matches_cobar_with_cross_check(capsys):
     code, loop_out, _ = run(capsys, "loop", "sphere", "2", "--check")
     assert code == EXIT_OK
-    assert "cross-check: passed" in loop_out
+    line = "cross-check: passed (1 letter, 1 letter pair; longer cells by construction)"
+    assert loop_out.splitlines()[-1] == line
     _, cobar_out, _ = run(capsys, "cobar", "sphere", "2")
     loop_rows = [l for l in loop_out.splitlines() if l.startswith("H_")]
     cobar_rows = [l for l in cobar_out.splitlines() if l.startswith("H_")]
@@ -410,7 +411,11 @@ def test_collapsed_model_prints_the_unreduced_table(tmp_path, capsys, fmt):
         argv = [str(model), "--max-degree", str(top), "--ring", flag, "--format", fmt]
         for command, extra, check in (
             ("cobar", {}, []),
-            ("loop", {"cross_check": "passed"}, ["--check"]),
+            (
+                "loop",
+                {"cross_check": "passed", "certified": {"letters": 6, "letter_pairs": 36}},
+                ["--check"],
+            ),
         ):
             expected = render(dict(payload, command=command, **extra), fmt) + "\n"
             code, out, _ = run(capsys, command, *argv, *check)
@@ -445,7 +450,12 @@ RP2_CUT_WINDOWS = [
     ),
     (
         "loop rp2 --max-degree 1 --word-cutoff 3 --check",
-        ["window: max_degree=2 max_length=3", "H_0: Z^8", "H_1: Z^16", "cross-check: passed"],
+        [
+            "window: max_degree=2 max_length=3",
+            "H_0: Z^8",
+            "H_1: Z^16",
+            "cross-check: passed (4 letters, 16 letter pairs; longer cells by construction)",
+        ],
         EXIT_OK,
     ),
     (
@@ -458,7 +468,7 @@ RP2_CUT_WINDOWS = [
             "H_3: Z^9",
             "H_4: inconclusive",
             "H_5: inconclusive",
-            "cross-check: passed",
+            "cross-check: passed (4 letters, 16 letter pairs; longer cells by construction)",
         ],
         EXIT_INCONCLUSIVE,
     ),
@@ -472,7 +482,7 @@ RP2_CUT_WINDOWS = [
             "H_3: Z^44",
             "H_4: inconclusive",
             "H_5: inconclusive",
-            "cross-check: passed",
+            "cross-check: passed (4 letters, 16 letter pairs; longer cells by construction)",
         ],
         EXIT_INCONCLUSIVE,
     ),
@@ -665,6 +675,38 @@ def test_homology_table_eliminates_each_differential_once(tmp_path, capsys, monk
     # H_0..H_4 read d_0..d_5: six matrices, each eliminated once
     assert len(calls) == 6
     assert out.splitlines()[-5:] == ["H_0: Z", "H_1: 0", "H_2: Z^10", "H_3: 0", "H_4: Z^100"]
+
+
+@pytest.mark.parametrize("model", ["sphere", "s2s2s3", "moving"])
+def test_loop_check_eliminates_each_differential_once(tmp_path, capsys, monkeypatch, model):
+    # the certificate proves phi a chain isomorphism of the cube chains
+    # and the cobar of the same window, so `loop --check` computes one
+    # homology table and not a second one on that cobar
+    from chaintop import smith
+
+    if model == "sphere":
+        argv = ["sphere", "2"]
+    else:
+        if model == "s2s2s3":
+            space = wedge_models(wedge_models(sphere_model(2), sphere_model(2)), sphere_model(3))
+        else:
+            space = random_reduced_model(random.Random(5), max_dim=4)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(simplicial_to_json(space)))
+        argv = [str(path)]
+    calls = []
+    real = smith.eliminate
+
+    def counted(columns, ring):
+        calls.append(len(columns))
+        return real(columns, ring)
+
+    monkeypatch.setattr(smith, "eliminate", counted)
+    code, out, _ = run(capsys, "loop", *argv, "--check")
+    assert code == EXIT_OK
+    assert "cross-check: passed" in out
+    # H_0..H_5 read d_0..d_6: seven matrices, each eliminated once
+    assert len(calls) == 7
 
 
 @pytest.mark.parametrize(

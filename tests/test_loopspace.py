@@ -62,6 +62,7 @@ from chaintop.simplicial import (
 )
 from chaintop.words import letters
 
+import certificate_oracle
 from expansion_oracle import edge_expansion as oracle_edge_expansion
 from ring_oracle import add_into
 from shared_models import collapsed_simplex
@@ -378,8 +379,12 @@ def test_a_wrong_side_in_the_letter_table_fails_the_certificate():
         mutants = 0
         for table in letter_table_mutants(cubical_cobar(*window).cubes._sides):
             omega = with_sides(cubical_cobar(*window), table)
-            with pytest.raises(AssertionError, match="not a chain map"):
+            with pytest.raises(AssertionError, match="not a chain map") as caught:
                 phi_certificate(space, max_degree, max_length, omega=omega)
+            # the per-cell oracle fails on the same cell, with the same witness
+            with pytest.raises(AssertionError) as oracle:
+                certificate_oracle.phi_certificate(with_sides(cubical_cobar(*window), table))
+            assert caught.value.witness == oracle.value.witness
             mutants += 1
         assert mutants > 0, space.name
 
@@ -651,17 +656,20 @@ def test_a_unitless_step_on_longer_cells_fails_the_product_check(monkeypatch):
 
 
 def test_the_certificate_checks_the_same_sample():
-    # the sample is pinned, so a change to the pair loop cannot check
-    # fewer pairs
+    # the counts are pinned, so a change to the pair loop cannot check
+    # fewer pairs: the certificate checks every pair of letters whose
+    # product is stored, the per-cell oracle its sample of small cells
     rp2 = projective_plane_model()
-    for window, cells, pairs in (
-        ((rp2, 4, 2), 517, 361),
-        ((rp2, 2, 3), 189, 249),
-        ((s2s2s3_model(), 6, None), 288, 160),
-        ((rp2, 5, 2), 1413, 400),
+    for window, cells, letter_pairs, sampled in (
+        ((rp2, 4, 2), 517, 16, 361),
+        ((rp2, 2, 3), 189, 16, 249),
+        ((s2s2s3_model(), 6, None), 288, 9, 160),
+        ((rp2, 5, 2), 1413, 16, 400),
     ):
         cert = phi_certificate(*window)
-        assert (cert["cells"], cert["pairs"]) == (cells, pairs), window[1:]
+        assert (cert["cells"], cert["pairs"]) == (cells, letter_pairs), window[1:]
+        oracle = certificate_oracle.phi_certificate(cubical_cobar(*window))
+        assert (oracle["cells"], oracle["pairs"]) == (cells, sampled), window[1:]
 
 
 def test_prefix_shared_phi_matches_the_whole_word_expansion():
@@ -801,7 +809,9 @@ def certify_relabeling(omega, words, image):
 
 
 def _chain_map_verdicts(space, max_degree, max_length, perturb=None):
-    """(letter rule, full columns) verdicts on one window: summary or failing key.
+    """(per-cell letter rule, full columns) verdicts on one window: summary
+    or failing key. Both are oracles: the letter rule of
+    `certificate_oracle` splices D into every cell.
 
     perturb, when given, is (degree, position): that column of the cube
     differential is negated, or given a term when it is zero, before
@@ -820,7 +830,7 @@ def _chain_map_verdicts(space, max_degree, max_length, perturb=None):
 
     verdicts = []
     for check in (
-        lambda: loopspace._certify_letter_rule(omega, image),
+        lambda: certificate_oracle.letter_rule_by_columns(omega, image),
         lambda: certify_relabeling(omega, words, image),
     ):
         try:
@@ -846,8 +856,9 @@ def oracle_windows():
 
 
 def test_letter_rule_agrees_with_the_full_column_check():
-    # the letter rule builds phi only on letters; the full-column check
-    # of GradedLinearMap.is_chain_map builds it on every cell
+    # the per-cell letter rule builds phi only on letters; the
+    # full-column check of GradedLinearMap.is_chain_map builds it on
+    # every cell
     for space, max_degree, max_length in oracle_windows():
         rule, full = _chain_map_verdicts(space, max_degree, max_length)
         assert rule == full, (space.name, max_degree, max_length)
@@ -855,6 +866,9 @@ def test_letter_rule_agrees_with_the_full_column_check():
 
 
 def test_letter_rule_fails_where_the_full_column_check_fails():
+    # a built column is perturbed, which the certificate never reads, so
+    # this holds the per-cell oracle to the full-column check; a wrong
+    # letter value is the certificate's case (below)
     rng = random.Random(3)
     for space, max_degree, max_length in oracle_windows():
         chains = cubical_cobar(space, max_degree, max_length).chains()
@@ -866,6 +880,74 @@ def test_letter_rule_fails_where_the_full_column_check_fails():
         rule, full = _chain_map_verdicts(space, max_degree, max_length, perturb)
         cell = chains.basis_in(n)[perturb[1]]
         assert rule == full == f"not a chain map on {cell!r}", space.name
+
+
+def _verdict(check):
+    """check()'s summary, or (message, witness) of the AssertionError it raises."""
+    try:
+        return check()
+    except AssertionError as exc:
+        return str(exc), getattr(exc, "witness", None)
+
+
+def test_the_certificate_agrees_with_the_per_cell_oracle():
+    windows = oracle_windows()
+    windows += [(random_reduced_model(random.Random(seed)), 3, 3) for seed in range(4, 10)]
+    for space, max_degree, max_length in windows:
+        for ring in (ZZ, GF(2), GF(3), QQ):
+            window = (space, max_degree, max_length, ring)
+            cert = _verdict(lambda: phi_certificate(*window))
+            oracle = _verdict(lambda: certificate_oracle.phi_certificate(cubical_cobar(*window)))
+            assert isinstance(cert, dict) and isinstance(oracle, dict), (window, cert, oracle)
+            assert cert["degrees"] == oracle["degrees"], window
+            assert cert["cells"] == oracle["cells"] > 0, window
+            assert cert["letters"] == sum(
+                len(space.nondegenerate(m)) for m in range(1, max_degree + 2)
+            ), window
+            assert 0 < cert["pairs"] <= cert["letters"] ** 2, window
+
+
+def test_a_wrong_letter_value_fails_with_the_oracle_witness():
+    # one letter's cube value gets a stored word one degree down added,
+    # which changes it over every ring
+    rng = random.Random(7)
+    for space, max_degree, max_length in oracle_windows():
+        for ring in (ZZ, GF(2)):
+            window = (space, max_degree, max_length, ring)
+            values = cubical_cobar(*window).cubes._values
+            words = cubical_cobar(*window).words.complex
+            moving = [letter for letter, (_, n) in values.items() if 1 <= n <= max_degree]
+            if not moving:
+                continue
+            letter = rng.choice(moving)
+            value, n = values[letter]
+            wrong = dict(value or {})
+            extra = words.basis_in(n - 1)[0]
+            wrong[extra] = wrong.get(extra, 0) + 1
+
+            def perturbed():
+                omega = cubical_cobar(*window)
+                omega.cubes._values = {**values, letter: (wrong, n)}
+                return omega
+
+            with pytest.raises(AssertionError, match="not a chain map") as caught:
+                phi_certificate(*window, omega=perturbed())
+            with pytest.raises(AssertionError) as oracle:
+                certificate_oracle.phi_certificate(perturbed())
+            assert caught.value.witness == oracle.value.witness
+            key, cube_side, rule_side = caught.value.witness
+            assert key == (letter,) and cube_side != rule_side
+
+
+def test_the_certificate_refuses_a_window_not_closed_under_d():
+    # the letter check reads no cell, so whether the window keeps every
+    # boundary term is read off its budget: a fixed cap, as `cobar.cobar`
+    # has, does not
+    rp2 = projective_plane_model()
+    omega = cubical_cobar(rp2, 3, max_length=2)
+    omega.budget = lambda degree: 2
+    with pytest.raises(AssertionError, match="not closed under d in degree 1"):
+        phi_certificate(rp2, 3, max_length=2, omega=omega)
 
 
 def _unsigned_derivation(table, cell, reduce=None):

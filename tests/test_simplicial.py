@@ -273,6 +273,24 @@ def test_d_squared_all_models():
         assert normalized_chains(space).d_squared_witness() is None
 
 
+def test_normalized_chains_reuse_the_space_index(monkeypatch):
+    # the cells were indexed and checked when the space was built
+    from chaintop import complexes
+
+    spaces = [projective_plane_model(), sphere_model(3)]
+    calls = []
+    monkeypatch.setattr(complexes, "graded_ids", calls.append)
+    for space in spaces:
+        whole = normalized_chains(space)
+        assert whole._degree_of is space._dim
+        cut = normalized_chains(space, 1)
+        assert cut.max_degree == 1
+        assert cut._degree_of == {
+            cell: n for n in range(2) for cell in space.nondegenerate(n)
+        }
+    assert calls == []
+
+
 def test_model_homology():
     for n in range(1, 5):
         chains = normalized_chains(sphere_model(n))
