@@ -426,9 +426,7 @@ class CubicalSet:
                                     )
 
 
-def cubical_chains(
-    space: CubicalSet, max_degree: int | None = None, ring: Ring = ZZ
-) -> ChainComplex:
+def cubical_chains(space: CubicalSet, ring: Ring = ZZ) -> ChainComplex:
     """Normalized cubical chains with the Leibniz boundary.
 
     d(c) = sum_{i=1..n} (-1)^{i-1} (d_i^1 c - d_i^0 c), degenerate faces
@@ -437,19 +435,15 @@ def cubical_chains(
     the set's own `_boundary`, plain-number sums that the complex
     canonicalizes; a set that knows its boundary without its faces (the
     loop-space cube model) computes it that way, and gives None for the
-    zero differential. A set that keeps a `Window` (`CubicalSet.window`)
-    hands it on when every cell is wanted, so its chains share the index
-    of its cells by degree; otherwise the cells of each degree up to the
-    top are listed and indexed anew.
+    zero differential. The basis is every stored cell: a set that keeps
+    a `Window` (`CubicalSet.window`) hands it on, so its chains share
+    the index of its cells by degree; otherwise its cells are indexed
+    anew.
     """
-    top = space.dimension if max_degree is None else min(max_degree, space.dimension)
-    whole = top >= space.dimension
-    if space.window is not None and whole:
-        basis = space.window
-    else:
-        basis = {n: space.nondegenerate(n) for n in range(top + 1)}
-    complete = space.complete and whole
-    return ChainComplex(ring, basis, space._boundary, complete=complete, name=space.name)
+    basis = space.cells if space.window is None else space.window
+    return ChainComplex(
+        ring, basis, space._boundary, complete=space.complete, name=space.name
+    )
 
 
 # --- standard cubes: coalgebra and join ---
@@ -690,25 +684,6 @@ def _canonical_simplex(space: CubicalSet, cube, seq) -> SimplexRef:
     return SimplexRef((cube, seq))
 
 
-def _spanning_chains(n: int):
-    """Strict monotone chains from (0..0) to (1..1) in {0,1}^n."""
-    bottom = (0,) * n
-    top = (1,) * n
-    points = sorted(product((0, 1), repeat=n))
-
-    def extend(chain):
-        if chain[-1] == top:
-            yield chain
-            return
-        for pt in points:
-            if pt == chain[-1]:
-                continue
-            if all(a <= b for a, b in zip(chain[-1], pt)):
-                yield from extend(chain + (pt,))
-
-    yield from extend((bottom,))
-
-
 def triangulate(space: CubicalSet, max_degree: int | None = None) -> SimplicialSet:
     """Simplicial set of monotone paths through the cubes of the space.
 
@@ -721,8 +696,13 @@ def triangulate(space: CubicalSet, max_degree: int | None = None) -> SimplicialS
     for n in space.dimensions():
         if max_degree is not None and n > max_degree:
             continue
+        spanning = [
+            chain
+            for chain in _strict_chains(n)
+            if chain[0] == (0,) * n and chain[-1] == (1,) * n
+        ]
         for cube in space.nondegenerate(n):
-            for chain in _spanning_chains(n):
+            for chain in spanning:
                 m = len(chain) - 1
                 if max_degree is not None and m > max_degree:
                     continue
@@ -795,21 +775,6 @@ class MapCell:
 
     def value(self, target: SimplicialSet, seq) -> SimplexRef:
         return _ref_on_monotone(target, self.assignment, seq)
-
-
-def map_cell_consistent(target: SimplicialSet, cell: MapCell) -> bool:
-    """Face consistency: F(d_i chain) = d_i F(chain) on strict chains."""
-    for chain, ref in cell.assignment.items():
-        m = len(chain) - 1
-        if target.ref_dim(ref) != m:
-            return False
-        for i in range(m + 1):
-            sub = chain[:i] + chain[i + 1 :]
-            if not sub:
-                continue
-            if cell.assignment.get(sub) != target.face_of_ref(ref, i):
-                return False
-    return True
 
 
 def _map_cell_face(cell: MapCell, i: int, eps: int) -> MapCell:

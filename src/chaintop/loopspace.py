@@ -402,7 +402,7 @@ class CubicalCobar:
         cube set itself lists only nonempty dimensions.
         """
         if self._chains is None:
-            self._chains = cubical_chains(self.cubes, None, self.ring)
+            self._chains = cubical_chains(self.cubes, self.ring)
             self._chains.max_degree = self.words.complex.max_degree
         return self._chains
 
@@ -550,9 +550,12 @@ def phi_certificate(
     if open_degree is not None:
         raise AssertionError(f"window not closed under d in degree {open_degree}")
     phi = _phi_sums(space, ring)
-    cells = [(letter,) for letter in _stored_letters(omega)]
+    cells = _letter_cells(omega)
     checked = _certify_letter_rule(
-        omega, lambda cell: FreeElement._trusted(ring, phi(cell)), cells
+        omega,
+        lambda cell: FreeElement._trusted(ring, phi(cell)),
+        lambda chain: phi_inverse_chain(space, chain, ring),
+        cells,
     )
     stored = omega.words.complex._degree_of
     pairs = 0
@@ -569,54 +572,57 @@ def phi_certificate(
     return checked
 
 
-def _stored_letters(omega: CubicalCobar) -> tuple:
-    """The letters the window stores as one-letter cells, in their basis order.
+def _letter_cells(omega: CubicalCobar) -> list:
+    """The one-letter cells the window stores, in their basis order.
 
     That order is by degree, then in the order of the window's letter
     table, which is the order `chaintop.words` lists the one-letter
     words of a degree in.
     """
     stored = omega.words.complex._degree_of
-    return tuple(
-        sorted(
-            (letter for letter in omega.words._letters if (letter,) in stored),
-            key=lambda letter: stored[(letter,)],
-        )
-    )
+    cells = [(letter,) for letter in omega.words._letters if (letter,) in stored]
+    return sorted(cells, key=stored.__getitem__)
 
 
-def _certify_letter_rule(omega: CubicalCobar, image, cells) -> dict:
-    """Check phi d_cube = d phi on the one-letter cells of a plain window.
+def _certify_letter_rule(omega: CubicalCobar, image, inverse, cells) -> dict:
+    """Check phi d_cube = d phi on the one-letter cells of a window.
 
-    phi = S E, where S is the sign (-1)^degree and E the algebra
-    automorphism sending each edge letter t to t + 1 and fixing the
-    heavy letters. So phi d_cube = d phi exactly when
-    d_cube = phi^-1 d phi = -E^-1 d E. The right side is a derivation,
-    since d is one and E preserves degrees, so it is fixed by its
-    letter table D(l) = phi^-1(d(phi(l))), read from image (the phi of
-    one-letter cells, as FreeElements), `phi_inverse_word` and the
-    words' own d. The left side is `cobar.derivation` on the cube
-    model's value table (`_letter_values`).
+    image is phi on one-letter cells and inverse is phi^-1 on chains of
+    words, both as FreeElements. Checked at runtime: each of cells, the
+    one-letter cells the window stores in their basis order
+    (`_letter_cells`), has its cube value (`_letter_values`),
+    canonical over the ring, equal to D(l) = phi^-1(d(phi(l))), with d
+    the words' own. No cube column and no per-cell derivation is built.
 
-    Checked at runtime: each of cells, the one-letter cells the window
-    stores in their basis order (`_stored_letters`), has its cube value,
-    canonical over the ring, equal to D(l). No cube column and no
-    per-cell derivation is built. That this settles every cell rests on
-    construction: `derivation` is linear in its table, so every cell's
-    column matches once every letter's value does, provided no term
-    leaves the window, which `phi_certificate` checks on the budget.
-    The tests hold this check to the per-cell column check and the
-    splice to the face-built cubes. A failing cell contains a failing
-    letter l of at most its degree, and the one-letter cell (l,) comes
-    before any longer word of that degree, so the first failure is the
-    one the per-cell check finds: AssertionError with `witness`
-    (cell, d_cube(cell), D(l)). Returns {"cells": count,
+    That this settles every cell rests on construction. Both sides are
+    derivations with the same free reduction: the cube model's d is
+    `cobar.derivation` on its value table, and so is phi^-1 d phi on the
+    D table. On plain words phi = S E, where S is the sign
+    (-1)^degree and E the algebra automorphism sending each edge letter
+    t to t + 1 and fixing the heavy letters, so phi^-1 d phi =
+    -E^-1 d E, a derivation since d is one and E preserves degrees. On
+    localized words phi = S, its own inverse, so phi^-1 d phi = -d.
+    `derivation` is linear in its table, so every cell's column matches
+    once every letter's value does, provided no term leaves the window
+    and every letter of a stored word is stored as a one-letter word.
+    `phi_certificate` checks that on the plain budget; the localized
+    budget cutoff - growth * d is closed under d and never rises with
+    degree, so it holds there by construction. The tests hold this
+    check to the per-cell column checks and the splice to the
+    face-built cubes.
+
+    A failing cell contains a failing letter l of at most its degree.
+    The one-letter cells of a degree come in heavy-letter order, each
+    before the longer words of that degree that hold its letter, and
+    edges have no value on either side, so the first failing letter is
+    the first failing cell of a per-cell check: AssertionError with
+    `witness` (cell, d_cube(cell), D(l)). Returns {"cells": count,
     "degrees": {degree: count}, "letters": count}.
     """
     chains, words = omega.chains(), omega.words.complex
-    space, ring, values = omega.source, omega.ring, omega.cubes._values
+    ring, values = omega.ring, omega.cubes._values
     for cell in cells:
-        rule = phi_inverse_chain(space, words.diff_element(image(cell)), ring)
+        rule = inverse(words.diff_element(image(cell)))
         if ring.canonical_sums(values[cell[0]][0] or {}) != rule.terms:
             error = AssertionError(f"not a chain map on {cell!r}")
             error.witness = (cell, chains.diff(cell), rule)
@@ -631,27 +637,24 @@ def phi_signed_certificate(
     cutoff: int,
     ring: Ring = ZZ,
 ) -> dict:
-    """Certify the localized monoid against the extended cobar.
+    """Certify the localized monoid against the extended cobar, on generators.
 
     The cells are the extended cobar's localized words (`omega.words`),
     in its order, and phi is the sign (-1)^degree (`phi_signed_cell`),
-    so phi d = d phi says that every column of the cube differential is
-    the negated column of the extended cobar's; each is compared, in
-    every degree. Both are `cobar.derivation`, on the cube sides and on
-    the extended cobar's letter values. Returns
-    {"cells": count, "degrees": {degree: count}}; a failing cell raises
-    AssertionError naming it.
+    which is its own inverse. phi d = d phi is checked on each letter
+    the window stores as a one-letter cell, by the body that
+    `phi_certificate` uses (`_certify_letter_rule`). Returns
+    {"cells": count, "degrees": {degree: count}, "letters": count}; a
+    failing letter raises AssertionError with that body's `witness`.
     """
     omega = extended_cubical_cobar(space, max_degree, cutoff, ring)
-    chains, words = omega.chains(), omega.words.complex
-    for n in chains.degrees():
-        for cell, cube, word in zip(
-            chains.basis_in(n), chains.diff_columns(n), words.diff_columns(n)
-        ):
-            if cube != {i: ring.neg(c) for i, c in word.items()}:
-                raise AssertionError(f"not a chain map on {cell!r}")
-    degrees = {n: chains.rank(n) for n in chains.degrees()}
-    return {"cells": sum(degrees.values()), "degrees": degrees}
+
+    def signed(cell):
+        return phi_signed_cell(space, cell, ring)
+
+    return _certify_letter_rule(
+        omega, signed, lambda chain: chain.map_terms(signed), _letter_cells(omega)
+    )
 
 
 # --- the free simplicial group on positive simplices ---
@@ -898,7 +901,7 @@ class CartanSerre:
                 self._image[cell] = mc
         self.cubes = u_closure(space, seeds)
         self.source = normalized_chains(space, max_degree, ring)
-        self.target = cubical_chains(self.cubes, None, ring)
+        self.target = cubical_chains(self.cubes, ring)
         self.map = GradedLinearMap(self.source, self.target, 0, self._rule)
 
     def _rule(self, cell) -> FreeElement:
@@ -1026,7 +1029,7 @@ def zigzag_report(
             cs_of[cell] = mc
             seeds.append(mc)
     mapping = u_closure(tri, seeds)
-    mapping_chains = cubical_chains(mapping, None, ring)
+    mapping_chains = cubical_chains(mapping, ring)
 
     def eta_rule(cid):
         return _map_cell_chain(tri, eta_of[cid], ring)

@@ -332,11 +332,6 @@ def aw_coproduct(space: SimplicialSet, key, ring: Ring = ZZ) -> FreeElement:
     return FreeElement._from_sums(ring, sums)
 
 
-def chain_counit(space: SimplicialSet, key, ring: Ring = ZZ):
-    """Counit: 1 on vertices, 0 above."""
-    return ring.one if space.dim_of(key) == 0 else ring.zero
-
-
 # --- standard simplices and the vertex join ---
 
 def standard_simplex(n: int) -> SimplicialSet:

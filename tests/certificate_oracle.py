@@ -8,6 +8,11 @@ with the letter rule spliced into that cell, and the product half
 checks phi(a b) = phi(a) phi(b) on up to `PRODUCT_PAIRS` pairs of cells
 of at most two letters. On every window both must give the same
 verdict, and a failing chain-map check the same witness.
+
+`signed_columns` is the same kind of oracle for
+`loopspace.phi_signed_certificate`: it compares every column of the
+localized cube model's differential with the negated column of the
+extended cobar's, where the certificate checks each letter.
 """
 
 import itertools
@@ -100,3 +105,23 @@ def phi_certificate(omega) -> dict:
     )
     checked["pairs"] = sampled_products(omega, phi)
     return checked
+
+
+def signed_columns(omega) -> dict:
+    """Check phi d_cube = d phi on every stored cell of a signed window.
+
+    phi is the sign (-1)^degree, so every column of the cube
+    differential must be the negated column of the extended cobar's
+    (`omega.words`), compared in basis order, degree by degree. Returns
+    {"cells": count, "degrees": {degree: count}}; a failing cell raises
+    AssertionError naming it.
+    """
+    chains, words, ring = omega.chains(), omega.words.complex, omega.ring
+    for n in chains.degrees():
+        for cell, cube, word in zip(
+            chains.basis_in(n), chains.diff_columns(n), words.diff_columns(n)
+        ):
+            if cube != {i: ring.neg(c) for i, c in word.items()}:
+                raise AssertionError(f"not a chain map on {cell!r}")
+    degrees = {n: chains.rank(n) for n in chains.degrees()}
+    return {"cells": sum(degrees.values()), "degrees": degrees}

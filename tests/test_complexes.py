@@ -131,7 +131,7 @@ def column_windows(ring):
     yield lambda: cobar(rp2, 3, ring, max_length=2).complex
     yield lambda: CobarComplex(rp2, 3, ring, omega.budget).complex
     yield lambda: cubical_cobar(rp2, 3, max_length=2, ring=ring).chains()
-    yield lambda: cubical_chains(standard_cube(3), None, ring)
+    yield lambda: cubical_chains(standard_cube(3), ring)
     yield lambda: normalized_chains(rp2, None, ring)
     yield lambda: extended_cobar(rp2, 2, 4, ring).complex
     yield lambda: extended_cubical_cobar(rp2, 2, 3, ring).chains()

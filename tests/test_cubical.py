@@ -22,7 +22,6 @@ from chaintop.cubical import (
     cubical_circle,
     cubical_join,
     cubical_torus,
-    map_cell_consistent,
     permute_cube_word,
     serre_coproduct,
     serre_counit,
@@ -657,17 +656,6 @@ def test_triangulate_truncation_flag():
 
 
 # --- mapping objects ---
-
-def test_map_cell_consistency():
-    target = standard_simplex(1)
-    v0 = SimplexRef((0,))
-    v1 = SimplexRef((1,))
-    edge = SimplexRef((0, 1))
-    good = MapCell(1, {((0,),): v0, ((1,),): v1, ((0,), (1,)): edge})
-    assert map_cell_consistent(target, good)
-    bad = MapCell(1, {((0,),): v1, ((1,),): v0, ((0,), (1,)): edge})
-    assert not map_cell_consistent(target, bad)
-
 
 def test_canonical_map_cell_peels():
     target = standard_simplex(1)

@@ -15,7 +15,12 @@ from chaintop.cobar import (
     expand_word,
     reduce_group_word,
 )
-from chaintop.complexes import GradedLinearMap, InsufficientTruncationError, tensor_diff
+from chaintop.complexes import (
+    ChainComplex,
+    GradedLinearMap,
+    InsufficientTruncationError,
+    tensor_diff,
+)
 from chaintop.cubical import CubeMorphism, CubeRef, CubicalSet, cubical_chains
 from chaintop.einfty import cubical_um, simplicial_um, um_action
 from chaintop.freemod import FreeElement
@@ -297,7 +302,7 @@ def face_built_chains(om):
     `CubicalSet` has checked every face."""
     faces = splice_loop_faces(om.source, om.cubes.cells, om.signed)
     cubes = CubicalSet(om.cubes.name, om.cubes.cells, faces, complete=om.cubes.complete)
-    return cubical_chains(cubes, None, om.ring)
+    return cubical_chains(cubes, om.ring)
 
 
 def letter_table_windows():
@@ -1053,24 +1058,25 @@ def s1s2_model():
 
 
 @pytest.mark.parametrize(
-    "model, max_degree, cutoff, degrees",
+    "model, max_degree, cutoff, degrees, letters",
     [
-        (projective_plane_model, 2, 6, {0: 1457, 1: 1730, 2: 388}),
-        (projective_plane_model, 3, 4, {0: 161, 1: 98, 2: 4}),
-        (s1s2_model, 3, 4, {0: 9, 1: 13, 2: 1}),
+        (projective_plane_model, 2, 6, {0: 1457, 1: 1730, 2: 388}, 6),
+        (projective_plane_model, 3, 4, {0: 161, 1: 98, 2: 4}, 6),
+        (s1s2_model, 3, 4, {0: 9, 1: 13, 2: 1}, 3),
     ],
 )
 def test_signed_certificate_summaries_match_the_full_column_check(
-    model, max_degree, cutoff, degrees
+    model, max_degree, cutoff, degrees, letters
 ):
     # the column comparison against the phi-on-every-cell oracle
     space = model()
     report = phi_signed_certificate(space, max_degree, cutoff)
-    assert report == {"cells": sum(degrees.values()), "degrees": degrees}
+    cells = {"cells": sum(degrees.values()), "degrees": degrees}
+    assert report == {**cells, "letters": letters}
     omega = extended_cubical_cobar(space, max_degree, cutoff)
     words = ExtendedCobarComplex(space, max_degree, cutoff).complex
     image = lambda cell: phi_signed_cell(space, cell, ZZ)
-    assert certify_relabeling(omega, words, image) == report
+    assert certify_relabeling(omega, words, image) == cells
 
 
 def signed_windows():
@@ -1094,6 +1100,24 @@ def test_signed_cells_are_the_extended_cobar_words_in_order():
             )
 
 
+def test_signed_certificate_agrees_with_the_column_oracle_on_every_signed_window():
+    windows = signed_windows()
+    assert len(windows) == 15
+    for om in windows:
+        report = phi_signed_certificate(om.source, om.max_degree, om.cutoff, om.ring)
+        oracle = certificate_oracle.signed_columns(om)
+        assert {k: report[k] for k in oracle} == oracle, om.cubes.name
+
+
+def test_signed_certificate_builds_no_column(monkeypatch):
+    def refused(self, n):
+        raise AssertionError("the signed certificate built a column")
+
+    monkeypatch.setattr(ChainComplex, "diff_columns", refused)
+    report = phi_signed_certificate(projective_plane_model(), 2, 6)
+    assert report["cells"] == 3575
+
+
 def signed_mutant_windows():
     return [(projective_plane_model(), 2, 4), (s1s2_model(), 2, 3)]
 
@@ -1110,13 +1134,18 @@ def test_a_wrong_side_in_a_signed_letter_table_fails_the_signed_certificate(
                 return with_sides(real(*args, **kwargs), table)
 
             monkeypatch.setattr(loopspace, "extended_cubical_cobar", mutant)
-            with pytest.raises(AssertionError, match="not a chain map"):
+            with pytest.raises(AssertionError, match="not a chain map") as caught:
                 phi_signed_certificate(space, max_degree, cutoff)
+            # the per-cell oracle fails first on the same cell
+            with pytest.raises(AssertionError) as oracle:
+                certificate_oracle.signed_columns(mutant(space, max_degree, cutoff))
+            assert str(caught.value) == str(oracle.value)
             mutants += 1
         assert mutants == count, space.name
 
 
-def test_a_negated_extended_letter_value_fails_the_signed_certificate(monkeypatch):
+def negated_extended_letter_values(monkeypatch):
+    """Make the extended cobar read -d on each heavy letter."""
     # the package re-exports a function named cobar, which shadows the module
     cobar_module = importlib.import_module("chaintop.cobar")
     real = cobar_module.loc_letter_boundary
@@ -1125,9 +1154,29 @@ def test_a_negated_extended_letter_value_fails_the_signed_certificate(monkeypatc
         "loc_letter_boundary",
         lambda space, cell, ring: -real(space, cell, ring),
     )
+
+
+def test_a_negated_extended_letter_value_fails_the_signed_certificate(monkeypatch):
+    negated_extended_letter_values(monkeypatch)
+    rp2 = projective_plane_model()
     # S^1 v S^2's heavy letter has d = 0, so only RP^2 can tell
-    with pytest.raises(AssertionError, match="not a chain map"):
-        phi_signed_certificate(projective_plane_model(), 2, 4)
+    with pytest.raises(AssertionError, match="not a chain map") as caught:
+        phi_signed_certificate(rp2, 2, 4)
+    with pytest.raises(AssertionError) as oracle:
+        certificate_oracle.signed_columns(extended_cubical_cobar(rp2, 2, 4))
+    assert str(caught.value) == str(oracle.value)
+
+
+def test_a_failing_signed_check_carries_a_witness(monkeypatch):
+    negated_extended_letter_values(monkeypatch)
+    rp2 = projective_plane_model()
+    with pytest.raises(AssertionError) as caught:
+        phi_signed_certificate(rp2, 2, 4)
+    cell, cube, rule = caught.value.witness
+    assert str(caught.value) == f"not a chain map on {cell!r}"
+    assert cube == extended_cubical_cobar(rp2, 2, 4).chains().diff(cell)
+    # the negated letter value turns D(l) = -d(l) into d(l) = -d_cube(l)
+    assert cube and rule == -cube
 
 
 def test_cutoff_required_for_localization():

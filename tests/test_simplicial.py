@@ -16,7 +16,6 @@ from chaintop.simplicial import (
     SimplicialSet,
     apply_degeneracy,
     aw_coproduct,
-    chain_counit,
     char_pushforward,
     collapse_free_pairs,
     collapse_to_projective_plane,
@@ -682,9 +681,3 @@ def test_benchmark_labelings_load_with_one_ref_per_distinct_face():
                             ref = space.face(cid, i)
                             assert shared.setdefault(ref, ref) is ref
                 assert any(ref.word for ref in shared)
-
-
-def test_counit_helper():
-    rp2 = projective_plane_model()
-    assert chain_counit(rp2, "p") == 1
-    assert chain_counit(rp2, "a") == 0
