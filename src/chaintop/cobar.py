@@ -171,9 +171,10 @@ class CobarComplex:
         """Store the window basis under d, the derivation of table.
 
         basis is the `Window` that `chaintop.words` enumerates; the
-        complex stores it as it is, and indexes its words by degree at
-        the first lookup. table maps each letter to (the terms of its d,
-        its degree).
+        complex stores it as it is, reads its sizes for its degrees and
+        ranks, and lists and indexes its words only at the first lookup,
+        which the zero complex never makes. table maps each letter to
+        (the terms of its d, its degree).
         """
         self._letters = table
         # the letters with d = 0: d is a derivation, so every word of
@@ -192,7 +193,7 @@ class CobarComplex:
             # alive until a full garbage collection
             rule = copy.copy(self)._word_boundary
         self.complex = ChainComplex(self.ring, basis, rule, complete=False, name=name)
-        self.complex.max_degree = stored_top(basis, edges, self.budget)
+        self.complex.max_degree = stored_top(basis.sizes, edges, self.budget)
 
     def _word_boundary(self, word):
         """d of a stored word as plain-number sums, or None when it is 0.

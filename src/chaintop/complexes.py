@@ -9,6 +9,7 @@ a truncation (see InsufficientTruncationError).
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from functools import cached_property, partial
 
 from .freemod import FreeElement
@@ -53,29 +54,94 @@ def graded_ids(given) -> tuple:
     return ids, degree_of
 
 
-class Window(dict):
+class Window(Mapping):
     """Keys listed per degree, {degree: tuple of keys}, each key once.
+
+    A read-only mapping that knows the number of keys of each degree,
+    `sizes` ({degree: int}), before its keys. `Window(keys)` lists them
+    at once; `Window.deferred(sizes, build)` takes the sizes now and
+    lists the keys with build() only when a key is first read: a lookup
+    by degree (`window[n]`, `items`, `values`, equality) or `degree_of`.
+    Its degrees (`iter`, `len`, `in`) and `sizes` read no key. The built
+    keys must come in exactly the sizes given: a degree listed with
+    another number of keys, or a degree added or left out, raises
+    ValueError at that first read, so a wrong count cannot pass.
 
     The word enumerators (`chaintop.words`) build their keys distinct
     and return them as a window, which a `ChainComplex` stores as it is:
     no key is hashed until something first reads `degree_of`, the map
     {key: degree}, which is then built once and kept, so every complex
-    and cube set that holds the window shares it. A degree may be empty;
-    a complex keeps only the nonempty ones in its basis. A window is
-    trusted, not checked: a builder must make its degrees non-negative
-    ints and its keys distinct. Any other basis goes through `graded_ids`.
+    and cube set that holds the window shares it; `degree_of` may also
+    be handed in ready-made. A degree may be empty; a complex keeps only
+    the nonempty ones in its basis. A window is trusted, not checked: a
+    builder must make its degrees non-negative ints and its keys
+    distinct. Any other basis goes through `graded_ids`.
 
     >>> window = Window({0: ((),), 1: (("a",), ("b",)), 2: ()})
+    >>> window.sizes
+    {0: 1, 1: 2, 2: 0}
     >>> "degree_of" in window.__dict__
     False
     >>> window.degree_of
     {(): 0, ('a',): 1, ('b',): 1}
+    >>> late = Window.deferred({0: 1, 1: 1}, lambda: {0: ((),), 1: (("b", "a"),)})
+    >>> list(late), late.sizes[1]
+    ([0, 1], 1)
+    >>> late[1]
+    (('b', 'a'),)
+    >>> Window.deferred({0: 1, 1: 2}, lambda: {0: ((),), 1: (("a",),)})[0]
+    Traceback (most recent call last):
+    ...
+    ValueError: window degree 1 lists 1 keys where its size is 2
     """
+
+    def __init__(self, keys=(), degree_of=None):
+        self._listed = dict(keys)
+        self._build = None
+        self.sizes = {n: len(listed) for n, listed in self._listed.items()}
+        if degree_of is not None:
+            self.degree_of = degree_of
+
+    @classmethod
+    def deferred(cls, sizes: dict, build) -> Window:
+        """A window of these sizes whose keys build() lists at the first read."""
+        window = cls()
+        window._listed, window._build, window.sizes = None, build, dict(sizes)
+        return window
+
+    def _keys(self) -> dict:
+        listed = self._listed
+        if listed is None:
+            listed = dict(self._build())
+            counts = {n: len(keys) for n, keys in listed.items()}
+            if counts != self.sizes:
+                n = min(
+                    n for n in counts.keys() | self.sizes.keys()
+                    if counts.get(n) != self.sizes.get(n)
+                )
+                raise ValueError(
+                    f"window degree {n} lists {counts.get(n)} keys "
+                    f"where its size is {self.sizes.get(n)}"
+                )
+            self._listed, self._build = listed, None
+        return listed
+
+    def __getitem__(self, n):
+        return self._keys()[n]
+
+    def __iter__(self):
+        return iter(self.sizes)
+
+    def __len__(self) -> int:
+        return len(self.sizes)
+
+    def __contains__(self, n) -> bool:
+        return n in self.sizes
 
     @cached_property
     def degree_of(self) -> dict:
         degree_of = {}
-        for n, keys in self.items():
+        for n, keys in self._keys().items():
             degree_of.update(dict.fromkeys(keys, n))
         return degree_of
 
@@ -108,23 +174,24 @@ def _image(rule, key, source, target, shift, cache, what) -> FreeElement:
     return value
 
 
-def _columns(rule, keys, rows, ring, checked) -> list:
-    """Sparse columns of rule on keys, numbered by rows() = {row key: position}.
+def _columns(rule, source, n, rows, ring, checked) -> list:
+    """Sparse columns of rule on the keys of degree n of source, numbered
+    by rows() = {row key: position}.
 
     The rule and its values are read as `_image` reads them. Each value
     is canonicalized straight into positions in one pass
     (`Ring.canonical_column`), so no FreeElement is built. Every zero
     column is one shared dict, and rows is called only at the first
-    nonzero value. A nonzero term outside the rows makes checked(key)
-    raise its error.
+    nonzero value. A None rule reads only source.rank(n), no key. A
+    nonzero term outside the rows makes checked(key) raise its error.
     """
     zero = {}
     if rule is None:
-        return [zero] * len(keys)
+        return [zero] * source.rank(n)
     column = ring.canonical_column
     index = None
     columns = []
-    for key in keys:
+    for key in source.basis_in(n):
         value = rule(key)
         if not value:
             columns.append(zero)
@@ -156,11 +223,15 @@ class ChainComplex:
     keeps the columns it builds.
 
     A `Window` basis, as `chaintop.words` enumerates it, is stored as it
-    is, kept as `window`, and its keys are indexed by degree only when a
-    lookup first needs it: the zero complex of a cobar on a wedge of
-    spheres never does. Any other basis is indexed and checked at
-    construction by `graded_ids`, and kept as a window whose index is
-    already built.
+    is and kept as `window`. The degrees, `min_degree`, `max_degree`,
+    `rank` and the zero differential's columns read only its `sizes`;
+    its keys are listed at the first read of `basis`, `basis_in` or a
+    lookup, and indexed by degree only when a lookup first needs it. So
+    the zero complex of a cobar on a wedge of spheres, whose homology
+    reads ranks only, builds no word: a plain word window counts its
+    words before it lists them (`chaintop.words.plain_words`). Any other
+    basis is indexed and checked at construction by `graded_ids`, and
+    kept as a window whose index is already built.
 
     max_degree is the top degree the complex stores in full. It starts
     as the top nonempty degree, since the basis keeps no empty degree; a
@@ -173,28 +244,32 @@ class ChainComplex:
         self.ring = ring
         if isinstance(basis, Window):
             self.window = basis
-            self.basis = {n: keys for n, keys in basis.items() if keys}
         else:
             self.basis, degree_of = graded_ids(basis)
-            self.window = Window(self.basis)
-            self.window.degree_of = degree_of
+            self.window = Window(self.basis, degree_of)
         self._diff_rule = diff
         self._diff_cache = {}
         self._columns = {}
         self._positions = {}
         self.complete = complete
         self.name = name
-        self.min_degree = min(self.basis) if self.basis else 0
-        self.max_degree = max(self.basis) if self.basis else -1
+        self._sizes = {n: size for n, size in self.window.sizes.items() if size}
+        self.min_degree = min(self._sizes, default=0)
+        self.max_degree = max(self._sizes, default=-1)
+
+    @cached_property
+    def basis(self) -> dict:
+        """{degree: keys} of the nonempty degrees, listed at the first read."""
+        return {n: keys for n, keys in self.window.items() if keys}
 
     def degrees(self):
-        return sorted(self.basis)
+        return sorted(self._sizes)
 
     def basis_in(self, n: int) -> tuple:
         return self.basis.get(n, ())
 
     def rank(self, n: int) -> int:
-        return len(self.basis_in(n))
+        return self._sizes.get(n, 0)
 
     @property
     def _degree_of(self) -> dict:
@@ -239,8 +314,11 @@ class ChainComplex:
         a sweep assembles every d_n once; `linalg.residual_columns` sums
         each column of the product in one dict, and the witness
         (key, d(d(key))) is built from `diff` for the first nonzero
-        column only.
+        column only. The zero differential (diff None) has d^2 = 0 and
+        reads no key.
         """
+        if self._diff_rule is None:
+            return None
         if degrees is None:
             degrees = [n for n in self.degrees() if n - 2 >= self.min_degree - 1]
         last = upper = None
@@ -270,7 +348,7 @@ class ChainComplex:
         Its zero columns are one shared dict, so that keeping a d_n with
         many cycles, such as a cobar's, keeps no dict per key alive. The
         zero differential (diff None) gives that dict rank(n) times,
-        reading no key.
+        reading no key, so it lists no basis.
 
         >>> from .freemod import FreeElement
         >>> from .rings import GF, ZZ
@@ -287,7 +365,8 @@ class ChainComplex:
         if columns is None:
             columns = self._columns[n] = _columns(
                 self._diff_rule,
-                self.basis_in(n),
+                self,
+                n,
                 partial(self.positions, n - 1),
                 self.ring,
                 self.diff,
@@ -368,7 +447,8 @@ class GradedLinearMap:
         if columns is None:
             columns = self._columns[n] = _columns(
                 self._rule,
-                self.source.basis_in(n),
+                self.source,
+                n,
                 partial(self.target.positions, n + self.shift),
                 self.target.ring,
                 self.apply_key,

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from itertools import product
 
-from .complexes import ChainComplex, GradedLinearMap, graded_ids
+from .complexes import ChainComplex, GradedLinearMap, Window, graded_ids
 from .freemod import FreeElement
 from .rings import Ring, ZZ
 from .simplicial import CellBialgebra, SimplexRef, SimplicialSet, apply_degeneracy
@@ -282,15 +282,13 @@ class CubicalSet:
     first missing face.
     """
 
-    # the `Window` a set shares with the complex its cells come from
-    # (`loopspace.CubicalCobar`), which `cubical_chains` passes on; a set
-    # that lists its own cells has none
-    window = None
-
     def __init__(self, name: str, cells, faces, complete: bool = True):
         self.name = name
         self.complete = bool(complete)
         self.cells, self._dim = graded_ids(cells)
+        # the cells as a `Window` indexed by `_dim`, which `cubical_chains`
+        # hands on, so the chains index no cell again
+        self.window = Window(self.cells, self._dim)
         self._faces = self._checked_faces(faces)
 
     def _checked_faces(self, faces) -> dict:
@@ -435,14 +433,12 @@ def cubical_chains(space: CubicalSet, ring: Ring = ZZ) -> ChainComplex:
     the set's own `_boundary`, plain-number sums that the complex
     canonicalizes; a set that knows its boundary without its faces (the
     loop-space cube model) computes it that way, and gives None for the
-    zero differential. The basis is every stored cell: a set that keeps
-    a `Window` (`CubicalSet.window`) hands it on, so its chains share
-    the index of its cells by degree; otherwise its cells are indexed
-    anew.
+    zero differential. The basis is every stored cell: the set's own
+    `Window` of them (`CubicalSet.window`), so its chains share the
+    index of its cells by degree, which no one builds twice.
     """
-    basis = space.cells if space.window is None else space.window
     return ChainComplex(
-        ring, basis, space._boundary, complete=space.complete, name=space.name
+        ring, space.window, space._boundary, complete=space.complete, name=space.name
     )
 
 

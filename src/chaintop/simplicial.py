@@ -277,9 +277,10 @@ def normalized_chains(
     when it holds every cell, the space's index is its index.
     """
     top = space.dimension if max_degree is None else min(max_degree, space.dimension)
-    basis = Window((n, space.nondegenerate(n)) for n in range(top + 1))
-    if top >= space.dimension:
-        basis.degree_of = space._dim
+    basis = Window(
+        ((n, space.nondegenerate(n)) for n in range(top + 1)),
+        space._dim if top >= space.dimension else None,
+    )
 
     def diff(key):
         n = space.dim_of(key)

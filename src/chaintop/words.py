@@ -42,19 +42,24 @@ which keeps the stored basis closed under the honest differential, and
 d^2 = 0 holds exactly.
 
 A window's complex keeps no empty degree, so each window also says up
-to which degree it stores every word (`stored_top`): an empty degree
-above its top nonempty one counts when the cap cannot cut it, and then
-settles the homology one degree down.
+to which degree it stores every word (`stored_top`, from the sizes): an
+empty degree above its top nonempty one counts when the cap cannot cut
+it, and then settles the homology one degree down.
 
 Both enumerators return a `complexes.Window`: the words of each degree
-0..max_degree as a tuple, empty degrees included. Each word is built
+0..max_degree as a tuple, empty degrees included, and their number per
+degree (`sizes`). A plain window counts its words by the (length,
+degree) bucket recurrence on the same walk and caps that build them,
+and builds the words only when a key is first read, checked against the
+counts; a localized window builds its words at once. Each word is built
 once, as a letter in front of a shorter word, or as heavy letters
 between group runs, so the words are distinct as soon as the letters
 are; that premise is all an enumerator checks, and a letter given twice
 raises ValueError naming it. The cobar stores the window as it is, and
 its cube model shares the same object (`loopspace.CubicalCobar`), so
-the words are indexed by degree once, at the first lookup, and not at
-all when nothing looks one up (`ChainComplex`).
+the words are built and indexed by degree once, at the first lookup,
+and not at all when nothing looks one up: the zero complex of a cobar
+on a wedge of spheres reads only the sizes (`ChainComplex`).
 
 The order built here is the stored basis order: each window keeps every
 degree exactly as `plain_words` or `localized_words` returns it, and no
@@ -179,10 +184,19 @@ def plain_words(space: SimplicialSet, letters, max_degree: int, budget) -> Windo
     letters are: a letter listed twice raises ValueError. So does a
     budget(d + 1) above budget(d), or None after a number.
 
+    The window's sizes are counted now, on the same bucket walk with
+    counts for words: N(L, d) is the sum over the letters l of
+    N(L - 1, d - |l|). Its words are built on that walk only when a key
+    is first read (`Window.deferred`), which checks them against the
+    counts.
+
     >>> from .simplicial import simplicial_model
     >>> rp2 = simplicial_model("rp2")
     >>> a, b = rp2.nondegenerate(1)
-    >>> plain_words(rp2, (a, b), 0, lambda d: 2)[0] == ((), (a,), (b,), (a, a), (a, b), (b, a), (b, b))
+    >>> window = plain_words(rp2, (a, b), 1, lambda d: 2)
+    >>> window.sizes
+    {0: 7, 1: 0}
+    >>> window[0] == ((), (a,), (b,), (a, a), (a, b), (b, a), (b, b))
     True
     """
     letters = tuple(letters)
@@ -194,7 +208,6 @@ def plain_words(space: SimplicialSet, letters, max_degree: int, budget) -> Windo
                 f"word budget rises with degree: budget({d}) = {cap}, "
                 f"budget({d + 1}) = {above}"
             )
-    words = {d: [] for d in range(max_degree + 1)}
     if max_degree < 0:
         return Window()
     steps = [(cell, space.dim_of(cell) - 1) for cell in letters]
@@ -204,32 +217,62 @@ def plain_words(space: SimplicialSet, letters, max_degree: int, budget) -> Windo
         [(cell, d - step) for cell, step in steps if step <= d]
         for d in range(max_degree + 1)
     ]
-    # bucket[d]: the words of the current length and degree d
-    bucket = [[()]] + [[] for _ in range(max_degree)]
-    words[0].append(())
+    sizes = _bucket_walk(sources, caps, 1, _count)
+    return Window.deferred(
+        dict(enumerate(sizes)),
+        lambda: {
+            d: tuple(words)
+            for d, words in enumerate(_bucket_walk(sources, caps, [()], _prepend))
+        },
+    )
+
+
+def _count(pairs, bucket) -> int:
+    """How many words the letters of pairs make in front of their tails."""
+    count = 0
+    for _, below in pairs:
+        count += bucket[below]
+    return count
+
+
+def _prepend(pairs, bucket) -> list:
+    """Each letter of pairs, in order, in front of each of its tails."""
+    return [(cell,) + u for cell, below in pairs for u in bucket[below]]
+
+
+def _bucket_walk(sources, caps, empty_word, gather) -> list:
+    """The (length, degree) bucket walk of `plain_words`, per degree.
+
+    A bucket holds the words, or their count, of one length and degree.
+    The walk starts from empty_word, the bucket of length 0 and degree
+    0, and runs length by length until every bucket of a length is
+    empty. A degree d takes a length only when caps[d] is None or at
+    least that length; its bucket is then gather(sources[d], buckets of
+    the length before), and gather((), ...) otherwise, the empty bucket.
+    Returns, per degree, the sum of its buckets.
+    """
+    empty = gather((), ())
+    totals = [gather((), ()) for _ in caps]
+    totals[0] += empty_word
+    bucket = [empty_word] + [empty] * (len(caps) - 1)
     length = 0
     while any(bucket):
         length += 1
-        grown = []
-        for d, pairs in enumerate(sources):
-            new = []
-            cap = caps[d]
-            if cap is None or length <= cap:
-                for cell, below in pairs:
-                    tails = bucket[below]
-                    if tails:
-                        new += [(cell,) + u for u in tails]
-                words[d] += new
-            grown.append(new)
-        bucket = grown
-    return Window((d, tuple(ws)) for d, ws in words.items())
+        bucket = [
+            gather(pairs, bucket) if cap is None or length <= cap else empty
+            for pairs, cap in zip(sources, caps)
+        ]
+        for d, new in enumerate(bucket):
+            totals[d] += new
+    return totals
 
 
-def stored_top(words: dict, edges, budget) -> int:
+def stored_top(sizes: dict, edges, budget) -> int:
     """The top degree up to which a window stores every degree in full.
 
-    words is a window's {degree: words} for 0..max_degree, as
-    `plain_words` or `localized_words` build it. Its top nonempty degree
+    sizes is a window's {degree: number of words} for 0..max_degree
+    (`Window.sizes`), as `plain_words` or `localized_words` build it, so
+    no word is read. Its top nonempty degree
     is raised through each degree above it that the cap leaves whole,
     since a whole degree that is stored empty has no words at all. The
     cap leaves degree d whole when budget(d) is None, or when there are
@@ -238,13 +281,13 @@ def stored_top(words: dict, edges, budget) -> int:
     letters. A degree the cap may cut is never raised through, so the
     homology below it stays inconclusive rather than read as zero.
 
-    >>> stored_top({0: ((),), 1: (), 2: (("x",),), 3: ()}, (), lambda d: None)
+    >>> stored_top({0: 1, 1: 0, 2: 1, 3: 0}, (), lambda d: None)
     3
-    >>> stored_top({0: ((),), 1: (("x",),), 2: ()}, (), lambda d: 1)
+    >>> stored_top({0: 1, 1: 1, 2: 0}, (), lambda d: 1)
     1
     """
-    top = max((d for d, ws in words.items() if ws), default=-1)
-    while top + 1 in words:
+    top = max((d for d, size in sizes.items() if size), default=-1)
+    while top + 1 in sizes:
         cap = budget(top + 1)
         if cap is not None and (edges or cap < top + 1):
             break
@@ -275,7 +318,7 @@ def localized_words(
     """
     _distinct(tuple(edges) + tuple(heavies))
     skeletons = plain_words(space, heavies, max_degree, lambda d: None)
-    words = Window()
+    words = {}
     for degree, sks in skeletons.items():
         cap = budget(degree)
         built = []
@@ -289,7 +332,7 @@ def localized_words(
                         word += letter + seg
                     built.append(word)
         words[degree] = tuple(built)
-    return words
+    return Window(words)
 
 
 def _segments(pool, count: int, cap: int):

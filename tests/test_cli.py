@@ -774,17 +774,55 @@ def count_window_indexes(monkeypatch) -> list:
     return built
 
 
+def count_words_built(monkeypatch) -> list:
+    """Patch the plain word builder to append each word it builds to the
+    list returned."""
+    from chaintop import words
+
+    real = words._prepend
+    built = []
+
+    def counted(pairs, bucket):
+        grown = real(pairs, bucket)
+        built.extend(grown)
+        return grown
+
+    monkeypatch.setattr(words, "_prepend", counted)
+    return built
+
+
 def test_cobar_on_a_wedge_of_spheres_indexes_no_word(tmp_path, capsys, monkeypatch):
-    # the cobar of S2 v S2 v S3 is the zero complex: its homology table
-    # reads ranks only, so no word is looked up by its degree
-    wedge = wedge_models(wedge_models(sphere_model(2), sphere_model(2)), sphere_model(3))
-    path = tmp_path / "s2s2s3.json"
-    path.write_text(json.dumps(simplicial_to_json(wedge)))
-    built = count_window_indexes(monkeypatch)
-    code, out, _ = run(capsys, "cobar", str(path), "--max-degree", "7", "--format", "json")
+    # the cobar of a wedge of spheres is the zero complex: its homology
+    # table and its d^2 check read ranks only, so no word is built, let
+    # alone looked up by its degree
+    s2s2s3 = wedge_models(wedge_models(sphere_model(2), sphere_model(2)), sphere_model(3))
+    paths = {}
+    for name, space in (
+        ("s2s2s3", s2s2s3),
+        ("d5c2", collapsed_simplex(5, 2)),
+        ("d4c1", collapsed_simplex(4, 1)),
+    ):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(simplicial_to_json(space)))
+    indexed = count_window_indexes(monkeypatch)
+    words = count_words_built(monkeypatch)
+    jobs = [
+        ("s2s2s3", "--max-degree", "7", "--ring", ring, *check)
+        for ring in ("z", "fp:2")
+        for check in ((), ("--check",))
+    ]
+    jobs += [("d5c2", "--check"), ("d5c2",), ("d4c1", "--check"), ("d4c1",)]
+    for model, *argv in jobs:
+        code, out, _ = run(capsys, "cobar", str(paths[model]), *argv, "--format", "json")
+        assert code == EXIT_OK, (model, argv)
+        if model == "s2s2s3":
+            assert json.loads(out)["homology"]["7"] == {"rank": 408, "torsion": []}
+        assert (indexed, words) == ([], []), (model, argv)
+    # the probe sees words where a command reads them: the cube model's
+    # window on the same wedge lists and indexes its words
+    code, _, _ = run(capsys, "loop", str(paths["s2s2s3"]), "--max-degree", "3", "--check")
     assert code == EXIT_OK
-    assert json.loads(out)["homology"]["7"] == {"rank": 408, "torsion": []}
-    assert built == []
+    assert len(indexed) == 1 and len(words) == sum(indexed[0].sizes.values()) - 1
 
 
 def test_loop_check_indexes_its_window_once(capsys, monkeypatch):

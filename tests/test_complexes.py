@@ -3,7 +3,7 @@ import random
 import pytest
 
 from chaintop.cobar import CobarComplex, cobar, extended_cobar
-from chaintop.complexes import ChainComplex, GradedLinearMap, tensor_complex
+from chaintop.complexes import ChainComplex, GradedLinearMap, Window, tensor_complex
 from chaintop.cubical import CubicalSet, cubical_chains, standard_cube
 from chaintop.freemod import FreeElement
 from chaintop.loopspace import cubical_cobar, extended_cubical_cobar
@@ -14,6 +14,7 @@ from chaintop.simplicial import (
     projective_plane_model,
     random_reduced_model,
 )
+from chaintop.smith import homology_table
 
 
 def interval():
@@ -226,6 +227,45 @@ def test_the_zero_differential_reads_no_rule(ring):
         assert complex_.diff_columns(n) is columns
     assert complex_.d_squared_witness() is None
     assert complex_.diff_matrix(1) == [[ring.zero] * 3]
+
+
+@pytest.mark.parametrize("ring", [ZZ, GF(2)], ids=str)
+def test_the_zero_complex_of_a_deferred_window_lists_no_key(ring):
+    # degrees, ranks, columns, the d^2 check and homology read the sizes
+    # of the window alone; the first key read lists the keys
+    listed = []
+
+    def build():
+        listed.append(True)
+        return {0: ((),), 1: (), 2: (("x",), ("y",)), 3: (("x", "x"),)}
+
+    window = Window.deferred({0: 1, 1: 0, 2: 2, 3: 1}, build)
+    complex_ = ChainComplex(ring, window, None)
+    assert complex_.degrees() == [0, 2, 3]
+    assert (complex_.min_degree, complex_.max_degree) == (0, 3)
+    assert [complex_.rank(n) for n in range(-1, 5)] == [0, 1, 0, 2, 1, 0]
+    for n in range(5):
+        assert complex_.diff_columns(n) == [{}] * complex_.rank(n)
+    assert complex_.d_squared_witness() is None
+    table = homology_table(complex_, range(3))
+    assert [table[n].pair for n in range(3)] == [(1, []), (0, []), (2, [])]
+    assert listed == []
+    assert complex_.basis_in(2) == (("x",), ("y",)) and listed == [True]
+    assert complex_.degree_of(("x", "x")) == 3 and listed == [True]
+    assert complex_.basis == {0: ((),), 2: (("x",), ("y",)), 3: (("x", "x"),)}
+
+
+def test_a_window_is_a_read_only_mapping_of_its_listed_keys():
+    listed = {0: ((),), 1: (("a",),), 2: ()}
+    window = Window.deferred({0: 1, 1: 1, 2: 0}, lambda: listed)
+    assert window == listed and listed == window and window == Window(listed)
+    assert dict(window) == listed and list(window.items()) == list(listed.items())
+    assert window.get(5, ()) == () and 5 not in window and len(window) == 3
+    with pytest.raises(TypeError):
+        window[3] = ()
+    for sizes in ({0: 1, 1: 1}, {0: 1, 1: 1, 2: 0, 3: 0}, {0: 1, 1: 2, 2: 0}):
+        with pytest.raises(ValueError, match="^window degree [123] lists"):
+            Window.deferred(sizes, lambda: listed)[0]
 
 
 @pytest.mark.parametrize("diff", [None, lambda key: None], ids=["zero", "rule"])

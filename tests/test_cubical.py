@@ -336,6 +336,27 @@ def test_chain_boundary_frozen():
         assert cubical_chains(standard_cube(n)).d_squared_witness() is None
 
 
+def test_cube_chains_index_the_cells_once(monkeypatch):
+    # a cubical set indexes and checks its cells when it is built, and its
+    # chains take that index with the cells
+    from chaintop import complexes, cubical
+
+    calls = []
+
+    def counted(given, real=complexes.graded_ids):
+        calls.append(sum(map(len, given.values())))
+        return real(given)
+
+    for module in (complexes, cubical):
+        monkeypatch.setattr(module, "graded_ids", counted)
+    cube = standard_cube(3)
+    chains = cubical_chains(cube)
+    assert calls == [27]
+    assert chains._degree_of is cube._dim
+    assert chains.basis == cube.cells
+    assert [chains.rank(n) for n in chains.degrees()] == [8, 12, 6, 1]
+
+
 def test_torus_chains():
     torus = cubical_torus()
     torus.validate()

@@ -303,6 +303,57 @@ def test_plain_words_match_the_breadth_first_oracle(index):
             assert got == want, (space.name, max_degree, budget(0))
 
 
+@pytest.mark.parametrize("index", range(len(ORDER_MODELS)))
+def test_plain_windows_count_their_words_before_listing_them(index):
+    # a plain window knows its sizes from the bucket recurrence before it
+    # lists a word; once listed, each degree holds exactly its size
+    space = ORDER_MODELS[index]
+    edges, heavies = letters(space)
+    alphabet = edges + heavies
+    for max_degree in range(7):
+        budgets = [lambda d, c=c: c for c in range(5)]
+        budgets += [lambda d, c=c, top=max_degree: c + top - d for c in range(4)]
+        if not edges and uncapped_size(space, alphabet, max_degree) <= 200_000:
+            budgets.append(lambda d: None)
+        for budget in budgets:
+            window = plain_words(space, alphabet, max_degree, budget)
+            sizes = dict(window.sizes)
+            assert list(window) == list(range(max_degree + 1))
+            assert {d: len(ws) for d, ws in window.items()} == sizes, (
+                space.name,
+                max_degree,
+                budget(0),
+            )
+
+
+def test_a_miscounted_bucket_raises_at_the_first_key_read(monkeypatch):
+    # a count one too high in a single bucket is kept while only sizes
+    # are read, and raises as soon as a word is
+    from chaintop import words as words_module
+
+    real = words_module._count
+    s2 = sphere_model(2)
+    (x,) = s2.nondegenerate(2)
+
+    def miscounted(pairs, bucket):
+        # the bucket of length 2 and degree 2: x in front of the one
+        # word of length 1 and degree 1 of the uncapped window of S2
+        return real(pairs, bucket) + (list(pairs) == [(x, 1)] and bucket[1] == 1)
+
+    monkeypatch.setattr(words_module, "_count", miscounted)
+    message = "^window degree 2 lists 1 keys where its size is 2$"
+    window = plain_words(s2, (x,), 2, lambda d: None)
+    assert window.sizes == {0: 1, 1: 1, 2: 2} and 2 in window
+    with pytest.raises(ValueError, match=message):
+        window[0]
+    algebra = cobar(s2, 2)
+    assert algebra.complex.rank(2) == 2
+    with pytest.raises(ValueError, match=message):
+        algebra.complex.basis_in(1)
+    with pytest.raises(ValueError, match=message):
+        algebra.complex.degree_of((x,))
+
+
 def test_a_budget_that_rises_with_degree_is_refused():
     # on RP2 with budget(0) = 0 and budget(1) = 2 the breadth-first
     # enumerator keeps (U, a) and a bucketed one (a, U); the window
@@ -416,6 +467,8 @@ def test_no_window_repeats_a_word(index):
             for kind, window in windows.items():
                 listed = [word for words in window.values() for word in words]
                 assert len(set(listed)) == len(listed), (space.name, max_degree, kind)
+                sizes = {d: len(words) for d, words in window.items()}
+                assert window.sizes == sizes, (space.name, max_degree, kind)
 
 
 def test_a_letter_given_twice_is_refused():
@@ -465,7 +518,7 @@ def test_stored_top_counts_only_degrees_the_cap_leaves_whole(index):
                 whole = max((d for d, ws in words.items() if ws), default=-1)
                 while every and whole < max_degree and len(words[whole + 1]) == len(every[whole + 1]):
                     whole += 1
-                top = stored_top(words, edges, budget)
+                top = stored_top(words.sizes, edges, budget)
                 assert top <= whole, (space.name, max_degree, length)
                 if length is None:
                     assert top == max_degree
@@ -503,12 +556,21 @@ def test_budget_bounds_each_degree():
     [
         (4, 2, {0: 127, 1: 258, 2: 124, 3: 8}),
         (2, 3, {0: 63, 1: 98, 2: 28}),
+        (3, 2, {0: 63, 1: 98, 2: 28}),
+        (1, 4, {0: 63, 1: 98}),
+        (2, 4, {0: 127, 1: 258, 2: 124}),
+        (5, 1, {0: 127, 1: 258, 2: 124, 3: 8}),
     ],
 )
 def test_certificate_windows_have_the_recurrence_counts(
     max_degree, max_length, degrees
 ):
     # counts from N(d, l) = sum over letters x of N(d - |x|, l - 1) with the
-    # sliding cap max_length + max_degree - d, computed independently
-    result = phi_certificate(simplicial_model("rp2"), max_degree, max_length)
+    # sliding cap max_length + max_degree - d, computed independently; the
+    # cobar of the same window counts them before it lists a word
+    rp2 = simplicial_model("rp2")
+    result = phi_certificate(rp2, max_degree, max_length)
     assert result["degrees"] == degrees
+    budget = sliding_budget(max_length, max_degree)
+    window = CobarComplex(rp2, max_degree, budget=budget).complex.window
+    assert {d: window.sizes[d] for d in degrees} == degrees
