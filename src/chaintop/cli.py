@@ -74,6 +74,8 @@ def load_space(job: JobSpec) -> SimplicialSet:
     if name is None:
         raise CliInputError("no model given")
     if name.endswith(".json"):
+        if job.dim is not None:
+            raise CliInputError(f"{name} is a JSON model and takes no dimension")
         try:
             with open(name, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
@@ -110,16 +112,33 @@ def format_group(rank: int, torsion, ring: str = "Z") -> str:
     return " + ".join(parts) if parts else "0"
 
 
-def _homology_table(chains, degrees):
+def _homology_table(job: JobSpec, space, ring, chains, top: int, window: dict, check=False):
+    """(payload, exit code) of a command that reports the homology of chains.
+
+    The table covers degrees 0..top, a row None where the window cannot
+    certify it; any such row makes the code EXIT_INCONCLUSIVE. With check,
+    a nonzero d^2 on the chains makes it EXIT_INVARIANT.
+    """
     table = {}
     inconclusive = []
-    for n, h in homology_table(chains, degrees).items():
+    for n, h in homology_table(chains, range(top + 1)).items():
         if h is None:
             table[n] = None
             inconclusive.append(n)
         else:
             table[n] = {"rank": h.free_rank, "torsion": list(h.invariant_factors)}
-    return table, inconclusive
+    code = EXIT_INCONCLUSIVE if inconclusive else EXIT_OK
+    if check and chains.d_squared_witness() is not None:
+        code = EXIT_INVARIANT
+    payload = {
+        "command": job.command,
+        "model": space.name,
+        "ring": ring.name,
+        "window": window,
+        "homology": table,
+        "inconclusive": inconclusive,
+    }
+    return payload, code
 
 
 # --- subcommands; each returns (payload, exit code) ---
@@ -130,19 +149,7 @@ def cmd_homology(job: JobSpec):
     top = space.dimension if job.max_degree is None else job.max_degree
     # store one degree past the report so every row is certified
     chains = normalized_chains(space, top + 1, ring)
-    table, inconclusive = _homology_table(chains, range(top + 1))
-    code = EXIT_INCONCLUSIVE if inconclusive else EXIT_OK
-    if job.check and chains.d_squared_witness() is not None:
-        code = EXIT_INVARIANT
-    payload = {
-        "command": "homology",
-        "model": space.name,
-        "ring": ring.name,
-        "window": {"max_degree": top},
-        "homology": table,
-        "inconclusive": inconclusive,
-    }
-    return payload, code
+    return _homology_table(job, space, ring, chains, top, {"max_degree": top}, job.check)
 
 
 def _needs_cutoff(space: SimplicialSet) -> bool:
@@ -174,19 +181,8 @@ def cmd_cobar(job: JobSpec):
         algebra = cobar(space, top + 1, ring, length)
     except ValueError as exc:
         raise CliInputError(str(exc)) from None
-    table, inconclusive = _homology_table(algebra.complex, range(top + 1))
-    code = EXIT_INCONCLUSIVE if inconclusive else EXIT_OK
-    if job.check and algebra.complex.d_squared_witness() is not None:
-        code = EXIT_INVARIANT
-    payload = {
-        "command": "cobar",
-        "model": space.name,
-        "ring": ring.name,
-        "window": {"max_degree": top + 1, "max_length": length},
-        "homology": table,
-        "inconclusive": inconclusive,
-    }
-    return payload, code
+    window = {"max_degree": top + 1, "max_length": length}
+    return _homology_table(job, space, ring, algebra.complex, top, window, job.check)
 
 
 def cmd_cobar_ext(job: JobSpec):
@@ -218,18 +214,10 @@ def cmd_loop(job: JobSpec):
         omega = cubical_cobar(space, top + 1, max_length=length, ring=ring)
     except ValueError as exc:
         raise CliInputError(str(exc)) from None
-    chains = omega.chains()
-    table, inconclusive = _homology_table(chains, range(top + 1))
-    code = EXIT_INCONCLUSIVE if inconclusive else EXIT_OK
-    payload = {
-        "command": "loop",
-        "model": space.name,
-        "ring": ring.name,
-        "window": {"max_degree": top + 1, "max_length": length},
-        "homology": table,
-        "inconclusive": inconclusive,
-        "cross_check": "skipped",
-    }
+    # --check here is the cross-check below, not a d^2 sweep
+    window = {"max_degree": top + 1, "max_length": length}
+    payload, code = _homology_table(job, space, ring, omega.chains(), top, window)
+    payload["cross_check"] = "skipped"
     if job.check:
         # the certificate proves phi a chain isomorphism of the cube
         # chains and the cobar of the same window, so that cobar's
@@ -481,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--ring", help=f"z, q, or fp:<p> (default {default})")
         for flag in reads:
             p.add_argument(flag, **flags[flag])
-        p.add_argument("--format", choices=("text", "json"), default="text")
+        p.add_argument("--format", choices=("text", "json"), default="text", dest="fmt")
         return p
 
     model_command("homology", "homology of normalized chains", "--max-degree", "--check")
@@ -493,24 +481,14 @@ def build_parser() -> argparse.ArgumentParser:
     steenrod.add_argument("--degree", type=int, default=None)
     verify = sub.add_parser("verify", help="named invariant suites")
     verify.add_argument("suite", choices=VERIFY_SUITES)
-    verify.add_argument("--format", choices=("text", "json"), default="text")
+    verify.add_argument("--format", choices=("text", "json"), default="text", dest="fmt")
     return parser
 
 
 def job_from_args(args) -> JobSpec:
-    return JobSpec(
-        command=args.command,
-        model=getattr(args, "model", None),
-        dim=getattr(args, "dim", None),
-        ring=getattr(args, "ring", None),
-        max_degree=getattr(args, "max_degree", None),
-        word_cutoff=getattr(args, "word_cutoff", None),
-        fmt=getattr(args, "format", "text"),
-        check=getattr(args, "check", False),
-        square=getattr(args, "square", 1),
-        degree=getattr(args, "degree", None),
-        suite=getattr(args, "suite", None),
-    )
+    """The job of parsed arguments; a field whose flag the command lacks
+    keeps its `JobSpec` default."""
+    return JobSpec(**{k: v for k, v in vars(args).items() if k in JobSpec._fields})
 
 
 def run_job(job: JobSpec):

@@ -21,16 +21,19 @@ class InsufficientTruncationError(Exception):
     """The requested computation needs degrees beyond the stored range."""
 
 
-def graded_ids(given) -> tuple:
-    """(ids per degree, degree_of) for a map degree -> iterable of keys.
+def graded_ids(given) -> Window:
+    """The keys of a map degree -> iterable of keys, checked, as a `Window`.
 
     Degrees are read with int and empty ones are dropped; each degree
     keeps its keys in the order given, as a tuple. A negative degree
     raises ValueError, and so does a key listed twice, in one degree or
-    in two, naming the first repeat in the order given. Complexes and
-    cell sets index their bases and cells here.
+    in two, naming the first repeat in the order given. The window comes
+    with its index, {key: degree}, already built (`Window.degree_of`),
+    since the check builds it. Complexes and cell sets index their bases
+    and cells here.
 
-    >>> graded_ids({1: ["e"], 0: ("v", "w"), 2: []})
+    >>> window = graded_ids({1: ["e"], 0: ("v", "w"), 2: []})
+    >>> dict(window), window.degree_of
     ({1: ('e',), 0: ('v', 'w')}, {'e': 1, 'v': 0, 'w': 0})
     >>> graded_ids({0: ["v"], 1: ["a", "b", "b", "a"]})
     Traceback (most recent call last):
@@ -51,7 +54,9 @@ def graded_ids(given) -> tuple:
                 if key in seen:
                     raise ValueError(f"basis key listed twice: {key!r}")
                 seen.add(key)
-    return ids, degree_of
+    window = Window(ids)
+    window.degree_of = degree_of
+    return window
 
 
 class Window(Mapping):
@@ -61,20 +66,21 @@ class Window(Mapping):
     `sizes` ({degree: int}), before its keys. `Window(keys)` lists them
     at once; `Window.deferred(sizes, build)` takes the sizes now and
     lists the keys with build() only when a key is first read: a lookup
-    by degree (`window[n]`, `items`, `values`, equality) or `degree_of`.
-    Its degrees (`iter`, `len`, `in`) and `sizes` read no key. The built
-    keys must come in exactly the sizes given: a degree listed with
-    another number of keys, or a degree added or left out, raises
-    ValueError at that first read, so a wrong count cannot pass.
+    by degree (`window[n]`, `items`, `values`, `nonempty`, equality) or
+    `degree_of`. Its degrees (`iter`, `len`, `in`) and `sizes` read no
+    key. The built keys must come in exactly the sizes given: a degree
+    listed with another number of keys, or a degree added or left out,
+    raises ValueError at that first read, so a wrong count cannot pass.
 
     The word enumerators (`chaintop.words`) build their keys distinct
-    and return them as a window, which a `ChainComplex` stores as it is:
-    no key is hashed until something first reads `degree_of`, the map
-    {key: degree}, which is then built once and kept, so every complex
-    and cube set that holds the window shares it; `degree_of` may also
-    be handed in ready-made. A degree may be empty; a complex keeps only
-    the nonempty ones in its basis. A window is trusted, not checked: a
-    builder must make its degrees non-negative ints and its keys
+    and return them as a window, which a `ChainComplex` and a cell set
+    (`CellSet`) store as it is: no key is hashed until something first
+    reads `degree_of`, the map {key: degree}, which is then built once
+    and kept, so every complex and cell set that holds the window shares
+    it. Only `graded_ids` hands out a window whose `degree_of` is built
+    already. A degree may be empty; a complex and a cell set keep only
+    the nonempty ones (`nonempty`). A window is trusted, not checked:
+    a builder must make its degrees non-negative ints and its keys
     distinct. Any other basis goes through `graded_ids`.
 
     >>> window = Window({0: ((),), 1: (("a",), ("b",)), 2: ()})
@@ -95,12 +101,10 @@ class Window(Mapping):
     ValueError: window degree 1 lists 1 keys where its size is 2
     """
 
-    def __init__(self, keys=(), degree_of=None):
+    def __init__(self, keys=()):
         self._listed = dict(keys)
         self._build = None
         self.sizes = {n: len(listed) for n, listed in self._listed.items()}
-        if degree_of is not None:
-            self.degree_of = degree_of
 
     @classmethod
     def deferred(cls, sizes: dict, build) -> Window:
@@ -138,12 +142,80 @@ class Window(Mapping):
     def __contains__(self, n) -> bool:
         return n in self.sizes
 
+    def nonempty(self) -> dict:
+        """{degree: keys} of the nonempty degrees, a plain dict; lists the keys."""
+        return {n: keys for n, keys in self._keys().items() if keys}
+
     @cached_property
     def degree_of(self) -> dict:
         degree_of = {}
         for n, keys in self._keys().items():
             degree_of.update(dict.fromkeys(keys, n))
         return degree_of
+
+
+class CellSet:
+    """Cells listed per dimension, kept as one `Window`: the base of the
+    simplicial and cubical sets.
+
+    The constructor checks and indexes cells ({dimension: ids}) with
+    `graded_ids` and keeps the window (`_keep`); a subclass that builds
+    its cells distinct (the cube model's words) sets `window` itself.
+    The window is the set's only table of its cells: `cells`
+    ({dimension: ids} of the nonempty dimensions) and `_dim`
+    ({id: dimension}) are read off it, and `dimensions` and `dimension`
+    read only its sizes. `_keep` reads an indexed window at once: a
+    `cached_property` stores through the instance `__dict__`, which on
+    CPython 3.11 slows every later attribute lookup on the set. A window
+    set otherwise is read at the first use of `cells` or `_dim`, so a
+    set whose cells nobody reads lists none. `dim_of` is a single dict
+    lookup. The class attributes `_cell` and `_kind` name a cell and the
+    set in error messages.
+    """
+
+    _cell = "cell"
+    _kind = "cell set"
+
+    def __init__(self, name: str, cells, complete: bool = True):
+        self.name = name
+        self.complete = bool(complete)
+        self._keep(graded_ids(cells))
+
+    def _keep(self, window: Window) -> None:
+        """Keep window, listed and indexed, as the cells, read off at once."""
+        self.window = window
+        self.cells, self._dim = window.nonempty(), window.degree_of
+
+    @cached_property
+    def cells(self) -> dict:
+        return self.window.nonempty()
+
+    @cached_property
+    def _dim(self) -> dict:
+        return self.window.degree_of
+
+    def dimensions(self) -> list:
+        return sorted(n for n, size in self.window.sizes.items() if size)
+
+    @property
+    def dimension(self) -> int:
+        return max(self.dimensions(), default=-1)
+
+    def nondegenerate(self, n: int) -> tuple:
+        return self.cells.get(n, ())
+
+    def dim_of(self, cid) -> int:
+        try:
+            return self._dim[cid]
+        except KeyError:
+            raise KeyError(f"unknown {self._cell} id: {cid!r}") from None
+
+    @property
+    def basepoint(self):
+        verts = self.nondegenerate(0)
+        if len(verts) != 1:
+            raise ValueError(f"{self.name or self._kind} is not reduced")
+        return verts[0]
 
 
 def _image(rule, key, source, target, shift, cache, what) -> FreeElement:
@@ -230,8 +302,8 @@ class ChainComplex:
     the zero complex of a cobar on a wedge of spheres, whose homology
     reads ranks only, builds no word: a plain word window counts its
     words before it lists them (`chaintop.words.plain_words`). Any other
-    basis is indexed and checked at construction by `graded_ids`, and
-    kept as a window whose index is already built.
+    basis is indexed and checked at construction by `graded_ids`, whose
+    window comes with its index built.
 
     max_degree is the top degree the complex stores in full. It starts
     as the top nonempty degree, since the basis keeps no empty degree; a
@@ -242,11 +314,7 @@ class ChainComplex:
 
     def __init__(self, ring: Ring, basis, diff, complete: bool = False, name: str = ""):
         self.ring = ring
-        if isinstance(basis, Window):
-            self.window = basis
-        else:
-            self.basis, degree_of = graded_ids(basis)
-            self.window = Window(self.basis, degree_of)
+        self.window = basis if isinstance(basis, Window) else graded_ids(basis)
         self._diff_rule = diff
         self._diff_cache = {}
         self._columns = {}
@@ -260,7 +328,7 @@ class ChainComplex:
     @cached_property
     def basis(self) -> dict:
         """{degree: keys} of the nonempty degrees, listed at the first read."""
-        return {n: keys for n, keys in self.window.items() if keys}
+        return self.window.nonempty()
 
     def degrees(self):
         return sorted(self._sizes)

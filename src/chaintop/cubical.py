@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from itertools import product
 
-from .complexes import ChainComplex, GradedLinearMap, Window, graded_ids
+from .complexes import CellSet, ChainComplex, GradedLinearMap
 from .freemod import FreeElement
 from .rings import Ring, ZZ
 from .simplicial import CellBialgebra, SimplexRef, SimplicialSet, apply_degeneracy
@@ -265,9 +265,10 @@ _set_cube_base = CubeRef.base.__set__
 _set_cube_morphism = CubeRef.morphism.__set__
 
 
-class CubicalSet:
+class CubicalSet(CellSet):
     """Nondegenerate cubes with faces; degeneracies live in CubeRef words.
 
+    The cells are checked and kept as one `Window` (`CellSet`).
     faces maps (id, direction 1..n, eps) -> CubeRef one dimension down.
     complete=False marks a truncation: cells above the stored top
     dimension exist but are not listed.
@@ -282,13 +283,11 @@ class CubicalSet:
     first missing face.
     """
 
+    _cell = "cube"
+    _kind = "cubical set"
+
     def __init__(self, name: str, cells, faces, complete: bool = True):
-        self.name = name
-        self.complete = bool(complete)
-        self.cells, self._dim = graded_ids(cells)
-        # the cells as a `Window` indexed by `_dim`, which `cubical_chains`
-        # hands on, so the chains index no cell again
-        self.window = Window(self.cells, self._dim)
+        super().__init__(name, cells, complete)
         self._faces = self._checked_faces(faces)
 
     def _checked_faces(self, faces) -> dict:
@@ -299,14 +298,14 @@ class CubicalSet:
             cid, i, eps = key
             n = dims.get(cid)
             if n is None:
-                raise KeyError(f"unknown cube id: {cid!r}")
+                raise KeyError(f"unknown {self._cell} id: {cid!r}")
             if not 1 <= i <= n or eps not in (0, 1):
                 raise ValueError(f"bad face key {key!r}")
             if not isinstance(ref, CubeRef):
                 raise ValueError(f"face {key!r} must be a CubeRef")
             base_dim = dims.get(ref.base)
             if base_dim is None:
-                raise KeyError(f"unknown cube id: {ref.base!r}")
+                raise KeyError(f"unknown {self._cell} id: {ref.base!r}")
             morphism = ref.morphism
             if morphism.n_out != base_dim:
                 raise ValueError(f"ref morphism does not match base dimension: {ref!r}")
@@ -317,29 +316,13 @@ class CubicalSet:
             if i.__class__ is int or i in range(1, n + 1):
                 named += 1
         faces = dict(faces)
-        if named != 2 * sum(n * len(ids) for n, ids in self.cells.items()):
+        if named != 2 * sum(n * size for n, size in self.window.sizes.items()):
             for cid, n in dims.items():
                 for i in range(1, n + 1):
                     for eps in (0, 1):
                         if (cid, i, eps) not in faces:
                             raise ValueError(f"missing face ({cid!r}, {i}, {eps})")
         return faces
-
-    def dimensions(self):
-        return sorted(self.cells)
-
-    @property
-    def dimension(self) -> int:
-        return max(self.cells) if self.cells else -1
-
-    def nondegenerate(self, n: int) -> tuple:
-        return self.cells.get(n, ())
-
-    def dim_of(self, cid) -> int:
-        try:
-            return self._dim[cid]
-        except KeyError:
-            raise KeyError(f"unknown cube id: {cid!r}") from None
 
     def ref_dim(self, ref: CubeRef) -> int:
         if ref.morphism.n_out != self.dim_of(ref.base):
@@ -392,13 +375,6 @@ class CubicalSet:
         n = self.ref_dim(ref)
         return self.resolve(ref.base, ref.morphism.compose(CubeMorphism.face(n, i, eps)))
 
-    @property
-    def basepoint(self):
-        verts = self.nondegenerate(0)
-        if len(verts) != 1:
-            raise ValueError(f"{self.name or 'cubical set'} is not reduced")
-        return verts[0]
-
     def validate(self) -> None:
         """Check d_i^eps d_j^delta = d_{j-1}^delta d_i^eps for i < j."""
         for n in self.dimensions():
@@ -434,8 +410,10 @@ def cubical_chains(space: CubicalSet, ring: Ring = ZZ) -> ChainComplex:
     canonicalizes; a set that knows its boundary without its faces (the
     loop-space cube model) computes it that way, and gives None for the
     zero differential. The basis is every stored cell: the set's own
-    `Window` of them (`CubicalSet.window`), so its chains share the
-    index of its cells by degree, which no one builds twice.
+    `Window` of them (`CellSet.window`), so its chains share the index
+    of its cells by degree, which no one builds twice, and a set whose
+    window lists its cells late (the cube model's words) lists none here.
+    This is the one entry to the cube chains.
     """
     return ChainComplex(
         ring, space.window, space._boundary, complete=space.complete, name=space.name

@@ -224,21 +224,22 @@ class _WordCubes(CubicalSet):
     """The cubes of a bead-word window, read off a table built once per letter.
 
     The cells are the words of a cobar complex of the same window: the
-    cube set keeps that complex's basis and its `Window` (`window`), so
-    the words are indexed by degree once, at the first lookup, for the
-    cobar, the cube set and its chains (`cubical_chains`). sides maps
-    each letter, keyed as it stands in a word, to (width, sides): its
-    number of cube coordinates and, per coordinate j and side eps, the
-    entry (j, eps, base, morphism, padded). base and morphism form the
-    canonical face of the lone bead; padded caches the morphism padded
-    by identities on the other beads' coordinates, keyed by how many
-    come before and after. A face of a word rewrites only the bead that
-    owns its direction, so the face (word, offset + j, eps) of a letter
-    with offset coordinates before it is the splice head + base + tail of
-    that letter's entry, with the padded morphism; signed windows reduce
-    the splice freely (reduce, `cobar.reduce_group_word`), which cancels
-    inverse edge pairs at the two junctions, since heavy letters never
-    cancel.
+    cube set keeps that complex's `Window` (`window`) as its one table
+    (`CellSet`), so the words are listed at the first read of a cell and
+    indexed by degree once, at the first lookup, for the cobar, the cube
+    set and its chains (`cubical_chains`); chains whose homology reads
+    ranks only list no word. sides maps each letter, keyed as it stands
+    in a word, to (width, sides): its number of cube coordinates and,
+    per coordinate j and side eps, the entry (j, eps, base, morphism,
+    padded). base and morphism form the canonical face of the lone bead;
+    padded caches the morphism padded by identities on the other beads'
+    coordinates, keyed by how many come before and after. A face of a
+    word rewrites only the bead that owns its direction, so the face
+    (word, offset + j, eps) of a letter with offset coordinates before
+    it is the splice head + base + tail of that letter's entry, with the
+    padded morphism; signed windows reduce the splice freely (reduce,
+    `cobar.reduce_group_word`), which cancels inverse edge pairs at the
+    two junctions, since heavy letters never cancel.
 
     The boundary of a word is the sum over its letters and their
     nondegenerate sides of (-1)^offset * coefficient * splice. A
@@ -253,14 +254,10 @@ class _WordCubes(CubicalSet):
     def __init__(self, name: str, words, complete: bool, sides, reduce):
         self.name = name
         self.complete = complete
-        self.cells, self.window = words.basis, words.window
+        self.window = words.window
         self._sides = sides
         self._values = _letter_values(sides)
         self._reduce = reduce
-
-    @property
-    def _dim(self) -> dict:
-        return self.window.degree_of
 
     @property
     def _boundary(self):
@@ -308,7 +305,8 @@ class CubicalCobar:
     (localized) words; passing both raises ValueError. Its words are
     the cells, in its order, and the window is closed under faces. The
     cobar, the cubes and their chains hold one `Window` of the words,
-    indexed by degree once, at the first lookup.
+    listed at the first key read and indexed by degree once, at the
+    first lookup; chains whose homology reads ranks only list none.
     Stored beads are nondegenerate, so a face rewrites only the bead
     that owns its direction: the constructor canonicalizes each letter's
     faces once, checks their dimensions, and keeps that table with the

@@ -10,7 +10,7 @@ standard simplices carry in degree 1.
 
 from __future__ import annotations
 
-from .complexes import ChainComplex, GradedLinearMap, Window, graded_ids
+from .complexes import CellSet, ChainComplex, GradedLinearMap, Window, graded_ids
 from .freemod import FreeElement
 from .rings import Ring, ZZ
 
@@ -87,20 +87,21 @@ def apply_degeneracy(ref: SimplexRef, i: int) -> SimplexRef:
     return _normal_ref(ref.base, tuple(out))
 
 
-class SimplicialSet:
+class SimplicialSet(CellSet):
     """Finite collection of nondegenerate simplices plus face structure.
 
-    cells maps dimension -> ordered ids (ids unique across dimensions);
-    faces maps id -> tuple of SimplexRef, one per face index, each one
-    dimension down. Use validate() to check the simplicial identities.
-    complete=False marks a truncation of a larger object: cells above
-    the listed top dimension exist but are not stored.
+    cells maps dimension -> ordered ids (ids unique across dimensions),
+    checked and kept as one `Window` (`CellSet`); faces maps id ->
+    tuple of SimplexRef, one per face index, each one dimension down.
+    Use validate() to check the simplicial identities. complete=False
+    marks a truncation of a larger object: cells above the listed top
+    dimension exist but are not stored.
     """
 
+    _kind = "simplicial set"
+
     def __init__(self, name: str, cells, faces, complete: bool = True):
-        self.name = name
-        self.complete = bool(complete)
-        self.cells, self._dim = graded_ids(cells)
+        super().__init__(name, cells, complete)
         self._faces = {}
         dims = self._dim
         for cid, refs in faces.items():
@@ -117,42 +118,26 @@ class SimplicialSet:
                         f"expected {n - 1}"
                     )
                 self._faces[(cid, i)] = ref
-        for cid, n in self._dim.items():
+        for cid, n in dims.items():
             if n > 0 and (cid, 0) not in self._faces:
                 raise ValueError(f"cell {cid!r} has no faces given")
         self._refs_cache = {}
 
     @classmethod
-    def _trusted(cls, name: str, cells: dict, dims: dict, faces: dict) -> SimplicialSet:
+    def _trusted(cls, name: str, window: Window, faces: dict) -> SimplicialSet:
         """A complete set from tables that a checked set already holds.
 
-        cells and dims are the two tables of `complexes.graded_ids`, and
+        window is the cells as `complexes.graded_ids` returns them, and
         faces maps (id, i) -> SimplexRef for every face of every cell, as
         a checked set stores them; nothing is checked again.
         """
         space = object.__new__(cls)
         space.name = name
         space.complete = True
-        space.cells, space._dim = cells, dims
+        space._keep(window)
         space._faces = faces
         space._refs_cache = {}
         return space
-
-    def dimensions(self):
-        return sorted(self.cells)
-
-    @property
-    def dimension(self) -> int:
-        return max(self.cells) if self.cells else -1
-
-    def nondegenerate(self, n: int) -> tuple:
-        return self.cells.get(n, ())
-
-    def dim_of(self, cid) -> int:
-        try:
-            return self._dim[cid]
-        except KeyError:
-            raise KeyError(f"unknown cell id: {cid!r}") from None
 
     def ref_dim(self, ref: SimplexRef) -> int:
         return self.dim_of(ref.base) + len(ref.word)
@@ -203,13 +188,6 @@ class SimplicialSet:
                         found.append(new)
             self._refs_cache[n] = tuple(found)
         return self._refs_cache[n]
-
-    @property
-    def basepoint(self):
-        verts = self.nondegenerate(0)
-        if len(verts) != 1:
-            raise ValueError(f"{self.name or 'simplicial set'} is not reduced")
-        return verts[0]
 
     def validate(self) -> None:
         """Check d_i d_j = d_{j-1} d_i (i < j) on every nondegenerate cell.
@@ -273,14 +251,14 @@ def normalized_chains(
     """Normalized chains: nondegenerate cells, faces with degenerates dropped.
 
     The basis is the space's own cells, already indexed and checked, so
-    it goes to `ChainComplex` as a `Window`, not to be checked again;
-    when it holds every cell, the space's index is its index.
+    it goes to `ChainComplex` as a `Window`, not to be checked again:
+    when it holds every cell, the space's own window, index and all.
     """
     top = space.dimension if max_degree is None else min(max_degree, space.dimension)
-    basis = Window(
-        ((n, space.nondegenerate(n)) for n in range(top + 1)),
-        space._dim if top >= space.dimension else None,
-    )
+    if top >= space.dimension:
+        basis = space.window
+    else:
+        basis = Window((n, space.nondegenerate(n)) for n in range(top + 1))
 
     def diff(key):
         n = space.dim_of(key)
@@ -484,7 +462,13 @@ def point_model() -> SimplicialSet:
 
 
 def simplicial_model(name: str, n: int | None = None) -> SimplicialSet:
-    """Built-in models by name: point, simplex, sphere, circle, rp2."""
+    """Built-in models by name: point, simplex, sphere, circle, rp2.
+
+    simplex and sphere need the dimension n; the others take none, and a
+    dimension given to them raises ValueError rather than being dropped.
+    """
+    if n is not None and name in ("point", "circle", "rp2"):
+        raise ValueError(f"{name} model takes no dimension")
     if name == "point":
         return point_model()
     if name == "simplex":
@@ -682,11 +666,12 @@ def collapse_free_pairs(space: SimplicialSet) -> SimplicialMap:
     if removed:
         # a kept cell has no removed face, since tau goes only when sigma
         # is its one user, so Y needs none of its faces checked again
-        cells, dims = graded_ids(
+        window = graded_ids(
             {n: [cid for cid in ids if cid not in removed] for n, ids in space.cells.items()}
         )
+        dims = window.degree_of
         kept = {(cid, i): faces[(cid, i)] for cid, n in dims.items() if n for i in range(n + 1)}
-        rest = SimplicialSet._trusted(space.name, cells, dims, kept)
+        rest = SimplicialSet._trusted(space.name, window, kept)
     mapping = {cid: _normal_ref(cid, ()) for ids in rest.cells.values() for cid in ids}
     return SimplicialMap(rest, space, mapping)
 

@@ -231,6 +231,22 @@ def test_flag_the_command_does_not_read_is_an_input_error(capsys, argv, flag):
     assert code == EXIT_OK
 
 
+# each printed the table of the model without the number and exited 0
+@pytest.mark.parametrize("model", ["circle", "rp2", "point", "json"])
+def test_dimension_the_model_does_not_take_is_an_input_error(tmp_path, capsys, model):
+    message = f"{model} model takes no dimension"
+    if model == "json":
+        model = str(tmp_path / "s2.json")
+        Path(model).write_text(json.dumps(simplicial_to_json(sphere_model(2))))
+        message = f"{model} is a JSON model and takes no dimension"
+    code, out, err = run(capsys, "homology", model, "4")
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err == f"error: {message}\n"
+    code, _, _ = run(capsys, "homology", model)
+    assert code == EXIT_OK
+
+
 def test_missing_file_is_an_input_error(capsys):
     code, _, err = run(capsys, "homology", "no/such/file.json")
     assert code == EXIT_INPUT
@@ -807,17 +823,21 @@ def test_cobar_on_a_wedge_of_spheres_indexes_no_word(tmp_path, capsys, monkeypat
     indexed = count_window_indexes(monkeypatch)
     words = count_words_built(monkeypatch)
     jobs = [
-        ("s2s2s3", "--max-degree", "7", "--ring", ring, *check)
+        ("cobar", "s2s2s3", "--max-degree", "7", "--ring", ring, *check)
         for ring in ("z", "fp:2")
         for check in ((), ("--check",))
     ]
-    jobs += [("d5c2", "--check"), ("d5c2",), ("d4c1", "--check"), ("d4c1",)]
-    for model, *argv in jobs:
-        code, out, _ = run(capsys, "cobar", str(paths[model]), *argv, "--format", "json")
-        assert code == EXIT_OK, (model, argv)
+    jobs += [("cobar", "d5c2", "--check"), ("cobar", "d5c2")]
+    jobs += [("cobar", "d4c1", "--check"), ("cobar", "d4c1")]
+    # nor does the cube model on the same window, whose chains are the
+    # zero complex too, when it certifies nothing
+    jobs += [("loop", "s2s2s3", "--max-degree", "7", "--ring", ring) for ring in ("z", "fp:2")]
+    for command, model, *argv in jobs:
+        code, out, _ = run(capsys, command, str(paths[model]), *argv, "--format", "json")
+        assert code == EXIT_OK, (command, model, argv)
         if model == "s2s2s3":
             assert json.loads(out)["homology"]["7"] == {"rank": 408, "torsion": []}
-        assert (indexed, words) == ([], []), (model, argv)
+        assert (indexed, words) == ([], []), (command, model, argv)
     # the probe sees words where a command reads them: the cube model's
     # window on the same wedge lists and indexes its words
     code, _, _ = run(capsys, "loop", str(paths["s2s2s3"]), "--max-degree", "3", "--check")

@@ -4,17 +4,21 @@ import pytest
 
 from chaintop.cobar import CobarComplex, cobar, extended_cobar
 from chaintop.complexes import ChainComplex, GradedLinearMap, Window, tensor_complex
-from chaintop.cubical import CubicalSet, cubical_chains, standard_cube
+from chaintop.cubical import CubicalSet, cubical_chains, cubical_torus, standard_cube
 from chaintop.freemod import FreeElement
 from chaintop.loopspace import cubical_cobar, extended_cubical_cobar
 from chaintop.rings import GF, QQ, ZZ
 from chaintop.simplicial import (
     SimplicialSet,
+    collapse_free_pairs,
     normalized_chains,
     projective_plane_model,
     random_reduced_model,
+    sphere_model,
 )
 from chaintop.smith import homology_table
+
+from shared_models import collapsed_simplex
 
 
 def interval():
@@ -72,6 +76,51 @@ def test_bases_given_as_iterators_are_kept_and_empty_degrees_dropped():
     circle = SimplicialSet("circle", {0: iter(["p"]), 1: (k for k in ["e"]), 2: iter([])}, faces)
     assert circle.cells == {0: ("p",), 1: ("e",)}
     assert circle.dimensions() == [0, 1] and circle.dim_of("e") == 1
+
+
+def collapsed_wedge():
+    space = collapsed_simplex(4, 1)
+    small = collapse_free_pairs(space).source
+    assert small is not space
+    return small
+
+
+# a checked simplicial set, the trusted one that collapsing returns, a
+# checked cubical set, and the word cubes of a cube model all read their
+# cells from one window
+@pytest.mark.parametrize(
+    "build, cell, basepoint",
+    [
+        (projective_plane_model, "cell", "p"),
+        (collapsed_wedge, "cell", "pt"),
+        (cubical_torus, "cube", "p"),
+        (lambda: cubical_cobar(sphere_model(2), 4).cubes, "cube", ()),
+    ],
+    ids=["simplicial", "trusted", "cubical", "word-cubes"],
+)
+def test_a_cell_set_answers_from_its_window(build, cell, basepoint):
+    space = build()
+    window = space.window
+    assert isinstance(window, Window)
+    sizes = {n: size for n, size in window.sizes.items() if size}
+    top = max(sizes)
+    assert space.dimensions() == sorted(sizes) and space.dimension == top
+    cells = {n: ids for n, ids in window.items() if ids}
+    for n in range(-1, top + 2):
+        assert space.nondegenerate(n) == cells.get(n, ())
+    assert space.cells == cells
+    for n, ids in cells.items():
+        assert [space.dim_of(cid) for cid in ids] == [n] * len(ids)
+    assert space._dim is window.degree_of
+    with pytest.raises(KeyError, match=f"^\"unknown {cell} id: 'nowhere'\"$"):
+        space.dim_of("nowhere")
+    assert space.basepoint == basepoint
+
+
+def test_an_unreduced_unnamed_cell_set_names_its_kind():
+    for cls, kind in ((SimplicialSet, "simplicial set"), (CubicalSet, "cubical set")):
+        with pytest.raises(ValueError, match=f"^{kind} is not reduced$"):
+            cls("", {0: ["a", "b"]}, {}).basepoint
 
 
 def test_diff_validation():

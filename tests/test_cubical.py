@@ -339,7 +339,7 @@ def test_chain_boundary_frozen():
 def test_cube_chains_index_the_cells_once(monkeypatch):
     # a cubical set indexes and checks its cells when it is built, and its
     # chains take that index with the cells
-    from chaintop import complexes, cubical
+    from chaintop import complexes
 
     calls = []
 
@@ -347,8 +347,7 @@ def test_cube_chains_index_the_cells_once(monkeypatch):
         calls.append(sum(map(len, given.values())))
         return real(given)
 
-    for module in (complexes, cubical):
-        monkeypatch.setattr(module, "graded_ids", counted)
+    monkeypatch.setattr(complexes, "graded_ids", counted)
     cube = standard_cube(3)
     chains = cubical_chains(cube)
     assert calls == [27]
