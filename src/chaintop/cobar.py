@@ -172,9 +172,10 @@ class CobarComplex:
 
         basis is the `Window` that `chaintop.words` enumerates; the
         complex stores it as it is, reads its sizes for its degrees and
-        ranks, and lists and indexes its words only at the first lookup,
-        which the zero complex never makes. table maps each letter to
-        (the terms of its d, its degree).
+        ranks, and lists its words only at the first read by degree,
+        which the zero complex never makes; a plain window answers
+        lookups by its cap rule without listing. table maps each letter
+        to (the terms of its d, its degree).
         """
         self._letters = table
         # the letters with d = 0: d is a derivation, so every word of
@@ -219,7 +220,9 @@ class CobarComplex:
 
         The window stores every word its caps admit, so a lookup in its
         basis is the cap test for any word of its letters, stored factors
-        or not; localized words are freely reduced first. The terms are
+        or not: on plain words it is that test itself
+        (`chaintop.words.plain_words`), and lists no word; localized
+        words are freely reduced first. The terms are
         summed by `concatenation` and canonicalized once.
         """
         sums = concatenation(

@@ -67,21 +67,24 @@ class Window(Mapping):
     at once; `Window.deferred(sizes, build)` takes the sizes now and
     lists the keys with build() only when a key is first read: a lookup
     by degree (`window[n]`, `items`, `values`, `nonempty`, equality) or
-    `degree_of`. Its degrees (`iter`, `len`, `in`) and `sizes` read no
-    key. The built keys must come in exactly the sizes given: a degree
-    listed with another number of keys, or a degree added or left out,
-    raises ValueError at that first read, so a wrong count cannot pass.
+    the default `degree_of`. Its degrees (`iter`, `len`, `in`) and
+    `sizes` read no key. The built keys must come in exactly the sizes
+    given: a degree listed with another number of keys, or a degree
+    added or left out, raises ValueError at that first read, so a wrong
+    count cannot pass.
 
     The word enumerators (`chaintop.words`) build their keys distinct
     and return them as a window, which a `ChainComplex` and a cell set
-    (`CellSet`) store as it is: no key is hashed until something first
-    reads `degree_of`, the map {key: degree}, which is then built once
-    and kept, so every complex and cell set that holds the window shares
-    it. Only `graded_ids` hands out a window whose `degree_of` is built
-    already. A degree may be empty; a complex and a cell set keep only
-    the nonempty ones (`nonempty`). A window is trusted, not checked:
-    a builder must make its degrees non-negative ints and its keys
-    distinct. Any other basis goes through `graded_ids`.
+    (`CellSet`) store as it is, so every complex and cell set that holds
+    the window shares its `degree_of`, the map {key: degree}. By default
+    it is built from the listed keys at its first read and kept. A
+    builder may set it instead: `graded_ids` sets the dict its check
+    built, and `chaintop.words.plain_words` a mapping that answers each
+    lookup by the window's length cap and lists no key. A degree may be
+    empty; a complex and a cell set keep only the nonempty ones
+    (`nonempty`). A window is trusted, not checked: a builder must make
+    its degrees non-negative ints and its keys distinct. Any other
+    basis goes through `graded_ids`.
 
     >>> window = Window({0: ((),), 1: (("a",), ("b",)), 2: ()})
     >>> window.sizes
@@ -168,9 +171,10 @@ class CellSet:
     `cached_property` stores through the instance `__dict__`, which on
     CPython 3.11 slows every later attribute lookup on the set. A window
     set otherwise is read at the first use of `cells` or `_dim`, so a
-    set whose cells nobody reads lists none. `dim_of` is a single dict
-    lookup. The class attributes `_cell` and `_kind` name a cell and the
-    set in error messages.
+    set whose cells nobody reads lists none; the cube model's `_dim` is
+    its window's cap-rule index, which lists none either. `dim_of` is a
+    single lookup in `_dim`. The class attributes `_cell` and `_kind`
+    name a cell and the set in error messages.
     """
 
     _cell = "cell"
@@ -297,13 +301,16 @@ class ChainComplex:
     A `Window` basis, as `chaintop.words` enumerates it, is stored as it
     is and kept as `window`. The degrees, `min_degree`, `max_degree`,
     `rank` and the zero differential's columns read only its `sizes`;
-    its keys are listed at the first read of `basis`, `basis_in` or a
-    lookup, and indexed by degree only when a lookup first needs it. So
-    the zero complex of a cobar on a wedge of spheres, whose homology
-    reads ranks only, builds no word: a plain word window counts its
-    words before it lists them (`chaintop.words.plain_words`). Any other
-    basis is indexed and checked at construction by `graded_ids`, whose
-    window comes with its index built.
+    its keys are listed at the first read of `basis` or `basis_in`,
+    and a lookup (`degree_of`, `diff`'s check of its terms) reads the
+    window's `degree_of`. A plain word window counts its words before it
+    lists them and answers lookups by its length cap
+    (`chaintop.words.plain_words`), so the zero complex of a cobar on a
+    wedge of spheres, whose homology reads ranks only, builds no word,
+    and the certificate of Adams' map, which reads lookups and ranks,
+    builds none either. Any other basis is indexed and checked at
+    construction by `graded_ids`, whose window comes with its index
+    built.
 
     max_degree is the top degree the complex stores in full. It starts
     as the top nonempty degree, since the basis keeps no empty degree; a
@@ -340,8 +347,8 @@ class ChainComplex:
         return self._sizes.get(n, 0)
 
     @property
-    def _degree_of(self) -> dict:
-        """{key: degree} of the whole basis, built at the first read."""
+    def _degree_of(self) -> Mapping:
+        """{key: degree} of the whole basis, the window's `degree_of`."""
         return self.window.degree_of
 
     def positions(self, n: int) -> dict:
@@ -449,19 +456,6 @@ class ChainComplex:
             for i, coeff in col.items():
                 mat[i][j] = coeff
         return mat
-
-
-def tensor_diff(complex_: ChainComplex, element: FreeElement) -> FreeElement:
-    """Leibniz boundary on tensor words of basis keys, with Koszul signs."""
-    sums = {}
-    for key, coeff in element.items():
-        for j, x in enumerate(key):
-            for face, c2 in complex_.diff(x).items():
-                new_key = key[:j] + (face,) + key[j + 1 :]
-                sums[new_key] = sums.get(new_key, 0) + coeff * c2
-            if complex_.degree_of(x) % 2:
-                coeff = -coeff
-    return FreeElement._from_sums(complex_.ring, sums)
 
 
 class GradedLinearMap:

@@ -225,13 +225,16 @@ class _WordCubes(CubicalSet):
 
     The cells are the words of a cobar complex of the same window: the
     cube set keeps that complex's `Window` (`window`) as its one table
-    (`CellSet`), so the words are listed at the first read of a cell and
-    indexed by degree once, at the first lookup, for the cobar, the cube
-    set and its chains (`cubical_chains`); chains whose homology reads
-    ranks only list no word. sides maps each letter, keyed as it stands
-    in a word, to (width, sides): its number of cube coordinates and,
-    per coordinate j and side eps, the entry (j, eps, base, morphism,
-    padded). base and morphism form the canonical face of the lone bead;
+    (`CellSet`), so the words are listed once, at the first read of a
+    cell by dimension, for the cobar, the cube set and its chains
+    (`cubical_chains`). A lookup (`_dim`, `dim_of`) reads the window's
+    `degree_of`: on plain words the cap rule of `chaintop.words`, which
+    lists none, on signed words the index of the listed words. Chains
+    whose homology reads ranks only list no word. sides maps each
+    letter, keyed as it stands in a word, to (width, sides): its number
+    of cube coordinates and, per coordinate j and side eps, the entry
+    (j, eps, base, morphism, padded). base and morphism form the
+    canonical face of the lone bead;
     padded caches the morphism padded by identities on the other beads'
     coordinates, keyed by how many come before and after. A face of a
     word rewrites only the bead that owns its direction, so the face
@@ -305,8 +308,10 @@ class CubicalCobar:
     (localized) words; passing both raises ValueError. Its words are
     the cells, in its order, and the window is closed under faces. The
     cobar, the cubes and their chains hold one `Window` of the words,
-    listed at the first key read and indexed by degree once, at the
-    first lookup; chains whose homology reads ranks only list none.
+    listed once, at the first read by degree; its lookups go by the
+    cap rule of a plain window or by the index of a signed one, so
+    chains whose homology reads ranks only, and the plain certificate,
+    list none.
     Stored beads are nondegenerate, so a face rewrites only the bead
     that owns its direction: the constructor canonicalizes each letter's
     faces once, checks their dimensions, and keeps that table with the

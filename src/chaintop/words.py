@@ -50,16 +50,24 @@ Both enumerators return a `complexes.Window`: the words of each degree
 0..max_degree as a tuple, empty degrees included, and their number per
 degree (`sizes`). A plain window counts its words by the (length,
 degree) bucket recurrence on the same walk and caps that build them,
-and builds the words only when a key is first read, checked against the
-counts; a localized window builds its words at once. Each word is built
-once, as a letter in front of a shorter word, or as heavy letters
-between group runs, so the words are distinct as soon as the letters
-are; that premise is all an enumerator checks, and a letter given twice
-raises ValueError naming it. The cobar stores the window as it is, and
-its cube model shares the same object (`loopspace.CubicalCobar`), so
-the words are built and indexed by degree once, at the first lookup,
-and not at all when nothing looks one up: the zero complex of a cobar
-on a wedge of spheres reads only the sizes (`ChainComplex`).
+and builds the words only when they are first listed by degree, checked
+against the counts; a localized window builds its words at once. Each
+word is built once, as a letter in front of a shorter word, or as heavy
+letters between group runs, so the words are distinct as soon as the
+letters are; that premise is all an enumerator checks, and a letter
+given twice raises ValueError naming it.
+
+A plain window answers a lookup, {word: degree} (`Window.degree_of`),
+by the cap rule itself: a tuple of its letters is stored exactly when
+its degree is at most max_degree and its length at most the budget of
+that degree, which is the set the bucket walk lists. So a lookup
+builds and hashes no listed word; a localized window indexes its listed
+words instead. The cobar stores the window as it is, and its cube model
+shares the same object (`loopspace.CubicalCobar`), so the words are
+built once, when something first reads them by degree (a column, a
+basis), and not at all otherwise: the zero complex of a cobar on a
+wedge of spheres reads only the sizes (`ChainComplex`), and the
+certificate of Adams' map only lookups and sizes.
 
 The order built here is the stored basis order: each window keeps every
 degree exactly as `plain_words` or `localized_words` returns it, and no
@@ -76,6 +84,10 @@ could be kept while a shorter word inside it is not.
 """
 
 from __future__ import annotations
+
+from collections.abc import Mapping
+from functools import partial
+from sys import maxsize
 
 from .complexes import Window
 from .simplicial import SimplicialSet
@@ -186,9 +198,10 @@ def plain_words(space: SimplicialSet, letters, max_degree: int, budget) -> Windo
 
     The window's sizes are counted now, on the same bucket walk with
     counts for words: N(L, d) is the sum over the letters l of
-    N(L - 1, d - |l|). Its words are built on that walk only when a key
-    is first read (`Window.deferred`), which checks them against the
-    counts.
+    N(L - 1, d - |l|). Its words are built on that walk only when they
+    are first listed (`Window.deferred`), which checks them against the
+    counts. Its `degree_of` answers lookups by the cap rule and lists no
+    word (`_CapIndex`).
 
     >>> from .simplicial import simplicial_model
     >>> rp2 = simplicial_model("rp2")
@@ -208,23 +221,84 @@ def plain_words(space: SimplicialSet, letters, max_degree: int, budget) -> Windo
                 f"word budget rises with degree: budget({d}) = {cap}, "
                 f"budget({d + 1}) = {above}"
             )
+    steps = {cell: space.dim_of(cell) - 1 for cell in letters}
     if max_degree < 0:
-        return Window()
-    steps = [(cell, space.dim_of(cell) - 1) for cell in letters]
-    # per degree d, each letter that fits with the degree d - |letter|
-    # of the words it goes in front of
-    sources = [
-        [(cell, d - step) for cell, step in steps if step <= d]
-        for d in range(max_degree + 1)
-    ]
-    sizes = _bucket_walk(sources, caps, 1, _count)
-    return Window.deferred(
-        dict(enumerate(sizes)),
-        lambda: {
-            d: tuple(words)
-            for d, words in enumerate(_bucket_walk(sources, caps, [()], _prepend))
-        },
-    )
+        listing = Window
+    else:
+        # per degree d, each letter that fits with the degree d - |letter|
+        # of the words it goes in front of
+        sources = [
+            [(cell, d - step) for cell, step in steps.items() if step <= d]
+            for d in range(max_degree + 1)
+        ]
+        sizes = dict(enumerate(_bucket_walk(sources, caps, 1, _count)))
+
+        def build():
+            walk = _bucket_walk(sources, caps, [()], _prepend)
+            return {d: tuple(words) for d, words in enumerate(walk)}
+
+        listing = partial(Window.deferred, sizes, build)
+    window = listing()
+    window.degree_of = _CapIndex(steps, caps, listing())
+    return window
+
+
+class _CapIndex(Mapping):
+    """{word: degree} of a plain window, answered by its cap rule.
+
+    A tuple w of the window's letters has degree d, the sum of its
+    letters' steps (dimension - 1), and the window stores it exactly
+    when d <= max_degree and budget(d) is None or len(w) <= budget(d):
+    the very words the bucket walk of `plain_words` lists, since every
+    suffix of a kept word is kept. So `get`, `[]` and `in` read no
+    listed word; anything but a tuple of known letters is not stored.
+    Iteration and `len`, which few callers need, go through the listed
+    words of `listing`, a second window of the same sizes and builder,
+    so its listing runs the same size check. It is not the window that
+    keeps this index as its `degree_of`: that one would tie the two in
+    a reference cycle, which only a full garbage collection frees.
+
+    >>> from .simplicial import simplicial_model
+    >>> rp2 = simplicial_model("rp2")
+    >>> stored = plain_words(rp2, ("a", "U"), 1, lambda d: 2).degree_of
+    >>> stored.get(("a", "U")), ("U", "U") in stored, "aa" in stored
+    (1, False, False)
+    """
+
+    __slots__ = ("_step", "_caps", "_listing")
+
+    def __init__(self, steps: dict, caps: list, listing: Window):
+        self._step = steps.__getitem__
+        self._caps = [maxsize if cap is None else cap for cap in caps]
+        self._listing = listing
+
+    def get(self, word, default=None):
+        if not isinstance(word, tuple):
+            return default
+        try:
+            degree = sum(map(self._step, word))
+        except KeyError:
+            return default
+        caps = self._caps
+        if degree < len(caps) and len(word) <= caps[degree]:
+            return degree
+        return default
+
+    def __getitem__(self, word) -> int:
+        degree = self.get(word)
+        if degree is None:
+            raise KeyError(word)
+        return degree
+
+    def __contains__(self, word) -> bool:
+        return self.get(word) is not None
+
+    def __iter__(self):
+        for words in self._listing.values():
+            yield from words
+
+    def __len__(self) -> int:
+        return sum(map(len, self._listing.values()))
 
 
 def _count(pairs, bucket) -> int:
@@ -244,17 +318,21 @@ def _bucket_walk(sources, caps, empty_word, gather) -> list:
     """The (length, degree) bucket walk of `plain_words`, per degree.
 
     A bucket holds the words, or their count, of one length and degree.
-    The walk starts from empty_word, the bucket of length 0 and degree
-    0, and runs length by length until every bucket of a length is
-    empty. A degree d takes a length only when caps[d] is None or at
-    least that length; its bucket is then gather(sources[d], buckets of
-    the length before), and gather((), ...) otherwise, the empty bucket.
+    A degree d takes a length only when caps[d] is None or at least that
+    length. The walk starts from the bucket of length 0: empty_word in
+    degree 0 when it takes length 0, and empty buckets otherwise. It
+    then runs length by length until every bucket of a length is empty;
+    a bucket that its degree takes is gather(sources[d], buckets of the
+    length before), and gather((), ...), the empty bucket, otherwise.
     Returns, per degree, the sum of its buckets.
     """
     empty = gather((), ())
     totals = [gather((), ()) for _ in caps]
-    totals[0] += empty_word
-    bucket = [empty_word] + [empty] * (len(caps) - 1)
+    if caps[0] is None or caps[0] >= 0:
+        totals[0] += empty_word
+        bucket = [empty_word] + [empty] * (len(caps) - 1)
+    else:
+        bucket = [empty]
     length = 0
     while any(bucket):
         length += 1

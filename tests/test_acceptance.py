@@ -16,7 +16,6 @@ from chaintop.cobar import (
     loc_degree,
     reduce_group_word,
 )
-from chaintop.complexes import tensor_diff
 from chaintop.cubical import (
     CubeBialgebra,
     I,
@@ -77,6 +76,7 @@ from chaintop.simplicial import (
 from chaintop.smith import smith_homology
 
 from ring_oracle import add_into, evaluate_cochain
+from tensor_boundary import tensor_diff
 from words_oracle import word_degree
 
 

@@ -25,9 +25,11 @@ from chaintop.cli import (
     main,
     run_job,
 )
+from chaintop.loopspace import cubical_cobar, phi_certificate
 from chaintop.rings import GF, QQ, ZZ
 from chaintop.simplicial import (
     random_reduced_model,
+    simplicial_model,
     simplicial_to_json,
     sphere_model,
     wedge_models,
@@ -773,8 +775,11 @@ def test_check_builds_each_differential_once(tmp_path, capsys, monkeypatch, argv
 
 
 def count_window_indexes(monkeypatch) -> list:
-    """Patch `Window.degree_of` to append each window it indexes to the
-    list returned, then build the index as before."""
+    """Patch `Window.degree_of` to append each window that builds its
+    {key: degree} dict to the list returned, then build it as before.
+
+    A plain word window never gets here: `words.plain_words` gives it
+    an index that answers by the cap rule and builds no dict."""
     from chaintop.complexes import Window
 
     real = Window.__dict__["degree_of"].func
@@ -830,24 +835,31 @@ def test_cobar_on_a_wedge_of_spheres_indexes_no_word(tmp_path, capsys, monkeypat
     jobs += [("cobar", "d5c2", "--check"), ("cobar", "d5c2")]
     jobs += [("cobar", "d4c1", "--check"), ("cobar", "d4c1")]
     # nor does the cube model on the same window, whose chains are the
-    # zero complex too, when it certifies nothing
-    jobs += [("loop", "s2s2s3", "--max-degree", "7", "--ring", ring) for ring in ("z", "fp:2")]
+    # zero complex too, nor its certificate, whose lookups go by the cap
+    # rule
+    jobs += [
+        ("loop", "s2s2s3", "--max-degree", top, "--ring", ring, *check)
+        for top, ring, check in (("7", "z", ()), ("7", "fp:2", ()), ("3", "z", ("--check",)))
+    ]
     for command, model, *argv in jobs:
         code, out, _ = run(capsys, command, str(paths[model]), *argv, "--format", "json")
         assert code == EXIT_OK, (command, model, argv)
-        if model == "s2s2s3":
+        if model == "s2s2s3" and "7" in argv:
             assert json.loads(out)["homology"]["7"] == {"rank": 408, "torsion": []}
         assert (indexed, words) == ([], []), (command, model, argv)
-    # the probe sees words where a command reads them: the cube model's
-    # window on the same wedge lists and indexes its words
-    code, _, _ = run(capsys, "loop", str(paths["s2s2s3"]), "--max-degree", "3", "--check")
-    assert code == EXIT_OK
-    assert len(indexed) == 1 and len(words) == sum(indexed[0].sizes.values()) - 1
+    # the probe sees words where a command reads them: the columns of the
+    # cube model of RP2 list its words, once, and still index none
+    argv = ("loop", "rp2", "--word-cutoff", "2", "--max-degree", "2", "--check")
+    code, out, _ = run(capsys, *argv)
+    assert code == EXIT_INCONCLUSIVE and "cross-check: passed" in out
+    omega = cubical_cobar(simplicial_model("rp2"), 3, max_length=2)
+    sizes = omega.words.complex.window.sizes
+    assert indexed == [] and len(words) == sum(sizes.values()) - 1
 
 
-def test_loop_check_indexes_its_window_once(capsys, monkeypatch):
-    # the cobar, the cube set and the cube chains share one window, so the
-    # certificate's lookups index its words once between them
+def test_loop_check_shares_one_window_and_indexes_no_word(capsys, monkeypatch):
+    # the cobar, the cube set and the cube chains share one window, whose
+    # lookups go by its cap rule, so the certificate indexes no word
     from chaintop import cli
 
     omegas = []
@@ -863,9 +875,35 @@ def test_loop_check_indexes_its_window_once(capsys, monkeypatch):
     assert "passed" in out
     (omega,) = omegas
     window = omega.words.complex.window
-    assert built == [window]
+    assert built == []
     assert omega.chains().window is window
     assert omega.cubes.window is window
+
+
+@pytest.mark.parametrize(
+    "model, max_degree, max_length, degrees, letters, pairs",
+    [
+        ("rp2", 4, 2, {0: 127, 1: 258, 2: 124, 3: 8}, 4, 16),
+        ("rp2", 2, 3, {0: 63, 1: 98, 2: 28}, 4, 16),
+        ("s2s2s3", 6, None, {0: 1, 1: 2, 2: 5, 3: 12, 4: 29, 5: 70, 6: 169}, 3, 9),
+    ],
+)
+def test_phi_certificate_builds_no_word(
+    monkeypatch, model, max_degree, max_length, degrees, letters, pairs
+):
+    # the certificate of the benchmark windows reads its letters, its
+    # letter pairs and sizes only, and its lookups go by the cap rule:
+    # no word is built, let alone indexed
+    if model == "rp2":
+        space = simplicial_model("rp2")
+    else:
+        space = wedge_models(wedge_models(sphere_model(2), sphere_model(2)), sphere_model(3))
+    indexed = count_window_indexes(monkeypatch)
+    words = count_words_built(monkeypatch)
+    expected = {"cells": sum(degrees.values()), "degrees": degrees}
+    expected.update(letters=letters, pairs=pairs)
+    assert phi_certificate(space, max_degree, max_length) == expected
+    assert (indexed, words) == ([], [])
 
 
 def test_parser_is_built_once_and_survives_a_failed_parse(capsys):

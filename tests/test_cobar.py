@@ -768,8 +768,10 @@ def test_dropped_cobar_complexes_are_freed_without_a_garbage_collection():
         d = GradedLinearMap(algebra.complex, algebra.complex, -1, algebra.complex.diff)
         assert d.is_chain_map() == (True, None)
         refs = [weakref.ref(algebra), weakref.ref(algebra.complex), weakref.ref(d)]
+        # and so is its window, which keeps its cap-rule index
+        refs.append(weakref.ref(algebra.complex.window))
         del algebra, d
-        assert [ref() for ref in refs] == [None, None, None]
+        assert [ref() for ref in refs] == [None, None, None, None]
         algebra = extended_cobar(projective_plane_model(), 2, 6)
         assert algebra.complex.d_squared_witness() is None
         refs = [weakref.ref(algebra), weakref.ref(algebra.complex)]

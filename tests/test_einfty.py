@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from chaintop.complexes import InsufficientTruncationError, tensor_diff
+from chaintop.complexes import InsufficientTruncationError
 from chaintop.cubical import (
     CubeBialgebra,
     CubeMorphism,
@@ -44,6 +44,7 @@ from chaintop.simplicial import (
 )
 
 from ring_oracle import evaluate_cochain
+from tensor_boundary import tensor_diff
 
 
 def one(coalg, key):

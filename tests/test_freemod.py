@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chaintop.complexes import ChainComplex, tensor_diff
+from chaintop.complexes import ChainComplex
 from chaintop.freemod import (
     FreeElement,
     cyclic_rotation_sign,
@@ -14,6 +14,7 @@ from chaintop.freemod import (
 from chaintop.rings import GF, QQ, ZZ
 
 from ring_oracle import add_into
+from tensor_boundary import tensor_diff
 
 KEYS = ("a", "b", "c", "d")
 

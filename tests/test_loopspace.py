@@ -19,7 +19,6 @@ from chaintop.complexes import (
     ChainComplex,
     GradedLinearMap,
     InsufficientTruncationError,
-    tensor_diff,
 )
 from chaintop.cubical import CubeMorphism, CubeRef, CubicalSet, cubical_chains
 from chaintop.einfty import cubical_um, simplicial_um, um_action
@@ -71,6 +70,7 @@ import certificate_oracle
 from expansion_oracle import edge_expansion as oracle_edge_expansion
 from ring_oracle import add_into
 from shared_models import collapsed_simplex
+from tensor_boundary import tensor_diff
 
 
 def s2s2s3_model():

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chaintop.complexes import tensor_diff
 from chaintop.cubical import CubeBialgebra
 from chaintop.freemod import FreeElement
 from chaintop.propm import (
@@ -31,6 +30,8 @@ from chaintop.propm import (
 )
 from chaintop.rings import GF, ZZ
 from chaintop.simplicial import SimplexBialgebra, aw_coproduct
+
+from tensor_boundary import tensor_diff
 
 
 def all_cells(bial):

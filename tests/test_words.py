@@ -13,9 +13,11 @@ come from the word recurrence of the benchmark notes, so they hold
 whichever enumerator builds the windows.
 """
 
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chaintop.cobar import (
     CobarComplex,
@@ -23,7 +25,7 @@ from chaintop.cobar import (
     cobar,
     group_words,
 )
-from chaintop.loopspace import CubicalCobar, phi_certificate
+from chaintop.loopspace import CubicalCobar, cubical_cobar, phi_certificate
 from chaintop.simplicial import (
     random_reduced_model,
     simplicial_model,
@@ -326,9 +328,101 @@ def test_plain_windows_count_their_words_before_listing_them(index):
             )
 
 
+def assert_index_is_the_listing(space, alphabet, max_degree, budget):
+    """A plain window's `degree_of`, which answers by the cap rule, against
+    the index of its listed words: each member with its degree, and none
+    of the near misses."""
+    window = plain_words(space, alphabet, max_degree, budget)
+    stored = window.degree_of
+    listed = {word: d for d, words in window.items() for word in words}
+    where = (space.name, max_degree, [budget(d) for d in range(max_degree + 1)])
+    for word, degree in listed.items():
+        assert stored.get(word) == stored[word] == degree and word in stored, where
+    unknown = object()
+    # a letter that is not the window's, str and list keys, and words
+    # above max_degree
+    misses = [(unknown,), [], list(alphabet[:1]), "".join(map(str, alphabet))]
+    misses += [str(cell) for cell in alphabet]
+    for cell in alphabet:
+        step = space.dim_of(cell) - 1
+        if step:
+            misses.append((cell,) * (max_degree // step + 1))
+    for miss in misses:
+        assert stored.get(miss) is None and miss not in stored, (where, miss)
+        with pytest.raises(KeyError):
+            stored[miss]
+    for word, degree in listed.items():
+        near = [word + (unknown,), (unknown,) + word, list(word)]
+        cap = budget(degree)
+        if cap is not None and len(word) == cap:
+            # one letter over its cap, in its degree or in a higher one
+            near += [word + (cell,) for cell in alphabet]
+        for miss in near:
+            assert stored.get(miss) is None and miss not in stored, (where, miss)
+    # every word of at most three letters, stored or not, as the listing says
+    if len(alphabet) <= 8:
+        for length in range(4):
+            for word in itertools.product(alphabet, repeat=length):
+                assert stored.get(word) == listed.get(word), (where, word)
+    # iteration and len go through the listed words
+    assert dict(stored) == listed and len(stored) == len(listed), where
+
+
+@pytest.mark.parametrize("index", range(len(ORDER_MODELS)))
+def test_the_cap_index_of_every_window_is_its_listing(index):
+    # the windows of the tests above, and negative budgets, which keep
+    # no word of their degree
+    space = ORDER_MODELS[index]
+    edges, heavies = letters(space)
+    alphabet = edges + heavies
+    for max_degree in range(-1, 7):
+        budgets = [lambda d, c=c: c for c in range(-1, 5)]
+        budgets += [lambda d, c=c, top=max_degree: c + top - d for c in range(-2, 4)]
+        if not edges and uncapped_size(space, alphabet, max_degree) <= 200_000:
+            budgets.append(lambda d: None)
+        for budget in budgets:
+            assert_index_is_the_listing(space, alphabet, max_degree, budget)
+        if edges:
+            # the uncapped window of the heavy letters, as `localized_words`
+            # builds its skeletons
+            assert_index_is_the_listing(space, heavies, max_degree, lambda d: None)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    max_dim=st.integers(2, 4),
+    max_degree=st.integers(-1, 4),
+    kind=st.sampled_from(["fixed", "sliding", "uncapped"]),
+    cap=st.integers(-3, 3),
+)
+def test_the_cap_index_is_the_listing_on_drawn_windows(seed, max_dim, max_degree, kind, cap):
+    space = random_reduced_model(random.Random(seed), max_dim=max_dim)
+    edges, heavies = letters(space)
+    if kind == "uncapped":
+        # without edges an uncapped window is finite
+        alphabet, budget = heavies, lambda d: None
+    elif kind == "fixed":
+        alphabet, budget = edges + heavies, lambda d: cap
+    else:
+        alphabet, budget = edges + heavies, sliding_budget(cap, max_degree)
+    assert_index_is_the_listing(space, alphabet, max_degree, budget)
+
+
+def test_a_negative_budget_stores_no_word():
+    # budget(0) < 0 leaves degree 0 empty, the empty word too, as in
+    # `localized_words`; the budget never rises, so every degree is empty
+    rp2 = simplicial_model("rp2")
+    for algebra in (cobar(rp2, 1, max_length=-1), cubical_cobar(rp2, 1, max_length=-2).words):
+        chains = algebra.complex
+        assert chains.window.sizes == {0: 0, 1: 0} and chains.degrees() == []
+        assert chains.window.nonempty() == {} and () not in chains._degree_of
+    assert cubical_cobar(rp2, 1, max_length=-2).chains().degrees() == []
+
+
 def test_a_miscounted_bucket_raises_at_the_first_key_read(monkeypatch):
     # a count one too high in a single bucket is kept while only sizes
-    # are read, and raises as soon as a word is
+    # are read, and raises as soon as the words are listed
     from chaintop import words as words_module
 
     real = words_module._count
@@ -348,10 +442,15 @@ def test_a_miscounted_bucket_raises_at_the_first_key_read(monkeypatch):
         window[0]
     algebra = cobar(s2, 2)
     assert algebra.complex.rank(2) == 2
+    # a lookup goes by the cap rule and lists no word, so it answers;
+    # the listing behind it raises, for each caller that lists
+    assert algebra.complex.degree_of((x,)) == 1
     with pytest.raises(ValueError, match=message):
         algebra.complex.basis_in(1)
     with pytest.raises(ValueError, match=message):
-        algebra.complex.degree_of((x,))
+        algebra.complex.window[2]
+    with pytest.raises(ValueError, match=message):
+        dict(algebra.complex._degree_of)
 
 
 def test_a_budget_that_rises_with_degree_is_refused():
