@@ -26,7 +26,6 @@ import copy
 
 from .complexes import ChainComplex
 from .freemod import FreeElement
-from .linalg import eliminate
 from .rings import QQ, Ring, ZZ
 from .simplicial import SimplicialSet
 from .words import (
@@ -487,23 +486,41 @@ def _junction(left, right) -> tuple:
     return left[: n - k] + right[k:]
 
 
-def _h0_rows(space: SimplicialSet, cutoff: int, ring: Ring) -> tuple:
-    """(words, rows) of the cutoff window, in one enumeration.
+def _relator_edges(space: SimplicialSet) -> list:
+    """The two words of d x for each 2-cell letter x whose d is not zero.
+
+    With a degenerate face counted as 1, d x = v - u for u = d_2 x * d_0 x
+    and v = d_1 x, so u v^-1 is the cell's `fundamental_relators` word
+    and u != v; the pair comes in the value's order, which the rank does
+    not see. Raises ValueError, naming the cell, on a value of any other
+    shape.
+    """
+    pairs = []
+    for cell, value in zip(space.nondegenerate(2), _relator_values(space, ZZ)):
+        if not value:
+            continue
+        (u, s), *rest = value.items()
+        if s not in (1, -1) or len(rest) != 1 or rest[0][1] != -s:
+            raise ValueError(
+                f"d of the 2-cell {cell!r} is not a difference of two "
+                f"group words: {value!r}"
+            )
+        pairs.append((u, rest[0][0]))
+    return pairs
+
+
+def _h0_edges(space: SimplicialSet, words: list, cutoff: int):
+    """Each relation row of the cutoff window as an edge (level, i, j).
 
     words are the reduced group words of length <= cutoff, shortest
-    first, so a smaller window c numbers its words as a prefix of this
-    list. rows holds each distinct relation row {word index: coefficient}
-    once, as (level, row). The row of g * d(x) * h has level
-    max(|g| + |h|, longest reduced term): it is a row of the window c
-    exactly when its level is <= c, and a row met more than once keeps
-    its lowest level. Coefficients are plain ints, mod p over F_p.
-    Each term w is reduced against g once, as g w; h runs over the
-    words of length <= cutoff - |g|, a prefix of words, and g w and h
-    are both reduced, so they are joined at their one junction
-    (`_junction`).
+    first. The row g * d(x) * h is +-(e_i - e_j) with words[i] = g u h
+    and words[j] = g v h (`_relator_edges`); it is yielded once per
+    (x, g, h), repeats included, at level max(|g| + |h|, |g u h|,
+    |g v h|), the smallest window that holds it, and skipped when that
+    is over the cutoff. g u and g v are reduced once per g; h runs over
+    the words of length <= cutoff - |g|, a prefix of words, and each
+    product is reduced at its one junction (`_junction`).
     """
-    edges = space.nondegenerate(1)
-    words = list(group_words(edges, cutoff))
     index = {w: i for i, w in enumerate(words)}
     # within[k]: how many words have length <= k
     within = [0] * (cutoff + 1)
@@ -513,32 +530,16 @@ def _h0_rows(space: SimplicialSet, cutoff: int, ring: Ring) -> tuple:
         within[k] += within[k - 1]
     # the inverse of each word's first letter: what a junction cancels
     heads = [(w[0][0], -w[0][1]) if w else None for w in words]
-    p = ring.p
-    found = {}
-    for value in _relator_values(space, ZZ):
-        value = [(w, r) for w, c in value.items() if (r := c % p if p else c)]
-        if not value:
-            continue
+    for u, v in _relator_edges(space):
         for g in words:
-            gw = [(reduce_group_word(g + w), c) for w, c in value]
+            gu, gv = _junction(g, u), _junction(g, v)
             for j in range(within[cutoff - len(g)]):
                 h, head = words[j], heads[j]
-                level = len(g) + len(h)
-                # g w h = g w' h only when w = w', so no two terms meet
-                row = {}
-                for x, c in gw:
-                    full = _junction(x, h) if x and x[-1] == head else x + h
-                    if len(full) > level:
-                        if len(full) > cutoff:
-                            break
-                        level = len(full)
-                    row[index[full]] = c
-                else:
-                    key = frozenset(row.items())
-                    seen = found.get(key)
-                    if seen is None or level < seen[0]:
-                        found[key] = (level, row)
-    return words, list(found.values())
+                a = _junction(gu, h) if gu and gu[-1] == head else gu + h
+                b = _junction(gv, h) if gv and gv[-1] == head else gv + h
+                level = max(len(g) + len(h), len(a), len(b))
+                if level <= cutoff:
+                    yield level, index[a], index[b]
 
 
 def _h0_within(space: SimplicialSet, cutoff: int, ring: Ring) -> tuple:
@@ -548,15 +549,42 @@ def _h0_within(space: SimplicialSet, cutoff: int, ring: Ring) -> tuple:
     with |g| + |h| <= cutoff, kept only when every reduced term stays
     within the window; each kept row is an honest boundary, so the
     quotient rank can only overshoot the true one, never undershoot.
-    One enumeration of the cutoff window (`_h0_rows`) serves both
-    windows: the cutoff - 1 rows are those of level <= cutoff - 1.
+    Each row is a difference of two words (`_h0_edges`), an edge of a
+    graph on the window's words, and the rank of a graph's edge rows
+    is the number of its vertices minus the number of its connected
+    components over every field: a spanning forest's rows are
+    independent, since each tree has a leaf whose word only one of its
+    rows holds, and every other edge row is a signed sum of the rows on
+    the forest path between its ends. So union-find counts the rank
+    exactly, with no elimination, and ring, which must be a field, does
+    not change it. Edges below level cutoff are joined first: their
+    successful joins are the rank of the cutoff - 1 window, whose words
+    are those shorter than cutoff; the edges at level cutoff are held
+    and joined after.
     """
-    words, rows = _h0_rows(space, cutoff, ring)
+    words = list(group_words(space.nondegenerate(1), cutoff))
+    parent = list(range(len(words)))
+
+    def join(i, j) -> bool:
+        """Merge the trees of i and j; whether they were apart."""
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        while parent[j] != j:
+            parent[j] = j = parent[parent[j]]
+        if i == j:
+            return False
+        parent[i] = j
+        return True
+
+    prev_rank = 0
+    last = []
+    for level, i, j in _h0_edges(space, words, cutoff):
+        if level < cutoff:
+            prev_rank += join(i, j)
+        else:
+            last.append((i, j))
+    rank = prev_rank + sum(join(i, j) for i, j in last)
     prev_size = sum(1 for w in words if len(w) < cutoff)
-    prev = [row for level, row in rows if level < cutoff]
-    # the rank of the relation rows is that of their transpose
-    prev_rank = len(eliminate(prev, ring))
-    rank = len(eliminate([row for _, row in rows], ring))
     return (len(words), rank), (prev_size, prev_rank)
 
 
@@ -568,7 +596,12 @@ def h0_group_ring(space: SimplicialSet, cutoff: int, ring: Ring = QQ) -> H0Repor
     exact once the window saturates the relations; when the answer
     still moves between cutoff - 1 and cutoff the report says so. Both
     windows come from one enumeration of the cutoff window, whose rows
-    carry the level of the smallest window that holds them.
+    carry the level of the smallest window that holds them. Each row
+    is a difference of two words, so the rank is the number of
+    words minus the number of components of the graph those rows draw
+    on them (`_h0_within`), the same over every field. The quotient is
+    free over Z too, but ZZ is still refused: the report certifies a
+    rank over a field, and `cobar-ext --ring z` keeps its input error.
     """
     space.basepoint  # raises ValueError unless there is a single vertex
     if not getattr(ring, "is_field", False):

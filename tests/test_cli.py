@@ -87,6 +87,57 @@ def test_cobar_ext_tight_window_is_inconclusive(capsys):
     assert "inconclusive: True" in out
 
 
+RP2_RELATORS = [[["b", 1], ["a", 1]], [["b", 1], ["a", -1]]]
+# argv, model, ring, cutoff, H_0 rank, basis size, generators, relators, inconclusive
+COBAR_EXT_WINDOWS = [
+    *(
+        (f"rp2 --word-cutoff {c} --ring {ring}", "rp2", label, c, 2, size, ["a", "b"], RP2_RELATORS, c == 1)
+        for c, size in zip(range(1, 6), (5, 17, 53, 161, 485))
+        for ring, label in (("q", "Q"), ("fp:2", "F2"), ("fp:5", "F5"))
+    ),
+    ("circle --word-cutoff 3", "sphere1", "Q", 3, 7, 7, ["s"], [], True),
+    ("sphere 2 --word-cutoff 3", "sphere2", "Q", 3, 1, 1, [], [], False),
+]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("case", COBAR_EXT_WINDOWS, ids=[case[0] for case in COBAR_EXT_WINDOWS])
+def test_cobar_ext_prints_what_it_printed(capsys, case, fmt):
+    argv, model, ring, cutoff, rank, size, generators, relators, inconclusive = case
+    code, out, err = run(capsys, "cobar-ext", *argv.split(), "--format", fmt)
+    if fmt == "json":
+        h0 = {
+            "basis_size": size,
+            "cutoff": cutoff,
+            "generators": generators,
+            "inconclusive": inconclusive,
+            "rank": rank,
+            "relators": relators,
+        }
+        payload = {
+            "command": "cobar-ext",
+            "h0": h0,
+            "model": model,
+            "ring": ring,
+            "window": {"word_cutoff": cutoff},
+        }
+        expected = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    else:
+        lines = [
+            "command: cobar-ext",
+            f"model: {model}",
+            f"ring: {ring}",
+            f"window: word_cutoff={cutoff}",
+            f"H_0 rank: {rank}",
+            f"generators: {' '.join(generators) or '-'}",
+            f"relators: {len(relators)}",
+            f"inconclusive: {inconclusive}",
+        ]
+        expected = "\n".join(lines) + "\n"
+    assert (out, err) == (expected, "")
+    assert code == (EXIT_INCONCLUSIVE if inconclusive else EXIT_OK)
+
+
 def test_loop_matches_cobar_with_cross_check(capsys):
     code, loop_out, _ = run(capsys, "loop", "sphere", "2", "--check")
     assert code == EXIT_OK

@@ -8,6 +8,7 @@ import weakref
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chaintop.cobar import (
     CobarComplex,
@@ -40,7 +41,7 @@ from chaintop.simplicial import (
 )
 from chaintop.smith import homology_table, smith_homology
 
-from h0_rows_oracle import h0_rows
+from h0_rows_oracle import h0_rows, h0_within, junction_rows
 from ring_oracle import add_into
 from shared_models import collapsed_simplex
 from words_oracle import word_degree
@@ -682,28 +683,110 @@ def test_one_pass_h0_matches_the_two_pass_oracle():
                     (size, rank),
                     (prev_size, prev_rank),
                 ), where
-                words, leveled = cobar_module._h0_rows(space, cutoff, ring)
+                words, leveled = junction_rows(space, cutoff, ring)
                 assert len(words) == size, where
                 assert as_set(row for _, row in leveled) == as_set(rows), where
                 below = as_set(row for level, row in leveled if level <= cutoff - 1)
                 assert below == as_set(prev_rows), where
 
 
+def edge_levels(pairs) -> dict:
+    """{unordered pair of word indices: lowest level}."""
+    lowest = {}
+    for level, i, j in pairs:
+        key = frozenset((i, j))
+        lowest[key] = min(level, lowest.get(key, level))
+    return lowest
+
+
 @pytest.mark.parametrize("ring", [QQ, GF(2), GF(3)], ids=str)
 def test_h0_rows_match_the_triple_by_triple_oracle(ring):
-    # equal words and rows, in the same order, so both eliminations see
-    # the same input; each row's entries in the same order too
+    # each distinct oracle row is a difference of two words: as unordered
+    # pairs with their lowest level, the rows are the edges _h0_within joins
     rng = random.Random(3)
     spaces = [projective_plane_model()] + [random_reduced_model(rng) for _ in range(6)]
     assert sum(bool(space.nondegenerate(1)) for space in spaces) >= 4
     for space in spaces:
         for cutoff in (1, 2, 3, 4):
-            words, rows = cobar_module._h0_rows(space, cutoff, ring)
-            want_words, want_rows = h0_rows(space, cutoff, ring)
+            words, rows = h0_rows(space, cutoff, ring)
             where = (space.name, cutoff)
-            assert words == want_words, where
+            assert all(len(row) == 2 for _, row in rows), where
+            want = edge_levels((level, *row) for level, row in rows)
+            edges = cobar_module._h0_edges(space, words, cutoff)
+            assert edge_levels(edges) == want, where
+            # the junction builder kept beside it returns the same rows, in order
             ordered = [(level, list(row.items())) for level, row in rows]
-            assert ordered == [(level, list(row.items())) for level, row in want_rows], where
+            got_words, got_rows = junction_rows(space, cutoff, ring)
+            assert got_words == words, where
+            assert [(level, list(row.items())) for level, row in got_rows] == ordered, where
+
+
+def assert_relator_values_are_edges(space):
+    # d of each 2-cell letter is (+1 term) - (-1 term), and the -1 term
+    # times the inverse of the +1 term is the cell's fundamental relator
+    relators = []
+    for value in cobar_module._relator_values(space, ZZ):
+        if value:
+            assert sorted(value.values()) == [-1, 1], (space.name, value)
+            plus, minus = sorted(value, key=value.get, reverse=True)
+            relators.append(reduce_group_word(minus + invert_group_word(plus)))
+    assert tuple(relators) == fundamental_relators(space), space.name
+
+
+def test_relator_values_are_edges_on_the_h0_models():
+    for space in h0_models():
+        assert_relator_values_are_edges(space)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    max_dim=st.integers(2, 4),
+    ring=st.sampled_from([QQ, GF(2), GF(3), GF(5)]),
+    cutoff=st.integers(1, 4),
+)
+def test_union_find_h0_matches_elimination_on_drawn_models(seed, max_dim, ring, cutoff):
+    space = random_reduced_model(random.Random(seed), max_dim=max_dim)
+    assert_relator_values_are_edges(space)
+    assert cobar_module._h0_within(space, cutoff, ring) == h0_within(space, cutoff, ring)
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda u, v: {u: 1, v: 1},
+        lambda u, v: {u: 2, v: -2},
+        lambda u, v: {u: 1, v: -1, (("a", 1),) * 3: 1},
+    ],
+    ids=["same-sign", "not-unit", "three-terms"],
+)
+def test_a_relator_value_that_is_not_an_edge_raises(monkeypatch, mutate):
+    real = cobar_module._relator_values
+
+    def mutant(space, ring):
+        values = real(space, ring)
+        u, v = values[0]
+        return [mutate(u, v)] + values[1:]
+
+    monkeypatch.setattr(cobar_module, "_relator_values", mutant)
+    rp2 = projective_plane_model()
+    with pytest.raises(ValueError, match="2-cell 'U'"):
+        h0_group_ring(rp2, 3)
+
+
+def test_h0_group_ring_eliminates_nothing(monkeypatch):
+    from chaintop import linalg, smith
+
+    calls = []
+    for module in (linalg, smith):
+        real = module.eliminate
+        monkeypatch.setattr(
+            module, "eliminate", lambda *args, real=real: calls.append(args) or real(*args)
+        )
+    for cutoff in (2, 3):
+        report = h0_group_ring(projective_plane_model(), cutoff, QQ)
+        assert report.rank == 2 and not report.inconclusive
+    assert calls == []
 
 
 def test_h0_group_ring_builds_the_relator_values_once(monkeypatch):

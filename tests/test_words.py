@@ -15,6 +15,7 @@ whichever enumerator builds the windows.
 
 import itertools
 import random
+import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -407,6 +408,16 @@ def test_the_cap_index_is_the_listing_on_drawn_windows(seed, max_dim, max_degree
     else:
         alphabet, budget = edges + heavies, sliding_budget(cap, max_degree)
     assert_index_is_the_listing(space, alphabet, max_degree, budget)
+
+
+def test_only_the_typeddict_deprecation_is_not_an_error():
+    # hypothesis raises this one while it prints a falsifying example, and
+    # as an error it would hide the example; every other warning still fails
+    warnings.warn("mypy_extensions.TypedDict is deprecated, and will be removed", DeprecationWarning)
+    with pytest.raises(DeprecationWarning):
+        warnings.warn("some other API is deprecated", DeprecationWarning)
+    with pytest.raises(UserWarning):
+        warnings.warn("mypy_extensions.TypedDict is deprecated", UserWarning)
 
 
 def test_a_negative_budget_stores_no_word():
