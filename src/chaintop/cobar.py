@@ -22,8 +22,6 @@ embedding into the localized construction all call it.
 
 from __future__ import annotations
 
-import copy
-
 from .complexes import ChainComplex
 from .freemod import FreeElement
 from .rings import QQ, Ring, ZZ
@@ -50,21 +48,22 @@ def letter_boundary(space: SimplicialSet, cell, ring: Ring) -> FreeElement:
     the last n - i carries (-1)^i from moving a shift past the front
     factor. Degenerate letters and vertex letters drop.
     """
-    n = space.dim_of(cell)
+    faces = space.faces(cell)
+    n = len(faces) - 1
     sums = {}
     if n >= 2:
-        for i in range(n + 1):
-            face = space.face(cell, i)
-            if not face.is_degenerate:
+        for i, face in enumerate(faces):
+            if not face.word:
                 word = (face.base,)
                 sums[word] = sums.get(word, 0) + (-1 if i % 2 == 0 else 1)
     # front_face(x, i) = d_{i+1} front_face(x, i + 1) and back_face(x, i) =
     # d_0 back_face(x, i + 1), so one face each gives every split
     fronts, backs = {}, {}
-    front = back = space.ref(cell)
-    for i in range(n - 1, 0, -1):
-        front = fronts[i] = space.face_of_ref(front, i + 1)
-        back = backs[i] = space.face_of_ref(back, 0)
+    if n >= 2:
+        fronts[n - 1], backs[n - 1] = faces[n], faces[0]
+    for i in range(n - 2, 0, -1):
+        fronts[i] = space.face_of_ref(fronts[i + 1], i + 1)
+        backs[i] = space.face_of_ref(backs[i + 1], 0)
     for i in range(1, n):
         front, back = fronts[i], backs[n - i]
         if front.is_degenerate or back.is_degenerate:
@@ -72,6 +71,26 @@ def letter_boundary(space: SimplicialSet, cell, ring: Ring) -> FreeElement:
         word = (front.base, back.base)
         sums[word] = sums.get(word, 0) + (-1 if i % 2 else 1)
     return FreeElement._from_sums(ring, sums)
+
+
+def by_faces(space: SimplicialSet, cells, rule, ring: Ring) -> dict:
+    """{cell: rule(space, cell, ring)}, one call per distinct face tuple.
+
+    A letter's d reads only the cell's faces (`letter_boundary`), so
+    cells with equal face tuples share one value: on a wedge of spheres
+    all letters of one dimension have the same degenerate faces. The
+    tuple itself is the key, and equal refs hash equal, so cells share
+    whether or not their refs are the same objects.
+    """
+    values = {}
+    out = {}
+    for cell in cells:
+        faces = space.faces(cell)
+        value = values.get(faces)
+        if value is None:
+            value = values[faces] = rule(space, cell, ring)
+        out[cell] = value
+    return out
 
 
 def derivation(table, word, reduce=None) -> tuple:
@@ -132,7 +151,8 @@ class CobarComplex:
     at most budget(d) (`chaintop.words`; None for no cap), a budget
     that must not rise with degree. The complex counts the empty degrees
     above its words that the cap cannot cut (`chaintop.words.stored_top`).
-    d is `derivation` on the letter table, and the zero differential
+    d is `derivation` on the letter table, which holds one value per
+    distinct face tuple (`by_faces`), and the zero differential
     when every letter is a cycle, as on a wedge of spheres; the product keeps a
     concatenation exactly when the window stores it. The localized
     construction (`ExtendedCobarComplex`) is this class on another
@@ -159,9 +179,9 @@ class CobarComplex:
                 "dimension-1 letters make degrees infinite-rank; "
                 "pass a word length cutoff"
             )
+        values = by_faces(space, edges + heavies, letter_boundary, ring)
         table = {
-            cell: (letter_boundary(space, cell, ring).terms, letter_degree(space, cell))
-            for cell in edges + heavies
+            cell: (value.terms, letter_degree(space, cell)) for cell, value in values.items()
         }
         basis = plain_words(space, edges + heavies, self.max_degree, budget)
         self._build(basis, table, edges, f"cobar({space.name})")
@@ -190,8 +210,11 @@ class CobarComplex:
             # d is a method of a copy taken before self.complex exists:
             # with self's own method the complex would refer back to self,
             # a cycle that keeps a finished complex and its diff cache
-            # alive until a full garbage collection
-            rule = copy.copy(self)._word_boundary
+            # alive until a full garbage collection. The copy is made by
+            # hand, since importing `copy` costs every start of the CLI
+            twin = object.__new__(type(self))
+            twin.__dict__.update(self.__dict__)
+            rule = twin._word_boundary
         self.complex = ChainComplex(self.ring, basis, rule, complete=False, name=name)
         self.complex.max_degree = stored_top(basis.sizes, edges, self.budget)
 
@@ -374,8 +397,7 @@ class ExtendedCobarComplex(CobarComplex):
         self.growth = growth(space)
         self.budget = localized_budget(self.cutoff, self.growth)
         table = {(edge, exp): (None, 0) for edge in edges for exp in (1, -1)}
-        for cell in heavies:
-            value = loc_letter_boundary(space, cell, ring)
+        for cell, value in by_faces(space, heavies, loc_letter_boundary, ring).items():
             table[cell, 1] = (value.terms, letter_degree(space, cell))
         basis = localized_words(space, edges, heavies, self.max_degree, self.budget)
         self._build(basis, table, edges, f"extended-cobar({space.name})")

@@ -93,6 +93,8 @@ class SimplicialSet(CellSet):
     cells maps dimension -> ordered ids (ids unique across dimensions),
     checked and kept as one `Window` (`CellSet`); faces maps id ->
     tuple of SimplexRef, one per face index, each one dimension down.
+    The set keeps each cell's tuple as given, one dict entry per cell
+    (`faces`), so reading a face indexes that tuple and builds no key.
     Use validate() to check the simplicial identities. complete=False
     marks a truncation of a larger object: cells above the listed top
     dimension exist but are not stored.
@@ -117,9 +119,9 @@ class SimplicialSet(CellSet):
                         f"face {i} of {cid!r} has dimension {self.ref_dim(ref)}, "
                         f"expected {n - 1}"
                     )
-                self._faces[(cid, i)] = ref
+            self._faces[cid] = refs
         for cid, n in dims.items():
-            if n > 0 and (cid, 0) not in self._faces:
+            if n > 0 and cid not in self._faces:
                 raise ValueError(f"cell {cid!r} has no faces given")
         self._refs_cache = {}
 
@@ -128,8 +130,8 @@ class SimplicialSet(CellSet):
         """A complete set from tables that a checked set already holds.
 
         window is the cells as `complexes.graded_ids` returns them, and
-        faces maps (id, i) -> SimplexRef for every face of every cell, as
-        a checked set stores them; nothing is checked again.
+        faces maps each id of positive dimension to the tuple of its
+        faces, as a checked set stores them; nothing is checked again.
         """
         space = object.__new__(cls)
         space.name = name
@@ -146,7 +148,11 @@ class SimplicialSet(CellSet):
         n = self.dim_of(cid)
         if n == 0 or not 0 <= i <= n:
             raise ValueError(f"face index {i} out of range for dimension {n}")
-        return self._faces[(cid, i)]
+        return self._faces[cid][i]
+
+    def faces(self, cid) -> tuple:
+        """The faces d_0 .. d_n of a cell as one tuple; () for a vertex."""
+        return self._faces[cid] if self.dim_of(cid) else ()
 
     def ref(self, cid) -> SimplexRef:
         self.dim_of(cid)
@@ -192,10 +198,11 @@ class SimplicialSet(CellSet):
     def validate(self) -> None:
         """Check d_i d_j = d_{j-1} d_i (i < j) on every nondegenerate cell.
 
-        The first faces d_k x are read as stored. The pairs of a cell are
-        checked in the order (j, i) = (1, 0), (2, 0), (2, 1), (3, 0), ...,
-        so a broken set reports its first failing pair. The faces d_i f of
-        a nondegenerate first face f are read as stored too. For a
+        The first faces d_k x are the cell's stored tuple. The pairs of a
+        cell are checked in the order (j, i) = (1, 0), (2, 0), (2, 1),
+        (3, 0), ..., so a broken set reports its first failing pair. The
+        faces d_i f of a nondegenerate first face f are f's stored tuple,
+        read with no lookup per entry. For a
         degenerate f, d_i f is computed when a pair first needs it and kept
         per face object, so a ref that many cells share (as
         `simplicial_from_json` shares equal ones) is pushed through each
@@ -213,7 +220,7 @@ class SimplicialSet(CellSet):
             if n < 2:
                 continue
             for cid in self.nondegenerate(n):
-                first = [faces[(cid, k)] for k in range(n + 1)]
+                first = faces[cid]
                 ids = tuple(map(id, first))
                 if ids in checked:
                     continue
@@ -222,11 +229,8 @@ class SimplicialSet(CellSet):
                 for f in first:
                     row = rows.get(id(f))
                     if row is None:
-                        if f.word:
-                            row = [None] * n
-                        else:
-                            row = [faces[(f.base, i)] for i in range(n)]
-                        rows[id(f)] = row
+                        # a stored tuple has no None, so it is never written
+                        row = rows[id(f)] = [None] * n if f.word else faces[f.base]
                     own.append(row)
                 for j in range(1, n + 1):
                     row_j = own[j]
@@ -261,13 +265,10 @@ def normalized_chains(
         basis = Window((n, space.nondegenerate(n)) for n in range(top + 1))
 
     def diff(key):
-        n = space.dim_of(key)
         sums = {}
-        if n > 0:
-            for i in range(n + 1):
-                ref = space.face(key, i)
-                if not ref.is_degenerate:
-                    sums[ref.base] = sums.get(ref.base, 0) + (-1 if i % 2 else 1)
+        for i, ref in enumerate(space.faces(key)):
+            if not ref.word:
+                sums[ref.base] = sums.get(ref.base, 0) + (-1 if i % 2 else 1)
         return sums
 
     complete = space.complete and top >= space.dimension
@@ -581,8 +582,8 @@ def collapse_subcomplex(space: SimplicialSet, cells, name: str = "") -> Simplici
     """
     collapsed = set(cells)
     for cid in collapsed:
-        for i in range(space.dim_of(cid) + 1 if space.dim_of(cid) else 0):
-            if space.face(cid, i).base not in collapsed:
+        for ref in space.faces(cid):
+            if ref.base not in collapsed:
                 raise ValueError(f"collapse set not face-closed at {cid!r}")
     for v in space.nondegenerate(0):
         if v not in collapsed:
@@ -606,9 +607,7 @@ def collapse_subcomplex(space: SimplicialSet, cells, name: str = "") -> Simplici
         if keep:
             new_cells[n] = keep
         for cid in keep:
-            faces[cid] = tuple(
-                collapse_ref(space.face(cid, i)) for i in range(n + 1)
-            )
+            faces[cid] = tuple(map(collapse_ref, space.faces(cid)))
     target = SimplicialSet(name or f"{space.name}-quotient", new_cells, faces)
     target.validate()
     mapping = {}
@@ -628,7 +627,9 @@ def collapse_free_pairs(space: SimplicialSet) -> SimplicialMap:
     i, so Y is a deformation retract of it (Whitehead's elementary
     collapse), and a 1-reduced space stays 1-reduced. Cells are walked
     top dimension first, each dimension in stored order, until a whole
-    walk collapses nothing, so Y does not depend on the hash seed.
+    walk collapses nothing, so Y does not depend on the hash seed. The
+    use counts and the walk read each cell's stored face tuple, and Y
+    keeps the very tuples of the cells it keeps.
 
     Y is the source of the map and keeps the name of space; when nothing
     collapses it is space itself. A truncated space is returned as it
@@ -639,8 +640,9 @@ def collapse_free_pairs(space: SimplicialSet) -> SimplicialMap:
     """
     faces = space._faces
     uses = {}
-    for ref in faces.values():
-        uses[ref.base] = uses.get(ref.base, 0) + 1
+    for refs in faces.values():
+        for ref in refs:
+            uses[ref.base] = uses.get(ref.base, 0) + 1
     removed = set()
     walk = space.complete
     while walk:
@@ -651,16 +653,15 @@ def collapse_free_pairs(space: SimplicialSet) -> SimplicialMap:
             for sigma in space.cells[n]:
                 if sigma in removed or uses.get(sigma):
                     continue
-                for i in range(n + 1):
-                    tau = faces[(sigma, i)]
+                for tau in faces[sigma]:
                     if not tau.word and uses[tau.base] == 1:
                         break
                 else:
                     continue
                 for cid in (sigma, tau.base):
                     removed.add(cid)
-                    for k in range(space.dim_of(cid) + 1):
-                        uses[faces[(cid, k)].base] -= 1
+                    for ref in faces[cid]:
+                        uses[ref.base] -= 1
                 walk = True
     rest = space
     if removed:
@@ -669,8 +670,7 @@ def collapse_free_pairs(space: SimplicialSet) -> SimplicialMap:
         window = graded_ids(
             {n: [cid for cid in ids if cid not in removed] for n, ids in space.cells.items()}
         )
-        dims = window.degree_of
-        kept = {(cid, i): faces[(cid, i)] for cid, n in dims.items() if n for i in range(n + 1)}
+        kept = {cid: faces[cid] for cid, n in window.degree_of.items() if n}
         rest = SimplicialSet._trusted(space.name, window, kept)
     mapping = {cid: _normal_ref(cid, ()) for ids in rest.cells.values() for cid in ids}
     return SimplicialMap(rest, space, mapping)
@@ -696,9 +696,7 @@ def wedge_models(first: SimplicialSet, second: SimplicialSet, name: str = "") ->
             ids = tuple((tag, c) for c in space.nondegenerate(n))
             cells[n] = cells.get(n, ()) + ids
             for c in space.nondegenerate(n):
-                faces[(tag, c)] = tuple(
-                    conv(space.face(c, i)) for i in range(n + 1)
-                )
+                faces[(tag, c)] = tuple(map(conv, space.faces(c)))
 
     retag("a", first)
     retag("b", second)
@@ -881,7 +879,6 @@ def simplicial_to_json(space: SimplicialSet) -> dict:
             continue
         for cid in space.nondegenerate(n):
             faces[by_text[cid]] = [
-                [by_text[space.face(cid, i).base], list(space.face(cid, i).word)]
-                for i in range(n + 1)
+                [by_text[ref.base], list(ref.word)] for ref in space.faces(cid)
             ]
     return {"name": space.name, "cells": cells, "faces": faces}

@@ -170,7 +170,9 @@ def smith_homology(
     for m in (n, n + 1):
         if m not in factors:
             columns = complex_.diff_columns(m)
-            if complex_.ring != ring or not _canonical(columns, ring):
+            # an all-zero d_m (every column the one shared empty dict of a
+            # zero complex) has no entry to convert or check
+            if any(columns) and (complex_.ring != ring or not _canonical(columns, ring)):
                 # entries that convert sends to zero are dropped
                 columns = [
                     {i: x for i, c in col.items() if (x := convert(c))}
