@@ -115,18 +115,19 @@ def format_group(rank: int, torsion, ring: str = "Z") -> str:
 def _homology_table(job: JobSpec, space, ring, chains, top: int, window: dict, check=False):
     """(payload, exit code) of a command that reports the homology of chains.
 
-    The table covers degrees 0..top, a row None where the window cannot
-    certify it; any such row makes the code EXIT_INCONCLUSIVE. With check,
-    a nonzero d^2 on the chains makes it EXIT_INVARIANT.
+    The table covers degrees 0..top, keyed by str(n) as JSON keys it, a
+    row None where the window cannot certify it; any such row makes the
+    code EXIT_INCONCLUSIVE. With check, a nonzero d^2 on the chains makes
+    it EXIT_INVARIANT.
     """
     table = {}
     inconclusive = []
     for n, h in homology_table(chains, range(top + 1)).items():
         if h is None:
-            table[n] = None
+            table[str(n)] = None
             inconclusive.append(n)
         else:
-            table[n] = {"rank": h.free_rank, "torsion": list(h.invariant_factors)}
+            table[str(n)] = {"rank": h.free_rank, "torsion": list(h.invariant_factors)}
     code = EXIT_INCONCLUSIVE if inconclusive else EXIT_OK
     if check and chains.d_squared_witness() is not None:
         code = EXIT_INVARIANT
@@ -236,7 +237,7 @@ def cmd_loop(job: JobSpec):
 def cmd_steenrod(job: JobSpec):
     # only this command needs the E-infinity layer (and propm under it),
     # so the others do not pay for importing it
-    from .einfty import FieldHomology, simplicial_um, steenrod_sq
+    from .einfty import simplicial_um, square_pairings
 
     space = load_space(job)
     ring = _ring(job)
@@ -247,17 +248,12 @@ def cmd_steenrod(job: JobSpec):
         raise CliInputError(f"--square {job.square} exceeds the degree {degree}")
     coalg = simplicial_um(space, ring)
     try:
-        source = FieldHomology(coalg.complex, degree)
-        target = FieldHomology(coalg.complex, degree - job.square)
+        source = coalg.homology(degree)
+        target = coalg.homology(degree - job.square)
     except (ValueError, InsufficientTruncationError) as exc:
         raise CliInputError(str(exc)) from None
-    images = []
-    nonzero = False
-    for cls in source.classes():
-        out = steenrod_sq(coalg, job.square, cls)
-        coords = [str(c) for c in target.coordinates(out.representative)]
-        images.append(coords)
-        nonzero = nonzero or not out.is_zero_class
+    # an image's pairings with the target's dual cocycles are its coordinates
+    pairings = [square_pairings(coalg, job.square, cls) for cls in source.classes()]
     payload = {
         "command": "steenrod",
         "model": space.name,
@@ -266,8 +262,8 @@ def cmd_steenrod(job: JobSpec):
         "degree": degree,
         "source_dim": source.dim,
         "target_dim": target.dim,
-        "images": images,
-        "nonzero": nonzero,
+        "images": [[str(c) for c in coords] for coords in pairings],
+        "nonzero": any(not ring.is_zero(c) for coords in pairings for c in coords),
     }
     return payload, EXIT_OK
 
@@ -384,7 +380,7 @@ def _text_lines(payload) -> list[str]:
         inner = " ".join(f"{k}={v}" for k, v in sorted(window.items()))
         lines.append(f"window: {inner}")
     if "homology" in payload:
-        for n in sorted(payload["homology"]):
+        for n in sorted(payload["homology"], key=int):
             h = payload["homology"][n]
             if h is None:
                 lines.append(f"H_{n}: inconclusive")
@@ -428,14 +424,7 @@ def _text_lines(payload) -> list[str]:
 
 def render(payload, fmt: str) -> str:
     if fmt == "json":
-        def keyed(obj):
-            if isinstance(obj, dict):
-                return {str(k): keyed(v) for k, v in obj.items()}
-            if isinstance(obj, (list, tuple)):
-                return [keyed(v) for v in obj]
-            return obj
-
-        return json.dumps(keyed(payload), sort_keys=True, indent=2)
+        return json.dumps(payload, sort_keys=True, indent=2)
     return "\n".join(_text_lines(payload))
 
 

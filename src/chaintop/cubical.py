@@ -20,7 +20,7 @@ from itertools import product
 from .complexes import CellSet, ChainComplex, GradedLinearMap
 from .freemod import FreeElement
 from .rings import Ring, ZZ
-from .simplicial import CellBialgebra, SimplexRef, SimplicialSet, apply_degeneracy
+from .simplicial import CellBialgebra, SimplexRef, SimplicialSet, peel_repeats
 
 
 class CubeMorphism:
@@ -641,21 +641,18 @@ def _canonical_simplex(space: CubicalSet, cube, seq) -> SimplexRef:
     Repeats become degeneracies; a coordinate that is constant along the
     sequence pushes the simplex into the corresponding stored face.
     """
-    seq = tuple(tuple(pt) for pt in seq)
-    for t in range(len(seq) - 1):
-        if seq[t] == seq[t + 1]:
-            inner = _canonical_simplex(space, cube, seq[: t + 1] + seq[t + 2 :])
-            return apply_degeneracy(inner, t)
-    n = space.dim_of(cube)
-    for i in range(1, n + 1):
-        values = {pt[i - 1] for pt in seq}
-        if len(values) == 1:
-            eps = values.pop()
-            stored = space.face(cube, i, eps)
-            reduced = [pt[: i - 1] + pt[i:] for pt in seq]
-            mapped = [stored.morphism.evaluate(pt) for pt in reduced]
-            return _canonical_simplex(space, stored.base, mapped)
-    return SimplexRef((cube, seq))
+
+    def on_strict(seq):
+        for i in range(1, space.dim_of(cube) + 1):
+            values = {pt[i - 1] for pt in seq}
+            if len(values) == 1:
+                stored = space.face(cube, i, values.pop())
+                reduced = [pt[: i - 1] + pt[i:] for pt in seq]
+                mapped = [stored.morphism.evaluate(pt) for pt in reduced]
+                return _canonical_simplex(space, stored.base, mapped)
+        return SimplexRef((cube, seq))
+
+    return peel_repeats(map(tuple, seq), on_strict)
 
 
 def triangulate(space: CubicalSet, max_degree: int | None = None) -> SimplicialSet:
@@ -722,12 +719,7 @@ def _ref_on_monotone(target: SimplicialSet, assignment, seq):
     assignment gives SimplexRefs on strict chains; repeats in seq turn
     into degeneracies of the strict value.
     """
-    seq = tuple(seq)
-    for t in range(len(seq) - 1):
-        if seq[t] == seq[t + 1]:
-            inner = _ref_on_monotone(target, assignment, seq[: t + 1] + seq[t + 2 :])
-            return apply_degeneracy(inner, t)
-    return assignment[seq]
+    return peel_repeats(seq, assignment.__getitem__)
 
 
 class MapCell:

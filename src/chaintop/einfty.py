@@ -38,6 +38,13 @@ class UmCoalgebra:
         self.ring = complex_.ring
         self._models = {}
         self._machines = {}
+        self._homology = {}
+
+    def homology(self, n: int) -> FieldHomology:
+        """The field homology of degree n of the complex, built once."""
+        if n not in self._homology:
+            self._homology[n] = FieldHomology(self.complex, n)
+        return self._homology[n]
 
     def model(self, n: int):
         if n not in self._models:
@@ -176,6 +183,7 @@ class FieldHomology:
         cycles = nullspace(complex_.diff_columns(n), ring)
         self._rep_cols = [col for col in cycles if span.add(col)]
         self._span = span
+        self._duals = None
         self.dim = len(self._rep_cols)
         self.boundary_rank = len(self._boundary_cols)
 
@@ -227,37 +235,33 @@ class FieldHomology:
         """Functionals on C_n dual to the representatives, zero on boundaries.
 
         Returned as coefficient dicts key -> ring element; evaluating a
-        chain is a dot product against these.
+        chain is a dot product against these. Built at the first call and
+        kept.
         """
-        ring = self.ring
-        # complete [boundaries | reps] to a basis with unit vectors, in
-        # order; alpha_t(e_r) is the rep-t coordinate of e_r in that basis
-        full = Echelon(ring)
-        for col in self._boundary_cols + self._rep_cols:
-            full.add(col)
-        coords = []
-        for r in range(len(self._basis)):
-            unit = {r: ring.one}
-            remainder, coeffs = full.reduce(unit)
-            if remainder:
-                full.add(unit)
-                coeffs = {}
-            coords.append(coeffs)
-        nb = len(self._boundary_cols)
-        out = []
-        for t in range(self.dim):
-            alpha = {}
+        if self._duals is None:
+            ring = self.ring
+            nb = self.boundary_rank
+            # complete [boundaries | reps] to a basis with unit vectors, in
+            # order; alpha_t(e_r) is the rep-t coordinate of e_r in that
+            # basis. A cycle reduces to {} before it reaches the units, so
+            # `coordinates` reads the same from the completed span.
+            self._duals = [{} for _ in range(self.dim)]
             for r, key in enumerate(self._basis):
-                a = coords[r].get(nb + t)
-                if a is not None:
-                    alpha[key] = a
-            out.append(alpha)
-        return out
+                remainder, coeffs = self._span.reduce({r: ring.one})
+                if remainder:
+                    self._span._push(remainder, coeffs)
+                    continue
+                for t, alpha in enumerate(self._duals):
+                    a = coeffs.get(nb + t)
+                    if a is not None:
+                        alpha[key] = a
+        return self._duals
 
 
-def _class_of_pairings(target: FieldHomology, value: FreeElement) -> HomologyClass:
-    """The class of target pairing each dual cocycle alpha with the
-    p-tensor chain value as the sum of c alpha(x_1)...alpha(x_p)."""
+def _pairings(target: FieldHomology, value: FreeElement) -> list:
+    """Each dual cocycle alpha of target paired with the p-tensor chain
+    value as the sum of c alpha(x_1)...alpha(x_p): the coordinates of the
+    class with those pairings."""
     ring = target.ring
     pairings = []
     for alpha in target.dual_cocycles():
@@ -267,15 +271,16 @@ def _class_of_pairings(target: FieldHomology, value: FreeElement) -> HomologyCla
                 c = ring.mul(c, alpha.get(x, ring.zero))
             total = ring.add(total, c)
         pairings.append(total)
-    return target.class_from_pairings(pairings)
+    return pairings
 
 
 # --- Steenrod operations ---
 
-def steenrod_sq(coalg: UmCoalgebra, s: int, mu: HomologyClass) -> HomologyClass:
-    """Right action of the s-th square on a mod-2 homology class.
+def square_pairings(coalg: UmCoalgebra, s: int, mu: HomologyClass) -> list:
+    """The s-th square of a mod-2 homology class of degree k, as its
+    coordinates in the classes of `coalg.homology(k - s)`.
 
-    The image in degree k - s pairs with a cocycle alpha as
+    The image pairs with a cocycle alpha as
     (alpha ox alpha)(psi(e_{k-2s})(rep)); 2s = k recovers the cup
     square, and negative indices vanish for degree reasons.
     """
@@ -288,12 +293,19 @@ def steenrod_sq(coalg: UmCoalgebra, s: int, mu: HomologyClass) -> HomologyClass:
     out_degree = k - s
     if out_degree < 0:
         raise ValueError("output degree is negative")
-    target = FieldHomology(coalg.complex, out_degree)
+    target = coalg.homology(out_degree)
     index = k - 2 * s
     if index < 0:
-        return target.class_from_pairings([ring.zero] * target.dim)
+        return [ring.zero] * target.dim
     value = psi_action(coalg, 2, index, mu.representative)
-    return _class_of_pairings(target, value)
+    return _pairings(target, value)
+
+
+def steenrod_sq(coalg: UmCoalgebra, s: int, mu: HomologyClass) -> HomologyClass:
+    """Right action of the s-th square on a mod-2 homology class
+    (`square_pairings`)."""
+    pairings = square_pairings(coalg, s, mu)
+    return coalg.homology(mu.degree - s).class_from_pairings(pairings)
 
 
 def nu_coefficient(q: int, p: int):
@@ -339,7 +351,7 @@ def steenrod_odd(
         )
     if out_degree < 0:
         raise ValueError("output degree is negative")
-    target = FieldHomology(coalg.complex, out_degree)
+    target = coalg.homology(out_degree)
     coeff = ring.mul(ring.from_int((-1) ** p), nu_coefficient(q, p))
     value = psi_action(coalg, p, index, mu.representative).scale(coeff)
-    return _class_of_pairings(target, value)
+    return target.class_from_pairings(_pairings(target, value))

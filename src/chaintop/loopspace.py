@@ -41,6 +41,7 @@ from .cubical import (
     u_closure,
 )
 from .freemod import FreeElement
+from .linalg import eliminate
 from .rings import Ring, ZZ
 from .simplicial import (
     SimplexRef,
@@ -50,7 +51,7 @@ from .simplicial import (
     front_face,
     normalized_chains,
 )
-from .smith import homology_table, smith_normal_form
+from .smith import homology_table
 from .words import first_open_degree, letters, sliding_budget
 
 
@@ -822,13 +823,15 @@ class Pi0Presentation:
     def abelianization(self):
         """(free rank, invariant factors > 1) of the abelianized group."""
         index = {g: i for i, g in enumerate(self.generators)}
-        rows = []
+        # one sparse column of exponent sums per relator: the transpose of
+        # the relation matrix, which has the same invariant factors
+        columns = []
         for rel in self.relators:
-            row = [0] * len(self.generators)
+            sums = {}
             for ref, e in rel:
-                row[index[ref]] += e
-            rows.append(row)
-        factors = smith_normal_form(rows) if rows else []
+                sums[index[ref]] = sums.get(index[ref], 0) + e
+            columns.append(ZZ.canonical_sums(sums))
+        factors = eliminate(columns, ZZ)
         free = len(self.generators) - len(factors)
         return free, [f for f in factors if f > 1]
 

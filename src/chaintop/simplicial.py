@@ -764,16 +764,36 @@ def char_pushforward(space: SimplicialSet, cell, vertex_tuple: tuple) -> Simplex
     return ref
 
 
+def peel_repeats(seq, on_strict) -> SimplexRef:
+    """on_strict of seq with each repeated point dropped, under the
+    degeneracies that put the repeats back.
+
+    When the t-th repeat copies point p_t of the strict sequence, the
+    answer is s_{p_1} ... s_{p_k} on_strict(strict), s_{p_1} outermost:
+
+    >>> ref = peel_repeats((0, 0, 1, 2, 2, 2), SimplexRef)
+    >>> ref.base, ref.word
+    ((0, 1, 2), (4, 3, 0))
+    """
+    strict = []
+    repeats = []
+    for pt in seq:
+        if strict and pt == strict[-1]:
+            repeats.append(len(strict) - 1)
+        else:
+            strict.append(pt)
+    ref = on_strict(tuple(strict))
+    for t in reversed(repeats):
+        ref = apply_degeneracy(ref, t)
+    return ref
+
+
 def monotone_ref(space: SimplicialSet, cell, seq) -> SimplexRef:
     """Simplex of space named by a weakly increasing vertex sequence of cell."""
     seq = list(seq)
     if any(a > b for a, b in zip(seq, seq[1:])):
         raise ValueError(f"vertex sequence not monotone: {seq}")
-    for t in range(len(seq) - 1):
-        if seq[t] == seq[t + 1]:
-            inner = monotone_ref(space, cell, seq[: t + 1] + seq[t + 2 :])
-            return apply_degeneracy(inner, t)
-    return char_pushforward(space, cell, tuple(seq))
+    return peel_repeats(seq, lambda strict: char_pushforward(space, cell, strict))
 
 
 # --- JSON input and output ---

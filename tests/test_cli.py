@@ -1,5 +1,6 @@
 """Command line driver: outputs, exit codes, determinism."""
 
+import itertools
 import json
 import os
 import random
@@ -32,6 +33,7 @@ from chaintop.simplicial import (
     simplicial_model,
     simplicial_to_json,
     sphere_model,
+    two_vertex_projective_plane,
     wedge_models,
 )
 
@@ -163,6 +165,52 @@ def test_steenrod_detects_projective_plane(capsys):
     assert code == EXIT_OK
     assert "nonzero: True" in out
     assert "class 0: [1]" in out
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_steenrod_prints_the_coordinates_of_every_image(tmp_path, capsys, fmt):
+    # the oracle takes each image's representative back to its coordinates
+    # in the target, a round trip the command itself does not make
+    from chaintop.cli import render
+    from chaintop.einfty import FieldHomology, simplicial_um, steenrod_sq
+
+    model = tmp_path / "tvpp.json"
+    model.write_text(json.dumps(simplicial_to_json(two_vertex_projective_plane())))
+    cases = [(["rp2"], simplicial_model("rp2"))]
+    cases += [(["sphere", str(n)], simplicial_model("sphere", n)) for n in (1, 2, 3)]
+    cases += [(["simplex", str(n)], simplicial_model("simplex", n)) for n in (2, 3)]
+    cases.append(([str(model)], two_vertex_projective_plane()))
+    ring = GF(2)
+    nonzero_images = 0
+    for argv, space in cases:
+        for square, degree in itertools.product(range(5), repeat=2):
+            flags = ["--square", str(square), "--degree", str(degree), "--format", fmt]
+            got = run(capsys, "steenrod", *argv, *flags)
+            if square > degree:
+                message = f"error: --square {square} exceeds the degree {degree}\n"
+                assert got == (EXIT_INPUT, "", message)
+                continue
+            coalg = simplicial_um(space, ring)
+            source = FieldHomology(coalg.complex, degree)
+            target = FieldHomology(coalg.complex, degree - square)
+            images = [steenrod_sq(coalg, square, cls) for cls in source.classes()]
+            payload = {
+                "command": "steenrod",
+                "model": space.name,
+                "ring": ring.name,
+                "square": square,
+                "degree": degree,
+                "source_dim": source.dim,
+                "target_dim": target.dim,
+                "images": [
+                    [str(c) for c in target.coordinates(out.representative)]
+                    for out in images
+                ],
+                "nonzero": any(not out.is_zero_class for out in images),
+            }
+            assert got == (EXIT_OK, render(payload, fmt) + "\n", ""), (argv, flags)
+            nonzero_images += payload["nonzero"]
+    assert nonzero_images > 10
 
 
 def test_verify_serre_coalgebra(capsys):
@@ -405,6 +453,8 @@ codes = [
         "loop sphere 2 --max-degree 3 --check --format json",
         f"cobar {sys.argv[1]} --max-degree 3 --format json",
         f"loop {sys.argv[1]} --max-degree 2 --check --format json",
+        "steenrod rp2 --format json",
+        f"steenrod {sys.argv[1]} --degree 2 --format json",
     )
 ]
 print(codes)
@@ -450,7 +500,7 @@ def test_output_and_bases_do_not_depend_on_the_hash_seed(tmp_path):
     ]
     assert runs[0].returncode == runs[1].returncode == 0, runs[0].stderr
     assert runs[0].stdout == runs[1].stdout
-    assert "\n[3, 0, 0, 0, 0]\n" in runs[0].stdout
+    assert "\n[3, 0, 0, 0, 0, 0, 0]\n" in runs[0].stdout
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])

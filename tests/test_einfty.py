@@ -24,6 +24,7 @@ from chaintop.einfty import (
     um_action,
 )
 from chaintop.freemod import FreeElement
+from chaintop.loopspace import cubical_cobar
 from chaintop.propm import (
     PsiMachine,
     coproduct_graph,
@@ -41,6 +42,7 @@ from chaintop.simplicial import (
     simplicial_model,
     sphere_model,
     standard_simplex,
+    wedge_models,
 )
 
 from ring_oracle import evaluate_cochain
@@ -312,6 +314,29 @@ def test_dual_cocycles_pair_identically():
                     )
 
 
+def test_coordinates_read_the_same_once_the_duals_are_built():
+    # the dual cocycles complete the span the coordinates are read in
+    for ring in (GF(2), GF(3)):
+        window = cubical_cobar(projective_plane_model(), 4, max_length=2, ring=ring)
+        coalgs = [
+            simplicial_um(projective_plane_model(), ring),
+            cubical_um(window.cubes, ring),
+        ]
+        for coalg in coalgs:
+            for n in range(3):
+                h = FieldHomology(coalg.complex, n)
+                cycles = [cls.representative for cls in h.classes()]
+                cycles += [
+                    rep + coalg.complex.diff(key)
+                    for rep in cycles
+                    for key in list(coalg.complex.basis_in(n + 1))[:8]
+                ]
+                before = [h.coordinates(c) for c in cycles]
+                duals = h.dual_cocycles()
+                assert h.dual_cocycles() is duals
+                assert [h.coordinates(c) for c in cycles] == before
+
+
 def test_truncation_refused():
     from chaintop.simplicial import normalized_chains
     from chaintop.smith import smith_homology
@@ -395,6 +420,39 @@ def test_sq_representative_independence():
         assert target.coordinates(a.representative) == target.coordinates(
             b.representative
         )
+
+
+def test_squares_share_one_target_and_its_duals(monkeypatch):
+    # Sq^1 on the 32 classes of H_5 of a cube window of the loops on
+    # S^2 v S^2: the coalgebra builds H_5 and H_4 once each, and H_4 its
+    # dual cocycles once
+    ring = GF(2)
+    omega = cubical_cobar(wedge_models(sphere_model(2), sphere_model(2)), 6, ring=ring)
+    coalg = cubical_um(omega.cubes, ring)
+    built = []
+    init = FieldHomology.__init__
+
+    def counted_init(self, complex_, n):
+        built.append(n)
+        init(self, complex_, n)
+
+    tables = []
+    duals = FieldHomology.dual_cocycles
+
+    def kept_duals(self):
+        tables.append(duals(self))
+        return tables[-1]
+
+    monkeypatch.setattr(FieldHomology, "__init__", counted_init)
+    monkeypatch.setattr(FieldHomology, "dual_cocycles", kept_duals)
+    source = coalg.homology(5)
+    images = [steenrod_sq(coalg, 1, cls) for cls in source.classes()]
+    assert len(images) == 32
+    assert coalg.homology(5) is source
+    assert built == [5, 4]
+    # every call hands back the one table, held here so no id is reused
+    assert len(tables) == 32
+    assert len({id(table) for table in tables}) == 1
 
 
 def test_nu_spot_values():

@@ -26,6 +26,7 @@ from chaintop.freemod import FreeElement
 from chaintop.loopspace import (
     CubicalCobar,
     KanLoopGroup,
+    Pi0Presentation,
     _face_items,
     canonical_cell,
     cartan_serre,
@@ -64,6 +65,7 @@ from chaintop.simplicial import (
     two_vertex_projective_plane,
     wedge_models,
 )
+from chaintop.smith import smith_normal_form
 from chaintop.words import letters
 
 import certificate_oracle
@@ -1277,6 +1279,43 @@ def test_pi0_of_projective_plane_loops_is_order_two():
     assert set(p.relators) == {((a, -1), (b, -1)), ((a, 1), (b, -1))}
     assert p.abelianization() == (0, [2])
     assert p.identify() == "Z/2"
+
+
+def dense_abelianization(presentation):
+    """(free rank, invariant factors > 1) from the dense relation rows."""
+    index = {g: i for i, g in enumerate(presentation.generators)}
+    rows = []
+    for rel in presentation.relators:
+        row = [0] * len(index)
+        for ref, e in rel:
+            row[index[ref]] += e
+        rows.append(row)
+    factors = smith_normal_form(rows) if rows else []
+    return len(index) - len(factors), [f for f in factors if f > 1]
+
+
+def test_abelianization_matches_the_dense_smith_form():
+    presentations = [kan_loop_group(projective_plane_model(), 1).pi0()]
+    for seed in range(40):
+        space = random_reduced_model(random.Random(seed), max_dim=4)
+        presentations.append(kan_loop_group(space, 1).pi0())
+    # relators with exponents other than +-1, so that torsion shows
+    rng = random.Random(11)
+    gens = [SimplexRef(name) for name in "xyz"]
+    for _ in range(30):
+        relators = [
+            tuple(
+                (rng.choice(gens), rng.choice((-3, -2, -1, 1, 2, 4)))
+                for _ in range(rng.randint(1, 5))
+            )
+            for _ in range(rng.randint(0, 4))
+        ]
+        presentations.append(Pi0Presentation(gens, relators))
+    torsion = 0
+    for p in presentations:
+        assert p.abelianization() == dense_abelianization(p), p.relators
+        torsion += bool(p.abelianization()[1])
+    assert torsion > 5
 
 
 # --- simplex-to-cube collapse ---

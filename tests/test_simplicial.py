@@ -474,6 +474,28 @@ def test_monotone_ref():
         monotone_ref(rp2, "U", (1, 0))
 
 
+def recursive_monotone_ref(space, cell, seq):
+    """The recursion monotone_ref replaced: drop the first repeated point,
+    recurse, and apply s_t to the answer."""
+    for t in range(len(seq) - 1):
+        if seq[t] == seq[t + 1]:
+            inner = recursive_monotone_ref(space, cell, seq[: t + 1] + seq[t + 2 :])
+            return apply_degeneracy(inner, t)
+    return char_pushforward(space, cell, seq)
+
+
+def test_monotone_ref_peels_repeats_as_the_recursion_does():
+    cases = 0
+    for space, cell in ((standard_simplex(3), (0, 1, 2, 3)), (projective_plane_model(), "U")):
+        vertices = range(space.dim_of(cell) + 1)
+        for length in range(1, 7):
+            for seq in itertools.combinations_with_replacement(vertices, length):
+                want = recursive_monotone_ref(space, cell, seq)
+                assert monotone_ref(space, cell, seq) == want, seq
+                cases += 1
+    assert cases == 292
+
+
 # --- elementary collapses ---
 
 def collapse_cases():
